@@ -2,18 +2,20 @@
 
 One JSON config file describes one experiment: shared sections (grid, mesh,
 coefficients, scheme, u0, seed) plus one experiment-specific params table.
-Unknown keys anywhere are rejected by name; numeric ranges are validated up
-front so a bad config never reaches a solver.
+Every key is declared once, in the schema tables below, with its kind,
+default and range check.  `load_config` walks every table, so an unknown
+key, a wrong type or an out-of-range value is a ConfigError naming the
+field before any solve runs.
 
 Artifacts land in the output directory: one or more CSV tables (full
 17-significant-digit round-trip precision, so reruns are byte-identical),
 a runmeta.jsonl with per-artifact metadata, and manifest.txt referencing
 every emitted file with its sha256 (the manifest also records wall time,
-and is therefore the only non-reproducible output).
+and is therefore the only non-reproducible output).  A rejected config
+(exit 2) or a failed run (exit 1) writes failure.json instead.
 
 Usage:
-  burgerslab --config cfg.json [--out DIR] [--seed N] [--workers N]
-             [--experiment NAME]
+  burgerslab --config cfg.json [--out DIR] [--seed N] [--experiment NAME]
 """
 
 from __future__ import annotations
@@ -30,8 +32,15 @@ from pathlib import Path
 import numpy as np
 
 from .core import SpatialGrid, TimeMesh, h_norm, sample_noise, sine_field
-from .coefficients import burgers_multiscale_family, estimate_kappa, make_burgers_set
+from .coefficients import (
+    NOISE_PROFILES,
+    burgers_multiscale_family,
+    estimate_kappa,
+    make_burgers_set,
+)
 from .solver import (
+    CONVECTIONS,
+    REFLECTIONS,
     BlowUpError,
     Control,
     SchemeConfig,
@@ -57,73 +66,208 @@ from .averaging import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "main"]
 
-EXPERIMENT_NAMES = (
-    "heat-regression",
-    "reflection",
-    "rate-function",
-    "rare-event",
-    "condition-probe",
-    "averaging",
-)
-
 
 class ConfigError(ValueError):
     """Invalid or missing configuration."""
 
 
-def _check_keys(table: dict, allowed: tuple[str, ...], where: str) -> None:
-    for key in table:
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key '{where}.{key}'" if where else f"unknown key '{key}'"
-            )
-
+# ---------------------------------------------------------------------------
+# schema: one table per section, one row (key, kind, default, check, reason)
+# per key.  kind is a type, list[float] / list[int], or a tuple of allowed
+# names.  check(value, seen) gets every value validated before it, keyed
+# "section.key" ("mesh.dt", "params.t_final"), so rows may refer back.
 
 _REQUIRED = object()
+_ANY = (None, "")
+_POSITIVE = (lambda v, c: v > 0, "must be > 0")
+_NONNEGATIVE = (lambda v, c: v >= 0, "must be >= 0")
+_AT_LEAST_1 = (lambda v, c: v >= 1, "must be >= 1")
+_POSITIVE_LIST = (lambda v, c: v and min(v) > 0, "must be a nonempty list of numbers > 0")
 
 
-def _get(table: dict, key: str, where: str, kind, default=_REQUIRED, check=None, why=""):
-    if key not in table:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key '{where}.{key}'")
-        return default
-    val = table[key]
-    try:
-        if kind is bool:
-            if not isinstance(val, bool):
-                raise ValueError
-        elif kind is float:
-            val = float(val)
-        elif kind is int:
-            if isinstance(val, bool) or (isinstance(val, float) and val != int(val)):
-                raise ValueError
-            val = int(val)
-        elif kind is str:
-            if not isinstance(val, str):
-                raise ValueError
-        elif kind is list:
-            if not isinstance(val, list):
-                raise ValueError
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad type at '{where}.{key}': expected {kind.__name__}") from None
-    if check is not None and not check(val):
-        raise ConfigError(f"range violation at '{where}.{key}': {why}, got {val!r}")
-    return val
+def _whole_steps(t_final: float, dt: float) -> bool:
+    """True when dt > 0 splits t_final into a positive whole number of steps."""
+    steps = round(t_final / dt) if dt > 0 else 0
+    return steps >= 1 and abs(steps * dt - t_final) <= 1e-9 * max(1.0, t_final)
 
 
-def _float_list(table: dict, key: str, where: str, default=_REQUIRED) -> list[float]:
-    raw = _get(table, key, where, list, default=default)
-    try:
-        return [float(v) for v in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad type at '{where}.{key}': expected list of numbers") from None
+def _increasing(v: list) -> bool:
+    return all(b > a for a, b in zip(v, v[1:]))
 
 
-def _int_list(table: dict, key: str, where: str, default=_REQUIRED) -> list[int]:
-    values = _float_list(table, key, where, default=default)
-    if any(v != int(v) for v in values):
-        raise ConfigError(f"bad type at '{where}.{key}': expected list of integers")
-    return [int(v) for v in values]
+def _stable_penalty(n: float, c: dict) -> bool:
+    return 0 < n and n * c["mesh.dt"] <= 1.0 + 1e-12
+
+
+def _constant_control(t_final: float, amp: float, d: int) -> Control:
+    return Control.constant(t_final, [amp] * d, d=d)
+
+
+_GRID = (
+    ("m", int, 64, lambda v, c: v >= 2, "must be >= 2"),
+)
+
+_MESH = (
+    ("t_final", float, 1.0, *_POSITIVE),
+    ("dt", float, 1e-3, lambda v, c: _whole_steps(c["mesh.t_final"], v),
+     "must be > 0 and divide mesh.t_final into whole steps"),
+)
+
+_COEFFICIENTS = (
+    ("family", ("burgers", "multiscale"), "burgers",
+     lambda v, c: v == "multiscale" or c["experiment"] != "averaging",
+     "the averaging experiment needs the multiscale family"),
+    ("a_g", float, 0.0, *_ANY),
+    ("noise_profile", NOISE_PROFILES, "additive", *_ANY),
+    ("c1", float, 0.0, *_ANY),
+    ("c2", float, 0.0, *_ANY),
+    ("sigma_amp", float, 1.0, *_ANY),
+    ("d", int, 1, *_AT_LEAST_1),
+    ("beta", float, None,
+     lambda v, c: v > 0 if v is not None else c["coefficients.family"] == "burgers",
+     "must be > 0, and the multiscale family requires it"),
+    ("amplitude", float, 1.0, *_ANY),
+)
+
+_SCHEME = (
+    ("reflection", REFLECTIONS, "projection", *_ANY),
+    ("penalty_n", float, 0.0,
+     lambda v, c: c["scheme.reflection"] != "penalized" or _stable_penalty(v, c),
+     "penalized reflection needs n > 0 and n*dt <= 1 (explicit penalty stability)"),
+    ("convection", CONVECTIONS, "central", *_ANY),
+)
+
+_U0 = (
+    ("kind", ("sine", "zero"), "sine", *_ANY),
+    ("amplitude", float, 1.0, *_NONNEGATIVE),
+    ("mode", int, 1,
+     lambda v, c: v == 1 or c["u0.kind"] == "zero" or c["u0.amplitude"] == 0,
+     "sin(k pi x) turns negative for k >= 2, and the start must be nonnegative"),
+)
+
+_PARAMS = {
+    "heat-regression": (
+        ("t_final", float, 0.1, *_POSITIVE),
+        ("tolerance", float, 5e-3, *_POSITIVE),
+        ("m_values", list[int], [32, 64], lambda v, c: v and min(v) >= 2,
+         "must be a nonempty list of grid sizes >= 2"),
+        ("dt_values", list[float], [2e-4, 1e-4],
+         lambda v, c: v and all(_whole_steps(c["params.t_final"], dt) for dt in v),
+         "must be a nonempty list of steps dt > 0 that divide params.t_final"),
+    ),
+    "reflection": (
+        ("n_list", list[float], [10.0, 100.0, 1000.0],
+         lambda v, c: v and _increasing(v) and all(_stable_penalty(n, c) for n in v),
+         "must be a nonempty, strictly increasing list of n > 0 with n*dt <= 1"),
+        ("sigma_amp", float, 0.0, *_NONNEGATIVE),
+    ),
+    "rate-function": (
+        ("h_star", float, 1.0, *_ANY),
+        ("blocks", int, 8, *_AT_LEAST_1),
+        ("tol", float, 1e-3, *_POSITIVE),
+        ("max_iters", int, 40, *_AT_LEAST_1),
+    ),
+    "rare-event": (
+        ("eps", float, 0.1, *_POSITIVE),
+        ("eps_list", list[float], [0.5, 0.2, 0.1], *_POSITIVE_LIST),
+        ("delta", float, 0.25, *_POSITIVE),
+        ("n_samples", int, 500, *_AT_LEAST_1),
+        ("theta", float, 0.5, *_POSITIVE),
+        ("h_star", float, 1.0, *_ANY),
+        ("blocks", int, 4, *_AT_LEAST_1),
+    ),
+    "condition-probe": (
+        ("eps_list", list[float], [0.2, 0.05, 0.01], *_POSITIVE_LIST),
+        ("delta", float, 0.25, *_POSITIVE),
+        ("n_paths", int, 200, *_AT_LEAST_1),
+        ("energy_bound", float, 2.0, *_POSITIVE),
+        ("control_amps", list[float], [0.0, 1.0, -1.2],
+         lambda v, c: v and all(
+             _constant_control(c["mesh.t_final"], a, c["coefficients.d"])
+             .in_energy_class(c["params.energy_bound"]) for a in v),
+         "must be a nonempty list of amplitudes whose energy class is "
+         "within params.energy_bound"),
+        ("u0_scales", list[float], [1.0, 0.5], lambda v, c: v and min(v) >= 0,
+         "must be a nonempty list of numbers >= 0"),
+    ),
+    "averaging": (
+        ("eps_list", list[float], [0.1, 0.01, 0.001],
+         lambda v, c: v and min(v) > 0 and len(set(v)) == len(v),
+         "must be a nonempty list of distinct numbers > 0"),
+        ("n_paths", int, 100, *_AT_LEAST_1),
+        ("delta", float, 0.25, *_POSITIVE),
+        ("kappa_t_hats", list[float], [1e2, 1e3, 1e4],
+         lambda v, c: v and min(v) > 0 and _increasing(v),
+         "must be a nonempty, strictly increasing list of numbers > 0"),
+        ("dump_first_pair", bool, False, *_ANY),
+    ),
+}
+
+_TOP = (
+    ("experiment", tuple(_PARAMS), _REQUIRED, *_ANY),
+    ("seed", int, 0, *_NONNEGATIVE),
+    ("out_dir", str, None, *_ANY),
+    ("grid", dict, {}, *_ANY),
+    ("mesh", dict, {}, *_ANY),
+    ("coefficients", dict, {}, *_ANY),
+    ("scheme", dict, {}, *_ANY),
+    ("u0", dict, {}, *_ANY),
+    ("params", dict, {}, *_ANY),
+)
+
+
+def _typed(val, kind):
+    """val as a value of kind, or None when it is not one."""
+    if isinstance(kind, tuple):
+        return val if isinstance(val, str) else None
+    if getattr(kind, "__origin__", None) is list:
+        if not isinstance(val, list):
+            return None
+        items = [_typed(v, kind.__args__[0]) for v in val]
+        return None if None in items else items
+    if kind in (int, float):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            return None
+        if kind is int:
+            return int(val) if isinstance(val, int) or val.is_integer() else None
+        return float(val) if abs(val) <= sys.float_info.max else None
+    return val if isinstance(val, kind) else None
+
+
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _reject_unknown(table: dict, rows: tuple, where: str) -> None:
+    known = [row[0] for row in rows]
+    for key in table:
+        if key not in known:
+            raise ConfigError(f"unknown key '{_path(where, key)}'")
+
+
+def _walk(table: dict, rows: tuple, where: str, seen: dict) -> dict:
+    """Check one section's values against its rows; returns {key: typed value}."""
+    out = {}
+    for key, kind, default, check, why in rows:
+        path = _path(where, key)
+        if key not in table:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key '{path}'")
+            val = default
+        else:
+            val = _typed(table[key], kind)
+            if val is None:
+                name = ("str" if isinstance(kind, tuple)
+                        else kind if hasattr(kind, "__origin__") else kind.__name__)
+                raise ConfigError(f"bad type at '{path}': expected {name}")
+            if isinstance(kind, tuple) and val not in kind:
+                raise ConfigError(
+                    f"unknown value {val!r} at '{path}'; available: {', '.join(kind)}"
+                )
+        seen[path] = out[key] = val
+        if check is not None and not check(val, seen):
+            raise ConfigError(f"range violation at '{path}': {why}, got {val!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,7 +276,6 @@ class ExperimentConfig:
 
     experiment: str
     seed: int
-    workers: int
     out_dir: str | None
     grid: SpatialGrid
     mesh: TimeMesh
@@ -151,128 +294,30 @@ class ExperimentConfig:
 
     def build_coefficients(self):
         """Returns (coefficient set, averaged set or None)."""
-        c = self.coefficients
-        if c["family"] == "burgers":
-            return (
-                make_burgers_set(
-                    c["a_g"], noise_profile=c["noise_profile"], c1=c["c1"],
-                    c2=c["c2"], sigma_amp=c["sigma_amp"], d=c["d"],
-                ),
-                None,
-            )
-        ms, avg = burgers_multiscale_family(
-            beta=c["beta"], amplitude=c["amplitude"], a_g=c["a_g"],
-            noise_profile=c["noise_profile"], c1=c["c1"], c2=c["c2"],
-            sigma_amp=c["sigma_amp"], d=c["d"],
-        )
-        return ms, avg
-
-
-_PARAM_KEYS = {
-    "heat-regression": ("m_values", "dt_values", "t_final", "tolerance"),
-    "reflection": ("n_list", "sigma_amp"),
-    "rate-function": ("h_star", "blocks", "tol", "max_iters"),
-    "rare-event": ("eps", "eps_list", "delta", "n_samples", "theta", "h_star", "blocks"),
-    "condition-probe": ("eps_list", "delta", "n_paths", "control_amps", "u0_scales", "energy_bound"),
-    "averaging": ("eps_list", "n_paths", "delta", "kappa_t_hats", "dump_first_pair"),
-}
+        c = dict(self.coefficients)
+        family, beta, amplitude = c.pop("family"), c.pop("beta"), c.pop("amplitude")
+        if family == "burgers":
+            return make_burgers_set(**c), None
+        return burgers_multiscale_family(beta=beta, amplitude=amplitude, **c)
 
 
 def _validate(raw: dict) -> ExperimentConfig:
-    top_keys = ("experiment", "seed", "workers", "out_dir", "grid", "mesh",
-                "coefficients", "scheme", "u0", "params")
-    _check_keys(raw, top_keys, "")
-
-    experiment = _get(raw, "experiment", "", str)
-    if experiment not in EXPERIMENT_NAMES:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; available: {', '.join(EXPERIMENT_NAMES)}"
-        )
-    seed = _get(raw, "seed", "", int, default=0, check=lambda v: v >= 0, why="must be >= 0")
-    workers = _get(raw, "workers", "", int, default=1, check=lambda v: v >= 1, why="must be >= 1")
-    out_dir = _get(raw, "out_dir", "", str, default=None)
-
-    grid_tab = raw.get("grid", {})
-    _check_keys(grid_tab, ("m",), "grid")
-    m = _get(grid_tab, "m", "grid", int, default=64, check=lambda v: v >= 2, why="must be >= 2")
-    grid = SpatialGrid(m)
-
-    mesh_tab = raw.get("mesh", {})
-    _check_keys(mesh_tab, ("t_final", "dt"), "mesh")
-    t_final = _get(mesh_tab, "t_final", "mesh", float, default=1.0,
-                   check=lambda v: v > 0, why="must be > 0")
-    dt = _get(mesh_tab, "dt", "mesh", float, default=1e-3,
-              check=lambda v: v > 0, why="must be > 0")
-    steps = round(t_final / dt)
-    if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ConfigError(
-            f"range violation at 'mesh.dt': t_final/dt = {t_final / dt:.6g} "
-            "must be a positive integer"
-        )
-    mesh = TimeMesh(t_final, steps)
-
-    co = dict(raw.get("coefficients", {}))
-    co_keys = ("family", "a_g", "noise_profile", "c1", "c2", "sigma_amp", "d",
-               "beta", "amplitude")
-    _check_keys(co, co_keys, "coefficients")
-    family = _get(co, "family", "coefficients", str, default="burgers")
-    if family not in ("burgers", "multiscale"):
-        raise ConfigError(
-            f"unknown coefficient family {family!r}; available: burgers, multiscale"
-        )
-    coefficients = {
-        "family": family,
-        "a_g": _get(co, "a_g", "coefficients", float, default=0.0),
-        "noise_profile": _get(co, "noise_profile", "coefficients", str, default="additive"),
-        "c1": _get(co, "c1", "coefficients", float, default=0.0),
-        "c2": _get(co, "c2", "coefficients", float, default=0.0),
-        "sigma_amp": _get(co, "sigma_amp", "coefficients", float, default=1.0),
-        "d": _get(co, "d", "coefficients", int, default=1, check=lambda v: v >= 1,
-                  why="must be >= 1"),
-    }
-    if family == "multiscale":
-        coefficients["beta"] = _get(co, "beta", "coefficients", float,
-                                    check=lambda v: v > 0, why="must be > 0")
-        coefficients["amplitude"] = _get(co, "amplitude", "coefficients", float, default=1.0)
-
-    sc = raw.get("scheme", {})
-    _check_keys(sc, ("reflection", "penalty_n", "convection"), "scheme")
-    reflection = _get(sc, "reflection", "scheme", str, default="projection")
-    penalty_n = _get(sc, "penalty_n", "scheme", float, default=0.0)
-    convection = _get(sc, "convection", "scheme", str, default="central")
-    if reflection == "penalized" and penalty_n * mesh.dt > 1.0 + 1e-12:
-        raise ConfigError(
-            f"range violation at 'scheme.penalty_n': n*dt = {penalty_n * mesh.dt:.6g} > 1 "
-            "(explicit penalty unstable)"
-        )
-    try:
-        scheme = SchemeConfig(
-            grid=grid, mesh=mesh, reflection=reflection, penalty_n=penalty_n,
-            convection=convection,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad scheme: {exc}") from None
-
-    u0_tab = raw.get("u0", {})
-    _check_keys(u0_tab, ("kind", "amplitude", "mode"), "u0")
-    u0_kind = _get(u0_tab, "kind", "u0", str, default="sine")
-    if u0_kind not in ("sine", "zero"):
-        raise ConfigError(f"unknown u0 kind {u0_kind!r}; available: sine, zero")
-    u0_spec = {
-        "kind": u0_kind,
-        "amplitude": _get(u0_tab, "amplitude", "u0", float, default=1.0,
-                          check=lambda v: v >= 0, why="must be >= 0"),
-        "mode": _get(u0_tab, "mode", "u0", int, default=1,
-                     check=lambda v: v >= 1, why="must be >= 1"),
-    }
-
-    params_tab = raw.get("params", {})
-    _check_keys(params_tab, _PARAM_KEYS[experiment], "params")
-
+    """Unknown keys anywhere first, then every value in table order."""
+    seen: dict = {}
+    _reject_unknown(raw, _TOP, "")
+    top = _walk(raw, _TOP, "", seen)
+    sections = (("grid", _GRID), ("mesh", _MESH), ("coefficients", _COEFFICIENTS),
+                ("scheme", _SCHEME), ("u0", _U0), ("params", _PARAMS[top["experiment"]]))
+    for name, rows in sections:
+        _reject_unknown(top[name], rows, name)
+    sec = {name: _walk(top[name], rows, name, seen) for name, rows in sections}
+    grid = SpatialGrid(sec["grid"]["m"])
+    t_final, dt = sec["mesh"]["t_final"], sec["mesh"]["dt"]
+    mesh = TimeMesh(t_final, round(t_final / dt))
     return ExperimentConfig(
-        experiment=experiment, seed=seed, workers=workers, out_dir=out_dir,
-        grid=grid, mesh=mesh, scheme=scheme, coefficients=coefficients,
-        u0_spec=u0_spec, params=dict(params_tab), raw=raw,
+        experiment=top["experiment"], seed=top["seed"], out_dir=top["out_dir"],
+        grid=grid, mesh=mesh, scheme=SchemeConfig(grid=grid, mesh=mesh, **sec["scheme"]),
+        coefficients=sec["coefficients"], u0_spec=sec["u0"], params=sec["params"], raw=raw,
     )
 
 
@@ -304,34 +349,25 @@ def _fmt(v) -> str:
 
 def _drive_heat_regression(cfg: ExperimentConfig):
     p = cfg.params
-    m_values = _int_list(p, "m_values", "params", default=[32, 64])
-    dt_values = _float_list(p, "dt_values", "params", default=[2e-4, 1e-4])
-    t_final = _get(p, "t_final", "params", float, default=0.1,
-                   check=lambda v: v > 0, why="must be > 0")
-    tol = _get(p, "tolerance", "params", float, default=5e-3,
-               check=lambda v: v > 0, why="must be > 0")
     cs = make_burgers_set(0.0, noise_profile="zero")
     rows = []
-    for m in m_values:
+    for m in p["m_values"]:
         grid = SpatialGrid(m)
         u0 = sine_field(grid)
-        for dt in dt_values:
-            mesh = TimeMesh(t_final, round(t_final / dt))
+        for dt in p["dt_values"]:
+            mesh = TimeMesh(p["t_final"], round(p["t_final"] / dt))
             run = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
             path = solve_skeleton(cs, u0, None, run)
             exact = np.exp(-math.pi**2 * mesh.times)[:, None] * u0[None, :]
             err = max(
                 h_norm(path.u[k] - exact[k], grid) for k in range(mesh.steps + 1)
             )
-            rows.append([grid.dx, mesh.dt, err, err <= tol])
+            rows.append([grid.dx, mesh.dt, err, err <= p["tolerance"]])
     return {"heat_regression.csv": (["dx", "dt", "sup_h_error", "pass"], rows)}
 
 
 def _drive_reflection(cfg: ExperimentConfig):
-    p = cfg.params
-    n_list = _float_list(p, "n_list", "params", default=[10.0, 100.0, 1000.0])
-    sigma_amp = _get(p, "sigma_amp", "params", float, default=0.0,
-                     check=lambda v: v >= 0, why="must be >= 0")
+    sigma_amp = cfg.params["sigma_amp"]
     profile = "additive" if sigma_amp > 0 else "zero"
     cs = make_burgers_set(0.0, noise_profile=profile, c2=-1.0, sigma_amp=sigma_amp)
     u0 = np.zeros(cfg.grid.m)
@@ -346,7 +382,8 @@ def _drive_reflection(cfg: ExperimentConfig):
     diag_rows = [[proj.min_u, complementarity_residual(proj), total_variation_k(proj)]]
     pen_rows = [
         [n, d2]
-        for n, d2 in penalization_convergence_probe(cs, u0, n_list, noise, run)
+        for n, d2 in penalization_convergence_probe(
+            cs, u0, cfg.params["n_list"], noise, run)
     ]
     return {
         "reflection_diagnostics.csv": (["min_u", "complementarity", "tv_k"], diag_rows),
@@ -356,18 +393,11 @@ def _drive_reflection(cfg: ExperimentConfig):
 
 def _drive_rate_function(cfg: ExperimentConfig):
     p = cfg.params
-    h_star = _get(p, "h_star", "params", float, default=1.0)
-    blocks = _get(p, "blocks", "params", int, default=8,
-                  check=lambda v: v >= 1, why="must be >= 1")
-    tol = _get(p, "tol", "params", float, default=1e-3,
-               check=lambda v: v > 0, why="must be > 0")
-    max_iters = _get(p, "max_iters", "params", int, default=40,
-                     check=lambda v: v >= 1, why="must be >= 1")
     cs, _ = cfg.build_coefficients()
     u0 = cfg.build_u0()
-    gen = Control.constant(cfg.mesh.t_final, [h_star] * cs.d, d=cs.d)
+    gen = _constant_control(cfg.mesh.t_final, p["h_star"], cs.d)
     target = solve_skeleton(cs, u0, gen, cfg.scheme).u
-    opt = RateOptions(blocks=blocks, tol=tol, max_iters=max_iters)
+    opt = RateOptions(blocks=p["blocks"], tol=p["tol"], max_iters=p["max_iters"])
     res = rate_function(cs, u0, target, cfg.scheme, opt)
     iter_rows = [[mu, j, r] for mu, j, r in res.history]
     result_rows = [[res.lambda_hat, res.residual, res.converged, res.iterations,
@@ -386,34 +416,24 @@ def _drive_rate_function(cfg: ExperimentConfig):
 
 def _drive_rare_event(cfg: ExperimentConfig):
     p = cfg.params
-    eps = _get(p, "eps", "params", float, default=0.1,
-               check=lambda v: v > 0, why="must be > 0")
-    eps_list = _float_list(p, "eps_list", "params", default=[0.5, 0.2, 0.1])
-    delta = _get(p, "delta", "params", float, default=0.25,
-                 check=lambda v: v > 0, why="must be > 0")
-    n_samples = _get(p, "n_samples", "params", int, default=500,
-                     check=lambda v: v >= 1, why="must be >= 1")
-    theta = _get(p, "theta", "params", float, default=0.5,
-                 check=lambda v: v > 0, why="must be > 0")
-    h_star = _get(p, "h_star", "params", float, default=1.0)
-    blocks = _get(p, "blocks", "params", int, default=4,
-                  check=lambda v: v >= 1, why="must be >= 1")
+    eps, n_samples = p["eps"], p["n_samples"]
     cs, _ = cfg.build_coefficients()
     u0 = cfg.build_u0()
-    gen = Control.constant(cfg.mesh.t_final, [h_star] * cs.d, d=cs.d)
+    gen = _constant_control(cfg.mesh.t_final, p["h_star"], cs.d)
     target = solve_skeleton(cs, u0, gen, cfg.scheme).u
-    ev = EventSpec(target=target, delta=delta, sense="hit")
+    ev = EventSpec(target=target, delta=p["delta"], sense="hit")
     naive = estimate_naive(cs, u0, eps, ev, n_samples, cfg.seed, cfg.scheme)
     tilted = estimate_importance(cs, u0, eps, ev, gen, n_samples, cfg.seed, cfg.scheme)
     est_rows = [
         [e.method, e.epsilon, e.p_hat, e.std_err, e.n_samples, e.seed, e.n_clipped]
         for e in (naive, tilted)
     ]
-    res = rate_function(cs, u0, target, cfg.scheme, RateOptions(blocks=blocks))
+    res = rate_function(cs, u0, target, cfg.scheme, RateOptions(blocks=p["blocks"]))
     fw_rows = []
     if res.converged:
         rows = fw_lower_bound_probe(
-            cs, u0, target, delta, eps_list, n_samples, cfg.seed, cfg.scheme, res, theta
+            cs, u0, target, p["delta"], p["eps_list"], n_samples, cfg.seed, cfg.scheme,
+            res, p["theta"],
         )
         fw_rows = [
             [r.epsilon, r.p_hat, r.eps_log_p, r.bound,
@@ -434,24 +454,13 @@ def _drive_rare_event(cfg: ExperimentConfig):
 
 def _drive_condition_probe(cfg: ExperimentConfig):
     p = cfg.params
-    eps_list = _float_list(p, "eps_list", "params", default=[0.2, 0.05, 0.01])
-    delta = _get(p, "delta", "params", float, default=0.25,
-                 check=lambda v: v > 0, why="must be > 0")
-    n_paths = _get(p, "n_paths", "params", int, default=200,
-                   check=lambda v: v >= 1, why="must be >= 1")
-    amps = _float_list(p, "control_amps", "params", default=[0.0, 1.0, -1.2])
-    scales = _float_list(p, "u0_scales", "params", default=[1.0, 0.5])
-    bound = _get(p, "energy_bound", "params", float, default=2.0,
-                 check=lambda v: v > 0, why="must be > 0")
     cs, _ = cfg.build_coefficients()
     base_u0 = cfg.build_u0()
-    u0_set = [s * base_u0 for s in scales]
-    controls = [
-        Control.constant(cfg.mesh.t_final, [a] * cs.d, d=cs.d) for a in amps
-    ]
+    u0_set = [s * base_u0 for s in p["u0_scales"]]
+    controls = [_constant_control(cfg.mesh.t_final, a, cs.d) for a in p["control_amps"]]
     rows = condition_convergence_probe(
-        cs, u0_set, controls, eps_list, delta, n_paths, cfg.seed, cfg.scheme,
-        energy_bound=bound,
+        cs, u0_set, controls, p["eps_list"], p["delta"], p["n_paths"], cfg.seed,
+        cfg.scheme, energy_bound=p["energy_bound"],
     )
     return {
         "condition_probe.csv": (
@@ -463,21 +472,10 @@ def _drive_condition_probe(cfg: ExperimentConfig):
 
 def _drive_averaging(cfg: ExperimentConfig):
     p = cfg.params
-    eps_list = _float_list(p, "eps_list", "params", default=[0.1, 0.01, 0.001])
-    n_paths = _get(p, "n_paths", "params", int, default=100,
-                   check=lambda v: v >= 1, why="must be >= 1")
-    delta = _get(p, "delta", "params", float, default=0.25,
-                 check=lambda v: v > 0, why="must be > 0")
-    t_hats = _float_list(p, "kappa_t_hats", "params", default=[1e2, 1e3, 1e4])
-    if cfg.coefficients["family"] != "multiscale":
-        raise ConfigError(
-            "range violation at 'coefficients.family': averaging needs the "
-            "multiscale family"
-        )
     ms, avg = cfg.build_coefficients()
     u0 = cfg.build_u0()
     report = run_averaging_experiment(
-        ms, avg, u0, eps_list, n_paths, cfg.seed, cfg.scheme, delta=delta
+        ms, avg, u0, p["eps_list"], p["n_paths"], cfg.seed, cfg.scheme, delta=p["delta"]
     )
     avg_rows = [
         [r.epsilon, r.mean_sq_dist, r.std_err, r.exceed_frac, r.n_samples,
@@ -485,7 +483,8 @@ def _drive_averaging(cfg: ExperimentConfig):
         for r in report.rows
     ]
     kappa = estimate_kappa(
-        ms, avg, t_hats, z_samples=np.linspace(-3, 3, 7), x_samples=np.linspace(0.1, 0.9, 5)
+        ms, avg, p["kappa_t_hats"], z_samples=np.linspace(-3, 3, 7),
+        x_samples=np.linspace(0.1, 0.9, 5),
     )
     kappa_rows = [[t, k] for t, k in kappa]
     tables = {
@@ -495,10 +494,10 @@ def _drive_averaging(cfg: ExperimentConfig):
         ),
         "kappa.csv": (["t_hat", "kappa_hat"], kappa_rows),
     }
-    if _get(p, "dump_first_pair", "params", bool, default=False):
+    if p["dump_first_pair"]:
         noise = sample_noise(cfg.seed, cfg.mesh, ms.d, path_index=0)
         fast = solve(ms, u0, noise, None,
-                     replace(cfg.scheme, noise_scale=1.0, time_scale=eps_list[0]))
+                     replace(cfg.scheme, noise_scale=1.0, time_scale=p["eps_list"][0]))
         slow = solve(frozen_average_set(ms, avg), u0, noise, None,
                      replace(cfg.scheme, noise_scale=1.0, time_scale=1.0))
         tables["fast_path_0.bin"] = path_binary_bytes(fast)
@@ -520,30 +519,33 @@ def _git_blob_hash(data: bytes) -> str:
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
+def _write_failure(out: Path, experiment: str | None, exc: Exception) -> Path:
+    """failure.json: the experiment (None when the config was rejected), error and message."""
+    out.mkdir(parents=True, exist_ok=True)
+    record = {"experiment": experiment, "error": type(exc).__name__, "message": str(exc)}
+    failure = out / "failure.json"
+    failure.write_text(json.dumps(record, sort_keys=True) + "\n")
+    print(f"error: {exc}", file=sys.stderr)
+    return failure
+
+
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | Path, config_path: str | Path | None = None
 ) -> tuple[int, list[Path]]:
     """Dispatch to the named driver; write CSVs, runmeta.jsonl and manifest.txt.
 
-    Returns (exit code, artifact paths).  Fatal errors (blow-up, bad config)
-    yield a failure.json record and a nonzero code; reportable conditions
-    such as optimizer non-convergence stay in the tables.
+    Returns (exit code, artifact paths).  Fatal errors (blow-up, any
+    ValueError a library call raises) yield a failure.json record and exit
+    code 1; reportable conditions such as optimizer non-convergence stay in
+    the tables.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
         tables = _DRIVERS[cfg.experiment](cfg)
-    except (BlowUpError, ConfigError) as exc:
-        record = {
-            "experiment": cfg.experiment,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        failure = out / "failure.json"
-        failure.write_text(json.dumps(record, sort_keys=True) + "\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1, [failure]
+    except (BlowUpError, ValueError) as exc:
+        return 1, [_write_failure(out, cfg.experiment, exc)]
 
     artifacts: list[Path] = []
     meta_lines = []
@@ -565,7 +567,6 @@ def run_experiment(
             "artifact": name,
             "rows": size,
             "seed": cfg.seed,
-            "workers": cfg.workers,
         })
 
     meta_path = out / "runmeta.jsonl"
@@ -601,29 +602,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     parser.add_argument("--out", default=None, help="output directory (default: config's out_dir or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=None, help="override the worker count")
     parser.add_argument("--experiment", default=None, help="override the experiment name")
     args = parser.parse_args(argv)
 
+    overrides = {key: val for key, val in (("experiment", args.experiment), ("seed", args.seed))
+                 if val is not None}
     try:
         cfg = load_config(args.config)
-        if args.experiment is not None:
-            if args.experiment not in EXPERIMENT_NAMES:
-                raise ConfigError(
-                    f"unknown experiment {args.experiment!r}; available: "
-                    f"{', '.join(EXPERIMENT_NAMES)}"
-                )
-            cfg = replace(cfg, experiment=args.experiment)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.workers is not None:
-            cfg = replace(cfg, workers=args.workers)
+        if overrides:
+            cfg = _validate({**cfg.raw, **overrides})
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_failure(Path(args.out or "."), None, exc)
         return 2
 
     out_dir = args.out or cfg.out_dir or "."
-    print(f"experiment={cfg.experiment} seed={cfg.seed} workers={cfg.workers} out={out_dir}")
+    print(f"experiment={cfg.experiment} seed={cfg.seed} out={out_dir}")
     print(f"grid m={cfg.grid.m}, mesh T={cfg.mesh.t_final} steps={cfg.mesh.steps}, "
           f"coefficients {cfg.coefficients['family']}, u0 {cfg.u0_spec['kind']}")
     code, artifacts = run_experiment(cfg, out_dir, config_path=args.config)

@@ -94,53 +94,28 @@ class RareEventEstimate:
             raise ValueError("estimate out of range")
 
 
-def estimate_naive(
+def _tube_estimate(
     cs: CoefficientSet,
     u0: np.ndarray,
     eps: float,
     ev: EventSpec,
+    h_tilt: Control | None,
     n_samples: int,
     seed: int,
     cfg: SchemeConfig,
 ) -> RareEventEstimate:
-    """Plain Monte Carlo frequency of the event at noise level eps."""
-    if eps <= 0.0 or n_samples < 1:
-        raise ValueError("need eps > 0 and at least one sample")
-    run_cfg = replace(cfg, noise_scale=math.sqrt(eps))
-    hits = np.empty(n_samples)
-    for i in range(n_samples):
-        noise = sample_noise(seed, cfg.mesh, cs.d, path_index=i)
-        path = solve(cs, u0, noise, None, run_cfg)
-        hits[i] = 1.0 if ev.occurred(path.u, cfg) else 0.0
-    p = float(np.mean(hits))
-    se = float(np.std(hits)) / math.sqrt(n_samples)
-    return RareEventEstimate(
-        p_hat=p, std_err=se, n_samples=n_samples, epsilon=eps,
-        method="naive", seed=seed, raw_mean=p,
-    )
+    """The one Monte Carlo tube loop; h_tilt None is the untilted (naive) case.
 
-
-def estimate_importance(
-    cs: CoefficientSet,
-    u0: np.ndarray,
-    eps: float,
-    ev: EventSpec,
-    h_tilt: Control,
-    n_samples: int,
-    seed: int,
-    cfg: SchemeConfig,
-) -> RareEventEstimate:
-    """Girsanov-tilted estimator, unbiased for the same event probability.
-
-    Simulates the controlled equation (tilt folded in as drift sigma h at
-    unit strength, noise at sqrt(eps)) and weights each indicator with the
-    discrete exponential density evaluated on the simulating increments.
-    With h_tilt = 0 this reduces bit-exactly to the naive estimator.
+    Each path carries the weight exp(log_w), with log_w the discrete
+    Girsanov exponent of h_tilt on the path's own increments; without a
+    tilt h is zero, log_w = -0.0 and every weight is exactly 1.
     """
     if eps <= 0.0 or n_samples < 1:
         raise ValueError("need eps > 0 and at least one sample")
     run_cfg = replace(cfg, noise_scale=math.sqrt(eps))
-    h_path = h_tilt.on_mesh(cfg.mesh)
+    h_path = (
+        np.zeros((cfg.mesh.steps, cs.d)) if h_tilt is None else h_tilt.on_mesh(cfg.mesh)
+    )
     h_l2_sq = float(np.sum(h_path**2)) * cfg.mesh.dt
     sqrt_eps = math.sqrt(eps)
 
@@ -162,9 +137,42 @@ def estimate_importance(
     se = float(np.std(stats)) / math.sqrt(n_samples)
     return RareEventEstimate(
         p_hat=min(1.0, max(0.0, raw)), std_err=se, n_samples=n_samples,
-        epsilon=eps, method="importance", seed=seed, raw_mean=raw,
-        n_clipped=n_clipped,
+        epsilon=eps, method="naive" if h_tilt is None else "importance", seed=seed,
+        raw_mean=raw, n_clipped=n_clipped,
     )
+
+
+def estimate_naive(
+    cs: CoefficientSet,
+    u0: np.ndarray,
+    eps: float,
+    ev: EventSpec,
+    n_samples: int,
+    seed: int,
+    cfg: SchemeConfig,
+) -> RareEventEstimate:
+    """Plain Monte Carlo frequency of the event at noise level eps."""
+    return _tube_estimate(cs, u0, eps, ev, None, n_samples, seed, cfg)
+
+
+def estimate_importance(
+    cs: CoefficientSet,
+    u0: np.ndarray,
+    eps: float,
+    ev: EventSpec,
+    h_tilt: Control,
+    n_samples: int,
+    seed: int,
+    cfg: SchemeConfig,
+) -> RareEventEstimate:
+    """Girsanov-tilted estimator, unbiased for the same event probability.
+
+    Simulates the controlled equation (tilt folded in as drift sigma h at
+    unit strength, noise at sqrt(eps)) and weights each indicator with the
+    discrete exponential density evaluated on the simulating increments.
+    With h_tilt = 0 this reduces bit-exactly to the naive estimator.
+    """
+    return _tube_estimate(cs, u0, eps, ev, h_tilt, n_samples, seed, cfg)
 
 
 @dataclass(frozen=True)

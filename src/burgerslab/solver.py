@@ -170,9 +170,7 @@ class Control:
             raise ValueError(
                 f"control horizon {self.t_final} does not match mesh horizon {mesh.t_final}"
             )
-        t = mesh.times[:-1]
-        idx = np.minimum((t / self.block_dt).astype(int), self.blocks - 1)
-        return self.values[idx]
+        return self.values[np.arange(mesh.steps) * self.blocks // mesh.steps]
 
 
 @dataclass(frozen=True)

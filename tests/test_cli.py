@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from burgerslab import cli
 from burgerslab.cli import ConfigError, load_config, main, run_experiment
 
 
@@ -157,21 +158,96 @@ class TestMain:
     def test_cli_round_trip(self, tmp_path, capsys):
         path = write_config(tmp_path, HEAT_CFG)
         code = main(["--config", str(path), "--out", str(tmp_path / "out"),
-                     "--seed", "9", "--workers", "2"])
+                     "--seed", "9"])
         assert code == 0
         out = capsys.readouterr().out
         assert "seed=9" in out
         assert (tmp_path / "out" / "heat_regression.csv").exists()
         meta = (tmp_path / "out" / "runmeta.jsonl").read_text()
-        assert '"workers": 2' in meta
+        assert '"seed": 9' in meta
 
-    def test_cli_bad_config_exit_code(self, tmp_path, capsys):
+    def test_cli_bad_config_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # without --out the failure record lands in '.'
         path = write_config(tmp_path, {"experiment": "unknown-thing"})
         code = main(["--config", str(path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+        assert (tmp_path / "failure.json").exists()
 
-    def test_cli_experiment_override_validated(self, tmp_path, capsys):
+    def test_cli_experiment_override_validated(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, HEAT_CFG)
         code = main(["--config", str(path), "--experiment", "nope"])
         assert code == 2
+
+    def test_library_value_error_writes_failure_record(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli._DRIVERS, "heat-regression", broken)
+        code = main(["--config", str(write_config(tmp_path, HEAT_CFG)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        record = json.loads((tmp_path / "out" / "failure.json").read_text())
+        assert record == {"experiment": "heat-regression", "error": "ValueError",
+                          "message": "boom"}
+
+
+SMALL = {"grid": {"m": 8}, "mesh": {"t_final": 0.2, "dt": 0.01}}
+MULTISCALE = {**SMALL, "coefficients": {"family": "multiscale", "beta": 0.5}}
+TINY_HEAT = {"experiment": "heat-regression",
+             "params": {"m_values": [8], "dt_values": [0.01], "t_final": 0.1}}
+
+
+def bad(name, field, payload, *argv):
+    return pytest.param(payload, list(argv), field, id=name)
+
+
+# each of these once ended in a traceback, an empty table, a silently
+# different run or a check made only after the whole experiment
+BAD_CONFIGS = [
+    bad("reflection-n-list-decreasing", "params.n_list",
+        {"experiment": "reflection", **SMALL, "params": {"n_list": [50, 10]}}),
+    bad("reflection-default-n-list-unstable", "params.n_list",
+        {"experiment": "reflection", "grid": {"m": 8}, "mesh": {"t_final": 1.0, "dt": 0.01}}),
+    bad("averaging-repeated-eps", "params.eps_list",
+        {"experiment": "averaging", **MULTISCALE,
+         "params": {"eps_list": [0.1, 0.1], "n_paths": 1}}),
+    bad("averaging-kappa-t-hats-decreasing", "params.kappa_t_hats",
+        {"experiment": "averaging", **MULTISCALE,
+         "params": {"eps_list": [0.1], "n_paths": 1, "kappa_t_hats": [100, 10]}}),
+    bad("condition-probe-control-over-energy-bound", "params.control_amps",
+        {"experiment": "condition-probe", **SMALL,
+         "params": {"control_amps": [10], "energy_bound": 1, "n_paths": 1}}),
+    bad("condition-probe-negative-eps", "params.eps_list",
+        {"experiment": "condition-probe", **SMALL,
+         "params": {"eps_list": [-0.1], "n_paths": 1}}),
+    bad("heat-regression-grid-too-small", "params.m_values",
+        {"experiment": "heat-regression", "params": {"m_values": [1]}}),
+    bad("unknown-noise-profile", "coefficients.noise_profile",
+        {"experiment": "rare-event", **SMALL, "coefficients": {"noise_profile": "gaussian"},
+         "params": {"n_samples": 2, "blocks": 1}}),
+    bad("rare-event-empty-eps-list", "params.eps_list",
+        {"experiment": "rare-event", **SMALL,
+         "params": {"eps_list": [], "n_samples": 2, "blocks": 1}}),
+    bad("averaging-empty-eps-list", "params.eps_list",
+        {"experiment": "averaging", **MULTISCALE, "params": {"eps_list": [], "n_paths": 1}}),
+    bad("heat-regression-dt-not-dividing-t-final", "params.dt_values",
+        {**TINY_HEAT, "params": {**TINY_HEAT["params"], "dt_values": [0.03]}}),
+    bad("experiment-override-revalidates-params", "params.m_values",
+        TINY_HEAT, "--experiment", "reflection"),
+    bad("dump-first-pair-not-bool", "params.dump_first_pair",
+        {"experiment": "averaging", **MULTISCALE,
+         "params": {"eps_list": [0.1], "n_paths": 1, "dump_first_pair": "yes"}}),
+]
+
+
+@pytest.mark.parametrize("payload, argv, field", BAD_CONFIGS)
+def test_bad_config_rejected_before_any_solve(tmp_path, capsys, payload, argv, field):
+    out = tmp_path / "out"
+    code = main(["--config", str(write_config(tmp_path, payload)), "--out", str(out), *argv])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    record = json.loads((out / "failure.json").read_text())
+    assert record["error"] == "ConfigError" and field in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json"]

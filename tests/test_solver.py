@@ -68,6 +68,12 @@ class TestControl:
         assert vals.shape == (10, 1)
         assert np.all(vals[:5, 0] == 1.0) and np.all(vals[5:, 0] == 2.0)
 
+    def test_on_mesh_blocks_split_evenly(self):
+        # 15 steps over 5 blocks: 3 steps each (a float floor of t/block_dt gave 3,3,4,2,3)
+        ctrl = Control(1.0, np.arange(5.0)[:, None])
+        idx = ctrl.on_mesh(TimeMesh(1.0, 15))[:, 0].astype(int)
+        assert np.bincount(idx).tolist() == [3, 3, 3, 3, 3]
+
     def test_horizon_mismatch(self):
         ctrl = Control.constant(2.0, 1.0)
         with pytest.raises(ValueError):
@@ -266,6 +272,32 @@ class TestSolve:
         with pytest.raises(BlowUpError) as err:
             solve_skeleton(cs, 50 * sine_field(grid), None, cfg)
         assert 0 <= err.value.step_index < mesh.steps
+
+
+class TestProjectionInvariants:
+    """Seeded sweep of the discrete Skorokhod conditions under projection."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("profile", ["additive", "bounded"])
+    @pytest.mark.parametrize("convection", ["central", "upwind"])
+    def test_u_nonnegative_dk_nonnegative_complementary(self, convection, profile, d):
+        rng = np.random.default_rng(17)
+        grid, mesh = SpatialGrid(16), TimeMesh(0.5, 100)
+        acted = False
+        for draw in range(4):
+            cs = make_burgers_set(
+                rng.uniform(-1.0, 1.0), noise_profile=profile, c1=rng.uniform(-1.0, 1.0),
+                c2=rng.uniform(-3.0, 0.0), sigma_amp=rng.uniform(0.2, 2.0), d=d,
+            )
+            cfg = SchemeConfig(grid=grid, mesh=mesh, convection=convection,
+                               noise_scale=rng.uniform(0.1, 1.5))
+            p = solve(cs, rng.uniform(0.0, 1.0, grid.m), sample_noise(draw, mesh, d),
+                      None, cfg)
+            assert np.all(p.u >= 0.0)
+            assert np.all(p.dk >= 0.0)
+            assert np.all(p.u[1:] * p.dk == 0.0)
+            acted = acted or bool(np.any(p.dk > 0.0))
+        assert acted  # the sweep exercised the reflection
 
 
 class TestPenalized:
