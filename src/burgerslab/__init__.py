@@ -38,6 +38,7 @@ from .solver import (
     complementarity_residual,
     energy_functional,
     solve,
+    solve_batch,
     solve_skeleton,
     step,
     total_variation_k,

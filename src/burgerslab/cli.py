@@ -429,17 +429,15 @@ def _drive_rare_event(cfg: ExperimentConfig):
         for e in (naive, tilted)
     ]
     res = rate_function(cs, u0, target, cfg.scheme, RateOptions(blocks=p["blocks"]))
-    fw_rows = []
-    if res.converged:
-        rows = fw_lower_bound_probe(
-            cs, u0, target, p["delta"], p["eps_list"], n_samples, cfg.seed, cfg.scheme,
-            res, p["theta"],
-        )
-        fw_rows = [
-            [r.epsilon, r.p_hat, r.eps_log_p, r.bound,
-             "" if r.satisfied is None else r.satisfied, r.zero_hit, r.method]
-            for r in rows
-        ]
+    rows = fw_lower_bound_probe(
+        cs, u0, target, p["delta"], p["eps_list"], n_samples, cfg.seed, cfg.scheme,
+        res, p["theta"],
+    )
+    fw_rows = [
+        [r.epsilon, r.p_hat, r.eps_log_p, r.bound,
+         "" if r.satisfied is None else r.satisfied, r.zero_hit, r.method]
+        for r in rows
+    ]
     return {
         "rare_event.csv": (
             ["method", "eps", "p_hat", "std_err", "n_samples", "seed", "n_clipped"],
@@ -520,9 +518,14 @@ def _git_blob_hash(data: bytes) -> str:
 
 
 def _write_failure(out: Path, experiment: str | None, exc: Exception) -> Path:
-    """failure.json: the experiment (None when the config was rejected), error and message."""
+    """failure.json: the experiment (None when the config was rejected), error and message.
+
+    A blow-up also records the step and the path (batch row) it happened at.
+    """
     out.mkdir(parents=True, exist_ok=True)
     record = {"experiment": experiment, "error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, BlowUpError):
+        record.update(step_index=exc.step_index, path_index=exc.path_index)
     failure = out / "failure.json"
     failure.write_text(json.dumps(record, sort_keys=True) + "\n")
     print(f"error: {exc}", file=sys.stderr)
@@ -536,8 +539,9 @@ def run_experiment(
 
     Returns (exit code, artifact paths).  Fatal errors (blow-up, any
     ValueError a library call raises) yield a failure.json record and exit
-    code 1; reportable conditions such as optimizer non-convergence stay in
-    the tables.
+    code 1; the rate-function experiment reports optimizer non-convergence
+    in its tables, while the rare-event lower-bound probe cannot run without
+    a converged rate and fails.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

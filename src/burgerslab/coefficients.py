@@ -46,15 +46,20 @@ __all__ = [
 NOISE_PROFILES = ("additive", "bounded", "zero")
 
 
+def _shape(*args) -> tuple[int, ...]:
+    """Broadcast shape of the arguments (np.broadcast: a C call, unlike broadcast_shapes)."""
+    return np.broadcast(*args).shape
+
+
 def _expand(out: np.ndarray, *args) -> np.ndarray:
     """Give out the full broadcast shape of args (read-only view if needed)."""
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    shape = _shape(*args)
     out = np.asarray(out, dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def _zero_g(t, z):
-    return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(z)))
+    return np.zeros(_shape(t, z))
 
 
 def _spot_check_derivative(g, dg_dz) -> None:
@@ -140,7 +145,7 @@ def make_burgers_set(
     if noise_profile == "additive":
 
         def channel(t, x, z):
-            return np.full(np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(z)), sigma_amp)
+            return np.full(_shape(t, x, z), sigma_amp)
 
     elif noise_profile == "bounded":
 
@@ -151,7 +156,7 @@ def make_burgers_set(
     else:
 
         def channel(t, x, z):
-            return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(z)))
+            return np.zeros(_shape(t, x, z))
 
     def sigma(t, x, z):
         row = channel(t, x, z)
@@ -185,7 +190,7 @@ def make_multiscale_set(
     if beta <= 0.0:
         raise ValueError(f"decay exponent must be positive, got beta={beta}")
     if bump is None:
-        bump = lambda x, z: np.ones(np.broadcast_shapes(np.shape(x), np.shape(z)))
+        bump = lambda x, z: np.ones(_shape(x, z))
     if g is None:
         g = _zero_g
         dg_dz = _zero_g

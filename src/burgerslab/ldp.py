@@ -29,7 +29,17 @@ import numpy as np
 from .core import path_distance, sample_noise
 from .coefficients import CoefficientSet
 from .ratefn import RateFunctionResult
-from .solver import Control, SchemeConfig, solve, solve_skeleton
+# solve stays a module name here, beside the batch kernel, so tools that wrap
+# the solver layer by module name still find it
+from .solver import (
+    Control,
+    SchemeConfig,
+    batch_offset,
+    batch_rows,
+    solve,
+    solve_batch,
+    solve_skeleton,
+)
 
 __all__ = [
     "EventSpec",
@@ -94,6 +104,28 @@ class RareEventEstimate:
             raise ValueError("estimate out of range")
 
 
+def _paths(
+    cs: CoefficientSet,
+    u0: np.ndarray,
+    h: np.ndarray | None,
+    n_samples: int,
+    seed: int,
+    cfg: SchemeConfig,
+):
+    """Yield (increments, u) for paths 0..n_samples-1, solved a batch chunk at a time.
+
+    Path i runs on the Philox stream (seed, i); h is the shared control on
+    the mesh or None.  A blow-up names the sample index of the path.
+    """
+    for rows in batch_rows(n_samples, cfg):
+        dw = np.stack([
+            sample_noise(seed, cfg.mesh, cs.d, path_index=i).increments for i in rows
+        ])
+        with batch_offset(rows.start):
+            u = solve_batch(cs, u0, dw, h, cfg)[0]
+        yield from zip(dw, u)
+
+
 def _tube_estimate(
     cs: CoefficientSet,
     u0: np.ndarray,
@@ -113,22 +145,16 @@ def _tube_estimate(
     if eps <= 0.0 or n_samples < 1:
         raise ValueError("need eps > 0 and at least one sample")
     run_cfg = replace(cfg, noise_scale=math.sqrt(eps))
-    h_path = (
-        np.zeros((cfg.mesh.steps, cs.d)) if h_tilt is None else h_tilt.on_mesh(cfg.mesh)
-    )
+    h_drive = None if h_tilt is None else h_tilt.on_mesh(cfg.mesh)
+    h_path = np.zeros((cfg.mesh.steps, cs.d)) if h_drive is None else h_drive
     h_l2_sq = float(np.sum(h_path**2)) * cfg.mesh.dt
     sqrt_eps = math.sqrt(eps)
 
     stats = np.empty(n_samples)
     n_clipped = 0
-    for i in range(n_samples):
-        noise = sample_noise(seed, cfg.mesh, cs.d, path_index=i)
-        path = solve(cs, u0, noise, h_tilt, run_cfg)
-        hit = ev.occurred(path.u, cfg)
-        log_w = (
-            -float(np.sum(h_path * noise.increments)) / sqrt_eps
-            - h_l2_sq / (2.0 * eps)
-        )
+    for i, (dw, u) in enumerate(_paths(cs, u0, h_drive, n_samples, seed, run_cfg)):
+        hit = ev.occurred(u, cfg)
+        log_w = -float(np.sum(h_path * dw)) / sqrt_eps - h_l2_sq / (2.0 * eps)
         if log_w > LOG_WEIGHT_CLIP:
             log_w = LOG_WEIGHT_CLIP
             n_clipped += 1
@@ -212,7 +238,10 @@ def fw_lower_bound_probe(
     count is zero.
     """
     if not rate_result.converged:
-        raise ValueError("rate estimate for the target did not converge")
+        raise ValueError(
+            f"rate estimate for the target did not converge: squared residual "
+            f"{rate_result.residual:.6g} > tol {rate_result.tol:.6g}"
+        )
     if theta <= 0.0:
         raise ValueError(f"slack theta must be positive, got {theta}")
     ev = EventSpec(target=target, delta=delta, sense="hit")
@@ -287,11 +316,8 @@ def condition_convergence_probe(
             for ic, ctrl in enumerate(controls):
                 base = skeletons[iu][ic]
                 exceed = 0
-                for i in range(n_samples):
-                    noise = sample_noise(seed, cfg.mesh, cs.d, path_index=i)
-                    path = solve(cs, u0, noise, ctrl, run_cfg)
-                    d2 = path_distance(path.u, base, cfg.grid, cfg.mesh).squared
-                    if d2 >= delta:
+                for _, u in _paths(cs, u0, ctrl.on_mesh(cfg.mesh), n_samples, seed, run_cfg):
+                    if path_distance(u, base, cfg.grid, cfg.mesh).squared >= delta:
                         exceed += 1
                 worst = max(worst, exceed / n_samples)
         rows.append(ConditionRow(epsilon=eps, worst_fraction=worst))

@@ -20,13 +20,13 @@ the reflected dynamics is not differentiable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import SpatialGrid, TimeMesh, path_distance
 from .coefficients import CoefficientSet
-from .solver import Control, ReflectedPath, SchemeConfig, solve_skeleton
+from .solver import Control, ReflectedPath, SchemeConfig, solve_batch, solve_skeleton
 
 __all__ = [
     "RateOptions",
@@ -63,8 +63,9 @@ class RateFunctionResult:
     """Outcome of one rate-function optimization.
 
     lambda_hat is exactly the energy of h_star; residual is the squared
-    path distance from the steered skeleton to the target; history holds
-    (mu, J, residual) for every accepted iterate, per continuation stage.
+    path distance from the steered skeleton to the target, and converged
+    says residual <= tol; history holds (mu, J, residual) for every
+    accepted iterate, per continuation stage.
     """
 
     lambda_hat: float
@@ -72,6 +73,7 @@ class RateFunctionResult:
     residual: float
     iterations: int
     converged: bool
+    tol: float
     history: list[tuple[float, float, float]] = field(default_factory=list)
 
 
@@ -97,16 +99,32 @@ def rate_function(
     t_final = cfg.mesh.t_final
     d = cs.d
     block_dt = t_final / opt.blocks
+    skeleton_cfg = replace(cfg, noise_scale=0.0)
 
-    def residual_of(h_flat: np.ndarray) -> float:
-        ctrl = Control(t_final, h_flat.reshape(opt.blocks, d))
-        path = solve_skeleton(cs, u0, ctrl, cfg)
-        return path_distance(path.u, target, cfg.grid, cfg.mesh).squared
+    def control(h_flat: np.ndarray) -> Control:
+        return Control(t_final, h_flat.reshape(opt.blocks, d))
 
-    def objective(h_flat: np.ndarray, mu: float) -> tuple[float, float]:
-        res = residual_of(h_flat)
+    def objective_on(h_flat: np.ndarray, u: np.ndarray, mu: float) -> tuple[float, float]:
+        res = path_distance(u, target, cfg.grid, cfg.mesh).squared
         energy = 0.5 * float(np.dot(h_flat, h_flat)) * block_dt
         return energy + mu * res, res
+
+    def objective(h_flat: np.ndarray, mu: float) -> tuple[float, float]:
+        return objective_on(h_flat, solve_skeleton(cs, u0, control(h_flat), cfg).u, mu)
+
+    def gradient(h_flat: np.ndarray, mu: float) -> np.ndarray:
+        # central differences: all 2 * blocks * d bumped controls as one batch
+        widths = np.empty_like(h_flat)
+        trials = []
+        for k in range(h_flat.size):
+            widths[k] = opt.fd_step * max(1.0, abs(h_flat[k]))
+            bump = np.zeros_like(h_flat)
+            bump[k] = widths[k]
+            trials += [h_flat + bump, h_flat - bump]
+        h_mesh = np.stack([control(hf).on_mesh(cfg.mesh) for hf in trials])
+        paths = solve_batch(cs, u0, None, h_mesh, skeleton_cfg)[0]
+        j = np.array([objective_on(hf, u, mu)[0] for hf, u in zip(trials, paths)])
+        return (j[0::2] - j[1::2]) / (2.0 * widths)
 
     h = np.zeros(opt.blocks * d)
     history: list[tuple[float, float, float]] = []
@@ -117,14 +135,7 @@ def rate_function(
         history.append((mu, j_cur, res_cur))
         alpha0 = opt.step_size
         for _ in range(opt.max_iters):
-            grad = np.empty_like(h)
-            for k in range(h.size):
-                width = opt.fd_step * max(1.0, abs(h[k]))
-                bump = np.zeros_like(h)
-                bump[k] = width
-                j_plus, _ = objective(h + bump, mu)
-                j_minus, _ = objective(h - bump, mu)
-                grad[k] = (j_plus - j_minus) / (2.0 * width)
+            grad = gradient(h, mu)
             gnorm_sq = float(np.dot(grad, grad))
             if gnorm_sq < 1e-18:
                 break
@@ -145,14 +156,15 @@ def rate_function(
             iterations += 1
             history.append((mu, j_cur, res_cur))
 
-    residual = residual_of(h)
-    h_star = Control(t_final, h.reshape(opt.blocks, d))
+    _, residual = objective(h, 0.0)
+    h_star = control(h)
     return RateFunctionResult(
         lambda_hat=h_star.energy,
         h_star=h_star,
         residual=residual,
         iterations=iterations,
         converged=residual <= opt.tol,
+        tol=opt.tol,
         history=history,
     )
 
@@ -227,11 +239,13 @@ def level_set_continuity_probe(
         raise ValueError("u0_sequence must be nonempty")
     rng = np.random.default_rng(seed)
     controls = _draw_controls(rng, bound, count, cfg.mesh.t_final, blocks, cs.d)
-    ref_paths = [solve_skeleton(cs, u0, ctrl, cfg).u for ctrl in controls]
+    h_mesh = np.stack([ctrl.on_mesh(cfg.mesh) for ctrl in controls])
+    skeleton_cfg = replace(cfg, noise_scale=0.0)
+    ref_paths = solve_batch(cs, u0, None, h_mesh, skeleton_cfg)[0]
 
     estimates = []
     for u0_n in u0_sequence:
-        per_paths = [solve_skeleton(cs, u0_n, ctrl, cfg).u for ctrl in controls]
+        per_paths = solve_batch(cs, u0_n, None, h_mesh, skeleton_cfg)[0]
         dists = np.empty((count, count))
         for i, p in enumerate(ref_paths):
             for j, q in enumerate(per_paths):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TextIO
 
@@ -50,6 +51,9 @@ __all__ = [
     "BlowUpError",
     "step",
     "solve",
+    "solve_batch",
+    "batch_rows",
+    "batch_offset",
     "solve_skeleton",
     "complementarity_residual",
     "total_variation_k",
@@ -67,15 +71,21 @@ BINARY_MAGIC = b"RBPATH01"
 
 
 class BlowUpError(RuntimeError):
-    """State became non-finite or exceeded the ceiling at some step."""
+    """State became non-finite or exceeded the ceiling at some step.
 
-    def __init__(self, step_index: int, t: float, peak: float):
+    path_index is the row of the batch that blew up (0 for a single solve).
+    """
+
+    def __init__(self, step_index: int, t: float, peak: float, path_index: int = 0):
+        super().__init__(step_index, t, peak, path_index)
         self.step_index = step_index
         self.t = t
         self.peak = peak
-        super().__init__(
-            f"state blew up at step {step_index} (t={t:.6g}), max |u| = {peak:.3g}"
-        )
+        self.path_index = path_index
+
+    def __str__(self) -> str:
+        return (f"path {self.path_index}: state blew up at step {self.step_index} "
+                f"(t={self.t:.6g}), max |u| = {self.peak:.3g}")
 
 
 @dataclass(frozen=True)
@@ -200,6 +210,56 @@ class ReflectedPath:
         return float(np.min(self.u))
 
 
+# One chunk of a batch keeps its stored u and dK within this many bytes, so
+# the memory of a batch solve grows with the chunk, not with the path count.
+BATCH_BYTES = 8 * 2**20
+
+
+def batch_rows(n_paths: int, cfg: SchemeConfig) -> list[range]:
+    """Split path indices 0..n_paths-1 into chunks that fit BATCH_BYTES."""
+    per_path = 8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)
+    size = max(1, BATCH_BYTES // per_path)
+    return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+
+
+@contextmanager
+def batch_offset(first: int):
+    """Number a BlowUpError raised inside from first: row r of a chunk is path first + r."""
+    try:
+        yield
+    except BlowUpError as err:
+        err.path_index += first
+        raise
+
+
+def _weighted_channels(c: np.ndarray, sig_t: np.ndarray) -> np.ndarray:
+    """sum_j c_j sigma_j per row: c is (d,) or (P, d), sig_t is (P, d, m).
+
+    A matrix product per row makes the same BLAS call np.dot(c, sigma) makes
+    for one state, so a row's bits never depend on the batch around it.
+    """
+    return np.matmul(c.reshape(-1, 1, c.shape[-1]), sig_t)[:, 0]
+
+
+def _drift_plan(h: np.ndarray | None, steps: int) -> list:
+    """Per step (control values, drifting rows) for _Stepper.step.
+
+    A per-path solve skips the drift term at a step whose control row is
+    all zero; so does the batch, per row: values are None where no row
+    drifts, and rows is None where every row does.
+    """
+    if h is None:
+        return [(None, None)] * steps
+    active = h.any(axis=-1)  # (steps,) shared, (P, steps) per path
+    if h.ndim == 2:
+        return [(h[k], None) if on else (None, None) for k, on in enumerate(active.tolist())]
+    every, some = active.all(axis=0).tolist(), active.any(axis=0).tolist()
+    return [
+        (h[:, k], None if every[k] else active[:, k]) if some[k] else (None, None)
+        for k in range(steps)
+    ]
+
+
 class _Stepper:
     """Per-solve workspace: node positions and the factored implicit matrix."""
 
@@ -218,14 +278,14 @@ class _Stepper:
 
     def _convection(self, t: float, u: np.ndarray) -> np.ndarray:
         cs, dx = self.cs, self.dx
-        padded = np.zeros(u.size + 2)  # Dirichlet ghosts
-        padded[1:-1] = u
+        padded = np.zeros((u.shape[0], u.shape[1] + 2))  # Dirichlet ghosts
+        padded[:, 1:-1] = u
         gp = cs.g(t, padded)
         if self.cfg.convection == "central":
-            return (gp[2:] - gp[:-2]) / (2.0 * dx)
+            return (gp[:, 2:] - gp[:, :-2]) / (2.0 * dx)
         speed = cs.dg_dz(t, u)
-        forward = (gp[2:] - gp[1:-1]) / dx
-        backward = (gp[1:-1] - gp[:-2]) / dx
+        forward = (gp[:, 2:] - gp[:, 1:-1]) / dx
+        backward = (gp[:, 1:-1] - gp[:, :-2]) / dx
         return np.where(speed >= 0.0, forward, backward)
 
     def step(
@@ -234,22 +294,33 @@ class _Stepper:
         t: float,
         dw: np.ndarray | None,
         h: np.ndarray | None,
-        step_index: int = 0,
+        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the (P, m) states u from t by one step; returns (u_new, dK).
+
+        dw holds each row's d increments (P, d) or is None; h the control
+        values at t, shared (d,) or per row (P, d), or None for no drift;
+        rows, when given, is the (P,) mask of the rows that take the drift.
+        """
         cs, cfg = self.cs, self.cfg
         t_fast = t / cfg.time_scale
         rhs = u + self.dt * (self._convection(t, u) + cs.f(t_fast, self.x, u))
 
         want_noise = cfg.noise_scale > 0.0 and dw is not None
-        want_drift = h is not None and np.any(h)
-        if want_noise or want_drift:
-            sig = cs.sigma(t_fast, self.x, u)
-            if want_drift:
-                rhs += self.dt * np.dot(h, sig)
+        if want_noise or h is not None:
+            # a fresh C-ordered copy: no zero strides, so every row takes the BLAS path
+            sig_t = np.array(cs.sigma(t_fast, self.x, u), order="C").transpose(1, 0, 2)
+            if h is not None:
+                drift = self.dt * _weighted_channels(h, sig_t)
+                if rows is None:
+                    rhs += drift
+                else:
+                    np.add(rhs, drift, out=rhs, where=rows[:, None])
             if want_noise:
-                rhs += cfg.noise_scale * np.dot(dw, sig)
+                rhs += cfg.noise_scale * _weighted_channels(dw, sig_t)
 
-        u_free = cho_solve_banded((self._factor, False), rhs, check_finite=False)
+        # one banded solve for every row: P right-hand sides as an (m, P) array
+        u_free = cho_solve_banded((self._factor, False), rhs.T, check_finite=False).T
 
         if cfg.reflection == "projection":
             u_new = np.maximum(u_free, 0.0)
@@ -257,11 +328,48 @@ class _Stepper:
         else:
             dk = (self.dt * cfg.penalty_n) * np.maximum(-u_free, 0.0)
             u_new = u_free + dk
-
-        peak = float(np.max(np.abs(u_new))) if u_new.size else 0.0
-        if not math.isfinite(peak) or peak > cfg.blowup_ceiling:
-            raise BlowUpError(step_index, t + self.dt, peak)
         return u_new, dk
+
+    def blown_rows(self, u_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, peaks): the rows of u_new that are non-finite or over the ceiling."""
+        ceiling = self.cfg.blowup_ceiling
+        peak = np.max(np.abs(u_new), axis=1)
+        rows = np.flatnonzero(~np.isfinite(peak) | (peak > ceiling))
+        return rows, peak[rows]
+
+    def march(
+        self,
+        u: np.ndarray,
+        dk: np.ndarray,
+        dw: np.ndarray | None,
+        h: np.ndarray | None,
+    ) -> None:
+        """Fill u[:, 1:] and dk from u[:, 0]; raises for the lowest row that blows up.
+
+        dw is (P, steps, d) or None; h is (steps, d) shared or (P, steps, d)
+        per row, or None.  Rows are independent, so a row that blew up keeps
+        stepping (non-finite, warnings off) until no lower row can still
+        blow up; the error carries that row's own first bad step.
+        """
+        dt, ceiling = self.dt, self.cfg.blowup_ceiling
+        times = self.cfg.mesh.times[:-1].tolist()
+        first_bad: dict[int, tuple[int, float, float]] = {}
+        state = u[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (t, (h_k, rows)) in enumerate(zip(times, _drift_plan(h, len(times)))):
+                state, dk[:, k] = self.step(
+                    state, t, dw[:, k] if dw is not None else None, h_k, rows)
+                u[:, k + 1] = state
+                top = float(np.abs(state).max())
+                if not (math.isfinite(top) and top <= ceiling):
+                    bad, peaks = self.blown_rows(state)
+                    for row, peak in zip(bad.tolist(), peaks.tolist()):
+                        first_bad.setdefault(row, (k, t + dt, peak))
+                    if 0 in first_bad:
+                        break
+        if first_bad:
+            row = min(first_bad)
+            raise BlowUpError(*first_bad[row], path_index=row)
 
 
 def step(
@@ -276,11 +384,76 @@ def step(
 
     dw holds the d Brownian increments over [t, t+dt] (None for none),
     h the control values at time t (None for the uncontrolled equation).
+    A batch of one through the batched step.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (cfg.grid.m,):
         raise ValueError(f"state shape {u.shape} does not match grid ({cfg.grid.m},)")
-    return _Stepper(cs, cfg).step(u, t, dw, h)
+    stepper = _Stepper(cs, cfg)
+    u_new, dk = stepper.step(
+        u[None], t, None if dw is None else np.asarray(dw, float)[None],
+        np.asarray(h, float)[None] if h is not None and np.any(h) else None,
+    )
+    bad, peaks = stepper.blown_rows(u_new)
+    if bad.size:
+        raise BlowUpError(0, t + stepper.dt, float(peaks[0]))
+    return u_new[0], dk[0]
+
+
+def solve_batch(
+    cs: CoefficientSet,
+    u0: np.ndarray,
+    dw: np.ndarray | None,
+    h: np.ndarray | None,
+    cfg: SchemeConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """March P paths from one start at once; returns u (P, steps+1, m), dK (P, steps, m).
+
+    dw holds each path's increments (P, steps, d); it may be None only
+    when the noise scale is zero, and is not used then.  h holds control
+    values on the mesh, shared (steps, d) or per path (P, steps, d), or is
+    None.  Each step evaluates the callbacks once on the (P, m) state and
+    solves all P right-hand sides in one banded call; the paths march in
+    chunks of batch_rows.  Row p equals, bit for bit, the batch of one on
+    row p's inputs.  A blow-up raises BlowUpError for the lowest row that
+    blows up, with path_index that row.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (cfg.grid.m,):
+        raise ValueError(f"u0 shape {u0.shape} does not match grid ({cfg.grid.m},)")
+    if np.min(u0) < 0.0:
+        raise ValueError(f"u0 must be nonnegative, min entry is {np.min(u0):.3g}")
+    steps, m, d = cfg.mesh.steps, cfg.grid.m, cs.d
+    sizes = set()
+    if dw is not None:
+        dw = np.asarray(dw, dtype=float)
+        if dw.ndim != 3 or dw.shape[1:] != (steps, d):
+            raise ValueError(f"increments shape {dw.shape} does not match (P, {steps}, {d})")
+        sizes.add(dw.shape[0])
+    elif cfg.noise_scale > 0.0:
+        raise ValueError("noise_scale > 0 requires Brownian increments")
+    if h is not None:
+        h = np.asarray(h, dtype=float)
+        if h.shape[-2:] != (steps, d) or h.ndim not in (2, 3):
+            raise ValueError(f"control shape {h.shape} does not match ([P,] {steps}, {d})")
+        if h.ndim == 3:
+            sizes.add(h.shape[0])
+    if len(sizes) > 1:
+        raise ValueError(f"increments and controls disagree on the path count: {sorted(sizes)}")
+    n_paths = sizes.pop() if sizes else 1
+
+    stepper = _Stepper(cs, cfg)
+    u = np.empty((n_paths, steps + 1, m))
+    dk = np.empty((n_paths, steps, m))
+    u[:, 0] = u0
+    for rows in batch_rows(n_paths, cfg):
+        sl = slice(rows.start, rows.stop)
+        with batch_offset(rows.start):
+            stepper.march(
+                u[sl], dk[sl], None if dw is None else dw[sl],
+                h if h is None or h.ndim == 2 else h[sl],
+            )
+    return u, dk
 
 
 def solve(
@@ -293,13 +466,8 @@ def solve(
     """March the scheme over the whole mesh from a nonnegative start.
 
     Deterministic given (noise, control, cfg).  noise may be omitted only
-    when the configured noise scale is zero.
+    when the configured noise scale is zero.  A batch of one.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (cfg.grid.m,):
-        raise ValueError(f"u0 shape {u0.shape} does not match grid ({cfg.grid.m},)")
-    if np.min(u0) < 0.0:
-        raise ValueError(f"u0 must be nonnegative, min entry is {np.min(u0):.3g}")
     if cfg.noise_scale > 0.0:
         if noise is None:
             raise ValueError("noise_scale > 0 requires a NoisePath")
@@ -307,32 +475,16 @@ def solve(
             raise ValueError("noise mesh does not match scheme mesh")
         if noise.d != cs.d:
             raise ValueError(f"noise has {noise.d} channels, coefficients have {cs.d}")
-
-    steps, m = cfg.mesh.steps, cfg.grid.m
-    h_path = control.on_mesh(cfg.mesh) if control is not None else None
-    dw = noise.increments if (noise is not None and cfg.noise_scale > 0.0) else None
-
-    stepper = _Stepper(cs, cfg)
-    u = np.empty((steps + 1, m))
-    dk = np.empty((steps, m))
-    u[0] = u0
-    times = cfg.mesh.times
-    for k in range(steps):
-        u[k + 1], dk[k] = stepper.step(
-            u[k],
-            float(times[k]),
-            dw[k] if dw is not None else None,
-            h_path[k] if h_path is not None else None,
-            step_index=k,
-        )
-
+    dw = noise.increments[None] if (noise is not None and cfg.noise_scale > 0.0) else None
+    h = control.on_mesh(cfg.mesh) if control is not None else None
+    u, dk = solve_batch(cs, u0, dw, h, cfg)
     return ReflectedPath(
         grid=cfg.grid,
         mesh=cfg.mesh,
-        u=u,
-        dk=dk,
-        h_sq=_h_norms_sq(u, cfg.grid),
-        v_sq=_v_norms_sq(u, cfg.grid),
+        u=u[0],
+        dk=dk[0],
+        h_sq=_h_norms_sq(u[0], cfg.grid),
+        v_sq=_v_norms_sq(u[0], cfg.grid),
         config=cfg,
         noise_seed=noise.seed if noise is not None else None,
     )

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from burgerslab.core import SpatialGrid, TimeMesh, h_norm, sample_noise, sine_field
+from burgerslab import solver
+from burgerslab.core import (
+    SpatialGrid,
+    TimeMesh,
+    h_norm,
+    path_distance,
+    sample_noise,
+    sine_field,
+)
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.averaging import (
+    frozen_average_set,
     increment_modulus,
     khasminskii_block_error,
     penalization_convergence_probe,
@@ -39,6 +48,26 @@ class TestAveragingExperiment:
         a = run_averaging_experiment(ms, avg, U0, [0.05], 1, seed=3, cfg=CFG)
         b = run_averaging_experiment(ms, avg, U0, [0.05], 1, seed=3, cfg=CFG)
         assert a == b
+
+    def test_batched_matches_per_path_loop(self, monkeypatch):
+        # 7 paths in chunks of 3: every distance is the one a solve per path gives
+        from dataclasses import replace
+
+        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0, a_g=0.5)
+        per_path = 8 * GRID.m * (2 * MESH.steps + 1)
+        monkeypatch.setattr(solver, "BATCH_BYTES", 3 * per_path)
+        rep = run_averaging_experiment(ms, avg, U0, [0.1, 0.01], 7, seed=4, cfg=CFG)
+        slow_set = frozen_average_set(ms, avg)
+        for row in rep.rows:
+            d2 = []
+            for i in range(7):
+                nz = sample_noise(4, MESH, 1, path_index=i)
+                slow = solve(slow_set, U0, nz, None, replace(CFG, noise_scale=1.0))
+                fast = solve(ms, U0, nz, None,
+                             replace(CFG, noise_scale=1.0, time_scale=row.epsilon))
+                d2.append(path_distance(fast.u, slow.u, GRID, MESH).squared)
+            assert row.mean_sq_dist == float(np.mean(d2))
+            assert row.std_err == float(np.std(d2)) / math.sqrt(7)
 
     def test_distinct_eps_required(self):
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)

@@ -120,6 +120,29 @@ class TestRunExperiment:
         record = json.loads((tmp_path / "out" / "failure.json").read_text())
         assert record["error"] == "BlowUpError"
         assert "step" in record["message"]
+        # enough to replay: the step and the batch row that blew up
+        assert record["path_index"] == 0
+        assert 0 <= record["step_index"] < 50
+        assert f"step {record['step_index']}" in record["message"]
+
+    def test_unconverged_rate_stage_fails_rare_event_run(self, tmp_path):
+        # a tilt of 20 on a coarse mesh is out of the rate stage's reach: the
+        # lower-bound probe cannot run, so the run fails instead of writing
+        # an empty fw_bound.csv with exit 0
+        cfg = load_config(write_config(tmp_path, {
+            "experiment": "rare-event",
+            "grid": {"m": 8},
+            "mesh": {"t_final": 1.0, "dt": 0.05},
+            "params": {"blocks": 1, "h_star": 20.0, "n_samples": 2},
+        }))
+        code, artifacts = run_experiment(cfg, tmp_path / "out")
+        assert code == 1
+        assert [p.name for p in artifacts] == ["failure.json"]
+        record = json.loads((tmp_path / "out" / "failure.json").read_text())
+        assert record["error"] == "ValueError"
+        assert "did not converge" in record["message"]
+        assert "squared residual" in record["message"] and "tol 0.001" in record["message"]
+        assert not (tmp_path / "out" / "fw_bound.csv").exists()
 
 
 class TestAveragingDriver:

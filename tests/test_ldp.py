@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from burgerslab.core import SpatialGrid, TimeMesh, sine_field
+from burgerslab import solver
+from burgerslab.core import SpatialGrid, TimeMesh, path_distance, sample_noise, sine_field
 from burgerslab.coefficients import make_burgers_set
 from burgerslab.ldp import (
     EventSpec,
@@ -13,7 +15,7 @@ from burgerslab.ldp import (
     fw_lower_bound_probe,
 )
 from burgerslab.ratefn import RateOptions, rate_function
-from burgerslab.solver import Control, SchemeConfig, solve_skeleton
+from burgerslab.solver import Control, SchemeConfig, solve, solve_skeleton
 
 ADDITIVE = make_burgers_set(0.0, noise_profile="additive")
 NOISELESS = make_burgers_set(0.0, noise_profile="zero")
@@ -194,3 +196,54 @@ class TestConditionProbe:
                 ADDITIVE, [U0], [Control.constant(1.0, 2.0)], [0.1], 0.25, 5, 24,
                 CFG, energy_bound=2.0,
             )
+
+
+def _small_chunks(monkeypatch, paths_per_chunk):
+    per_path = 8 * GRID.m * (2 * MESH.steps + 1)
+    monkeypatch.setattr(solver, "BATCH_BYTES", paths_per_chunk * per_path)
+
+
+class TestBatchedLoops:
+    """The batched Monte Carlo loops give what a per-path solve loop gives, bit for bit."""
+
+    def test_importance_matches_per_path_loop(self, monkeypatch):
+        _small_chunks(monkeypatch, 7)  # 30 samples in chunks of 7
+        cs = make_burgers_set(0.5, noise_profile="bounded", c1=0.3)
+        tilt = Control(1.0, np.array([[0.8], [0.0], [-0.5]]))
+        ev = EventSpec(target=FLOW, delta=0.15)
+        eps, n, seed = 0.2, 30, 31
+        est = estimate_importance(cs, U0, eps, ev, tilt, n, seed, CFG)
+
+        run_cfg = replace(CFG, noise_scale=math.sqrt(eps))
+        h_path = tilt.on_mesh(MESH)
+        stats = []
+        for i in range(n):
+            noise = sample_noise(seed, MESH, cs.d, path_index=i)
+            u = solve(cs, U0, noise, tilt, run_cfg).u
+            hit = path_distance(u, FLOW, GRID, MESH).squared < ev.delta
+            log_w = (-float(np.sum(h_path * noise.increments)) / math.sqrt(eps)
+                     - float(np.sum(h_path**2)) * MESH.dt / (2.0 * eps))
+            stats.append(math.exp(log_w) if hit else 0.0)
+        assert est.raw_mean == float(np.mean(stats))
+        assert est.std_err == float(np.std(stats)) / math.sqrt(n)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_tilt_weights_exactly_one(self, monkeypatch, d):
+        # seeded sweep: with h = 0 every Girsanov weight is exactly 1.0, so
+        # on the sure event the mean is 1 and the spread is 0, chunk or not
+        _small_chunks(monkeypatch, 4)
+        cs = make_burgers_set(0.3, noise_profile="bounded", d=d)
+        sure = EventSpec(target=FLOW, delta=float("inf"))
+        for seed in range(3):
+            for eps in (0.5, 0.05):
+                est = estimate_importance(cs, U0, eps, sure, Control.zero(1.0, d, blocks=2),
+                                          10, seed, CFG)
+                assert est.raw_mean == 1.0 and est.std_err == 0.0
+                assert est.n_clipped == 0
+
+    def test_condition_probe_chunking_changes_nothing(self, monkeypatch):
+        args = (ADDITIVE, [U0, 0.5 * U0], [Control.zero(1.0, 1), Control.constant(1.0, 1.0)],
+                [0.5, 0.1], 0.05, 9, 41, CFG)
+        whole = condition_convergence_probe(*args)
+        _small_chunks(monkeypatch, 2)
+        assert condition_convergence_probe(*args) == whole

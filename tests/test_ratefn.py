@@ -131,3 +131,19 @@ class TestContinuityProbe:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             level_set_continuity_probe(ADDITIVE, sine_field(GRID), [], 0.5, 4, 9, CFG)
+
+    def test_batched_probe_matches_per_control_solves(self):
+        # the probe solves each set of controls as one batch; the estimate is
+        # what one skeleton solve per control gives, bit for bit
+        u0 = sine_field(GRID)
+        seq = [u0 + 0.2 * sine_field(GRID, k=2) ** 2, 0.5 * u0]
+        ests = level_set_continuity_probe(ADDITIVE, u0, seq, 0.8, 5, seed=10, cfg=CFG)
+        controls = [ctrl for ctrl, _ in sample_level_set(
+            ADDITIVE, u0, 0.8, 5, seed=10, cfg=CFG).members]
+        ref = [solve_skeleton(ADDITIVE, u0, c, CFG).u for c in controls]
+        for u0_n, est in zip(seq, ests):
+            per = [solve_skeleton(ADDITIVE, u0_n, c, CFG).u for c in controls]
+            dists = np.array([[path_distance(p, q, GRID, MESH).squared for q in per]
+                              for p in ref])
+            assert est == max(float(np.max(np.min(dists, axis=1))),
+                              float(np.max(np.min(dists, axis=0))))

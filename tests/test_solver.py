@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from burgerslab import solver
 from burgerslab.core import SpatialGrid, TimeMesh, h_norm, sample_noise, sine_field
-from burgerslab.coefficients import make_burgers_set
+from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.solver import (
     BlowUpError,
     Control,
     SchemeConfig,
+    batch_rows,
     complementarity_residual,
     energy_functional,
     read_path_binary,
     solve,
+    solve_batch,
     solve_skeleton,
     step,
     total_variation_k,
@@ -300,6 +303,106 @@ class TestProjectionInvariants:
         assert acted  # the sweep exercised the reflection
 
 
+def _batch_case(convection, profile, d, reflection, n_paths=5, steps=30):
+    """A coefficient set, start, scheme and per-path increments for batch tests."""
+    grid, mesh = SpatialGrid(12), TimeMesh(0.6, steps)
+    if profile == "multiscale":
+        cs, _ = burgers_multiscale_family(
+            beta=0.5, amplitude=1.0, a_g=0.8, noise_profile="bounded", c2=-1.0, d=d)
+    else:
+        cs = make_burgers_set(0.8, noise_profile=profile, c1=0.5, c2=-2.0, d=d)
+    cfg = SchemeConfig(
+        grid=grid, mesh=mesh, convection=convection, reflection=reflection,
+        penalty_n=40.0 if reflection == "penalized" else 0.0, noise_scale=0.9,
+        time_scale=0.05 if profile == "multiscale" else 1.0,
+    )
+    dw = np.stack([sample_noise(4, mesh, d, path_index=i).increments for i in range(n_paths)])
+    return cs, sine_field(grid), cfg, dw
+
+
+class TestSolveBatch:
+    """Batching never changes a path: every row equals the batch of one, bit for bit."""
+
+    @pytest.mark.parametrize("control", ["none", "shared", "per_path"])
+    @pytest.mark.parametrize("reflection", ["projection", "penalized"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("profile", ["additive", "bounded", "multiscale"])
+    @pytest.mark.parametrize("convection", ["central", "upwind"])
+    def test_rows_equal_batch_of_one(self, convection, profile, d, reflection, control):
+        cs, u0, cfg, dw = _batch_case(convection, profile, d, reflection)
+        steps, n = cfg.mesh.steps, dw.shape[0]
+        rng = np.random.default_rng(3)
+        h = {
+            "none": None,
+            "shared": Control(0.6, rng.uniform(-1.5, 1.5, (3, d))).on_mesh(cfg.mesh),
+            # row 0 uncontrolled, so rows with and without a drift share the batch
+            "per_path": np.stack([
+                Control(0.6, rng.uniform(-1.5, 1.5, (3, d)) * (i > 0)).on_mesh(cfg.mesh)
+                for i in range(n)
+            ]),
+        }[control]
+        u, dk = solve_batch(cs, u0, dw, h, cfg)
+        assert u.shape == (n, steps + 1, cfg.grid.m) and dk.shape == (n, steps, cfg.grid.m)
+        for p in range(n):
+            h_p = h[p:p + 1] if control == "per_path" else h
+            u1, dk1 = solve_batch(cs, u0, dw[p:p + 1], h_p, cfg)
+            assert u[p].tobytes() == u1[0].tobytes()
+            assert dk[p].tobytes() == dk1[0].tobytes()
+        if control != "per_path":
+            ctrl = None if h is None else Control(0.6, h[:: steps // 3])
+            one = solve(cs, u0, sample_noise(4, cfg.mesh, d, path_index=n - 1), ctrl, cfg)
+            assert one.u.tobytes() == u[n - 1].tobytes()
+
+    def test_chunked_equals_unchunked(self, monkeypatch):
+        cs, u0, cfg, dw = _batch_case("central", "bounded", 2, "projection", n_paths=7)
+        h = np.stack([np.full((cfg.mesh.steps, 2), 0.3 * i) for i in range(7)])
+        whole = solve_batch(cs, u0, dw, h, cfg)
+        per_path = 8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
+        assert [len(r) for r in batch_rows(7, cfg)] == [2, 2, 2, 1]
+        chunked = solve_batch(cs, u0, dw, h, cfg)
+        for a, b in zip(whole, chunked):
+            assert a.tobytes() == b.tobytes()
+
+    def test_blow_up_names_lowest_row_at_its_own_step(self, monkeypatch):
+        # row 5 blows up first, row 3 later: the error is row 3's, as a
+        # per-path loop (which reaches row 3 first) would raise
+        grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0, blowup_ceiling=50.0)
+        h = np.zeros((8, mesh.steps, 1))
+        h[3], h[5] = 1000.0, 50000.0
+        u0 = np.zeros(grid.m)
+        alone = {}
+        for row in (3, 5):
+            with pytest.raises(BlowUpError) as err:
+                solve_batch(ADDITIVE, u0, None, h[row:row + 1], cfg)
+            alone[row] = err.value
+        assert alone[5].step_index < alone[3].step_index
+        monkeypatch.setattr(solver, "BATCH_BYTES", 10**9)
+        with pytest.raises(BlowUpError) as err:
+            solve_batch(ADDITIVE, u0, None, h, cfg)
+        got = err.value
+        assert got.path_index == 3
+        assert (got.step_index, got.t, got.peak) == (
+            alone[3].step_index, alone[3].t, alone[3].peak)
+        assert "path 3" in str(got)
+        # across chunks the index is still the batch row
+        per_path = 8 * grid.m * (2 * mesh.steps + 1)
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
+        with pytest.raises(BlowUpError) as err:
+            solve_batch(ADDITIVE, u0, None, h, cfg)
+        assert (err.value.path_index, err.value.step_index) == (3, alone[3].step_index)
+
+    def test_shape_checks(self):
+        cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
+        with pytest.raises(ValueError):
+            solve_batch(cs, u0, None, None, cfg)  # noise scale > 0 needs increments
+        with pytest.raises(ValueError):
+            solve_batch(cs, u0, dw[:, :-1], None, cfg)
+        with pytest.raises(ValueError):
+            solve_batch(cs, u0, dw, np.zeros((dw.shape[0] + 1, cfg.mesh.steps, 1)), cfg)
+
+
 class TestPenalized:
     def _run(self, n, noise, cfg):
         from dataclasses import replace
@@ -314,6 +417,31 @@ class TestPenalized:
         nz = sample_noise(21, mesh, 1)
         mins = [self._run(n, nz, cfg).min_u for n in (10.0, 100.0, 1000.0)]
         assert mins[0] < mins[1] < mins[2] <= 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("profile", ["additive", "bounded"])
+    def test_residual_sweep_shrinks_with_n(self, profile, d):
+        # seeded sweep: on common noise the residual dx * sum u * dK is <= 0
+        # (n * dt <= 1 keeps the penalized state at or below the obstacle
+        # where dK acts) and its size falls as n grows
+        from dataclasses import replace
+
+        rng = np.random.default_rng(5)
+        grid, mesh = SpatialGrid(24), TimeMesh(0.5, 1000)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
+        for draw in range(3):
+            cs = make_burgers_set(
+                rng.uniform(-1.0, 1.0), noise_profile=profile, c1=rng.uniform(-1.0, 1.0),
+                c2=rng.uniform(-3.0, -0.5), sigma_amp=rng.uniform(0.2, 1.0), d=d,
+            )
+            nz = sample_noise(draw, mesh, d)
+            res = [
+                complementarity_residual(solve(
+                    cs, np.zeros(grid.m), nz, None,
+                    replace(cfg, reflection="penalized", penalty_n=n)))
+                for n in (100.0, 400.0, 1600.0)
+            ]
+            assert res[0] < res[1] < res[2] <= 0.0
 
     def test_complementarity_residual_shrinks_with_n(self):
         grid, mesh = SpatialGrid(32), TimeMesh(1.0, 2000)
