@@ -39,6 +39,7 @@ from .solver import (
     energy_functional,
     solve,
     solve_batch,
+    solve_paths,
     solve_skeleton,
     step,
     total_variation_k,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import path_distance, sample_noise
 from .coefficients import AveragedCoefficientSet, CoefficientSet
-from .solver import ReflectedPath, SchemeConfig, batch_offset, batch_rows, solve, solve_batch
+from .solver import ReflectedPath, SchemeConfig, solve, solve_paths
 
 __all__ = [
     "AveragingRow",
@@ -87,10 +87,10 @@ def run_averaging_experiment(
 
     Per sample index the same increments feed both equations; the averaged
     paths do not depend on eps and are solved once.  The averaged paths and
-    then the fast paths of each eps run as batches, a chunk of
-    solver.batch_rows at a time, so only the averaged paths are kept.  Reported
-    per eps: mean of the squared distances, its standard error, and the
-    fraction exceeding delta (the in-probability view).
+    then the fast paths of each eps run through solver.solve_paths, a chunk
+    at a time, so only the averaged paths are kept.  Reported per eps: mean
+    of the squared distances, its standard error, and the fraction
+    exceeding delta (the in-probability view).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -102,23 +102,17 @@ def run_averaging_experiment(
     dw = np.stack([
         sample_noise(seed, cfg.mesh, ms.d, path_index=i).increments for i in range(n_samples)
     ])
-    chunks = [slice(r.start, r.stop) for r in batch_rows(n_samples, cfg)]
-    slow_paths = np.empty((n_samples, cfg.mesh.steps + 1, cfg.grid.m))
-    for sl in chunks:
-        with batch_offset(sl.start):
-            slow_paths[sl] = solve_batch(avg_set, u0, dw[sl], None, base_cfg)[0]
+    # copied path by path, so no chunk of the solve outlives the loop
+    slow_paths = np.fromiter((slow for _, slow in solve_paths(avg_set, u0, dw, None, base_cfg)),
+                             (float, (cfg.mesh.steps + 1, cfg.grid.m)), n_samples)
 
     rows = []
     for eps in eps_list:
         fast_cfg = replace(cfg, noise_scale=1.0, time_scale=eps)
-        d2 = np.empty(n_samples)
-        for sl in chunks:
-            with batch_offset(sl.start):
-                d2[sl] = [
-                    path_distance(fast, slow, cfg.grid, cfg.mesh).squared
-                    for fast, slow in zip(solve_batch(ms, u0, dw[sl], None, fast_cfg)[0],
-                                          slow_paths[sl])
-                ]
+        d2 = np.array([
+            path_distance(fast, slow, cfg.grid, cfg.mesh).squared
+            for (_, fast), slow in zip(solve_paths(ms, u0, dw, None, fast_cfg), slow_paths)
+        ])
         rows.append(AveragingRow(
             epsilon=eps,
             mean_sq_dist=float(np.mean(d2)),

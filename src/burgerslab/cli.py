@@ -517,15 +517,20 @@ def _git_blob_hash(data: bytes) -> str:
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
-def _write_failure(out: Path, experiment: str | None, exc: Exception) -> Path:
-    """failure.json: the experiment (None when the config was rejected), error and message.
+def _write_failure(out: Path, cfg: ExperimentConfig | None, exc: Exception) -> Path:
+    """failure.json: experiment, seed (both None for a rejected config), error and message.
 
-    A blow-up also records the step and the path (batch row) it happened at.
+    A blow-up also records the step, the path index and the noise and time
+    scales of the solve it happened in: with the seed, enough for one solve
+    to replay it.
     """
     out.mkdir(parents=True, exist_ok=True)
-    record = {"experiment": experiment, "error": type(exc).__name__, "message": str(exc)}
+    record = {"experiment": None, "seed": None, "error": type(exc).__name__, "message": str(exc)}
+    if cfg is not None:
+        record.update(experiment=cfg.experiment, seed=cfg.seed)
     if isinstance(exc, BlowUpError):
-        record.update(step_index=exc.step_index, path_index=exc.path_index)
+        record.update(step_index=exc.step_index, path_index=exc.path_index,
+                      noise_scale=exc.noise_scale, time_scale=exc.time_scale)
     failure = out / "failure.json"
     failure.write_text(json.dumps(record, sort_keys=True) + "\n")
     print(f"error: {exc}", file=sys.stderr)
@@ -549,7 +554,7 @@ def run_experiment(
     try:
         tables = _DRIVERS[cfg.experiment](cfg)
     except (BlowUpError, ValueError) as exc:
-        return 1, [_write_failure(out, cfg.experiment, exc)]
+        return 1, [_write_failure(out, cfg, exc)]
 
     artifacts: list[Path] = []
     meta_lines = []

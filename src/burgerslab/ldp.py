@@ -26,20 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import path_distance, sample_noise
+from .core import TimeMesh, path_distance, sample_noise
 from .coefficients import CoefficientSet
 from .ratefn import RateFunctionResult
 # solve stays a module name here, beside the batch kernel, so tools that wrap
 # the solver layer by module name still find it
-from .solver import (
-    Control,
-    SchemeConfig,
-    batch_offset,
-    batch_rows,
-    solve,
-    solve_batch,
-    solve_skeleton,
-)
+from .solver import Control, SchemeConfig, solve, solve_paths, solve_skeleton
 
 __all__ = [
     "EventSpec",
@@ -104,26 +96,9 @@ class RareEventEstimate:
             raise ValueError("estimate out of range")
 
 
-def _paths(
-    cs: CoefficientSet,
-    u0: np.ndarray,
-    h: np.ndarray | None,
-    n_samples: int,
-    seed: int,
-    cfg: SchemeConfig,
-):
-    """Yield (increments, u) for paths 0..n_samples-1, solved a batch chunk at a time.
-
-    Path i runs on the Philox stream (seed, i); h is the shared control on
-    the mesh or None.  A blow-up names the sample index of the path.
-    """
-    for rows in batch_rows(n_samples, cfg):
-        dw = np.stack([
-            sample_noise(seed, cfg.mesh, cs.d, path_index=i).increments for i in rows
-        ])
-        with batch_offset(rows.start):
-            u = solve_batch(cs, u0, dw, h, cfg)[0]
-        yield from zip(dw, u)
+def _increments(seed: int, mesh: TimeMesh, d: int, n_samples: int):
+    """Lazily the increments of paths 0..n_samples-1, path i on the Philox stream (seed, i)."""
+    return (sample_noise(seed, mesh, d, path_index=i).increments for i in range(n_samples))
 
 
 def _tube_estimate(
@@ -152,7 +127,8 @@ def _tube_estimate(
 
     stats = np.empty(n_samples)
     n_clipped = 0
-    for i, (dw, u) in enumerate(_paths(cs, u0, h_drive, n_samples, seed, run_cfg)):
+    paths = solve_paths(cs, u0, _increments(seed, cfg.mesh, cs.d, n_samples), h_drive, run_cfg)
+    for i, (dw, u) in enumerate(paths):
         hit = ev.occurred(u, cfg)
         log_w = -float(np.sum(h_path * dw)) / sqrt_eps - h_l2_sq / (2.0 * eps)
         if log_w > LOG_WEIGHT_CLIP:
@@ -316,7 +292,8 @@ def condition_convergence_probe(
             for ic, ctrl in enumerate(controls):
                 base = skeletons[iu][ic]
                 exceed = 0
-                for _, u in _paths(cs, u0, ctrl.on_mesh(cfg.mesh), n_samples, seed, run_cfg):
+                dws = _increments(seed, cfg.mesh, cs.d, n_samples)
+                for _, u in solve_paths(cs, u0, dws, ctrl.on_mesh(cfg.mesh), run_cfg):
                     if path_distance(u, base, cfg.grid, cfg.mesh).squared >= delta:
                         exceed += 1
                 worst = max(worst, exceed / n_samples)

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TextIO
+from itertools import islice
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -52,8 +52,7 @@ __all__ = [
     "step",
     "solve",
     "solve_batch",
-    "batch_rows",
-    "batch_offset",
+    "solve_paths",
     "solve_skeleton",
     "complementarity_residual",
     "total_variation_k",
@@ -73,15 +72,20 @@ BINARY_MAGIC = b"RBPATH01"
 class BlowUpError(RuntimeError):
     """State became non-finite or exceeded the ceiling at some step.
 
-    path_index is the row of the batch that blew up (0 for a single solve).
+    path_index is the row of the batch that blew up (0 for a single solve);
+    noise_scale and time_scale are the solve's, so that with the noise seed
+    one solve replays the blow-up.
     """
 
-    def __init__(self, step_index: int, t: float, peak: float, path_index: int = 0):
-        super().__init__(step_index, t, peak, path_index)
+    def __init__(self, step_index: int, t: float, peak: float, path_index: int = 0,
+                 noise_scale: float = 1.0, time_scale: float = 1.0):
+        super().__init__(step_index, t, peak, path_index, noise_scale, time_scale)
         self.step_index = step_index
         self.t = t
         self.peak = peak
         self.path_index = path_index
+        self.noise_scale = noise_scale
+        self.time_scale = time_scale
 
     def __str__(self) -> str:
         return (f"path {self.path_index}: state blew up at step {self.step_index} "
@@ -210,26 +214,14 @@ class ReflectedPath:
         return float(np.min(self.u))
 
 
-# One chunk of a batch keeps its stored u and dK within this many bytes, so
-# the memory of a batch solve grows with the chunk, not with the path count.
+# One chunk of solve_paths keeps its stored u and dK within this many bytes,
+# so the memory of a Monte Carlo loop grows with the chunk, not the path count.
 BATCH_BYTES = 8 * 2**20
 
 
-def batch_rows(n_paths: int, cfg: SchemeConfig) -> list[range]:
-    """Split path indices 0..n_paths-1 into chunks that fit BATCH_BYTES."""
-    per_path = 8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)
-    size = max(1, BATCH_BYTES // per_path)
-    return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-
-
-@contextmanager
-def batch_offset(first: int):
-    """Number a BlowUpError raised inside from first: row r of a chunk is path first + r."""
-    try:
-        yield
-    except BlowUpError as err:
-        err.path_index += first
-        raise
+def _paths_per_chunk(cfg: SchemeConfig) -> int:
+    """How many paths' stored u and dK fit in BATCH_BYTES (at least one)."""
+    return max(1, BATCH_BYTES // (8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)))
 
 
 def _weighted_channels(c: np.ndarray, sig_t: np.ndarray) -> np.ndarray:
@@ -239,25 +231,6 @@ def _weighted_channels(c: np.ndarray, sig_t: np.ndarray) -> np.ndarray:
     for one state, so a row's bits never depend on the batch around it.
     """
     return np.matmul(c.reshape(-1, 1, c.shape[-1]), sig_t)[:, 0]
-
-
-def _drift_plan(h: np.ndarray | None, steps: int) -> list:
-    """Per step (control values, drifting rows) for _Stepper.step.
-
-    A per-path solve skips the drift term at a step whose control row is
-    all zero; so does the batch, per row: values are None where no row
-    drifts, and rows is None where every row does.
-    """
-    if h is None:
-        return [(None, None)] * steps
-    active = h.any(axis=-1)  # (steps,) shared, (P, steps) per path
-    if h.ndim == 2:
-        return [(h[k], None) if on else (None, None) for k, on in enumerate(active.tolist())]
-    every, some = active.all(axis=0).tolist(), active.any(axis=0).tolist()
-    return [
-        (h[:, k], None if every[k] else active[:, k]) if some[k] else (None, None)
-        for k in range(steps)
-    ]
 
 
 class _Stepper:
@@ -294,13 +267,12 @@ class _Stepper:
         t: float,
         dw: np.ndarray | None,
         h: np.ndarray | None,
-        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance the (P, m) states u from t by one step; returns (u_new, dK).
 
         dw holds each row's d increments (P, d) or is None; h the control
-        values at t, shared (d,) or per row (P, d), or None for no drift;
-        rows, when given, is the (P,) mask of the rows that take the drift.
+        values at t, shared (d,) or per row (P, d), or None for no drift.
+        A zero control gives the bits of no control.
         """
         cs, cfg = self.cs, self.cfg
         t_fast = t / cfg.time_scale
@@ -311,11 +283,7 @@ class _Stepper:
             # a fresh C-ordered copy: no zero strides, so every row takes the BLAS path
             sig_t = np.array(cs.sigma(t_fast, self.x, u), order="C").transpose(1, 0, 2)
             if h is not None:
-                drift = self.dt * _weighted_channels(h, sig_t)
-                if rows is None:
-                    rhs += drift
-                else:
-                    np.add(rhs, drift, out=rhs, where=rows[:, None])
+                rhs += self.dt * _weighted_channels(h, sig_t)
             if want_noise:
                 rhs += cfg.noise_scale * _weighted_channels(dw, sig_t)
 
@@ -356,9 +324,9 @@ class _Stepper:
         first_bad: dict[int, tuple[int, float, float]] = {}
         state = u[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, (t, (h_k, rows)) in enumerate(zip(times, _drift_plan(h, len(times)))):
+            for k, t in enumerate(times):
                 state, dk[:, k] = self.step(
-                    state, t, dw[:, k] if dw is not None else None, h_k, rows)
+                    state, t, None if dw is None else dw[:, k], None if h is None else h[..., k, :])
                 u[:, k + 1] = state
                 top = float(np.abs(state).max())
                 if not (math.isfinite(top) and top <= ceiling):
@@ -369,7 +337,8 @@ class _Stepper:
                         break
         if first_bad:
             row = min(first_bad)
-            raise BlowUpError(*first_bad[row], path_index=row)
+            raise BlowUpError(*first_bad[row], path_index=row,
+                              noise_scale=self.cfg.noise_scale, time_scale=self.cfg.time_scale)
 
 
 def step(
@@ -392,11 +361,12 @@ def step(
     stepper = _Stepper(cs, cfg)
     u_new, dk = stepper.step(
         u[None], t, None if dw is None else np.asarray(dw, float)[None],
-        np.asarray(h, float)[None] if h is not None and np.any(h) else None,
+        None if h is None else np.asarray(h, float)[None],
     )
     bad, peaks = stepper.blown_rows(u_new)
     if bad.size:
-        raise BlowUpError(0, t + stepper.dt, float(peaks[0]))
+        raise BlowUpError(0, t + stepper.dt, float(peaks[0]),
+                          noise_scale=cfg.noise_scale, time_scale=cfg.time_scale)
     return u_new[0], dk[0]
 
 
@@ -413,10 +383,11 @@ def solve_batch(
     when the noise scale is zero, and is not used then.  h holds control
     values on the mesh, shared (steps, d) or per path (P, steps, d), or is
     None.  Each step evaluates the callbacks once on the (P, m) state and
-    solves all P right-hand sides in one banded call; the paths march in
-    chunks of batch_rows.  Row p equals, bit for bit, the batch of one on
-    row p's inputs.  A blow-up raises BlowUpError for the lowest row that
-    blows up, with path_index that row.
+    solves all P right-hand sides in one banded call; every row marches at
+    once, so the caller sizes the batch (solve_paths chunks a long one).
+    Row p equals, bit for bit, the batch of one on row p's inputs.  A
+    blow-up raises BlowUpError for the lowest row that blows up, with
+    path_index that row.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (cfg.grid.m,):
@@ -442,18 +413,41 @@ def solve_batch(
         raise ValueError(f"increments and controls disagree on the path count: {sorted(sizes)}")
     n_paths = sizes.pop() if sizes else 1
 
-    stepper = _Stepper(cs, cfg)
     u = np.empty((n_paths, steps + 1, m))
     dk = np.empty((n_paths, steps, m))
     u[:, 0] = u0
-    for rows in batch_rows(n_paths, cfg):
-        sl = slice(rows.start, rows.stop)
-        with batch_offset(rows.start):
-            stepper.march(
-                u[sl], dk[sl], None if dw is None else dw[sl],
-                h if h is None or h.ndim == 2 else h[sl],
-            )
+    _Stepper(cs, cfg).march(u, dk, dw, h)
     return u, dk
+
+
+def solve_paths(
+    cs: CoefficientSet,
+    u0: np.ndarray,
+    increments: Iterable[np.ndarray],
+    h: np.ndarray | None,
+    cfg: SchemeConfig,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (dw, u) per path, solving the paths a chunk at a time.
+
+    increments holds each path's (steps, d) increments and is pulled one
+    chunk at a time, so with a lazy iterable the noise and paths in memory
+    grow with the chunk, not the path count; h is a control shared by
+    every path, (steps, d) or None.  A chunk is as many paths as fit BATCH_BYTES and runs as one
+    solve_batch, so u equals the batch of one bit for bit.  A blow-up
+    raises for the lowest path index that blows up, with path_index
+    counted from the first path.
+    """
+    paths = iter(increments)
+    first, size = 0, _paths_per_chunk(cfg)
+    while chunk := list(islice(paths, size)):
+        dw = np.stack(chunk)
+        try:
+            u = solve_batch(cs, u0, dw, h, cfg)[0]
+        except BlowUpError as err:
+            err.path_index += first
+            raise
+        yield from zip(dw, u)
+        first += len(chunk)
 
 
 def solve(

@@ -120,9 +120,12 @@ class TestRunExperiment:
         record = json.loads((tmp_path / "out" / "failure.json").read_text())
         assert record["error"] == "BlowUpError"
         assert "step" in record["message"]
-        # enough to replay: the step and the batch row that blew up
+        # enough to replay: the seed, the step, the batch row that blew up
+        # and the scales of its solve (a noise-free skeleton here)
+        assert record["seed"] == cfg.seed
         assert record["path_index"] == 0
         assert 0 <= record["step_index"] < 50
+        assert (record["noise_scale"], record["time_scale"]) == (0.0, 1.0)
         assert f"step {record['step_index']}" in record["message"]
 
     def test_unconverged_rate_stage_fails_rare_event_run(self, tmp_path):
@@ -139,7 +142,7 @@ class TestRunExperiment:
         assert code == 1
         assert [p.name for p in artifacts] == ["failure.json"]
         record = json.loads((tmp_path / "out" / "failure.json").read_text())
-        assert record["error"] == "ValueError"
+        assert record["error"] == "ValueError" and record["seed"] == cfg.seed
         assert "did not converge" in record["message"]
         assert "squared residual" in record["message"] and "tol 0.001" in record["message"]
         assert not (tmp_path / "out" / "fw_bound.csv").exists()
@@ -212,7 +215,7 @@ class TestMain:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         record = json.loads((tmp_path / "out" / "failure.json").read_text())
-        assert record == {"experiment": "heat-regression", "error": "ValueError",
+        assert record == {"experiment": "heat-regression", "seed": 3, "error": "ValueError",
                           "message": "boom"}
 
 

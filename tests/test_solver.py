@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from burgerslab.solver import (
     BlowUpError,
     Control,
     SchemeConfig,
-    batch_rows,
     complementarity_residual,
     energy_functional,
     read_path_binary,
     solve,
     solve_batch,
+    solve_paths,
     solve_skeleton,
     step,
     total_variation_k,
@@ -72,10 +73,18 @@ class TestControl:
         assert np.all(vals[:5, 0] == 1.0) and np.all(vals[5:, 0] == 2.0)
 
     def test_on_mesh_blocks_split_evenly(self):
-        # 15 steps over 5 blocks: 3 steps each (a float floor of t/block_dt gave 3,3,4,2,3)
-        ctrl = Control(1.0, np.arange(5.0)[:, None])
-        idx = ctrl.on_mesh(TimeMesh(1.0, 15))[:, 0].astype(int)
-        assert np.bincount(idx).tolist() == [3, 3, 3, 3, 3]
+        # every steps <= 400 and blocks <= 16: blocks in order, each floor or
+        # ceil of steps/blocks steps (a float floor of t/block_dt gave 15
+        # steps over 5 blocks as 3,3,4,2,3)
+        for steps in range(1, 401):
+            mesh = TimeMesh(1.0, steps)
+            for blocks in range(1, min(16, steps) + 1):
+                ctrl = Control(1.0, np.arange(float(blocks))[:, None])
+                idx = ctrl.on_mesh(mesh)[:, 0].astype(int)
+                assert np.all(np.diff(idx) >= 0), (steps, blocks)
+                counts = np.bincount(idx, minlength=blocks)
+                lo, hi = steps // blocks, -(-steps // blocks)
+                assert np.all((counts == lo) | (counts == hi)), (steps, blocks, counts)
 
     def test_horizon_mismatch(self):
         ctrl = Control.constant(2.0, 1.0)
@@ -348,6 +357,10 @@ class TestSolveBatch:
             u1, dk1 = solve_batch(cs, u0, dw[p:p + 1], h_p, cfg)
             assert u[p].tobytes() == u1[0].tobytes()
             assert dk[p].tobytes() == dk1[0].tobytes()
+        if control == "per_path":
+            # a zero control gives the bits of no control
+            u_free, dk_free = solve_batch(cs, u0, dw[:1], None, cfg)
+            assert (u[0].tobytes(), dk[0].tobytes()) == (u_free[0].tobytes(), dk_free[0].tobytes())
         if control != "per_path":
             ctrl = None if h is None else Control(0.6, h[:: steps // 3])
             one = solve(cs, u0, sample_noise(4, cfg.mesh, d, path_index=n - 1), ctrl, cfg)
@@ -355,43 +368,71 @@ class TestSolveBatch:
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         cs, u0, cfg, dw = _batch_case("central", "bounded", 2, "projection", n_paths=7)
-        h = np.stack([np.full((cfg.mesh.steps, 2), 0.3 * i) for i in range(7)])
-        whole = solve_batch(cs, u0, dw, h, cfg)
+        h = np.full((cfg.mesh.steps, 2), 0.3)
+        whole = solve_batch(cs, u0, dw, h, cfg)[0]
         per_path = 8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
-        assert [len(r) for r in batch_rows(7, cfg)] == [2, 2, 2, 1]
-        chunked = solve_batch(cs, u0, dw, h, cfg)
-        for a, b in zip(whole, chunked):
-            assert a.tobytes() == b.tobytes()
+        assert solver._paths_per_chunk(cfg) == 2  # chunks of 2, 2, 2 and 1 paths
+        chunked = list(solve_paths(cs, u0, iter(dw), h, cfg))
+        assert len(chunked) == 7
+        for p, (dw_p, u_p) in enumerate(chunked):
+            assert dw_p.tobytes() == dw[p].tobytes()
+            assert u_p.tobytes() == whole[p].tobytes()
 
     def test_blow_up_names_lowest_row_at_its_own_step(self, monkeypatch):
         # row 5 blows up first, row 3 later: the error is row 3's, as a
         # per-path loop (which reaches row 3 first) would raise
         grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0, blowup_ceiling=50.0)
-        h = np.zeros((8, mesh.steps, 1))
-        h[3], h[5] = 1000.0, 50000.0
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5, blowup_ceiling=50.0)
+        dw = np.zeros((8, mesh.steps, 1))
+        dw[3], dw[5] = 50.0, 2500.0
         u0 = np.zeros(grid.m)
         alone = {}
         for row in (3, 5):
             with pytest.raises(BlowUpError) as err:
-                solve_batch(ADDITIVE, u0, None, h[row:row + 1], cfg)
+                solve_batch(ADDITIVE, u0, dw[row:row + 1], None, cfg)
             alone[row] = err.value
         assert alone[5].step_index < alone[3].step_index
-        monkeypatch.setattr(solver, "BATCH_BYTES", 10**9)
         with pytest.raises(BlowUpError) as err:
-            solve_batch(ADDITIVE, u0, None, h, cfg)
+            solve_batch(ADDITIVE, u0, dw, None, cfg)
         got = err.value
         assert got.path_index == 3
         assert (got.step_index, got.t, got.peak) == (
             alone[3].step_index, alone[3].t, alone[3].peak)
         assert "path 3" in str(got)
-        # across chunks the index is still the batch row
+        # solve_paths in chunks of 2: row 3 blows up in the second chunk and
+        # keeps its global index and its own step
+        per_path = 8 * grid.m * (2 * mesh.steps + 1)
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
+        paths = solve_paths(ADDITIVE, u0, dw, None, cfg)
+        next(paths), next(paths)  # the first chunk, rows 0 and 1, is fine
+        with pytest.raises(BlowUpError) as err:
+            next(paths)
+        assert (err.value.path_index, err.value.step_index) == (3, alone[3].step_index)
+
+    def test_blow_up_replays_from_seed_path_and_noise_scale(self, monkeypatch):
+        # the lowest path over the ceiling sits in the second chunk of two
+        # paths; the error's path_index and noise_scale, with the seed the
+        # increments came from, replay it with one solve
+        grid, mesh, seed = SpatialGrid(16), TimeMesh(0.5, 50), 10
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.7, blowup_ceiling=1e9)
+        u0 = np.zeros(grid.m)
+        noises = [sample_noise(seed, mesh, 1, path_index=i) for i in range(6)]
+        peaks = [np.max(np.abs(solve(ADDITIVE, u0, nz, None, cfg).u)) for nz in noises]
+        assert max(peaks[2:4]) > max(peaks[:2])  # a path of the second chunk peaks higher
+        cfg = replace(cfg, blowup_ceiling=(max(peaks[:2]) + max(peaks[2:4])) / 2)
         per_path = 8 * grid.m * (2 * mesh.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
         with pytest.raises(BlowUpError) as err:
-            solve_batch(ADDITIVE, u0, None, h, cfg)
-        assert (err.value.path_index, err.value.step_index) == (3, alone[3].step_index)
+            list(solve_paths(ADDITIVE, u0, (nz.increments for nz in noises), None, cfg))
+        got = err.value
+        assert got.path_index == 3
+        assert (got.noise_scale, got.time_scale) == (0.7, 1.0)
+        with pytest.raises(BlowUpError) as replay:
+            solve(ADDITIVE, u0, sample_noise(seed, mesh, 1, path_index=got.path_index), None,
+                  replace(cfg, noise_scale=got.noise_scale, time_scale=got.time_scale))
+        assert (replay.value.step_index, replay.value.t, replay.value.peak) == (
+            got.step_index, got.t, got.peak)
 
     def test_shape_checks(self):
         cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
