@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import path_distance, sample_noise
 from .coefficients import AveragedCoefficientSet, CoefficientSet
-from .solver import ReflectedPath, SchemeConfig, solve, solve_paths
+from .solver import ReflectedPath, SchemeConfig, solve, solve_batch, solve_paths
 
 __all__ = [
     "AveragingRow",
@@ -189,15 +189,24 @@ def penalization_convergence_probe(
     n_list: list[float],
     noise,
     cfg: SchemeConfig,
-) -> list[tuple[float, float]]:
-    """Squared distance of penalized(n) to the projection solution, common noise."""
+) -> tuple[ReflectedPath, list[tuple[float, float]]]:
+    """Squared distance of penalized(n) to the projection solution, common noise.
+
+    Returns the projection path and one (n, squared distance) row per n.
+    Every scheme is checked before any solve.  The projection path is one
+    solve; every penalized path runs in one solve_batch, one row per n on
+    the same increments, and each row equals its own solve bit for bit.
+    """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
+    pen_cfgs = [replace(cfg, reflection="penalized", penalty_n=float(n)) for n in n_list]
     proj = solve(cs, u0, noise, None, replace(cfg, reflection="projection", penalty_n=0.0))
-    rows = []
-    for n in n_list:
-        pen_cfg = replace(cfg, reflection="penalized", penalty_n=float(n))
-        pen = solve(cs, u0, noise, None, pen_cfg)
-        d2 = path_distance(pen.u, proj.u, cfg.grid, cfg.mesh).squared
-        rows.append((float(n), d2))
-    return rows
+    if not pen_cfgs:
+        return proj, []
+    dw = None if noise is None or cfg.noise_scale == 0.0 else np.repeat(
+        noise.increments[None], len(pen_cfgs), axis=0)
+    pen_u = solve_batch(cs, u0, dw, None, pen_cfgs)[0]
+    return proj, [
+        (c.penalty_n, path_distance(u, proj.u, cfg.grid, cfg.mesh).squared)
+        for c, u in zip(pen_cfgs, pen_u)
+    ]

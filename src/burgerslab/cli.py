@@ -374,17 +374,9 @@ def _drive_reflection(cfg: ExperimentConfig):
     run = replace(cfg.scheme, reflection="projection", penalty_n=0.0,
                   noise_scale=1.0 if sigma_amp > 0 else 0.0)
     noise = sample_noise(cfg.seed, cfg.mesh, cs.d) if sigma_amp > 0 else None
-    proj = (
-        solve_skeleton(cs, u0, None, run)
-        if noise is None
-        else solve(cs, u0, noise, None, run)
-    )
+    proj, pen = penalization_convergence_probe(cs, u0, cfg.params["n_list"], noise, run)
     diag_rows = [[proj.min_u, complementarity_residual(proj), total_variation_k(proj)]]
-    pen_rows = [
-        [n, d2]
-        for n, d2 in penalization_convergence_probe(
-            cs, u0, cfg.params["n_list"], noise, run)
-    ]
+    pen_rows = [[n, d2] for n, d2 in pen]
     return {
         "reflection_diagnostics.csv": (["min_u", "complementarity", "tv_k"], diag_rows),
         "penalization.csv": (["penalty_n", "sq_dist_to_projection"], pen_rows),

@@ -30,7 +30,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -234,14 +234,21 @@ def _weighted_channels(c: np.ndarray, sig_t: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Per-solve workspace: node positions and the factored implicit matrix."""
+    """Per-solve workspace: node positions, penalty weight and the factored implicit matrix.
 
-    def __init__(self, cs: CoefficientSet, cfg: SchemeConfig):
+    penalties, if given, replaces cfg.penalty_n by one penalty per row, so
+    the weight dt * n is a (P, 1) column instead of a scalar.
+    """
+
+    def __init__(self, cs: CoefficientSet, cfg: SchemeConfig,
+                 penalties: Sequence[float] | None = None):
         self.cs = cs
         self.cfg = cfg
         self.x = cfg.grid.nodes
         self.dx = cfg.grid.dx
         self.dt = cfg.mesh.dt
+        self.penalty = (self.dt * cfg.penalty_n if penalties is None
+                        else self.dt * np.array(penalties, dtype=float)[:, None])
         r = self.dt / self.dx**2
         m = cfg.grid.m
         ab = np.zeros((2, m))
@@ -294,7 +301,7 @@ class _Stepper:
             u_new = np.maximum(u_free, 0.0)
             dk = u_new - u_free
         else:
-            dk = (self.dt * cfg.penalty_n) * np.maximum(-u_free, 0.0)
+            dk = self.penalty * np.maximum(-u_free, 0.0)
             u_new = u_free + dk
         return u_new, dk
 
@@ -375,27 +382,40 @@ def solve_batch(
     u0: np.ndarray,
     dw: np.ndarray | None,
     h: np.ndarray | None,
-    cfg: SchemeConfig,
+    cfg: SchemeConfig | Sequence[SchemeConfig],
 ) -> tuple[np.ndarray, np.ndarray]:
     """March P paths from one start at once; returns u (P, steps+1, m), dK (P, steps, m).
 
     dw holds each path's increments (P, steps, d); it may be None only
     when the noise scale is zero, and is not used then.  h holds control
     values on the mesh, shared (steps, d) or per path (P, steps, d), or is
-    None.  Each step evaluates the callbacks once on the (P, m) state and
-    solves all P right-hand sides in one banded call; every row marches at
-    once, so the caller sizes the batch (solve_paths chunks a long one).
-    Row p equals, bit for bit, the batch of one on row p's inputs.  A
-    blow-up raises BlowUpError for the lowest row that blows up, with
-    path_index that row.
+    None.  cfg is one scheme for every path, or one per path (P configs
+    that differ only in penalty_n; anything else raises ValueError), which
+    sets the path count when there is no noise or per-path control.  Each
+    step evaluates the callbacks once on the (P, m) state and solves all P
+    right-hand sides in one banded call; every row marches at once, so the
+    caller sizes the batch (solve_paths chunks a long one).  Row p equals,
+    bit for bit, the batch of one on row p's inputs and config.  A blow-up
+    raises BlowUpError for the lowest row that blows up, with path_index
+    that row.
     """
+    sizes = set()
+    penalties = None
+    if not isinstance(cfg, SchemeConfig):
+        cfgs = list(cfg)
+        if not cfgs:
+            raise ValueError("need at least one scheme config")
+        cfg = cfgs[0]
+        if any(replace(c, penalty_n=cfg.penalty_n) != cfg for c in cfgs):
+            raise ValueError("the scheme configs of one batch may differ only in penalty_n")
+        penalties = [c.penalty_n for c in cfgs]
+        sizes.add(len(cfgs))
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (cfg.grid.m,):
         raise ValueError(f"u0 shape {u0.shape} does not match grid ({cfg.grid.m},)")
     if np.min(u0) < 0.0:
         raise ValueError(f"u0 must be nonnegative, min entry is {np.min(u0):.3g}")
     steps, m, d = cfg.mesh.steps, cfg.grid.m, cs.d
-    sizes = set()
     if dw is not None:
         dw = np.asarray(dw, dtype=float)
         if dw.ndim != 3 or dw.shape[1:] != (steps, d):
@@ -410,13 +430,14 @@ def solve_batch(
         if h.ndim == 3:
             sizes.add(h.shape[0])
     if len(sizes) > 1:
-        raise ValueError(f"increments and controls disagree on the path count: {sorted(sizes)}")
+        raise ValueError(
+            f"increments, controls and configs disagree on the path count: {sorted(sizes)}")
     n_paths = sizes.pop() if sizes else 1
 
     u = np.empty((n_paths, steps + 1, m))
     dk = np.empty((n_paths, steps, m))
     u[:, 0] = u0
-    _Stepper(cs, cfg).march(u, dk, dw, h)
+    _Stepper(cs, cfg, penalties).march(u, dk, dw, h)
     return u, dk
 
 
@@ -430,24 +451,27 @@ def solve_paths(
     """Yield (dw, u) per path, solving the paths a chunk at a time.
 
     increments holds each path's (steps, d) increments and is pulled one
-    chunk at a time, so with a lazy iterable the noise and paths in memory
-    grow with the chunk, not the path count; h is a control shared by
-    every path, (steps, d) or None.  A chunk is as many paths as fit BATCH_BYTES and runs as one
-    solve_batch, so u equals the batch of one bit for bit.  A blow-up
-    raises for the lowest path index that blows up, with path_index
-    counted from the first path.
+    chunk at a time; h is a control shared by every path, (steps, d) or
+    None.  A chunk is as many paths as fit BATCH_BYTES and runs as one
+    solve_batch, so u equals the batch of one bit for bit.  dw is the
+    path's increments as given and u a copy of its row, so a path the
+    caller keeps does not keep its chunk, and no chunk is left when the
+    next is drawn and solved: with a lazy iterable the noise and paths in
+    memory grow with one chunk, not the path count.  A blow-up raises for
+    the lowest path index that blows up, with path_index counted from the
+    first path.
     """
     paths = iter(increments)
     first, size = 0, _paths_per_chunk(cfg)
     while chunk := list(islice(paths, size)):
-        dw = np.stack(chunk)
         try:
-            u = solve_batch(cs, u0, dw, h, cfg)[0]
+            u = solve_batch(cs, u0, np.stack(chunk), h, cfg)[0]
         except BlowUpError as err:
             err.path_index += first
             raise
-        yield from zip(dw, u)
         first += len(chunk)
+        yield from zip(chunk, map(np.copy, u))
+        del chunk, u
 
 
 def solve(

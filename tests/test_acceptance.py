@@ -91,7 +91,7 @@ def test_criterion_03_penalization_limit():
     mesh = TimeMesh(1.0, 2000)  # n_max * dt = 0.5 < 1
     cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
     noise = sample_noise(17, mesh, 1)
-    rows = penalization_convergence_probe(cs, np.zeros(grid.m), [10, 100, 1000], noise, cfg)
+    _, rows = penalization_convergence_probe(cs, np.zeros(grid.m), [10, 100, 1000], noise, cfg)
     d2 = [v for _, v in rows]
     ok = d2[0] > d2[1] > d2[2] and d2[2] <= 1e-2 * d2[0]
     report(3, ok, f"sq distances {d2[0]:.3e} > {d2[1]:.3e} > {d2[2]:.3e}, "

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from burgerslab import solver
+from burgerslab import averaging, solver
 from burgerslab.core import (
     SpatialGrid,
     TimeMesh,
@@ -51,8 +52,6 @@ class TestAveragingExperiment:
 
     def test_batched_matches_per_path_loop(self, monkeypatch):
         # 7 paths in chunks of 3: every distance is the one a solve per path gives
-        from dataclasses import replace
-
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0, a_g=0.5)
         per_path = 8 * GRID.m * (2 * MESH.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 3 * per_path)
@@ -167,7 +166,7 @@ class TestPenalizationProbe:
         # strong upward forcing keeps the state positive: schemes coincide
         cs = make_burgers_set(0.0, noise_profile="zero", c2=2.0)
         cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=0.0)
-        rows = penalization_convergence_probe(
+        _, rows = penalization_convergence_probe(
             cs, 2 * U0, [10.0, 100.0], None, cfg
         )
         assert all(d2 == 0.0 for _, d2 in rows)
@@ -177,16 +176,55 @@ class TestPenalizationProbe:
         mesh = TimeMesh(1.0, 2000)
         cfg = SchemeConfig(grid=GRID, mesh=mesh, noise_scale=1.0)
         nz = sample_noise(9, mesh, 1)
-        rows = penalization_convergence_probe(cs, np.zeros(GRID.m), [10, 100, 1000], nz, cfg)
+        _, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), [10, 100, 1000], nz, cfg)
         d2s = [d2 for _, d2 in rows]
         assert d2s[0] > d2s[1] > d2s[2] > 0.0
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+    def test_batched_matches_per_n_solves(self, noise_scale):
+        cs = make_burgers_set(0.0, noise_profile="additive", c2=-1.0, sigma_amp=0.5)
+        cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=noise_scale)
+        nz = sample_noise(11, MESH, 1)
+        n_list = [5.0, 20.0, 80.0, 200.0]
+        proj, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), n_list, nz, cfg)
+        # the per-n loop the batch replaces
+        ref = solve(cs, np.zeros(GRID.m), nz, None, cfg)
+        expected = [
+            (n, path_distance(
+                solve(cs, np.zeros(GRID.m), nz, None,
+                      replace(cfg, reflection="penalized", penalty_n=n)).u,
+                ref.u, GRID, MESH).squared)
+            for n in n_list
+        ]
+        assert rows == expected
+        assert (proj.u.tobytes(), proj.dk.tobytes()) == (ref.u.tobytes(), ref.dk.tobytes())
+
+    def test_schemes_checked_before_any_solve(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def run(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return run
+
+        for name in ("solve", "solve_batch"):
+            monkeypatch.setattr(averaging, name, counted(getattr(averaging, name)))
+        cs = make_burgers_set(0.0, noise_profile="zero", c2=-1.0)
+        cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=0.0)  # dt = 0.005
+        with pytest.raises(ValueError, match="unstable"):
+            penalization_convergence_probe(cs, np.zeros(GRID.m), [10, 100, 1000], None, cfg)
+        assert calls == []
+        proj, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), [], None, cfg)
+        assert rows == [] and calls == ["solve"]
+        assert proj.u.tobytes() == solve(cs, np.zeros(GRID.m), None, None, cfg).u.tobytes()
 
     def test_repeat_identical(self):
         cs = make_burgers_set(0.0, noise_profile="additive", c2=-1.0, sigma_amp=0.5)
         cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=1.0)
         nz = sample_noise(10, MESH, 1)
-        a = penalization_convergence_probe(cs, np.zeros(GRID.m), [50.0], nz, cfg)
-        b = penalization_convergence_probe(cs, np.zeros(GRID.m), [50.0], nz, cfg)
+        a = penalization_convergence_probe(cs, np.zeros(GRID.m), [50.0], nz, cfg)[1]
+        b = penalization_convergence_probe(cs, np.zeros(GRID.m), [50.0], nz, cfg)[1]
         assert a == b
 
     def test_increasing_n_required(self):

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -365,6 +366,16 @@ class TestSolveBatch:
             ctrl = None if h is None else Control(0.6, h[:: steps // 3])
             one = solve(cs, u0, sample_noise(4, cfg.mesh, d, path_index=n - 1), ctrl, cfg)
             assert one.u.tobytes() == u[n - 1].tobytes()
+        if reflection == "penalized":
+            # one penalty per row (n * dt <= 1 at dt = 0.02): each row equals
+            # the batch of one under its own config
+            cfgs = [replace(cfg, penalty_n=10.0 * (p + 1)) for p in range(n)]
+            u, dk = solve_batch(cs, u0, dw, h, cfgs)
+            for p in range(n):
+                h_p = h[p:p + 1] if control == "per_path" else h
+                u1, dk1 = solve_batch(cs, u0, dw[p:p + 1], h_p, cfgs[p])
+                assert u[p].tobytes() == u1[0].tobytes()
+                assert dk[p].tobytes() == dk1[0].tobytes()
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         cs, u0, cfg, dw = _batch_case("central", "bounded", 2, "projection", n_paths=7)
@@ -378,6 +389,44 @@ class TestSolveBatch:
         for p, (dw_p, u_p) in enumerate(chunked):
             assert dw_p.tobytes() == dw[p].tobytes()
             assert u_p.tobytes() == whole[p].tobytes()
+
+    def test_solve_paths_holds_one_chunk(self, monkeypatch):
+        cs, u0, cfg, dw = _batch_case("central", "bounded", 1, "projection", n_paths=7)
+        per_path = 8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
+        solved = []
+        real = solver.solve_batch
+
+        def tracked(*args):
+            # every chunk solved so far is gone when the next one is solved
+            assert all(ref() is None for ref in solved)
+            u, dk = real(*args)
+            solved.append(weakref.ref(u))
+            return u, dk
+
+        monkeypatch.setattr(solver, "solve_batch", tracked)
+        kept = list(solve_paths(cs, u0, iter(dw), None, cfg))  # the caller keeps every path
+        assert len(solved) == 4 and len(kept) == 7
+
+    def test_config_sequence(self):
+        cs, u0, cfg, dw = _batch_case("upwind", "additive", 1, "penalized")
+        cfgs = [replace(cfg, penalty_n=n) for n in (10.0, 20.0, 30.0, 40.0, 50.0)]
+        assert solve_batch(cs, u0, dw, None, cfgs)[0].shape[0] == 5
+        for bad in (
+            cfgs[:4] + [replace(cfgs[4], convection="central")],
+            cfgs[:4] + [replace(cfgs[4], noise_scale=0.5)],
+            cfgs[:4] + [replace(cfgs[4], reflection="projection")],
+            cfgs[:4],  # four configs for five paths of increments
+            [],
+        ):
+            with pytest.raises(ValueError):
+                solve_batch(cs, u0, dw, None, bad)
+        # without noise the path count comes from the configs
+        quiet = [replace(c, noise_scale=0.0) for c in cfgs[:3]]
+        u, dk = solve_batch(cs, u0, None, None, quiet)
+        assert u.shape[0] == dk.shape[0] == 3
+        for c, row in zip(quiet, u):
+            assert row.tobytes() == solve(cs, u0, None, None, c).u.tobytes()
 
     def test_blow_up_names_lowest_row_at_its_own_step(self, monkeypatch):
         # row 5 blows up first, row 3 later: the error is row 3's, as a
