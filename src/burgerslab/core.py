@@ -26,7 +26,6 @@ __all__ = [
     "sine_field",
     "h_norm",
     "v_norm",
-    "sup_norm",
     "path_distance",
     "sample_noise",
     "exp_weighted_sup",
@@ -141,10 +140,6 @@ def v_norm(u: np.ndarray, grid: SpatialGrid) -> float:
     u = _check_field(u, grid)
     jumps = np.diff(u, prepend=0.0, append=0.0)
     return math.sqrt(float(np.dot(jumps, jumps)) / grid.dx)
-
-
-def sup_norm(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u))) if u.size else 0.0
 
 
 def _check_path(p: np.ndarray, grid: SpatialGrid, mesh: TimeMesh) -> np.ndarray:

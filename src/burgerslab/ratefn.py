@@ -26,7 +26,9 @@ import numpy as np
 
 from .core import SpatialGrid, TimeMesh, path_distance
 from .coefficients import CoefficientSet
-from .solver import Control, ReflectedPath, SchemeConfig, solve_batch, solve_skeleton
+from .solver import (
+    Control, ReflectedPath, SchemeConfig, row_path, solve_batch, solve_skeleton,
+)
 
 __all__ = [
     "RateOptions",
@@ -36,6 +38,11 @@ __all__ = [
     "sample_level_set",
     "level_set_continuity_probe",
 ]
+
+# Step sizes one batch of the backtracking line search tries.  A line search
+# takes three to four per iteration; of 1, 4, 8, 16 and 48, eight timed fastest
+# on the rare-event benchmark workload.  Any size gives the same iterates.
+LADDER = 8
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,17 @@ def rate_function(
     cfg: SchemeConfig,
     opt: RateOptions = RateOptions(),
 ) -> RateFunctionResult:
-    """Least control energy steering the skeleton to a target path."""
+    """Least control energy steering the skeleton to a target path.
+
+    Each backtracking line search tries the step sizes alpha0, alpha0/2, ...
+    LADDER at a time as one batch of skeleton solves and accepts the first
+    one, in ladder order, that meets the Armijo test; the next batch is
+    solved only if none does.  Rows equal single solves bit for bit, so the
+    iterates are those of trying one step size at a time.  The skeleton does
+    not depend on mu: the accepted path is kept, and each continuation stage
+    and the final residual start from it without solving again.  A blow-up
+    in any row of a ladder batch raises, also in a row past the accepted one.
+    """
     target = _check_target(target, cfg.grid, cfg.mesh)
     t_final = cfg.mesh.t_final
     d = cs.d
@@ -104,13 +121,14 @@ def rate_function(
     def control(h_flat: np.ndarray) -> Control:
         return Control(t_final, h_flat.reshape(opt.blocks, d))
 
+    def skeletons(h_rows: list[np.ndarray]) -> np.ndarray:
+        h_mesh = np.stack([control(hf).on_mesh(cfg.mesh) for hf in h_rows])
+        return solve_batch(cs, u0, None, h_mesh, skeleton_cfg)[0]
+
     def objective_on(h_flat: np.ndarray, u: np.ndarray, mu: float) -> tuple[float, float]:
         res = path_distance(u, target, cfg.grid, cfg.mesh).squared
         energy = 0.5 * float(np.dot(h_flat, h_flat)) * block_dt
         return energy + mu * res, res
-
-    def objective(h_flat: np.ndarray, mu: float) -> tuple[float, float]:
-        return objective_on(h_flat, solve_skeleton(cs, u0, control(h_flat), cfg).u, mu)
 
     def gradient(h_flat: np.ndarray, mu: float) -> np.ndarray:
         # central differences: all 2 * blocks * d bumped controls as one batch
@@ -121,17 +139,33 @@ def rate_function(
             bump = np.zeros_like(h_flat)
             bump[k] = widths[k]
             trials += [h_flat + bump, h_flat - bump]
-        h_mesh = np.stack([control(hf).on_mesh(cfg.mesh) for hf in trials])
-        paths = solve_batch(cs, u0, None, h_mesh, skeleton_cfg)[0]
-        j = np.array([objective_on(hf, u, mu)[0] for hf, u in zip(trials, paths)])
+        j = np.array([objective_on(hf, u, mu)[0] for hf, u in zip(trials, skeletons(trials))])
         return (j[0::2] - j[1::2]) / (2.0 * widths)
 
+    def line_search(h_flat: np.ndarray, grad: np.ndarray, gnorm_sq: float, j_cur: float,
+                    alpha: float, mu: float) -> tuple | None:
+        # the ladder alpha, alpha/2, ... down to 1e-12, LADDER rows per batch;
+        # returns (alpha, h, u, J, residual) of the first Armijo step, or None
+        ladder = []
+        while alpha > 1e-12:
+            ladder.append(alpha)
+            alpha *= 0.5
+        for first in range(0, len(ladder), LADDER):
+            alphas = ladder[first:first + LADDER]
+            trials = [h_flat - a * grad for a in alphas]
+            for a, trial, u in zip(alphas, trials, skeletons(trials)):
+                j_new, res_new = objective_on(trial, u, mu)
+                if j_new <= j_cur - 1e-4 * a * gnorm_sq:
+                    return a, trial, u, j_new, res_new
+        return None
+
     h = np.zeros(opt.blocks * d)
+    u = solve_skeleton(cs, u0, control(h), cfg).u
     history: list[tuple[float, float, float]] = []
     iterations = 0
 
     for mu in opt.mu_schedule:
-        j_cur, res_cur = objective(h, mu)
+        j_cur, res_cur = objective_on(h, u, mu)
         history.append((mu, j_cur, res_cur))
         alpha0 = opt.step_size
         for _ in range(opt.max_iters):
@@ -139,24 +173,16 @@ def rate_function(
             gnorm_sq = float(np.dot(grad, grad))
             if gnorm_sq < 1e-18:
                 break
-            alpha = alpha0
-            accepted = False
-            while alpha > 1e-12:
-                trial = h - alpha * grad
-                j_new, res_new = objective(trial, mu)
-                if j_new <= j_cur - 1e-4 * alpha * gnorm_sq:
-                    h, j_cur, res_cur = trial, j_new, res_new
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
+            step = line_search(h, grad, gnorm_sq, j_cur, alpha0, mu)
+            if step is None:
                 break
+            alpha, h, u, j_cur, res_cur = step
             # warm-start the next backtracking from just above the accepted step
             alpha0 = min(opt.step_size, 2.0 * alpha)
             iterations += 1
             history.append((mu, j_cur, res_cur))
 
-    _, residual = objective(h, 0.0)
+    _, residual = objective_on(h, u, 0.0)
     h_star = control(h)
     return RateFunctionResult(
         lambda_hat=h_star.energy,
@@ -207,14 +233,21 @@ def sample_level_set(
     cfg: SchemeConfig,
     blocks: int = 8,
 ) -> LevelSetSample:
-    """Random skeleton paths with control energy uniform in [0, bound]."""
+    """Random skeleton paths with control energy uniform in [0, bound].
+
+    Every member's skeleton is one row of a single batch; each equals the
+    skeleton solve of its control bit for bit.
+    """
     if bound < 0:
         raise ValueError(f"level-set bound must be nonnegative, got {bound}")
     if count < 1:
         raise ValueError(f"need at least one member, got count={count}")
     rng = np.random.default_rng(seed)
     controls = _draw_controls(rng, bound, count, cfg.mesh.t_final, blocks, cs.d)
-    members = [(ctrl, solve_skeleton(cs, u0, ctrl, cfg)) for ctrl in controls]
+    skeleton_cfg = replace(cfg, noise_scale=0.0)
+    h_mesh = np.stack([ctrl.on_mesh(cfg.mesh) for ctrl in controls])
+    u, dk = solve_batch(cs, u0, None, h_mesh, skeleton_cfg)
+    members = [(ctrl, row_path(u[p], dk[p], skeleton_cfg)) for p, ctrl in enumerate(controls)]
     return LevelSetSample(bound=bound, members=members)
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "solve_batch",
     "solve_paths",
     "solve_skeleton",
+    "row_path",
     "complementarity_residual",
     "total_variation_k",
     "energy_functional",
@@ -496,15 +497,21 @@ def solve(
     dw = noise.increments[None] if (noise is not None and cfg.noise_scale > 0.0) else None
     h = control.on_mesh(cfg.mesh) if control is not None else None
     u, dk = solve_batch(cs, u0, dw, h, cfg)
+    return row_path(u[0], dk[0], cfg, noise.seed if noise is not None else None)
+
+
+def row_path(u: np.ndarray, dk: np.ndarray, cfg: SchemeConfig,
+             noise_seed: int | None = None) -> ReflectedPath:
+    """One row (u, dK) of solve_batch under cfg as a path, its norms cached."""
     return ReflectedPath(
         grid=cfg.grid,
         mesh=cfg.mesh,
-        u=u[0],
-        dk=dk[0],
-        h_sq=_h_norms_sq(u[0], cfg.grid),
-        v_sq=_v_norms_sq(u[0], cfg.grid),
+        u=u,
+        dk=dk,
+        h_sq=_h_norms_sq(u, cfg.grid),
+        v_sq=_v_norms_sq(u, cfg.grid),
         config=cfg,
-        noise_seed=noise.seed if noise is not None else None,
+        noise_seed=noise_seed,
     )
 
 
