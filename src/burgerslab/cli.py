@@ -103,8 +103,14 @@ def _constant_control(t_final: float, amp: float, d: int) -> Control:
     return Control.constant(t_final, [amp] * d, d=d)
 
 
+# the implicit solve applies a dense m x m inverse to every right-hand side:
+# at m = 256 one row costs what a banded solve does, past it the inverse falls
+# well behind (measured in README "Performance")
+MAX_M = 256
+
 _GRID = (
-    ("m", int, 64, lambda v, c: v >= 2, "must be >= 2"),
+    ("m", int, 64, lambda v, c: 2 <= v <= MAX_M,
+     f"must be >= 2 and <= {MAX_M} (the implicit solve applies a dense m x m inverse)"),
 )
 
 _MESH = (
@@ -149,8 +155,8 @@ _PARAMS = {
     "heat-regression": (
         ("t_final", float, 0.1, *_POSITIVE),
         ("tolerance", float, 5e-3, *_POSITIVE),
-        ("m_values", list[int], [32, 64], lambda v, c: v and min(v) >= 2,
-         "must be a nonempty list of grid sizes >= 2"),
+        ("m_values", list[int], [32, 64], lambda v, c: v and 2 <= min(v) and max(v) <= MAX_M,
+         f"must be a nonempty list of grid sizes >= 2 and <= {MAX_M}"),
         ("dt_values", list[float], [2e-4, 1e-4],
          lambda v, c: v and all(_whole_steps(c["params.t_final"], dt) for dt in v),
          "must be a nonempty list of steps dt > 0 that divide params.t_final"),

@@ -7,8 +7,10 @@ One step advances
 
 with homogeneous Dirichlet boundaries:
 
-  * Laplacian implicit: (I - dt L) u~ = rhs, solved by a banded Cholesky
-    factorization computed once per solve (the matrix is SPD and constant).
+  * Laplacian implicit: (I - dt L) u~ = rhs, solved by a product with the
+    dense inverse of that tridiagonal matrix, computed once per solve (the
+    matrix is SPD and constant; the grid schema bounds m so the m x m inverse
+    stays cheap).
   * Convection, reaction, control drift and noise explicit, evaluated at
     the left endpoint.  The reaction and noise coefficients see the dilated
     clock t/time_scale; the convection antiderivative g keeps the plain
@@ -33,7 +35,6 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .core import (
     NoisePath,
@@ -234,8 +235,22 @@ def _weighted_channels(c: np.ndarray, sig_t: np.ndarray) -> np.ndarray:
     return np.matmul(c.reshape(-1, 1, c.shape[-1]), sig_t)[:, 0]
 
 
+def cho_solve_banded(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (I - dt L) x = b for the (m, P) right-hand sides b; inv is the matrix's inverse.
+
+    One stacked (1, m) x (m, m) product per column, so column p's bits equal
+    the solve of that column alone (a single (P, m) x (m, m) gemm does not
+    keep them at P >= 3).  inv is symmetric, as the matrix is, so a row
+    times inv is the solve.  This is burgerslab's own numpy function, not
+    scipy's routine of the same name: the name stays because
+    perfbench/tracer.py patches solver.cho_solve_banded to time the kernel
+    and requires calls to it, until a benchmark change renames the hook.
+    """
+    return np.matmul(b.T[:, None, :], inv)[:, 0].T
+
+
 class _Stepper:
-    """Per-solve workspace: node positions, penalty weight and the factored implicit matrix.
+    """Per-solve workspace: node positions, penalty weight and the inverse implicit matrix.
 
     penalties, if given, replaces cfg.penalty_n by one penalty per row, so
     the weight dt * n is a (P, 1) column instead of a scalar.
@@ -252,10 +267,9 @@ class _Stepper:
                         else self.dt * np.array(penalties, dtype=float)[:, None])
         r = self.dt / self.dx**2
         m = cfg.grid.m
-        ab = np.zeros((2, m))
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        self._factor = cholesky_banded(ab, lower=False)
+        off = np.full(m - 1, -r)
+        self._inv = np.linalg.inv(np.diag(np.full(m, 1.0 + 2.0 * r)) + np.diag(off, 1)
+                                  + np.diag(off, -1))
 
     def _convection(self, t: float, u: np.ndarray) -> np.ndarray:
         cs, dx = self.cs, self.dx
@@ -295,8 +309,8 @@ class _Stepper:
             if want_noise:
                 rhs += cfg.noise_scale * _weighted_channels(dw, sig_t)
 
-        # one banded solve for every row: P right-hand sides as an (m, P) array
-        u_free = cho_solve_banded((self._factor, False), rhs.T, check_finite=False).T
+        # one implicit solve for every row: P right-hand sides as an (m, P) array
+        u_free = cho_solve_banded(self._inv, rhs.T).T
 
         if cfg.reflection == "projection":
             u_new = np.maximum(u_free, 0.0)
@@ -394,8 +408,8 @@ def solve_batch(
     that differ only in penalty_n; anything else raises ValueError), which
     sets the path count when there is no noise or per-path control.  Each
     step evaluates the callbacks once on the (P, m) state and solves all P
-    right-hand sides in one banded call; every row marches at once, so the
-    caller sizes the batch (solve_paths chunks a long one).  Row p equals,
+    right-hand sides in one implicit-solve call; every row marches at once,
+    so the caller sizes the batch (solve_paths chunks a long one).  Row p equals,
     bit for bit, the batch of one on row p's inputs and config.  A blow-up
     raises BlowUpError for the lowest row that blows up, with path_index
     that row.

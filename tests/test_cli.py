@@ -250,6 +250,10 @@ BAD_CONFIGS = [
          "params": {"eps_list": [-0.1], "n_paths": 1}}),
     bad("heat-regression-grid-too-small", "params.m_values",
         {"experiment": "heat-regression", "params": {"m_values": [1]}}),
+    bad("heat-regression-grid-too-large", "params.m_values",
+        {"experiment": "heat-regression", "params": {"m_values": [32, 257]}}),
+    bad("grid-too-large-for-dense-inverse", "grid.m",
+        {"experiment": "reflection", "grid": {"m": 257}, "mesh": {"t_final": 0.1, "dt": 0.001}}),
     bad("unknown-noise-profile", "coefficients.noise_profile",
         {"experiment": "rare-event", **SMALL, "coefficients": {"noise_profile": "gaussian"},
          "params": {"n_samples": 2, "blocks": 1}}),

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,62 @@ class TestStep:
             flows[conv] = solve_skeleton(cs, sine_field(grid), None, cfg).u
         gap = np.max(np.abs(flows["central"] - flows["upwind"]))
         assert 0.0 < gap < 5e-3
+
+
+class TestImplicitSolve:
+    """The implicit solve against its matrix, and the numpy-only import."""
+
+    # r = dt / dx^2 from a gentle step up to the rare_event workload's
+    # 0.02 * 33^2 = 21.78 (m 32, dt 0.02)
+    @pytest.mark.parametrize("r", [0.01, 0.5, 4.0, 21.78])
+    @pytest.mark.parametrize("m", [2, 3, 32, 256])
+    def test_solves_the_tridiagonal_system(self, m, r):
+        grid = SpatialGrid(m)
+        cfg = SchemeConfig(grid=grid, mesh=TimeMesh(r * grid.dx**2, 1), noise_scale=0.0)
+        inv = solver._Stepper(ZERO, cfg)._inv
+        matrix = ((1.0 + 2.0 * r) * np.eye(m) - r * np.eye(m, k=1) - r * np.eye(m, k=-1))
+        b = np.random.default_rng(m).normal(size=(m, 5))
+        x = solver.cho_solve_banded(inv, b)
+        assert x.shape == (m, 5)
+        for p in range(5):
+            residual = np.linalg.norm(matrix @ x[:, p] - b[:, p])
+            assert residual <= 1e-13 * np.linalg.norm(b[:, p])
+
+    @pytest.mark.parametrize("n_rhs", [1, 3, 8, 40])
+    @pytest.mark.parametrize("m", [2, 3, 32, 256])
+    def test_columns_equal_solve_of_one(self, m, n_rhs):
+        # a single (P, m) x (m, m) gemm changes the bits of a row at P >= 3
+        grid = SpatialGrid(m)
+        cfg = SchemeConfig(grid=grid, mesh=TimeMesh(21.78 * grid.dx**2, 1), noise_scale=0.0)
+        inv = solver._Stepper(ZERO, cfg)._inv
+        b = np.random.default_rng(n_rhs).normal(size=(m, n_rhs))
+        x = solver.cho_solve_banded(inv, b)
+        for p in range(n_rhs):
+            assert x[:, p].tobytes() == solver.cho_solve_banded(inv, b[:, p:p + 1])[:, 0].tobytes()
+
+    def test_runs_without_scipy(self):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import burgerslab.cli\n"
+            "from burgerslab.coefficients import make_burgers_set\n"
+            "from burgerslab.core import SpatialGrid, TimeMesh, sample_noise, sine_field\n"
+            "from burgerslab.solver import SchemeConfig, solve\n"
+            "grid, mesh = SpatialGrid(8), TimeMesh(0.1, 10)\n"
+            "cs = make_burgers_set(1.0, noise_profile='additive')\n"
+            "path = solve(cs, sine_field(grid), sample_noise(0, mesh, cs.d), None,\n"
+            "             SchemeConfig(grid=grid, mesh=mesh))\n"
+            "assert path.min_u >= 0.0\n"
+            "loaded = [k for k, v in sys.modules.items()\n"
+            "          if k.split('.')[0] == 'scipy' and v is not None]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestSolve:
