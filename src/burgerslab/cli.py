@@ -12,7 +12,8 @@ Artifacts land in the output directory: one or more CSV tables (full
 a runmeta.jsonl with per-artifact metadata, and manifest.txt referencing
 every emitted file with its sha256 (the manifest also records wall time,
 and is therefore the only non-reproducible output).  A rejected config
-(exit 2) or a failed run (exit 1) writes failure.json instead.
+(exit 2) or a failed run (exit 1) writes failure.json instead; an output
+directory that cannot be made exits 2 with a one-line error and no record.
 
 Usage:
   burgerslab --config cfg.json [--out DIR] [--seed N] [--experiment NAME]
@@ -333,9 +334,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return _validate(raw)
@@ -601,6 +604,21 @@ def run_experiment(
     return 0, artifacts + [manifest]
 
 
+def _make_out(path: str, flag: str) -> bool:
+    """Make the output directory; False, after a one-line error naming flag, if it cannot be one.
+
+    No failure record is written: it would have to go where the directory
+    cannot be.
+    """
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {flag} {path} cannot be an output directory: {exc.strerror or exc}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="burgerslab",
@@ -614,6 +632,8 @@ def main(argv: list[str] | None = None) -> int:
 
     overrides = {key: val for key, val in (("experiment", args.experiment), ("seed", args.seed))
                  if val is not None}
+    if args.out is not None and not _make_out(args.out, "--out"):
+        return 2
     try:
         cfg = load_config(args.config)
         if overrides:
@@ -623,6 +643,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     out_dir = args.out or cfg.out_dir or "."
+    if not args.out and not _make_out(out_dir, "out_dir"):
+        return 2
     print(f"experiment={cfg.experiment} seed={cfg.seed} out={out_dir}")
     print(f"grid m={cfg.grid.m}, mesh T={cfg.mesh.t_final} steps={cfg.mesh.steps}, "
           f"coefficients {cfg.coefficients['family']}, u0 {cfg.u0_spec['kind']}")

@@ -12,6 +12,12 @@ Builtin families:
     engineered so the time-average of the squared deviation vanishes like
     a known kappa(t_hat)
 
+A builtin coefficient that does not depend on the state is a constant
+callback, built once: it fills the broadcast shape with its value and does
+no arithmetic on z.  On finite z it returns the bits of its formula, signed
+zeros included (a zero that takes the sign of z, as a_g z does at a_g = 0,
+is not a constant and keeps its formula).
+
 Averaging is a Cesaro mean (1/T) ∫_0^T · ds computed by composite Simpson
 on geometrically graded panels (the builtin perturbations decay like a
 power of 1+s, which a uniform rule resolves poorly at large horizons).
@@ -47,7 +53,23 @@ NOISE_PROFILES = ("additive", "bounded", "zero")
 
 
 def _shape(*args) -> tuple[int, ...]:
-    """Broadcast shape of the arguments (np.broadcast: a C call, unlike broadcast_shapes)."""
+    """Broadcast shape of the arguments.
+
+    When every argument but the last is a float or an array whose shape ends
+    the last one's (the solver's call: a float t, nodes (m,), states (P, m);
+    the audits': all (n,)), that is the last argument's shape, read without
+    np.broadcast; anything else goes to np.broadcast (a C call, unlike
+    broadcast_shapes).
+    """
+    z = args[-1]
+    if type(z) is np.ndarray:
+        shape = z.shape
+        for a in args[:-1]:
+            if type(a) is not float and (type(a) is not np.ndarray
+                                         or a.shape != shape[z.ndim - a.ndim:]):
+                break
+        else:
+            return shape
     return np.broadcast(*args).shape
 
 
@@ -60,6 +82,21 @@ def _expand(out: np.ndarray, *args) -> np.ndarray:
 
 def _zero_g(t, z):
     return np.zeros(_shape(t, z))
+
+
+def _constant(value: float) -> Callable[..., np.ndarray]:
+    """The callback (t, x, z) -> value on the broadcast shape (np.full is slower)."""
+
+    def constant(t, x, z):
+        out = np.empty(_shape(t, x, z))
+        out.fill(value)
+        return out
+
+    return constant
+
+
+def _signed_zero(v: float) -> bool:
+    return v == 0.0 and math.copysign(1.0, v) < 0.0
 
 
 def _spot_check_derivative(g, dg_dz) -> None:
@@ -126,27 +163,36 @@ def make_burgers_set(
       additive - sigma_j = sigma_amp
       bounded  - sigma_j = sigma_amp * (0.5 + z / (1 + z^2)), Lipschitz in z
       zero     - sigma_j = 0 (deterministic dynamics)
+
+    g is the zero callback at a_g = 0 (0.5 * 0 * z * z is +0 on finite z),
+    and f fills c2 at c1 = 0 unless c2 is -0.0 (then 0 * z + c2 takes the
+    sign of z).
     """
     if noise_profile not in NOISE_PROFILES:
         raise ValueError(f"unknown noise profile {noise_profile!r}; use one of {NOISE_PROFILES}")
 
-    def g(t, z):
-        z = np.asarray(z, dtype=float)
-        return _expand(0.5 * a_g * z * z, t, z)
+    if a_g == 0.0 and not _signed_zero(a_g):
+        g = _zero_g
+    else:
+
+        def g(t, z):
+            z = np.asarray(z, dtype=float)
+            return _expand(0.5 * a_g * z * z, t, z)
 
     def dg_dz(t, z):
         z = np.asarray(z, dtype=float)
         return _expand(a_g * z, t, z)
 
-    def f(t, x, z):
-        z = np.asarray(z, dtype=float)
-        return _expand(c1 * z / (1.0 + z * z) + c2, t, x, z)
+    if c1 == 0.0 and not _signed_zero(c2):
+        f = _constant(c2)
+    else:
+
+        def f(t, x, z):
+            z = np.asarray(z, dtype=float)
+            return _expand(c1 * z / (1.0 + z * z) + c2, t, x, z)
 
     if noise_profile == "additive":
-
-        def channel(t, x, z):
-            return np.full(_shape(t, x, z), sigma_amp)
-
+        channel = _constant(sigma_amp)
     elif noise_profile == "bounded":
 
         def channel(t, x, z):
@@ -160,7 +206,7 @@ def make_burgers_set(
 
     def sigma(t, x, z):
         row = channel(t, x, z)
-        return np.broadcast_to(row, (d,) + row.shape)
+        return row[None] if d == 1 else np.broadcast_to(row, (d,) + row.shape)
 
     label = name or f"burgers(a_g={a_g}, f={c1}*z/(1+z^2)+{c2}, sigma={noise_profile})"
     return CoefficientSet(g=g, dg_dz=dg_dz, f=f, sigma=sigma, d=d, name=label)
@@ -184,13 +230,17 @@ def make_multiscale_set(
     so the time-average of |f - f_bar|^2 + sum_j |sigma_j - sigma_bar_j|^2
     equals 2 * amplitude^2 * bump^2 * (1/T) ∫ (1+s)^(-2 beta) ds, which
     vanishes as the horizon grows (logarithmically for beta = 1/2).
-    bump defaults to 1.  Periodic perturbations are deliberately not offered:
-    their squared deviation does not average out.
+    bump defaults to the scalar 1.0, so the default perturbation is the
+    scalar amplitude * (1 + s)^(-beta), with the bits of a unit-array bump
+    (amplitude * 1 is amplitude); f_bar and sigma_bar must then return the
+    full broadcast shape of (x, z), as every callback does.  Periodic
+    perturbations are deliberately not offered: their squared deviation
+    does not average out.
     """
     if beta <= 0.0:
         raise ValueError(f"decay exponent must be positive, got beta={beta}")
     if bump is None:
-        bump = lambda x, z: np.ones(_shape(x, z))
+        bump = lambda x, z: 1.0
     if g is None:
         g = _zero_g
         dg_dz = _zero_g

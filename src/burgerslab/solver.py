@@ -28,7 +28,6 @@ are nonnegative.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -226,13 +225,13 @@ def _paths_per_chunk(cfg: SchemeConfig) -> int:
     return max(1, BATCH_BYTES // (8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)))
 
 
-def _weighted_channels(c: np.ndarray, sig_t: np.ndarray) -> np.ndarray:
-    """sum_j c_j sigma_j per row: c is (d,) or (P, d), sig_t is (P, d, m).
+def _weighted_channels(c: np.ndarray, sig_t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j c_j sigma_j per row into out (P, 1, m): c is (d,) or (P, d), sig_t is (P, d, m).
 
     A matrix product per row makes the same BLAS call np.dot(c, sigma) makes
     for one state, so a row's bits never depend on the batch around it.
     """
-    return np.matmul(c.reshape(-1, 1, c.shape[-1]), sig_t)[:, 0]
+    return np.matmul(c.reshape(-1, 1, c.shape[-1]), sig_t, out=out)[:, 0]
 
 
 def cho_solve_banded(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,14 +248,23 @@ def cho_solve_banded(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(b.T[:, None, :], inv)[:, 0].T
 
 
-class _Stepper:
-    """Per-solve workspace: node positions, penalty weight and the inverse implicit matrix.
+# A march looks for a blow-up once per this many steps, over every state
+# stored since its last look: one max and one min instead of a check per step.
+CHECK_EVERY = 64
 
-    penalties, if given, replaces cfg.penalty_n by one penalty per row, so
-    the weight dt * n is a (P, 1) column instead of a scalar.
+
+class _Stepper:
+    """One march's workspace: the inverse implicit matrix and the buffers a step writes in place.
+
+    rows is the batch size P.  The (P, m) state is the interior of a
+    ghost-padded (P, m + 2) buffer whose Dirichlet ghosts stay zero, so the
+    convection evaluates g on it without a copy.  sigma is copied into one
+    C-ordered (d, P, m) buffer: no zero strides, so every row takes the BLAS
+    path.  penalties, if given, replaces cfg.penalty_n by one penalty per
+    row, so the weight dt * n is a (P, 1) column instead of a scalar.
     """
 
-    def __init__(self, cs: CoefficientSet, cfg: SchemeConfig,
+    def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, rows: int = 1,
                  penalties: Sequence[float] | None = None):
         self.cs = cs
         self.cfg = cfg
@@ -270,62 +278,70 @@ class _Stepper:
         off = np.full(m - 1, -r)
         self._inv = np.linalg.inv(np.diag(np.full(m, 1.0 + 2.0 * r)) + np.diag(off, 1)
                                   + np.diag(off, -1))
+        self._padded = np.zeros((rows, m + 2))
+        self.state = self._padded[:, 1:-1]
+        self._rhs = np.empty((rows, m))
+        self._sigma = np.empty((cs.d, rows, m))
+        self._sig_t = self._sigma.transpose(1, 0, 2)
+        self._weighted = np.empty((rows, 1, m))
 
-    def _convection(self, t: float, u: np.ndarray) -> np.ndarray:
+    def _convection(self, t: float, out: np.ndarray) -> None:
+        """d/dx g(t, state) into out, from g on the ghost-padded state."""
         cs, dx = self.cs, self.dx
-        padded = np.zeros((u.shape[0], u.shape[1] + 2))  # Dirichlet ghosts
-        padded[:, 1:-1] = u
-        gp = cs.g(t, padded)
+        gp = cs.g(t, self._padded)
         if self.cfg.convection == "central":
-            return (gp[:, 2:] - gp[:, :-2]) / (2.0 * dx)
-        speed = cs.dg_dz(t, u)
+            np.subtract(gp[:, 2:], gp[:, :-2], out=out)
+            out /= 2.0 * dx
+            return
+        speed = cs.dg_dz(t, self.state)
         forward = (gp[:, 2:] - gp[:, 1:-1]) / dx
         backward = (gp[:, 1:-1] - gp[:, :-2]) / dx
-        return np.where(speed >= 0.0, forward, backward)
+        out[...] = np.where(speed >= 0.0, forward, backward)
 
     def step(
         self,
-        u: np.ndarray,
         t: float,
         dw: np.ndarray | None,
         h: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the (P, m) states u from t by one step; returns (u_new, dK).
+        dk: np.ndarray,
+    ) -> None:
+        """Advance self.state, the (P, m) states, from t by one step in place; dK goes to dk.
 
         dw holds each row's d increments (P, d) or is None; h the control
         values at t, shared (d,) or per row (P, d), or None for no drift.
         A zero control gives the bits of no control.
         """
-        cs, cfg = self.cs, self.cfg
+        cs, cfg, u, rhs = self.cs, self.cfg, self.state, self._rhs
         t_fast = t / cfg.time_scale
-        rhs = u + self.dt * (self._convection(t, u) + cs.f(t_fast, self.x, u))
+        # rhs = u + dt * (convection + f), each product and sum as the formula rounds it
+        self._convection(t, rhs)
+        rhs += cs.f(t_fast, self.x, u)
+        rhs *= self.dt
+        rhs += u
 
         want_noise = cfg.noise_scale > 0.0 and dw is not None
         if want_noise or h is not None:
-            # a fresh C-ordered copy: no zero strides, so every row takes the BLAS path
-            sig_t = np.array(cs.sigma(t_fast, self.x, u), order="C").transpose(1, 0, 2)
+            np.copyto(self._sigma, cs.sigma(t_fast, self.x, u))
             if h is not None:
-                rhs += self.dt * _weighted_channels(h, sig_t)
+                drift = _weighted_channels(h, self._sig_t, self._weighted)
+                drift *= self.dt
+                rhs += drift
             if want_noise:
-                rhs += cfg.noise_scale * _weighted_channels(dw, sig_t)
+                kick = _weighted_channels(dw, self._sig_t, self._weighted)
+                kick *= cfg.noise_scale
+                rhs += kick
 
         # one implicit solve for every row: P right-hand sides as an (m, P) array
         u_free = cho_solve_banded(self._inv, rhs.T).T
 
         if cfg.reflection == "projection":
-            u_new = np.maximum(u_free, 0.0)
-            dk = u_new - u_free
+            np.maximum(u_free, 0.0, out=u)
+            np.subtract(u, u_free, out=dk)
         else:
-            dk = self.penalty * np.maximum(-u_free, 0.0)
-            u_new = u_free + dk
-        return u_new, dk
-
-    def blown_rows(self, u_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, peaks): the rows of u_new that are non-finite or over the ceiling."""
-        ceiling = self.cfg.blowup_ceiling
-        peak = np.max(np.abs(u_new), axis=1)
-        rows = np.flatnonzero(~np.isfinite(peak) | (peak > ceiling))
-        return rows, peak[rows]
+            np.negative(u_free, out=dk)
+            np.maximum(dk, 0.0, out=dk)
+            dk *= self.penalty
+            np.add(u_free, dk, out=u)
 
     def march(
         self,
@@ -337,30 +353,42 @@ class _Stepper:
         """Fill u[:, 1:] and dk from u[:, 0]; raises for the lowest row that blows up.
 
         dw is (P, steps, d) or None; h is (steps, d) shared or (P, steps, d)
-        per row, or None.  Rows are independent, so a row that blew up keeps
-        stepping (non-finite, warnings off) until no lower row can still
-        blow up; the error carries that row's own first bad step.
+        per row, or None.  Every CHECK_EVERY steps the states stored since
+        the last look are checked at once.  Rows are independent, so a row
+        that blew up keeps stepping (non-finite, warnings off) until no
+        lower row can still blow up; the error carries that row's own first
+        bad step.
         """
-        dt, ceiling = self.dt, self.cfg.blowup_ceiling
         times = self.cfg.mesh.times[:-1].tolist()
+        steps = len(times)
         first_bad: dict[int, tuple[int, float, float]] = {}
-        state = u[:, 0]
+        self.state[...] = u[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, t in enumerate(times):
-                state, dk[:, k] = self.step(
-                    state, t, None if dw is None else dw[:, k], None if h is None else h[..., k, :])
-                u[:, k + 1] = state
-                top = float(np.abs(state).max())
-                if not (math.isfinite(top) and top <= ceiling):
-                    bad, peaks = self.blown_rows(state)
-                    for row, peak in zip(bad.tolist(), peaks.tolist()):
-                        first_bad.setdefault(row, (k, t + dt, peak))
-                    if 0 in first_bad:
-                        break
+            for start in range(0, steps, CHECK_EVERY):
+                stop = min(start + CHECK_EVERY, steps)
+                for k in range(start, stop):
+                    self.step(times[k], None if dw is None else dw[:, k],
+                              None if h is None else h[..., k, :], dk[:, k])
+                    u[:, k + 1] = self.state
+                self._note_blowups(u[:, start + 1:stop + 1], start, times, first_bad)
+                if 0 in first_bad:
+                    break
         if first_bad:
             row = min(first_bad)
             raise BlowUpError(*first_bad[row], path_index=row,
                               noise_scale=self.cfg.noise_scale, time_scale=self.cfg.time_scale)
+
+    def _note_blowups(self, block: np.ndarray, start: int, times: list[float],
+                      first_bad: dict[int, tuple[int, float, float]]) -> None:
+        """Record (step, t, peak) of each row's first bad state in block = u[:, start + 1:]."""
+        ceiling = self.cfg.blowup_ceiling
+        if block.max() <= ceiling and -block.min() <= ceiling:  # NaN fails both
+            return
+        peak = np.max(np.abs(block), axis=2)
+        bad = ~np.isfinite(peak) | (peak > ceiling)
+        for row in np.flatnonzero(bad.any(axis=1)).tolist():
+            j = int(np.argmax(bad[row]))
+            first_bad.setdefault(row, (start + j, times[start + j] + self.dt, float(peak[row, j])))
 
 
 def step(
@@ -381,15 +409,15 @@ def step(
     if u.shape != (cfg.grid.m,):
         raise ValueError(f"state shape {u.shape} does not match grid ({cfg.grid.m},)")
     stepper = _Stepper(cs, cfg)
-    u_new, dk = stepper.step(
-        u[None], t, None if dw is None else np.asarray(dw, float)[None],
-        None if h is None else np.asarray(h, float)[None],
-    )
-    bad, peaks = stepper.blown_rows(u_new)
-    if bad.size:
-        raise BlowUpError(0, t + stepper.dt, float(peaks[0]),
-                          noise_scale=cfg.noise_scale, time_scale=cfg.time_scale)
-    return u_new[0], dk[0]
+    stepper.state[0] = u
+    dk = np.empty((1, cfg.grid.m))
+    stepper.step(t, None if dw is None else np.asarray(dw, float)[None],
+                 None if h is None else np.asarray(h, float)[None], dk)
+    bad: dict[int, tuple[int, float, float]] = {}
+    stepper._note_blowups(stepper.state[:, None], 0, [t], bad)
+    if bad:
+        raise BlowUpError(*bad[0], noise_scale=cfg.noise_scale, time_scale=cfg.time_scale)
+    return stepper.state[0].copy(), dk[0]
 
 
 def solve_batch(
@@ -452,7 +480,7 @@ def solve_batch(
     u = np.empty((n_paths, steps + 1, m))
     dk = np.empty((n_paths, steps, m))
     u[:, 0] = u0
-    _Stepper(cs, cfg, penalties).march(u, dk, dw, h)
+    _Stepper(cs, cfg, n_paths, penalties).march(u, dk, dw, h)
     return u, dk
 
 

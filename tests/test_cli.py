@@ -218,6 +218,47 @@ class TestMain:
         assert record == {"experiment": "heat-regression", "seed": 3, "error": "ValueError",
                           "message": "boom"}
 
+    @pytest.mark.parametrize("case", ["directory", "not-utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, case):
+        # each once ended in an IsADirectoryError or UnicodeDecodeError traceback
+        if case == "directory":
+            path = tmp_path / "cfg.json"
+            path.mkdir()
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_bytes(b'{"experiment": "heat-regression", "out_dir": "caf\xe9"}')
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert "config" in capsys.readouterr().err
+        record = json.loads((out / "failure.json").read_text())
+        assert record["error"] == "ConfigError" and "config" in record["message"]
+
+    @pytest.mark.parametrize("payload", [HEAT_CFG, {"experiment": "unknown-thing"}])
+    def test_out_naming_a_file_exits_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                      payload):
+        # once a FileExistsError traceback from mkdir; a bad config must not
+        # reach it either, since its failure record would go there
+        def no_solve(cfg):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setitem(cli._DRIVERS, "heat-regression", no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        code = main(["--config", str(write_config(tmp_path, payload)), "--out", str(taken)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--out" in err
+        assert taken.read_text() == "keep me"
+
+    def test_config_out_dir_naming_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("keep me")
+        code = main(["--config", str(write_config(tmp_path, {**HEAT_CFG, "out_dir": "taken"}))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "out_dir" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
 
 SMALL = {"grid": {"m": 8}, "mesh": {"t_final": 0.2, "dt": 0.01}}
 MULTISCALE = {**SMALL, "coefficients": {"family": "multiscale", "beta": 0.5}}

@@ -234,3 +234,137 @@ class TestAveragedConstants:
         assert slow.l_f_monotone_hat <= tol * l_f
         assert slow.l_f_growth_hat <= 2.0 * tol * l_f
         assert slow.l_sigma_hat <= 3.0 * tol * fast.l_sigma_hat
+
+
+# every argument shape the package passes a callback: (name, t, x, z)
+_Z = np.array([-1e200, -3.5, -1.0, -1e-300, -0.0, 0.0, 5e-324, 0.25, 2.0, 1e200])
+CALL_SHAPES = [
+    # the solver: a float t, the nodes and the (P, m) states (g sees them ghost-padded)
+    ("solver", 0.37, np.linspace(0.1, 0.9, 5), np.resize(_Z, (2, 5))),
+    ("solver_one_row", 0.0, np.linspace(0.1, 0.9, 10), _Z[None].copy()),
+    # the audits: t, x and z sampled alike
+    ("audit", np.linspace(0.0, 1.0, 10), np.linspace(0.05, 0.95, 10), _Z.copy()),
+    # estimate_kappa: a float s over flattened (x, z) samples
+    ("kappa", 12.5, np.linspace(0.05, 0.95, 10), _Z.copy()),
+    # the averaging block functional: times down, nodes across
+    ("averaging_block", np.linspace(0.0, 3.0, 4)[:, None], np.linspace(0.1, 0.9, 10)[None],
+     _Z[None].copy()),
+    # the derivative spot check
+    ("scalar", 1.7, 0.4, -2.3),
+]
+
+BUILTIN_SETS = {
+    "constant_burgers": lambda: make_burgers_set(0.0, c2=-1.0, sigma_amp=0.25),
+    "zero_noise": lambda: make_burgers_set(0.0, noise_profile="zero"),
+    "full_burgers_d2": lambda: make_burgers_set(1.0, noise_profile="bounded", c1=0.5, c2=-2.0,
+                                                d=2),
+    "multiscale": lambda: burgers_multiscale_family(beta=0.5, amplitude=1.0)[0],
+    "multiscale_d2": lambda: burgers_multiscale_family(beta=0.5, amplitude=0.7, a_g=0.8,
+                                                       noise_profile="bounded", c1=1.0, d=2)[0],
+    "frozen_average": lambda: frozen_average_set(
+        *burgers_multiscale_family(beta=0.5, amplitude=1.0)),
+}
+
+
+class TestCallbackShapes:
+    # the frozen set ignores t, and only the fast set sees a block of times
+    @pytest.mark.parametrize("name, call", [
+        pytest.param(name, call, id=f"{name}-{call[0]}")
+        for name in BUILTIN_SETS for call in CALL_SHAPES
+        if (name, call[0]) != ("frozen_average", "averaging_block")
+    ])
+    def test_broadcast_shape(self, name, call):
+        cs = BUILTIN_SETS[name]()
+        _, t, x, z = call
+        with np.errstate(over="ignore"):
+            assert np.shape(cs.g(t, z)) == np.broadcast(t, z).shape
+            assert np.shape(cs.dg_dz(t, z)) == np.broadcast(t, z).shape
+            assert np.shape(cs.f(t, x, z)) == np.broadcast(t, x, z).shape
+            assert np.shape(cs.sigma(t, x, z)) == (cs.d,) + np.broadcast(t, x, z).shape
+            if np.ndim(z) == 2:
+                padded = np.pad(z, ((0, 0), (1, 1)))
+                assert np.shape(cs.g(t, padded)) == np.broadcast(t, padded).shape
+
+
+def _formula_set(a_g, profile, c1, c2, sigma_amp, d):
+    """make_burgers_set's formulas in full, evaluated on every call."""
+
+    def spread(value, *args, lead=()):
+        # broadcast_to, not + zeros: adding +0 would turn a -0.0 into +0.0
+        return np.broadcast_to(value, lead + np.broadcast(*args).shape)
+
+    def channel(t, x, z):
+        if profile == "additive":
+            return spread(float(sigma_amp), t, x, z)
+        if profile == "bounded":
+            return spread(sigma_amp * (0.5 + z / (1.0 + z * z)), t, x, z)
+        return spread(0.0, t, x, z)
+
+    return {
+        "g": lambda t, z: spread(0.5 * a_g * z * z, t, z),
+        "dg_dz": lambda t, z: spread(a_g * z, t, z),
+        "f": lambda t, x, z: spread(c1 * z / (1.0 + z * z) + c2, t, x, z),
+        "sigma": lambda t, x, z: spread(channel(t, x, z), t, x, z, lead=(d,)),
+    }
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+class TestConstantCallbacks:
+    """A builtin coefficient that does not depend on the state keeps its formula's bits.
+
+    z holds both signed zeros, a subnormal and magnitudes whose square
+    overflows, so a constant that loses the sign of a zero shows.
+    """
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(a_g=0.0),
+        dict(a_g=-0.0),
+        dict(a_g=0.0, c1=0.0, c2=-1.0, sigma_amp=0.25),
+        dict(a_g=0.0, c1=0.0, c2=-0.0),
+        dict(a_g=0.0, c1=-0.0, c2=0.0, noise_profile="zero"),
+        dict(a_g=0.0, c1=0.0, c2=-1.0, noise_profile="bounded", d=2),
+        dict(a_g=1.0, c1=0.5, c2=-0.0, noise_profile="additive", d=3),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    @pytest.mark.parametrize("call", CALL_SHAPES, ids=[c[0] for c in CALL_SHAPES])
+    def test_burgers_set_equals_formula(self, kwargs, call):
+        full = dict(noise_profile="additive", c1=0.0, c2=0.0, sigma_amp=1.0, d=1)
+        full.update(kwargs)
+        cs = make_burgers_set(full.pop("a_g"), **full)
+        ref = _formula_set(kwargs["a_g"], full["noise_profile"], full["c1"], full["c2"],
+                           full["sigma_amp"], full["d"])
+        _, t, x, z = call
+        with np.errstate(over="ignore"):
+            assert _same_bits(cs.g(t, z), ref["g"](t, z))
+            assert _same_bits(cs.dg_dz(t, z), ref["dg_dz"](t, z))
+            assert _same_bits(cs.f(t, x, z), ref["f"](t, x, z))
+            assert _same_bits(cs.sigma(t, x, z), ref["sigma"](t, x, z))
+
+    def test_constant_sets_are_constant_callbacks(self):
+        # what the solver calls at a_g = 0 and c1 = 0 does no arithmetic on z
+        cs = make_burgers_set(0.0, c2=-1.0)
+        z = np.array([[np.nan, np.inf, -np.inf]])
+        assert np.array_equal(cs.g(0.0, z), np.zeros((1, 3)))
+        assert np.array_equal(cs.f(0.0, np.zeros(3), z), np.full((1, 3), -1.0))
+        # -0.0 + 0 * z takes the sign of z, so that f keeps its formula
+        signed = make_burgers_set(0.0, c2=-0.0)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(signed.f(0.0, np.zeros(3), z)).all()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("call", CALL_SHAPES, ids=[c[0] for c in CALL_SHAPES])
+    def test_multiscale_default_bump_equals_unit_bump(self, d, call):
+        kwargs = dict(beta=0.5, amplitude=0.7, a_g=0.0, noise_profile="bounded", c1=1.0,
+                      c2=-0.0, d=d)
+        folded, avg = burgers_multiscale_family(**kwargs)
+        unit = make_multiscale_set(avg.f_bar, avg.sigma_bar, d, kwargs["beta"],
+                                   kwargs["amplitude"], g=folded.g, dg_dz=folded.dg_dz,
+                                   bump=lambda x, z: np.ones(np.broadcast(x, z).shape))
+        _, t, x, z = call
+        with np.errstate(over="ignore"):
+            assert _same_bits(folded.f(t, x, z), unit.f(t, x, z))
+            assert _same_bits(folded.sigma(t, x, z), unit.sigma(t, x, z))

@@ -149,6 +149,22 @@ class TestStep:
         oracle = np.linalg.solve(np.eye(m) - dt * lap, u + dt * forward)
         assert u_new == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("reflection", ["projection", "penalized"])
+    def test_equals_first_step_of_solve(self, reflection):
+        cs, u0, cfg, dw = _batch_case("upwind", "bounded", 2, reflection, n_paths=1)
+        h = np.array([0.4, -1.1])
+        u_new, dk = step(u0, 0.0, dw[0, 0], h, cs, cfg)
+        u, dks = solve_batch(cs, u0, dw, np.tile(h, (cfg.mesh.steps, 1)), cfg)
+        assert (u_new.tobytes(), dk.tobytes()) == (u[0, 1].tobytes(), dks[0, 0].tobytes())
+
+    def test_blow_up_raises(self):
+        grid, mesh = SpatialGrid(8), TimeMesh(1.0, 10)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0, blowup_ceiling=1.0)
+        with pytest.raises(BlowUpError) as err:
+            step(np.full(8, 50.0), 0.3, None, None, ZERO, cfg)
+        assert (err.value.step_index, err.value.path_index, err.value.t) == (0, 0, 0.3 + 0.1)
+        assert err.value.peak > 1.0
+
     def test_upwind_consistent_with_central(self):
         # both discretizations converge to the same Burgers flow
         cs = make_burgers_set(1.0, noise_profile="zero")
@@ -379,15 +395,34 @@ def _batch_case(convection, profile, d, reflection, n_paths=5, steps=30):
     if profile == "multiscale":
         cs, _ = burgers_multiscale_family(
             beta=0.5, amplitude=1.0, a_g=0.8, noise_profile="bounded", c2=-1.0, d=d)
+    elif profile == "multiscale_default":  # constant g, f_bar and sigma_bar, default bump
+        cs, _ = burgers_multiscale_family(beta=0.5, amplitude=1.0, d=d)
+    elif profile == "constant":  # every callback a constant, as in the reflection experiment
+        cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.25, d=d)
+    elif profile == "burgers_ag1":
+        cs = make_burgers_set(1.0, noise_profile="bounded", c1=0.5, c2=-1.0, d=d)
     else:
         cs = make_burgers_set(0.8, noise_profile=profile, c1=0.5, c2=-2.0, d=d)
     cfg = SchemeConfig(
         grid=grid, mesh=mesh, convection=convection, reflection=reflection,
         penalty_n=40.0 if reflection == "penalized" else 0.0, noise_scale=0.9,
-        time_scale=0.05 if profile == "multiscale" else 1.0,
+        time_scale=0.05 if profile.startswith("multiscale") else 1.0,
     )
     dw = np.stack([sample_noise(4, mesh, d, path_index=i).increments for i in range(n_paths)])
     return cs, sine_field(grid), cfg, dw
+
+
+def _batch_control(kind, cfg, d, n_paths):
+    """No control, one shared by every path, or one per path on a batch case's mesh."""
+    rng = np.random.default_rng(3)
+    shared = Control(0.6, rng.uniform(-1.5, 1.5, (3, d))).on_mesh(cfg.mesh)
+    if kind != "per_path":
+        return shared if kind == "shared" else None
+    # row 0 uncontrolled, so rows with and without a drift share the batch
+    return np.stack([
+        Control(0.6, rng.uniform(-1.5, 1.5, (3, d)) * (i > 0)).on_mesh(cfg.mesh)
+        for i in range(n_paths)
+    ])
 
 
 class TestSolveBatch:
@@ -401,16 +436,7 @@ class TestSolveBatch:
     def test_rows_equal_batch_of_one(self, convection, profile, d, reflection, control):
         cs, u0, cfg, dw = _batch_case(convection, profile, d, reflection)
         steps, n = cfg.mesh.steps, dw.shape[0]
-        rng = np.random.default_rng(3)
-        h = {
-            "none": None,
-            "shared": Control(0.6, rng.uniform(-1.5, 1.5, (3, d))).on_mesh(cfg.mesh),
-            # row 0 uncontrolled, so rows with and without a drift share the batch
-            "per_path": np.stack([
-                Control(0.6, rng.uniform(-1.5, 1.5, (3, d)) * (i > 0)).on_mesh(cfg.mesh)
-                for i in range(n)
-            ]),
-        }[control]
+        h = _batch_control(control, cfg, d, n)
         u, dk = solve_batch(cs, u0, dw, h, cfg)
         assert u.shape == (n, steps + 1, cfg.grid.m) and dk.shape == (n, steps, cfg.grid.m)
         for p in range(n):
@@ -551,6 +577,128 @@ class TestSolveBatch:
             solve_batch(cs, u0, dw[:, :-1], None, cfg)
         with pytest.raises(ValueError):
             solve_batch(cs, u0, dw, np.zeros((dw.shape[0] + 1, cfg.mesh.steps, 1)), cfg)
+
+
+def _reference_march(cs, u0, dw, h, cfg, penalties=None):
+    """The step and march as they were before the stepper kept a workspace.
+
+    Every operation makes a fresh array, the blow-up check runs after every
+    step, and the implicit solve is the stacked product with the inverse.
+    Returns (u, dk) as solve_batch does, or raises its BlowUpError.
+    """
+    x, dx, dt, m = cfg.grid.nodes, cfg.grid.dx, cfg.mesh.dt, cfg.grid.m
+    penalty = (dt * cfg.penalty_n if penalties is None
+               else dt * np.array(penalties, dtype=float)[:, None])
+    r = dt / dx**2
+    off = np.full(m - 1, -r)
+    inv = np.linalg.inv(np.diag(np.full(m, 1.0 + 2.0 * r)) + np.diag(off, 1) + np.diag(off, -1))
+
+    def weighted(c, sig_t):
+        return np.matmul(c.reshape(-1, 1, c.shape[-1]), sig_t)[:, 0]
+
+    def convection(t, u):
+        padded = np.zeros((u.shape[0], u.shape[1] + 2))
+        padded[:, 1:-1] = u
+        gp = cs.g(t, padded)
+        if cfg.convection == "central":
+            return (gp[:, 2:] - gp[:, :-2]) / (2.0 * dx)
+        speed = cs.dg_dz(t, u)
+        forward = (gp[:, 2:] - gp[:, 1:-1]) / dx
+        backward = (gp[:, 1:-1] - gp[:, :-2]) / dx
+        return np.where(speed >= 0.0, forward, backward)
+
+    def step(u, t, dw, h):
+        t_fast = t / cfg.time_scale
+        rhs = u + dt * (convection(t, u) + cs.f(t_fast, x, u))
+        want_noise = cfg.noise_scale > 0.0 and dw is not None
+        if want_noise or h is not None:
+            sig_t = np.array(cs.sigma(t_fast, x, u), order="C").transpose(1, 0, 2)
+            if h is not None:
+                rhs += dt * weighted(h, sig_t)
+            if want_noise:
+                rhs += cfg.noise_scale * weighted(dw, sig_t)
+        u_free = np.matmul(rhs.T.T[:, None, :], inv)[:, 0].T.T
+        if cfg.reflection == "projection":
+            u_new = np.maximum(u_free, 0.0)
+            dk = u_new - u_free
+        else:
+            dk = penalty * np.maximum(-u_free, 0.0)
+            u_new = u_free + dk
+        return u_new, dk
+
+    if cfg.noise_scale == 0.0:
+        dw = None
+    n_paths = (dw.shape[0] if dw is not None else h.shape[0] if h is not None and h.ndim == 3
+               else len(penalties) if penalties is not None else 1)
+    u = np.empty((n_paths, cfg.mesh.steps + 1, m))
+    dks = np.empty((n_paths, cfg.mesh.steps, m))
+    u[:, 0] = u0
+    first_bad = {}
+    state = u[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(cfg.mesh.times[:-1].tolist()):
+            state, dks[:, k] = step(
+                state, t, None if dw is None else dw[:, k], None if h is None else h[..., k, :])
+            u[:, k + 1] = state
+            top = float(np.abs(state).max())
+            if not (math.isfinite(top) and top <= cfg.blowup_ceiling):
+                peak = np.max(np.abs(state), axis=1)
+                bad = np.flatnonzero(~np.isfinite(peak) | (peak > cfg.blowup_ceiling))
+                for row in bad.tolist():
+                    first_bad.setdefault(row, (k, t + dt, float(peak[row])))
+                if 0 in first_bad:
+                    break
+    if first_bad:
+        row = min(first_bad)
+        raise BlowUpError(*first_bad[row], path_index=row, noise_scale=cfg.noise_scale,
+                          time_scale=cfg.time_scale)
+    return u, dks
+
+
+class TestReferenceStep:
+    """solve_batch equals the step without a workspace, bit for bit in u and dK."""
+
+    @pytest.mark.parametrize("control", ["none", "shared", "per_path"])
+    @pytest.mark.parametrize("reflection", ["projection", "penalized"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("profile", ["additive", "bounded", "multiscale", "constant",
+                                         "multiscale_default", "burgers_ag1"])
+    @pytest.mark.parametrize("convection", ["central", "upwind"])
+    def test_equals_reference(self, convection, profile, d, reflection, control):
+        cs, u0, cfg, dw = _batch_case(convection, profile, d, reflection)
+        n = dw.shape[0]
+        h = _batch_control(control, cfg, d, n)
+        runs = [(cfg, None), (replace(cfg, noise_scale=0.0), None)]
+        if reflection == "penalized":
+            runs.append(([replace(cfg, penalty_n=10.0 * (p + 1)) for p in range(n)],
+                         [10.0 * (p + 1) for p in range(n)]))
+        for run, penalties in runs:
+            first = run if penalties is None else run[0]
+            u, dk = solve_batch(cs, u0, dw if first.noise_scale > 0.0 else None, h, run)
+            u_ref, dk_ref = _reference_march(cs, u0, dw, h, first, penalties)
+            assert u.tobytes() == u_ref.tobytes()
+            assert dk.tobytes() == dk_ref.tobytes()
+
+    @pytest.mark.parametrize("check_every", [1, 3, 7, 64])
+    @pytest.mark.parametrize("case", ["rows_3_and_5", "row_0_late", "row_2_between_checks"])
+    def test_blow_up_equals_reference(self, monkeypatch, case, check_every):
+        # the march looks for a blow-up once per CHECK_EVERY steps; the error
+        # still names the lowest row at its own first bad step
+        monkeypatch.setattr(solver, "CHECK_EVERY", check_every)
+        grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5, blowup_ceiling=50.0)
+        dw = np.zeros((8, mesh.steps, 1))
+        if case == "rows_3_and_5":
+            dw[3], dw[5] = 50.0, 2500.0
+        elif case == "row_0_late":
+            dw[0, 25:], dw[4, 5:] = 3000.0, 50.0
+        else:
+            dw[2, 9:], dw[6, 1:] = 400.0, 2500.0
+        with pytest.raises(BlowUpError) as ref:
+            _reference_march(ADDITIVE, np.zeros(grid.m), dw, None, cfg)
+        with pytest.raises(BlowUpError) as got:
+            solve_batch(ADDITIVE, np.zeros(grid.m), dw, None, cfg)
+        assert got.value.args == ref.value.args
 
 
 class TestPenalized:
