@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import path_distance, sample_noise
-from .coefficients import AveragedCoefficientSet, CoefficientSet
+from .coefficients import AveragedCoefficientSet, CoefficientSet, _expand, _shape
 from .solver import ReflectedPath, SchemeConfig, solve, solve_batch, solve_paths
 
 __all__ = [
@@ -57,15 +57,17 @@ class AveragingReport:
 
 
 def frozen_average_set(ms: CoefficientSet, avg: AveragedCoefficientSet) -> CoefficientSet:
-    """Time-constant dynamics (f_bar, sigma_bar) sharing g with the fast set."""
+    """Time-constant dynamics (f_bar, sigma_bar) sharing g with the fast set; t only shapes them."""
     if avg.d != ms.d:
         raise ValueError(f"channel mismatch: averaged d={avg.d}, fast d={ms.d}")
 
     def f(t, x, z):
-        return avg.f_bar(x, z)
+        return _expand(avg.f_bar(x, z), t, x, z)
 
     def sigma(t, x, z):
-        return avg.sigma_bar(x, z)
+        out = avg.sigma_bar(x, z)
+        shape = (ms.d,) + _shape(t, x, z)
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
     return CoefficientSet(
         g=ms.g, dg_dz=ms.dg_dz, f=f, sigma=sigma, d=ms.d,

@@ -4,8 +4,8 @@ One JSON config file describes one experiment: shared sections (grid, mesh,
 coefficients, scheme, u0, seed) plus one experiment-specific params table.
 Every key is declared once, in the schema tables below, with its kind,
 default and range check.  `load_config` walks every table, so an unknown
-key, a wrong type or an out-of-range value is a ConfigError naming the
-field before any solve runs.
+key, a key the experiment never reads, a wrong type or an out-of-range value
+is a ConfigError naming the field before any solve runs.
 
 Artifacts land in the output directory: one or more CSV tables (full
 17-significant-digit round-trip precision, so reruns are byte-identical),
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -41,6 +42,7 @@ from .coefficients import (
 )
 from .solver import (
     CONVECTIONS,
+    MAX_M,
     REFLECTIONS,
     BlowUpError,
     Control,
@@ -104,11 +106,6 @@ def _constant_control(t_final: float, amp: float, d: int) -> Control:
     return Control.constant(t_final, [amp] * d, d=d)
 
 
-# the implicit solve applies a dense m x m inverse to every right-hand side:
-# at m = 256 one row costs what a banded solve does, past it the inverse falls
-# well behind (measured in README "Performance")
-MAX_M = 256
-
 _GRID = (
     ("m", int, 64, lambda v, c: 2 <= v <= MAX_M,
      f"must be >= 2 and <= {MAX_M} (the implicit solve applies a dense m x m inverse)"),
@@ -120,16 +117,18 @@ _MESH = (
      "must be > 0 and divide mesh.t_final into whole steps"),
 )
 
+_BURGERS = {k: p.default for k, p in inspect.signature(make_burgers_set).parameters.items()}
+
 _COEFFICIENTS = (
     ("family", ("burgers", "multiscale"), "burgers",
      lambda v, c: v == "multiscale" or c["experiment"] != "averaging",
      "the averaging experiment needs the multiscale family"),
-    ("a_g", float, 0.0, *_ANY),
-    ("noise_profile", NOISE_PROFILES, "additive", *_ANY),
-    ("c1", float, 0.0, *_ANY),
-    ("c2", float, 0.0, *_ANY),
-    ("sigma_amp", float, 1.0, *_ANY),
-    ("d", int, 1, *_AT_LEAST_1),
+    ("a_g", float, _BURGERS["a_g"], *_ANY),
+    ("noise_profile", NOISE_PROFILES, _BURGERS["noise_profile"], *_ANY),
+    ("c1", float, _BURGERS["c1"], *_ANY),
+    ("c2", float, _BURGERS["c2"], *_ANY),
+    ("sigma_amp", float, _BURGERS["sigma_amp"], *_ANY),
+    ("d", int, _BURGERS["d"], *_AT_LEAST_1),
     ("beta", float, None,
      lambda v, c: v > 0 if v is not None else c["coefficients.family"] == "burgers",
      "must be > 0, and the multiscale family requires it"),
@@ -208,6 +207,13 @@ _PARAMS = {
          "must be a nonempty, strictly increasing list of numbers > 0"),
         ("dump_first_pair", bool, False, *_ANY),
     ),
+}
+
+# what an experiment never reads, a section name standing for all its keys:
+# a config that sets one is rejected, so no setting is silently ignored
+_UNREAD = {
+    "heat-regression": ("grid", "mesh", "coefficients", "scheme", "u0"),
+    "reflection": ("coefficients", "u0", "scheme.reflection", "scheme.penalty_n"),
 }
 
 _TOP = (
@@ -309,7 +315,7 @@ class ExperimentConfig:
 
 
 def _validate(raw: dict) -> ExperimentConfig:
-    """Unknown keys anywhere first, then every value in table order."""
+    """Unknown keys anywhere first, then keys the experiment never reads, then every value."""
     seen: dict = {}
     _reject_unknown(raw, _TOP, "")
     top = _walk(raw, _TOP, "", seen)
@@ -317,6 +323,11 @@ def _validate(raw: dict) -> ExperimentConfig:
                 ("scheme", _SCHEME), ("u0", _U0), ("params", _PARAMS[top["experiment"]]))
     for name, rows in sections:
         _reject_unknown(top[name], rows, name)
+    unread = _UNREAD.get(top["experiment"], ())
+    ignored = [f"'{name}.{key}'" for name, _ in sections for key in top[name]
+               if name in unread or f"{name}.{key}" in unread]
+    if ignored:
+        raise ConfigError(f"the {top['experiment']} experiment does not read {', '.join(ignored)}")
     sec = {name: _walk(top[name], rows, name, seen) for name, rows in sections}
     grid = SpatialGrid(sec["grid"]["m"])
     t_final, dt = sec["mesh"]["t_final"], sec["mesh"]["dt"]

@@ -51,6 +51,12 @@ __all__ = [
 
 NOISE_PROFILES = ("additive", "bounded", "zero")
 
+# Simpson intervals per graded panel of the Cesaro mean (an even count)
+PER_PANEL = 16
+
+# An audit ratio above this (or a non-finite one) is flagged as a violation
+RATIO_CAP = 1e6
+
 
 def _shape(*args) -> tuple[int, ...]:
     """Broadcast shape of the arguments.
@@ -148,13 +154,12 @@ class AveragedCoefficientSet:
 
 
 def make_burgers_set(
-    a_g: float,
+    a_g: float = 0.0,
     noise_profile: str = "additive",
     c1: float = 0.0,
     c2: float = 0.0,
     sigma_amp: float = 1.0,
     d: int = 1,
-    name: str | None = None,
 ) -> CoefficientSet:
     """Burgers-type set: g = a_g z^2/2, bounded reaction, profile noise.
 
@@ -208,7 +213,7 @@ def make_burgers_set(
         row = channel(t, x, z)
         return row[None] if d == 1 else np.broadcast_to(row, (d,) + row.shape)
 
-    label = name or f"burgers(a_g={a_g}, f={c1}*z/(1+z^2)+{c2}, sigma={noise_profile})"
+    label = f"burgers(a_g={a_g}, f={c1}*z/(1+z^2)+{c2}, sigma={noise_profile})"
     return CoefficientSet(g=g, dg_dz=dg_dz, f=f, sigma=sigma, d=d, name=label)
 
 
@@ -259,51 +264,42 @@ def make_multiscale_set(
 
 
 def burgers_multiscale_family(
-    beta: float,
-    amplitude: float,
-    a_g: float = 0.0,
-    noise_profile: str = "additive",
-    c1: float = 0.0,
-    c2: float = 0.0,
-    sigma_amp: float = 1.0,
-    d: int = 1,
+    beta: float, amplitude: float, **burgers
 ) -> tuple[CoefficientSet, AveragedCoefficientSet]:
     """Builtin multiscale family: a Burgers set perturbed by (1+s)^(-beta).
 
-    Returns the fast set together with its exact averaged counterpart (the
-    unperturbed profile), ready for coupled averaging experiments.
+    The keyword arguments go to make_burgers_set, which declares their
+    defaults.  Returns the fast set together with its exact averaged
+    counterpart (the unperturbed profile), ready for coupled averaging
+    experiments.
     """
-    base = make_burgers_set(
-        a_g, noise_profile=noise_profile, c1=c1, c2=c2, sigma_amp=sigma_amp, d=d
-    )
+    base = make_burgers_set(**burgers)
     f_bar = lambda x, z: base.f(0.0, x, z)
     sigma_bar = lambda x, z: base.sigma(0.0, x, z)
     ms = make_multiscale_set(
         f_bar,
         sigma_bar,
-        d,
+        base.d,
         beta,
         amplitude,
         g=base.g,
         dg_dz=base.dg_dz,
         name=f"multiscale(beta={beta}, amp={amplitude}, base={base.name})",
     )
-    avg = AveragedCoefficientSet(f_bar=f_bar, sigma_bar=sigma_bar, d=d, source=ms)
+    avg = AveragedCoefficientSet(f_bar=f_bar, sigma_bar=sigma_bar, d=base.d, source=ms)
     return ms, avg
 
 
-def _graded_simpson(t_hat: float, per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def _graded_simpson(t_hat: float) -> tuple[np.ndarray, np.ndarray]:
     """Simpson nodes/weights on panels [0,1], [1,2], [2,4], ... up to t_hat."""
-    if per_panel % 2 != 0:
-        raise ValueError("per_panel must be even for Simpson's rule")
     edges = [0.0, min(1.0, t_hat)]
     while edges[-1] < t_hat:
         edges.append(min(2.0 * edges[-1], t_hat))
     nodes, weights = [], []
     for left, right in zip(edges[:-1], edges[1:]):
-        h = (right - left) / per_panel
-        xs = left + h * np.arange(per_panel + 1)
-        ws = np.full(per_panel + 1, 2.0)
+        h = (right - left) / PER_PANEL
+        xs = left + h * np.arange(PER_PANEL + 1)
+        ws = np.full(PER_PANEL + 1, 2.0)
         ws[1::2] = 4.0
         ws[0] = ws[-1] = 1.0
         nodes.append(xs)
@@ -311,22 +307,18 @@ def _graded_simpson(t_hat: float, per_panel: int = 16) -> tuple[np.ndarray, np.n
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def time_average(
-    func_of_s: Callable[[float], np.ndarray], t_hat: float, per_panel: int = 16
-) -> np.ndarray:
+def time_average(func_of_s: Callable[[float], np.ndarray], t_hat: float) -> np.ndarray:
     """(1/t_hat) ∫_0^t_hat func(s) ds by graded composite Simpson."""
     if t_hat <= 0.0:
         raise ValueError(f"averaging horizon must be positive, got {t_hat}")
-    nodes, weights = _graded_simpson(t_hat, per_panel)
+    nodes, weights = _graded_simpson(t_hat)
     acc = weights[0] * np.asarray(func_of_s(float(nodes[0])), dtype=float)
     for s, w in zip(nodes[1:], weights[1:]):
         acc = acc + w * np.asarray(func_of_s(float(s)), dtype=float)
     return acc / t_hat
 
 
-def average_coefficients(
-    cs: CoefficientSet, t_hat: float, per_panel: int = 16
-) -> AveragedCoefficientSet:
+def average_coefficients(cs: CoefficientSet, t_hat: float) -> AveragedCoefficientSet:
     """Cesaro-average the reaction and noise over [0, t_hat].
 
     The returned callbacks evaluate the quadrature lazily per call; exact on
@@ -336,10 +328,10 @@ def average_coefficients(
         raise ValueError(f"averaging horizon must be positive, got {t_hat}")
 
     def f_bar(x, z):
-        return time_average(lambda s: cs.f(s, x, z), t_hat, per_panel)
+        return time_average(lambda s: cs.f(s, x, z), t_hat)
 
     def sigma_bar(x, z):
-        return time_average(lambda s: cs.sigma(s, x, z), t_hat, per_panel)
+        return time_average(lambda s: cs.sigma(s, x, z), t_hat)
 
     return AveragedCoefficientSet(
         f_bar=f_bar, sigma_bar=sigma_bar, d=cs.d, source=cs, t_hat_used=t_hat
@@ -352,7 +344,6 @@ def estimate_kappa(
     t_hat_list: Sequence[float],
     z_samples: Sequence[float],
     x_samples: Sequence[float],
-    per_panel: int = 16,
 ) -> list[tuple[float, float]]:
     """Decay modulus of the averaged approximation.
 
@@ -378,7 +369,7 @@ def estimate_kappa(
 
     out = []
     for t_hat in t_hats:
-        mean_dev = time_average(sq_dev, t_hat, per_panel)
+        mean_dev = time_average(sq_dev, t_hat)
         kappa_hat = float(np.max(mean_dev / (1.0 + z * z)))
         out.append((t_hat, kappa_hat))
     return out
@@ -406,7 +397,7 @@ class AuditReport:
     l_f_monotone_hat is clamped at 0: the one-sided Lipschitz bound holds
     with any nonnegative constant once the sampled ratio is nonpositive.
     A violation records (assumption, witness point) whenever a ratio is
-    non-finite or exceeds the cap, a symptom of super-linear growth.
+    non-finite or exceeds RATIO_CAP, a symptom of super-linear growth.
     """
 
     l_g_hat: float
@@ -421,10 +412,9 @@ def _flag(
     name: str,
     ratios: np.ndarray,
     witness: tuple[np.ndarray, ...],
-    cap: float,
     violations: list[tuple[str, tuple]],
 ) -> None:
-    bad = ~np.isfinite(ratios) | (ratios > cap)
+    bad = ~np.isfinite(ratios) | (ratios > RATIO_CAP)
     if np.any(bad):
         finite = np.where(np.isfinite(ratios), ratios, np.inf)
         idx = int(np.argmax(finite))
@@ -436,7 +426,6 @@ def audit_assumptions(
     box: SampleBox,
     n_samples: int = 4000,
     seed: int = 0,
-    ratio_cap: float = 1e6,
 ) -> AuditReport:
     """Monte Carlo audit of the growth/monotonicity assumptions on a box.
 
@@ -460,20 +449,20 @@ def audit_assumptions(
 
     with np.errstate(all="ignore"):
         r_g = np.abs(cs.dg_dz(t, z)) / (1.0 + np.abs(z))
-        _flag("H_g growth", r_g, (t, z), ratio_cap, violations)
+        _flag("H_g growth", r_g, (t, z), violations)
 
         fz, fz2 = cs.f(t, x, z), cs.f(t, x, z2)
         r_mono = (z - z2) * (fz - fz2) / (z - z2) ** 2
-        _flag("H_f one-sided Lipschitz", r_mono, (t, x, z, z2), ratio_cap, violations)
+        _flag("H_f one-sided Lipschitz", r_mono, (t, x, z, z2), violations)
 
         r_growth = fz * fz / (1.0 + z * z)
-        _flag("H_f growth", r_growth, (t, x, z), ratio_cap, violations)
+        _flag("H_f growth", r_growth, (t, x, z), violations)
 
         sz, sz2 = cs.sigma(t, x, z), cs.sigma(t, x, z2)
         r_slip = np.sum((sz - sz2) ** 2, axis=0) / (z - z2) ** 2
         r_sgrow = np.sum(sz * sz, axis=0) / (1.0 + z * z)
-        _flag("H_sigma Lipschitz", r_slip, (t, x, z, z2), ratio_cap, violations)
-        _flag("H_sigma growth", r_sgrow, (t, x, z), ratio_cap, violations)
+        _flag("H_sigma Lipschitz", r_slip, (t, x, z, z2), violations)
+        _flag("H_sigma growth", r_sgrow, (t, x, z), violations)
 
     def finite_max(r: np.ndarray) -> float:
         r = r[np.isfinite(r)]

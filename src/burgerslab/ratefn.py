@@ -26,9 +26,7 @@ import numpy as np
 
 from .core import SpatialGrid, TimeMesh, path_distance
 from .coefficients import CoefficientSet
-from .solver import (
-    Control, ReflectedPath, SchemeConfig, row_path, solve_batch, solve_skeleton,
-)
+from .solver import Control, ReflectedPath, SchemeConfig, solve_batch, solve_skeleton
 
 __all__ = [
     "RateOptions",
@@ -39,6 +37,12 @@ __all__ = [
     "level_set_continuity_probe",
 ]
 
+# The continuation's penalty weights mu, one stage each; the first step size of
+# a stage's line search, which also caps the warm starts; the relative width of
+# the central finite differences.
+MU_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
+STEP_SIZE = 1.0
+FD_STEP = 1e-4
 # Step sizes one batch of the backtracking line search tries.  A line search
 # takes three to four per iteration; of 1, 4, 8, 16 and 48, eight timed fastest
 # on the rare-event benchmark workload.  Any size gives the same iterates.
@@ -47,22 +51,17 @@ LADDER = 8
 
 @dataclass(frozen=True)
 class RateOptions:
-    """Optimizer knobs: block count, continuation schedule, stopping rules."""
+    """Optimizer knobs: block count and stopping rules."""
 
     blocks: int = 8
-    mu_schedule: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    step_size: float = 1.0
     max_iters: int = 40
     tol: float = 1e-3
-    fd_step: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.blocks < 1:
             raise ValueError("need at least one control block")
-        if any(m <= 0 for m in self.mu_schedule):
-            raise ValueError("penalty weights must be positive")
-        if self.tol <= 0 or self.step_size <= 0 or self.fd_step <= 0:
-            raise ValueError("tol, step_size and fd_step must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def rate_function(
         widths = np.empty_like(h_flat)
         trials = []
         for k in range(h_flat.size):
-            widths[k] = opt.fd_step * max(1.0, abs(h_flat[k]))
+            widths[k] = FD_STEP * max(1.0, abs(h_flat[k]))
             bump = np.zeros_like(h_flat)
             bump[k] = widths[k]
             trials += [h_flat + bump, h_flat - bump]
@@ -164,10 +163,10 @@ def rate_function(
     history: list[tuple[float, float, float]] = []
     iterations = 0
 
-    for mu in opt.mu_schedule:
+    for mu in MU_SCHEDULE:
         j_cur, res_cur = objective_on(h, u, mu)
         history.append((mu, j_cur, res_cur))
-        alpha0 = opt.step_size
+        alpha0 = STEP_SIZE
         for _ in range(opt.max_iters):
             grad = gradient(h, mu)
             gnorm_sq = float(np.dot(grad, grad))
@@ -178,7 +177,7 @@ def rate_function(
                 break
             alpha, h, u, j_cur, res_cur = step
             # warm-start the next backtracking from just above the accepted step
-            alpha0 = min(opt.step_size, 2.0 * alpha)
+            alpha0 = min(STEP_SIZE, 2.0 * alpha)
             iterations += 1
             history.append((mu, j_cur, res_cur))
 
@@ -247,7 +246,7 @@ def sample_level_set(
     skeleton_cfg = replace(cfg, noise_scale=0.0)
     h_mesh = np.stack([ctrl.on_mesh(cfg.mesh) for ctrl in controls])
     u, dk = solve_batch(cs, u0, None, h_mesh, skeleton_cfg)
-    members = [(ctrl, row_path(u[p], dk[p], skeleton_cfg)) for p, ctrl in enumerate(controls)]
+    members = [(ctrl, ReflectedPath(u[p], dk[p], skeleton_cfg)) for p, ctrl in enumerate(controls)]
     return LevelSetSample(bound=bound, members=members)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -54,12 +55,10 @@ __all__ = [
     "solve_batch",
     "solve_paths",
     "solve_skeleton",
-    "row_path",
     "complementarity_residual",
     "total_variation_k",
     "energy_functional",
     "write_path_csv",
-    "write_path_binary",
     "path_binary_bytes",
     "read_path_binary",
 ]
@@ -193,22 +192,38 @@ class ReflectedPath:
     """Solution path plus reflection bookkeeping.
 
     u has shape (steps+1, m); dk has shape (steps, m) and pairs with the
-    post-reflection state u[k+1].  h_sq and v_sq cache the squared H and V
-    norms at every time node.
+    post-reflection state u[k+1].  grid and mesh are the config's; h_sq and
+    v_sq, the squared H and V norms per time node, are computed on first read.
     """
 
-    grid: SpatialGrid
-    mesh: TimeMesh
     u: np.ndarray
     dk: np.ndarray
-    h_sq: np.ndarray
-    v_sq: np.ndarray
     config: SchemeConfig
     noise_seed: int | None = None
 
     def __post_init__(self) -> None:
-        for arr in (self.u, self.dk, self.h_sq, self.v_sq):
+        for arr in (self.u, self.dk):
             arr.setflags(write=False)
+
+    @property
+    def grid(self) -> SpatialGrid:
+        return self.config.grid
+
+    @property
+    def mesh(self) -> TimeMesh:
+        return self.config.mesh
+
+    @cached_property
+    def h_sq(self) -> np.ndarray:
+        h_sq = _h_norms_sq(self.u, self.grid)
+        h_sq.setflags(write=False)
+        return h_sq
+
+    @cached_property
+    def v_sq(self) -> np.ndarray:
+        v_sq = _v_norms_sq(self.u, self.grid)
+        v_sq.setflags(write=False)
+        return v_sq
 
     @property
     def min_u(self) -> float:
@@ -247,6 +262,10 @@ def cho_solve_banded(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     return np.matmul(b.T[:, None, :], inv)[:, 0].T
 
+
+# The largest grid for the implicit solve: past m = 256 its dense m x m inverse
+# falls well behind a banded solve (README "Performance").
+MAX_M = 256
 
 # A march looks for a blow-up once per this many steps, over every state
 # stored since its last look: one max and one min instead of a check per step.
@@ -539,22 +558,7 @@ def solve(
     dw = noise.increments[None] if (noise is not None and cfg.noise_scale > 0.0) else None
     h = control.on_mesh(cfg.mesh) if control is not None else None
     u, dk = solve_batch(cs, u0, dw, h, cfg)
-    return row_path(u[0], dk[0], cfg, noise.seed if noise is not None else None)
-
-
-def row_path(u: np.ndarray, dk: np.ndarray, cfg: SchemeConfig,
-             noise_seed: int | None = None) -> ReflectedPath:
-    """One row (u, dK) of solve_batch under cfg as a path, its norms cached."""
-    return ReflectedPath(
-        grid=cfg.grid,
-        mesh=cfg.mesh,
-        u=u,
-        dk=dk,
-        h_sq=_h_norms_sq(u, cfg.grid),
-        v_sq=_v_norms_sq(u, cfg.grid),
-        config=cfg,
-        noise_seed=noise_seed,
-    )
+    return ReflectedPath(u[0], dk[0], cfg, noise.seed if noise is not None else None)
 
 
 def solve_skeleton(
@@ -611,14 +615,8 @@ def path_binary_bytes(p: ReflectedPath) -> bytes:
     ))
 
 
-def write_path_binary(p: ReflectedPath, path: str) -> None:
-    """Write the compact dump of path_binary_bytes to a file."""
-    with open(path, "wb") as fh:
-        fh.write(path_binary_bytes(p))
-
-
 def read_path_binary(path: str) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Inverse of write_path_binary; returns (meta, u, dK)."""
+    """Read a file holding path_binary_bytes; returns (meta, u, dK)."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != BINARY_MAGIC:

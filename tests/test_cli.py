@@ -29,14 +29,14 @@ class TestLoadConfig:
 
     def test_zero_dt_names_field(self, tmp_path):
         path = write_config(
-            tmp_path, {"experiment": "heat-regression", "mesh": {"dt": 0.0}}
+            tmp_path, {"experiment": "rate-function", "mesh": {"dt": 0.0}}
         )
         with pytest.raises(ConfigError, match="mesh.dt"):
             load_config(path)
 
     def test_penalty_stability_error(self, tmp_path):
         path = write_config(tmp_path, {
-            "experiment": "reflection",
+            "experiment": "rate-function",
             "mesh": {"t_final": 1.0, "dt": 1e-3},
             "scheme": {"reflection": "penalized", "penalty_n": 1e4},
         })
@@ -321,4 +321,32 @@ def test_bad_config_rejected_before_any_solve(tmp_path, capsys, payload, argv, f
     assert field in capsys.readouterr().err
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "ConfigError" and field in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+
+
+# heat-regression reads only params and seed; reflection builds its own
+# coefficients, starts from zero and sets the reflection itself
+UNREAD = [
+    pytest.param({**TINY_HEAT, "scheme": {"reflection": "penalized"},
+                  "coefficients": {"c2": -5}, "u0": {"amplitude": 3}},
+                 ["coefficients.c2", "scheme.reflection", "u0.amplitude"], id="heat-regression"),
+    pytest.param({"experiment": "reflection", **SMALL, "params": {"n_list": [10]},
+                  "coefficients": {"a_g": 2, "c2": 5}, "u0": {"amplitude": 3},
+                  "scheme": {"convection": "upwind", "penalty_n": 5.0}},
+                 ["coefficients.a_g", "coefficients.c2", "scheme.penalty_n", "u0.amplitude"],
+                 id="reflection"),
+]
+
+
+@pytest.mark.parametrize("payload, ignored", UNREAD)
+def test_key_the_experiment_never_reads_is_rejected(tmp_path, capsys, payload, ignored):
+    out = tmp_path / "out"
+    code = main(["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    record = json.loads((out / "failure.json").read_text())
+    assert record["error"] == "ConfigError"
+    for field in ignored:
+        assert f"'{field}'" in err and f"'{field}'" in record["message"]
+    assert "convection" not in record["message"]
     assert sorted(p.name for p in out.iterdir()) == ["failure.json"]

@@ -267,11 +267,9 @@ BUILTIN_SETS = {
 
 
 class TestCallbackShapes:
-    # the frozen set ignores t, and only the fast set sees a block of times
     @pytest.mark.parametrize("name, call", [
         pytest.param(name, call, id=f"{name}-{call[0]}")
         for name in BUILTIN_SETS for call in CALL_SHAPES
-        if (name, call[0]) != ("frozen_average", "averaging_block")
     ])
     def test_broadcast_shape(self, name, call):
         cs = BUILTIN_SETS[name]()

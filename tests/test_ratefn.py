@@ -78,8 +78,8 @@ class TestRateFunction:
             rate_function(ADDITIVE, np.zeros(16), np.zeros((10, 16)), CFG, OPT)
 
 
-def _one_step_at_a_time(cs, u0, target, cfg, opt):
-    """The rate function with one skeleton solve per trial step size.
+def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
+    """The rate function with one skeleton solve per trial step size, from step_size.
 
     Returns (h, history, iterations, residual) and, to show what a case
     covers, the number of line searches that ran out of step sizes and the
@@ -103,7 +103,7 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt):
         widths = np.empty_like(h_flat)
         trials = []
         for k in range(h_flat.size):
-            widths[k] = opt.fd_step * max(1.0, abs(h_flat[k]))
+            widths[k] = ratefn.FD_STEP * max(1.0, abs(h_flat[k]))
             bump = np.zeros_like(h_flat)
             bump[k] = widths[k]
             trials += [h_flat + bump, h_flat - bump]
@@ -114,10 +114,10 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt):
 
     h = np.zeros(opt.blocks * d)
     history, iterations, exhausted, longest = [], 0, 0, 0
-    for mu in opt.mu_schedule:
+    for mu in ratefn.MU_SCHEDULE:
         j_cur, res_cur = objective(h, mu)
         history.append((mu, j_cur, res_cur))
-        alpha0 = opt.step_size
+        alpha0 = step_size
         for _ in range(opt.max_iters):
             grad = gradient(h, mu)
             gnorm_sq = float(np.dot(grad, grad))
@@ -137,7 +137,7 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt):
             if not accepted:
                 exhausted += 1
                 break
-            alpha0 = min(opt.step_size, 2.0 * alpha)
+            alpha0 = min(step_size, 2.0 * alpha)
             iterations += 1
             history.append((mu, j_cur, res_cur))
     _, residual = objective(h, 0.0)
@@ -145,17 +145,18 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt):
 
 
 def _ladder_case(name):
+    """(cs, u0, target, opt, first step size) of one ladder case."""
     u0 = sine_field(GRID)
     if name == "several_batches":
         # a huge first step: the first line search of a stage tries 16 sizes
         target = solve_skeleton(ADDITIVE, u0, Control.constant(1.0, 1.0), CFG).u
-        return ADDITIVE, u0, target, RateOptions(blocks=4, max_iters=10, step_size=1024.0)
+        return ADDITIVE, u0, target, RateOptions(blocks=4, max_iters=10), 1024.0
     if name == "exhausted":
         # a negative target is out of reach of u >= 0: a line search runs out
-        return ADDITIVE, u0, np.full((MESH.steps + 1, GRID.m), -0.05), OPT
+        return ADDITIVE, u0, np.full((MESH.steps + 1, GRID.m), -0.05), OPT, ratefn.STEP_SIZE
     gen = Control.constant(1.0, [1.0, -0.5], d=2)
     target = solve_skeleton(BOUNDED_2D, u0, gen, CFG).u
-    return BOUNDED_2D, u0, target, RateOptions(blocks=3, max_iters=15)
+    return BOUNDED_2D, u0, target, RateOptions(blocks=3, max_iters=15), ratefn.STEP_SIZE
 
 
 _REFERENCE = {}
@@ -163,8 +164,8 @@ _REFERENCE = {}
 
 def _reference(name):
     if name not in _REFERENCE:
-        cs, u0, target, opt = _ladder_case(name)
-        _REFERENCE[name] = _one_step_at_a_time(cs, u0, target, CFG, opt)
+        cs, u0, target, opt, step_size = _ladder_case(name)
+        _REFERENCE[name] = _one_step_at_a_time(cs, u0, target, CFG, opt, step_size)
     return _REFERENCE[name]
 
 
@@ -177,7 +178,8 @@ class TestBatchedLineSearch:
         if ladder is not None:
             monkeypatch.setattr(ratefn, "LADDER", ladder)
         h, history, iterations, residual = _reference(case)[0]
-        cs, u0, target, opt = _ladder_case(case)
+        cs, u0, target, opt, step_size = _ladder_case(case)
+        monkeypatch.setattr(ratefn, "STEP_SIZE", step_size)
         res = rate_function(cs, u0, target, CFG, opt)
         assert np.array_equal(res.h_star.values, h.reshape(opt.blocks, cs.d))
         assert res.history == history
@@ -205,7 +207,7 @@ class TestBatchedLineSearch:
         u0 = sine_field(GRID)
         target = solve_skeleton(ADDITIVE, u0, Control.constant(1.0, 1.0), CFG).u
         res = rate_function(ADDITIVE, u0, target, CFG, OPT)
-        assert res.iterations > len(OPT.mu_schedule)
+        assert res.iterations > len(ratefn.MU_SCHEDULE)
         assert len(calls) == 1
 
 

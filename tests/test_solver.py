@@ -3,14 +3,16 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from burgerslab import solver
-from burgerslab.core import SpatialGrid, TimeMesh, h_norm, sample_noise, sine_field
+from burgerslab.core import (
+    SpatialGrid, TimeMesh, _h_norms_sq, _v_norms_sq, h_norm, sample_noise, sine_field,
+)
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.solver import (
     BlowUpError,
@@ -18,6 +20,7 @@ from burgerslab.solver import (
     SchemeConfig,
     complementarity_residual,
     energy_functional,
+    path_binary_bytes,
     read_path_binary,
     solve,
     solve_batch,
@@ -25,7 +28,6 @@ from burgerslab.solver import (
     solve_skeleton,
     step,
     total_variation_k,
-    write_path_binary,
     write_path_csv,
 )
 
@@ -750,6 +752,32 @@ class TestPenalized:
         assert 0.0 < abs(r1000) < abs(r100)
 
 
+class TestReflectedPath:
+    def _path(self):
+        grid, mesh = SpatialGrid(16), TimeMesh(0.5, 40)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
+        return solve(ADDITIVE, sine_field(grid), sample_noise(3, mesh, 1), None, cfg), cfg
+
+    def test_grid_and_mesh_are_the_configs(self):
+        p, cfg = self._path()
+        assert p.config is cfg
+        assert p.grid is cfg.grid and p.mesh is cfg.mesh
+
+    def test_norms_are_lazy_read_only_and_exact(self):
+        p, cfg = self._path()
+        assert "h_sq" not in vars(p) and "v_sq" not in vars(p)
+        for name, norms in (("h_sq", _h_norms_sq), ("v_sq", _v_norms_sq)):
+            value = getattr(p, name)
+            assert getattr(p, name) is value
+            assert value.tobytes() == norms(p.u, cfg.grid).tobytes()
+            assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[0] = 1.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(p, name, np.zeros_like(value))
+        assert not p.u.flags.writeable and not p.dk.flags.writeable
+
+
 class TestEnergyFunctional:
     def test_zero_path(self):
         grid, mesh = SpatialGrid(8), TimeMesh(1.0, 20)
@@ -783,7 +811,7 @@ class TestExport:
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
         p = solve(ADDITIVE, sine_field(grid), sample_noise(1, mesh, 1), None, cfg)
         path = tmp_path / "dump.bin"
-        write_path_binary(p, str(path))
+        path.write_bytes(path_binary_bytes(p))
         meta, u, dk = read_path_binary(str(path))
         assert meta == {"m": 16, "steps": 40, "dt": mesh.dt, "dx": grid.dx}
         assert np.array_equal(u, p.u) and np.array_equal(dk, p.dk)
