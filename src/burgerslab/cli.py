@@ -4,8 +4,9 @@ One JSON config file describes one experiment: shared sections (grid, mesh,
 coefficients, scheme, u0, seed) plus one experiment-specific params table.
 Every key is declared once, in the schema tables below, with its kind,
 default and range check.  `load_config` walks every table, so an unknown
-key, a key the experiment never reads, a wrong type or an out-of-range value
-is a ConfigError naming the field before any solve runs.
+key, a key the experiment or its coefficient family never reads, a wrong
+type or an out-of-range value is a ConfigError naming the field before any
+solve runs.
 
 Artifacts land in the output directory: one or more CSV tables (full
 17-significant-digit round-trip precision, so reruns are byte-identical),
@@ -216,6 +217,9 @@ _UNREAD = {
     "reflection": ("coefficients", "u0", "scheme.reflection", "scheme.penalty_n"),
 }
 
+# what the burgers family never reads: the multiscale perturbation's keys
+_MULTISCALE_ONLY = ("beta", "amplitude")
+
 _TOP = (
     ("experiment", tuple(_PARAMS), _REQUIRED, *_ANY),
     ("seed", int, 0, *_NONNEGATIVE),
@@ -290,13 +294,19 @@ class ExperimentConfig:
     experiment: str
     seed: int
     out_dir: str | None
-    grid: SpatialGrid
-    mesh: TimeMesh
     scheme: SchemeConfig
     coefficients: dict
     u0_spec: dict
     params: dict
     raw: dict
+
+    @property
+    def grid(self) -> SpatialGrid:
+        return self.scheme.grid
+
+    @property
+    def mesh(self) -> TimeMesh:
+        return self.scheme.mesh
 
     def build_u0(self) -> np.ndarray:
         if self.u0_spec["kind"] == "zero":
@@ -315,7 +325,7 @@ class ExperimentConfig:
 
 
 def _validate(raw: dict) -> ExperimentConfig:
-    """Unknown keys anywhere first, then keys the experiment never reads, then every value."""
+    """Unknown keys first, then keys the experiment or the family never reads, then values."""
     seen: dict = {}
     _reject_unknown(raw, _TOP, "")
     top = _walk(raw, _TOP, "", seen)
@@ -328,13 +338,18 @@ def _validate(raw: dict) -> ExperimentConfig:
                if name in unread or f"{name}.{key}" in unread]
     if ignored:
         raise ConfigError(f"the {top['experiment']} experiment does not read {', '.join(ignored)}")
+    if top["coefficients"].get("family", "burgers") == "burgers":
+        ignored = [f"'coefficients.{key}'" for key in _MULTISCALE_ONLY
+                   if key in top["coefficients"]]
+        if ignored:
+            raise ConfigError(f"the burgers family does not read {', '.join(ignored)}")
     sec = {name: _walk(top[name], rows, name, seen) for name, rows in sections}
     grid = SpatialGrid(sec["grid"]["m"])
     t_final, dt = sec["mesh"]["t_final"], sec["mesh"]["dt"]
     mesh = TimeMesh(t_final, round(t_final / dt))
     return ExperimentConfig(
         experiment=top["experiment"], seed=top["seed"], out_dir=top["out_dir"],
-        grid=grid, mesh=mesh, scheme=SchemeConfig(grid=grid, mesh=mesh, **sec["scheme"]),
+        scheme=SchemeConfig(grid=grid, mesh=mesh, **sec["scheme"]),
         coefficients=sec["coefficients"], u0_spec=sec["u0"], params=sec["params"], raw=raw,
     )
 

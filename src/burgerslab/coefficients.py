@@ -12,11 +12,15 @@ Builtin families:
     engineered so the time-average of the squared deviation vanishes like
     a known kappa(t_hat)
 
-A builtin coefficient that does not depend on the state is a constant
-callback, built once: it fills the broadcast shape with its value and does
-no arithmetic on z.  On finite z it returns the bits of its formula, signed
-zeros included (a zero that takes the sign of z, as a_g z does at a_g = 0,
-is not a constant and keeps its formula).
+A builtin coefficient that depends on neither t nor the state is a
+constant callback, built once: it fills the broadcast shape with its value
+and does no arithmetic on z.  On finite z it returns the bits of its
+formula, signed zeros included (a zero that takes the sign of z, as a_g z
+does at a_g = 0, is not a constant and keeps its formula).  A constant
+callback carries the attribute constant = True, and a CoefficientSet
+records which of its g, f and sigma are constant in its `constant` field
+when it is built, so a solver march evaluates those once instead of every
+step (a wrapper set on the built set later does not change the record).
 
 Averaging is a Cesaro mean (1/T) ∫_0^T · ds computed by composite Simpson
 on geometrically graded panels (the builtin perturbations decay like a
@@ -86,19 +90,22 @@ def _expand(out: np.ndarray, *args) -> np.ndarray:
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
-def _zero_g(t, z):
-    return np.zeros(_shape(t, z))
+def _constant(value: float, lead: tuple[int, ...] = ()) -> Callable[..., np.ndarray]:
+    """The constant callback (t, x, z) or (t, z) -> value on lead + broadcast shape.
 
+    np.full is slower than np.empty and fill.
+    """
 
-def _constant(value: float) -> Callable[..., np.ndarray]:
-    """The callback (t, x, z) -> value on the broadcast shape (np.full is slower)."""
-
-    def constant(t, x, z):
-        out = np.empty(_shape(t, x, z))
+    def constant(*args):
+        out = np.empty(lead + _shape(*args))
         out.fill(value)
         return out
 
+    constant.constant = True
     return constant
+
+
+_zero_g = _constant(0.0)
 
 
 def _signed_zero(v: float) -> bool:
@@ -129,11 +136,16 @@ class CoefficientSet:
     sigma: Callable[..., np.ndarray]
     d: int
     name: str = "custom"
+    # which of g, f and sigma are constant callbacks, read when the set is built
+    constant: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError(f"need at least one noise channel, got d={self.d}")
         _spot_check_derivative(self.g, self.dg_dz)
+        object.__setattr__(self, "constant", frozenset(
+            name for name in ("g", "f", "sigma")
+            if getattr(getattr(self, name), "constant", False)))
 
 
 @dataclass(frozen=True)
@@ -170,8 +182,9 @@ def make_burgers_set(
       zero     - sigma_j = 0 (deterministic dynamics)
 
     g is the zero callback at a_g = 0 (0.5 * 0 * z * z is +0 on finite z),
-    and f fills c2 at c1 = 0 unless c2 is -0.0 (then 0 * z + c2 takes the
-    sign of z).
+    f fills c2 at c1 = 0 unless c2 is -0.0 (then 0 * z + c2 takes the
+    sign of z), and the additive and zero profiles' sigma fills the
+    (d,) + broadcast shape: all constant callbacks.
     """
     if noise_profile not in NOISE_PROFILES:
         raise ValueError(f"unknown noise profile {noise_profile!r}; use one of {NOISE_PROFILES}")
@@ -196,22 +209,15 @@ def make_burgers_set(
             z = np.asarray(z, dtype=float)
             return _expand(c1 * z / (1.0 + z * z) + c2, t, x, z)
 
-    if noise_profile == "additive":
-        channel = _constant(sigma_amp)
-    elif noise_profile == "bounded":
+    if noise_profile == "bounded":
 
-        def channel(t, x, z):
+        def sigma(t, x, z):
             z = np.asarray(z, dtype=float)
-            return _expand(sigma_amp * (0.5 + z / (1.0 + z * z)), t, x, z)
+            row = _expand(sigma_amp * (0.5 + z / (1.0 + z * z)), t, x, z)
+            return row[None] if d == 1 else np.broadcast_to(row, (d,) + row.shape)
 
     else:
-
-        def channel(t, x, z):
-            return np.zeros(_shape(t, x, z))
-
-    def sigma(t, x, z):
-        row = channel(t, x, z)
-        return row[None] if d == 1 else np.broadcast_to(row, (d,) + row.shape)
+        sigma = _constant(sigma_amp if noise_profile == "additive" else 0.0, (d,))
 
     label = f"burgers(a_g={a_g}, f={c1}*z/(1+z^2)+{c2}, sigma={noise_profile})"
     return CoefficientSet(g=g, dg_dz=dg_dz, f=f, sigma=sigma, d=d, name=label)

@@ -240,15 +240,6 @@ def _paths_per_chunk(cfg: SchemeConfig) -> int:
     return max(1, BATCH_BYTES // (8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)))
 
 
-def _weighted_channels(c: np.ndarray, sig_t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sum_j c_j sigma_j per row into out (P, 1, m): c is (d,) or (P, d), sig_t is (P, d, m).
-
-    A matrix product per row makes the same BLAS call np.dot(c, sigma) makes
-    for one state, so a row's bits never depend on the batch around it.
-    """
-    return np.matmul(c.reshape(-1, 1, c.shape[-1]), sig_t, out=out)[:, 0]
-
-
 def cho_solve_banded(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (I - dt L) x = b for the (m, P) right-hand sides b; inv is the matrix's inverse.
 
@@ -275,12 +266,18 @@ CHECK_EVERY = 64
 class _Stepper:
     """One march's workspace: the inverse implicit matrix and the buffers a step writes in place.
 
-    rows is the batch size P.  The (P, m) state is the interior of a
-    ghost-padded (P, m + 2) buffer whose Dirichlet ghosts stay zero, so the
-    convection evaluates g on it without a copy.  sigma is copied into one
-    C-ordered (d, P, m) buffer: no zero strides, so every row takes the BLAS
-    path.  penalties, if given, replaces cfg.penalty_n by one penalty per
-    row, so the weight dt * n is a (P, 1) column instead of a scalar.
+    rows is the batch size P.  A term whose callback the set records as
+    constant (CoefficientSet.constant) is evaluated once per march, on the
+    (P, m) start states, and reused by every step: with a constant g the
+    convection is exactly +0.0 and neither g nor dg_dz is called; with a
+    constant f as well, dt * (0 + f) is one array; with a constant sigma
+    the drift dt * h sigma and the kick noise_scale * dw sigma of a block of
+    CHECK_EVERY steps are one product each.  Any other term is computed per
+    step.  A non-constant g sees the state in a ghost-padded (P, m + 2)
+    buffer whose Dirichlet ghosts stay zero.  sigma is copied into one
+    C-ordered (d, P, m) buffer: no zero strides, so every row takes the
+    BLAS path.  penalties, if given, replaces cfg.penalty_n by one penalty
+    per row, so the weight dt * n is a (P, 1) column instead of a scalar.
     """
 
     def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, rows: int = 1,
@@ -297,70 +294,42 @@ class _Stepper:
         off = np.full(m - 1, -r)
         self._inv = np.linalg.inv(np.diag(np.full(m, 1.0 + 2.0 * r)) + np.diag(off, 1)
                                   + np.diag(off, -1))
-        self._padded = np.zeros((rows, m + 2))
-        self.state = self._padded[:, 1:-1]
+        self._padded = None if "g" in cs.constant else np.zeros((rows, m + 2))
         self._rhs = np.empty((rows, m))
         self._sigma = np.empty((cs.d, rows, m))
         self._sig_t = self._sigma.transpose(1, 0, 2)
-        self._weighted = np.empty((rows, 1, m))
 
-    def _convection(self, t: float, out: np.ndarray) -> None:
-        """d/dx g(t, state) into out, from g on the ghost-padded state."""
-        cs, dx = self.cs, self.dx
-        gp = cs.g(t, self._padded)
+    def _convection(self, t: float, u: np.ndarray, out: np.ndarray) -> None:
+        """d/dx g(t, u) into out, from g on the ghost-padded state (+0.0 for a constant g)."""
+        if self._padded is None:
+            out.fill(0.0)
+            return
+        cs, dx, padded = self.cs, self.dx, self._padded
+        padded[:, 1:-1] = u
+        gp = cs.g(t, padded)
         if self.cfg.convection == "central":
             np.subtract(gp[:, 2:], gp[:, :-2], out=out)
             out /= 2.0 * dx
             return
-        speed = cs.dg_dz(t, self.state)
+        speed = cs.dg_dz(t, u)
         forward = (gp[:, 2:] - gp[:, 1:-1]) / dx
         backward = (gp[:, 1:-1] - gp[:, :-2]) / dx
         out[...] = np.where(speed >= 0.0, forward, backward)
 
-    def step(
-        self,
-        t: float,
-        dw: np.ndarray | None,
-        h: np.ndarray | None,
-        dk: np.ndarray,
-    ) -> None:
-        """Advance self.state, the (P, m) states, from t by one step in place; dK goes to dk.
+    def _forcing(self, lo: int, hi: int, dw: np.ndarray | None, h: np.ndarray | None,
+                 drift: np.ndarray | None, kick: np.ndarray | None) -> None:
+        """dt * h sigma and noise_scale * dw sigma of steps lo..hi-1 into drift, kick (P, K, 1, m).
 
-        dw holds each row's d increments (P, d) or is None; h the control
-        values at t, shared (d,) or per row (P, d), or None for no drift.
-        A zero control gives the bits of no control.
+        Each row and step is one (1, d) x (d, m) matrix product, the BLAS
+        call np.dot(c, sigma) makes for one state, so a row's bits never
+        depend on the batch or the block around it.
         """
-        cs, cfg, u, rhs = self.cs, self.cfg, self.state, self._rhs
-        t_fast = t / cfg.time_scale
-        # rhs = u + dt * (convection + f), each product and sum as the formula rounds it
-        self._convection(t, rhs)
-        rhs += cs.f(t_fast, self.x, u)
-        rhs *= self.dt
-        rhs += u
-
-        want_noise = cfg.noise_scale > 0.0 and dw is not None
-        if want_noise or h is not None:
-            np.copyto(self._sigma, cs.sigma(t_fast, self.x, u))
-            if h is not None:
-                drift = _weighted_channels(h, self._sig_t, self._weighted)
-                drift *= self.dt
-                rhs += drift
-            if want_noise:
-                kick = _weighted_channels(dw, self._sig_t, self._weighted)
-                kick *= cfg.noise_scale
-                rhs += kick
-
-        # one implicit solve for every row: P right-hand sides as an (m, P) array
-        u_free = cho_solve_banded(self._inv, rhs.T).T
-
-        if cfg.reflection == "projection":
-            np.maximum(u_free, 0.0, out=u)
-            np.subtract(u, u_free, out=dk)
-        else:
-            np.negative(u_free, out=dk)
-            np.maximum(dk, 0.0, out=dk)
-            dk *= self.penalty
-            np.add(u_free, dk, out=u)
+        if drift is not None:
+            out = np.matmul(h[..., lo:hi, None, :], self._sig_t[:, None], out=drift[:, :hi - lo])
+            out *= self.dt
+        if kick is not None:
+            out = np.matmul(dw[:, lo:hi, None, :], self._sig_t[:, None], out=kick[:, :hi - lo])
+            out *= self.cfg.noise_scale
 
     def march(
         self,
@@ -368,34 +337,81 @@ class _Stepper:
         dk: np.ndarray,
         dw: np.ndarray | None,
         h: np.ndarray | None,
+        times: list[float],
     ) -> None:
-        """Fill u[:, 1:] and dk from u[:, 0]; raises for the lowest row that blows up.
+        """Fill u[:, 1:] and dk from u[:, 0], one step from each of times; raises on a blow-up.
 
         dw is (P, steps, d) or None; h is (steps, d) shared or (P, steps, d)
-        per row, or None.  Every CHECK_EVERY steps the states stored since
-        the last look are checked at once.  Rows are independent, so a row
-        that blew up keeps stepping (non-finite, warnings off) until no
-        lower row can still blow up; the error carries that row's own first
-        bad step.
+        per row, or None.  A zero control gives the bits of no control.
+        Every CHECK_EVERY steps the states stored since the last look are
+        checked at once.  Rows are independent, so a row that blew up keeps
+        stepping (non-finite, warnings off) until no lower row can still
+        blow up; the error carries that row's own first bad step.
         """
-        times = self.cfg.mesh.times[:-1].tolist()
-        steps = len(times)
+        cs, cfg, x, rhs = self.cs, self.cfg, self.x, self._rhs
+        steps, (rows, m) = len(times), self._rhs.shape
+        want_noise = cfg.noise_scale > 0.0 and dw is not None
+        forced = want_noise or h is not None
+        block_forcing = forced and "sigma" in cs.constant
+        width = min(CHECK_EVERY, steps) if block_forcing else 1
+        drift = None if h is None else np.empty((rows, width, 1, m))
+        kick = np.empty((rows, width, 1, m)) if want_noise else None
+
+        t_fast = times[0] / cfg.time_scale
+        f = cs.f(t_fast, x, u[:, 0]) if "f" in cs.constant else None
+        base = None
+        if f is not None and "g" in cs.constant:
+            base = np.zeros((rows, m))  # the convection of a constant g
+            base += f
+            base *= self.dt
+        if block_forcing:
+            np.copyto(self._sigma, cs.sigma(t_fast, x, u[:, 0]))
+
         first_bad: dict[int, tuple[int, float, float]] = {}
-        self.state[...] = u[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, steps, CHECK_EVERY):
                 stop = min(start + CHECK_EVERY, steps)
+                if block_forcing:
+                    self._forcing(start, stop, dw, h, drift, kick)
                 for k in range(start, stop):
-                    self.step(times[k], None if dw is None else dw[:, k],
-                              None if h is None else h[..., k, :], dk[:, k])
-                    u[:, k + 1] = self.state
+                    t, uk, j = times[k], u[:, k], k - start
+                    t_fast = t / cfg.time_scale
+                    # rhs = u + dt * (convection + f), each product and sum as the formula rounds it
+                    if base is not None:
+                        np.add(base, uk, out=rhs)
+                    else:
+                        self._convection(t, uk, rhs)
+                        rhs += cs.f(t_fast, x, uk) if f is None else f
+                        rhs *= self.dt
+                        rhs += uk
+                    if forced and not block_forcing:
+                        np.copyto(self._sigma, cs.sigma(t_fast, x, uk))
+                        self._forcing(k, k + 1, dw, h, drift, kick)
+                        j = 0
+                    if drift is not None:
+                        rhs += drift[:, j, 0]
+                    if kick is not None:
+                        rhs += kick[:, j, 0]
+
+                    # one implicit solve for every row: P right-hand sides as an (m, P) array
+                    u_free = cho_solve_banded(self._inv, rhs.T).T
+
+                    u_next, dk_k = u[:, k + 1], dk[:, k]
+                    if cfg.reflection == "projection":
+                        np.maximum(u_free, 0.0, out=u_next)
+                        np.subtract(u_next, u_free, out=dk_k)
+                    else:
+                        np.negative(u_free, out=dk_k)
+                        np.maximum(dk_k, 0.0, out=dk_k)
+                        dk_k *= self.penalty
+                        np.add(u_free, dk_k, out=u_next)
                 self._note_blowups(u[:, start + 1:stop + 1], start, times, first_bad)
                 if 0 in first_bad:
                     break
         if first_bad:
             row = min(first_bad)
             raise BlowUpError(*first_bad[row], path_index=row,
-                              noise_scale=self.cfg.noise_scale, time_scale=self.cfg.time_scale)
+                              noise_scale=cfg.noise_scale, time_scale=cfg.time_scale)
 
     def _note_blowups(self, block: np.ndarray, start: int, times: list[float],
                       first_bad: dict[int, tuple[int, float, float]]) -> None:
@@ -422,21 +438,17 @@ def step(
 
     dw holds the d Brownian increments over [t, t+dt] (None for none),
     h the control values at time t (None for the uncontrolled equation).
-    A batch of one through the batched step.
+    A march of one step for a batch of one.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (cfg.grid.m,):
         raise ValueError(f"state shape {u.shape} does not match grid ({cfg.grid.m},)")
-    stepper = _Stepper(cs, cfg)
-    stepper.state[0] = u
-    dk = np.empty((1, cfg.grid.m))
-    stepper.step(t, None if dw is None else np.asarray(dw, float)[None],
-                 None if h is None else np.asarray(h, float)[None], dk)
-    bad: dict[int, tuple[int, float, float]] = {}
-    stepper._note_blowups(stepper.state[:, None], 0, [t], bad)
-    if bad:
-        raise BlowUpError(*bad[0], noise_scale=cfg.noise_scale, time_scale=cfg.time_scale)
-    return stepper.state[0].copy(), dk[0]
+    path = np.empty((1, 2, cfg.grid.m))
+    path[0, 0] = u
+    dk = np.empty((1, 1, cfg.grid.m))
+    _Stepper(cs, cfg).march(path, dk, None if dw is None else np.asarray(dw, float)[None, None],
+                            None if h is None else np.asarray(h, float)[None], [t])
+    return path[0, 1], dk[0, 0]
 
 
 def solve_batch(
@@ -453,10 +465,12 @@ def solve_batch(
     values on the mesh, shared (steps, d) or per path (P, steps, d), or is
     None.  cfg is one scheme for every path, or one per path (P configs
     that differ only in penalty_n; anything else raises ValueError), which
-    sets the path count when there is no noise or per-path control.  Each
-    step evaluates the callbacks once on the (P, m) state and solves all P
-    right-hand sides in one implicit-solve call; every row marches at once,
-    so the caller sizes the batch (solve_paths chunks a long one).  Row p equals,
+    sets the path count when there is no noise or per-path control.  A
+    callback the set records as constant is evaluated once per march on
+    the (P, m) start states, any other once per step on the (P, m) state;
+    each step solves all P right-hand sides in one implicit-solve call.
+    Every row marches at once, so the caller sizes the batch (solve_paths
+    chunks a long one).  Row p equals,
     bit for bit, the batch of one on row p's inputs and config.  A blow-up
     raises BlowUpError for the lowest row that blows up, with path_index
     that row.
@@ -499,7 +513,7 @@ def solve_batch(
     u = np.empty((n_paths, steps + 1, m))
     dk = np.empty((n_paths, steps, m))
     u[:, 0] = u0
-    _Stepper(cs, cfg, n_paths, penalties).march(u, dk, dw, h)
+    _Stepper(cs, cfg, n_paths, penalties).march(u, dk, dw, h, cfg.mesh.times[:-1].tolist())
     return u, dk
 
 

@@ -325,7 +325,8 @@ def test_bad_config_rejected_before_any_solve(tmp_path, capsys, payload, argv, f
 
 
 # heat-regression reads only params and seed; reflection builds its own
-# coefficients, starts from zero and sets the reflection itself
+# coefficients, starts from zero and sets the reflection itself; the burgers
+# family has no multiscale perturbation
 UNREAD = [
     pytest.param({**TINY_HEAT, "scheme": {"reflection": "penalized"},
                   "coefficients": {"c2": -5}, "u0": {"amplitude": 3}},
@@ -335,6 +336,9 @@ UNREAD = [
                   "scheme": {"convection": "upwind", "penalty_n": 5.0}},
                  ["coefficients.a_g", "coefficients.c2", "scheme.penalty_n", "u0.amplitude"],
                  id="reflection"),
+    pytest.param({"experiment": "condition-probe", **SMALL, "params": {"n_paths": 2},
+                  "coefficients": {"family": "burgers", "beta": 0.5, "amplitude": 3}},
+                 ["coefficients.amplitude", "coefficients.beta"], id="burgers-family"),
 ]
 
 

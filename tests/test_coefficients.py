@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,6 +353,23 @@ class TestConstantCallbacks:
         signed = make_burgers_set(0.0, c2=-0.0)
         with np.errstate(invalid="ignore"):
             assert np.isnan(signed.f(0.0, np.zeros(3), z)).all()
+
+    @pytest.mark.parametrize("make, constant", [
+        (lambda: make_burgers_set(0.0, c2=-1.0, d=2), {"g", "f", "sigma"}),
+        (lambda: make_burgers_set(0.0, noise_profile="zero"), {"g", "f", "sigma"}),
+        (lambda: make_burgers_set(0.0, noise_profile="bounded"), {"g", "f"}),
+        (lambda: make_burgers_set(1.0, c1=0.5), {"sigma"}),
+        (lambda: make_burgers_set(-0.0, c2=-0.0), {"sigma"}),
+        (lambda: burgers_multiscale_family(beta=0.5, amplitude=1.0)[0], {"g"}),
+    ], ids=["all", "zero-noise", "bounded", "a_g=1,c1=0.5", "signed-zeros", "multiscale"])
+    def test_set_records_its_constant_callbacks(self, make, constant):
+        cs = make()
+        assert cs.constant == constant
+        # derived again by replace, and never an __init__ argument
+        assert replace(cs, f=lambda t, x, z: cs.f(t, x, z)).constant == constant - {"f"}
+        with pytest.raises(TypeError):
+            CoefficientSet(g=cs.g, dg_dz=cs.dg_dz, f=cs.f, sigma=cs.sigma, d=cs.d,
+                           constant=frozenset())
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("call", CALL_SHAPES, ids=[c[0] for c in CALL_SHAPES])

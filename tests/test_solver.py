@@ -401,6 +401,8 @@ def _batch_case(convection, profile, d, reflection, n_paths=5, steps=30):
         cs, _ = burgers_multiscale_family(beta=0.5, amplitude=1.0, d=d)
     elif profile == "constant":  # every callback a constant, as in the reflection experiment
         cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.25, d=d)
+    elif profile == "constant_zero":  # the same without noise
+        cs = make_burgers_set(0.0, noise_profile="zero", c2=-1.0, d=d)
     elif profile == "burgers_ag1":
         cs = make_burgers_set(1.0, noise_profile="bounded", c1=0.5, c2=-1.0, d=d)
     else:
@@ -701,6 +703,88 @@ class TestReferenceStep:
         with pytest.raises(BlowUpError) as got:
             solve_batch(ADDITIVE, np.zeros(grid.m), dw, None, cfg)
         assert got.value.args == ref.value.args
+
+
+def _per_step(cs):
+    """cs with every callback wrapped in a lambda, so a march evaluates each one per step."""
+    ref = replace(cs, g=lambda t, z: cs.g(t, z), f=lambda t, x, z: cs.f(t, x, z),
+                  sigma=lambda t, x, z: cs.sigma(t, x, z))
+    assert ref.constant == frozenset()
+    return ref
+
+
+def _count_calls(cs):
+    """Wrap cs's callbacks in place, as perfbench/tracer.py does; returns the call counts."""
+    calls = {}
+    for name in ("g", "dg_dz", "f", "sigma"):
+        def counted(*args, fn=getattr(cs, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        object.__setattr__(cs, name, counted)
+    return calls
+
+
+class TestHoistedMarch:
+    """A constant callback is evaluated once per march, with the bits of evaluating it every step."""
+
+    # 30 steps: blocks of 7 steps and a short last one, or one block
+    @pytest.mark.parametrize("check_every", [7, 64])
+    @pytest.mark.parametrize("control", ["none", "shared", "per_path"])
+    @pytest.mark.parametrize("reflection", ["projection", "penalized"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("profile", ["constant", "constant_zero"])
+    @pytest.mark.parametrize("convection", ["central", "upwind"])
+    def test_equals_per_step_evaluation(self, monkeypatch, convection, profile, d, reflection,
+                                        control, check_every):
+        monkeypatch.setattr(solver, "CHECK_EVERY", check_every)
+        cs, u0, cfg, dw = _batch_case(convection, profile, d, reflection)
+        assert cs.constant == {"g", "f", "sigma"}
+        ref_cs = _per_step(cs)
+        n = dw.shape[0]
+        h = _batch_control(control, cfg, d, n)
+        runs = [cfg, replace(cfg, noise_scale=0.0)]
+        if reflection == "penalized":
+            runs.append([replace(cfg, penalty_n=10.0 * (p + 1)) for p in range(n)])
+        for run in runs:
+            noise = dw if (run if isinstance(run, SchemeConfig) else run[0]).noise_scale else None
+            u_ref, dk_ref = solve_batch(ref_cs, u0, noise, h, run)
+            u, dk = solve_batch(cs, u0, noise, h, run)
+            assert u.tobytes() == u_ref.tobytes() and dk.tobytes() == dk_ref.tobytes()
+            # chunked: each march of two rows hoists its own terms
+            for lo in range(0, u_ref.shape[0], 2):
+                rows = slice(lo, lo + 2)
+                u, dk = solve_batch(
+                    cs, u0, None if noise is None else noise[rows],
+                    h[rows] if control == "per_path" else h,
+                    run if isinstance(run, SchemeConfig) else run[rows])
+                assert u.tobytes() == u_ref[rows].tobytes()
+                assert dk.tobytes() == dk_ref[rows].tobytes()
+        assert np.any(dk_ref > 0.0)  # the reflection acted
+
+    def test_constant_callbacks_are_called_once_per_march(self, monkeypatch):
+        cs, u0, cfg, dw = _batch_case("upwind", "constant", 2, "projection", n_paths=7)
+        h = _batch_control("shared", cfg, 2, 7)
+        plain = solve_batch(cs, u0, dw, h, cfg)
+        calls = _count_calls(cs)
+        assert cs.constant == {"g", "f", "sigma"}  # wrapping after the build keeps the record
+        u, dk = solve_batch(cs, u0, dw, h, cfg)
+        assert calls == {"f": 1, "sigma": 1}
+        assert u.tobytes() == plain[0].tobytes() and dk.tobytes() == plain[1].tobytes()
+        calls.clear()
+        solve_batch(cs, u0, None, None, replace(cfg, noise_scale=0.0))
+        assert calls == {"f": 1}  # no noise and no control: sigma is not needed
+        # solve_paths in chunks of 2, 2, 2 and 1 paths: one march per chunk
+        calls.clear()
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * 8 * cfg.grid.m * (2 * cfg.mesh.steps + 1))
+        for (_, u_p), row in zip(solve_paths(cs, u0, iter(dw), h, cfg), plain[0]):
+            assert u_p.tobytes() == row.tobytes()
+        assert calls == {"f": 4, "sigma": 4}
+        # the per-step reference calls every callback at every step
+        ref_cs = _per_step(cs)
+        calls.clear()  # building a set spot-checks dg_dz against g
+        solve_batch(ref_cs, u0, dw, h, cfg)
+        steps = cfg.mesh.steps
+        assert calls == {"g": steps, "dg_dz": steps, "f": steps, "sigma": steps}
 
 
 class TestPenalized:
