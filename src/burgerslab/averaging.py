@@ -57,7 +57,11 @@ class AveragingReport:
 
 
 def frozen_average_set(ms: CoefficientSet, avg: AveragedCoefficientSet) -> CoefficientSet:
-    """Time-constant dynamics (f_bar, sigma_bar) sharing g with the fast set; t only shapes them."""
+    """Time-constant dynamics (f_bar, sigma_bar) sharing g with the fast set; t only shapes them.
+
+    f and sigma are constant callbacks where avg records f_bar and
+    sigma_bar as constant, so a march evaluates them once.
+    """
     if avg.d != ms.d:
         raise ValueError(f"channel mismatch: averaged d={avg.d}, fast d={ms.d}")
 
@@ -69,6 +73,8 @@ def frozen_average_set(ms: CoefficientSet, avg: AveragedCoefficientSet) -> Coeff
         shape = (ms.d,) + _shape(t, x, z)
         return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
+    f.constant = "f_bar" in avg.constant
+    sigma.constant = "sigma_bar" in avg.constant
     return CoefficientSet(
         g=ms.g, dg_dz=ms.dg_dz, f=f, sigma=sigma, d=ms.d,
         name=f"averaged({ms.name})",
@@ -207,7 +213,7 @@ def penalization_convergence_probe(
         return proj, []
     dw = None if noise is None or cfg.noise_scale == 0.0 else np.repeat(
         noise.increments[None], len(pen_cfgs), axis=0)
-    pen_u = solve_batch(cs, u0, dw, None, pen_cfgs)[0]
+    pen_u = solve_batch(cs, u0, dw, None, pen_cfgs, store_dk=False)[0]
     return proj, [
         (c.penalty_n, path_distance(u, proj.u, cfg.grid, cfg.mesh).squared)
         for c, u in zip(pen_cfgs, pen_u)

@@ -458,7 +458,7 @@ def _drive_rare_event(cfg: ExperimentConfig):
     res = rate_function(cs, u0, target, cfg.scheme, RateOptions(blocks=p["blocks"]))
     rows = fw_lower_bound_probe(
         cs, u0, target, p["delta"], p["eps_list"], n_samples, cfg.seed, cfg.scheme,
-        res, p["theta"],
+        res, p["theta"], naive={eps: naive},
     )
     fw_rows = [
         [r.epsilon, r.p_hat, r.eps_log_p, r.bound,

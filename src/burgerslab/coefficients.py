@@ -157,12 +157,17 @@ class AveragedCoefficientSet:
     d: int
     source: CoefficientSet | None = None
     t_hat_used: float = math.inf
+    # which of f_bar and sigma_bar are constant callbacks, read when the set is built
+    constant: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.source is not None and self.source.d != self.d:
             raise ValueError(
                 f"channel count {self.d} does not match source set d={self.source.d}"
             )
+        object.__setattr__(self, "constant", frozenset(
+            name for name in ("f_bar", "sigma_bar")
+            if getattr(getattr(self, name), "constant", False)))
 
 
 def make_burgers_set(
@@ -269,6 +274,16 @@ def make_multiscale_set(
     return CoefficientSet(g=g, dg_dz=dg_dz, f=f, sigma=sigma, d=d, name=name)
 
 
+def _at_time_zero(callback: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """(x, z) -> callback(0.0, x, z), a constant callback when callback is one."""
+
+    def at_zero(x, z):
+        return callback(0.0, x, z)
+
+    at_zero.constant = getattr(callback, "constant", False)
+    return at_zero
+
+
 def burgers_multiscale_family(
     beta: float, amplitude: float, **burgers
 ) -> tuple[CoefficientSet, AveragedCoefficientSet]:
@@ -277,11 +292,12 @@ def burgers_multiscale_family(
     The keyword arguments go to make_burgers_set, which declares their
     defaults.  Returns the fast set together with its exact averaged
     counterpart (the unperturbed profile), ready for coupled averaging
-    experiments.
+    experiments.  f_bar and sigma_bar are the base's callbacks at t = 0,
+    constant callbacks where the base's are.
     """
     base = make_burgers_set(**burgers)
-    f_bar = lambda x, z: base.f(0.0, x, z)
-    sigma_bar = lambda x, z: base.sigma(0.0, x, z)
+    f_bar = _at_time_zero(base.f)
+    sigma_bar = _at_time_zero(base.sigma)
     ms = make_multiscale_set(
         f_bar,
         sigma_bar,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -206,12 +207,15 @@ def fw_lower_bound_probe(
     cfg: SchemeConfig,
     rate_result: RateFunctionResult,
     theta: float,
+    naive: Mapping[float, RareEventEstimate] | None = None,
 ) -> list[FWBoundRow]:
     """Tube lower bound check: is eps log p_hat >= -(lambda_hat + theta)?
 
     Needs a converged rate estimate for the target; falls back to
     importance sampling with the minimizing control whenever the naive
-    count is zero.
+    count is zero.  naive maps eps to a naive estimate the caller already
+    made of this tube event with these samples, seed and scheme; an eps
+    found there is not estimated again.
     """
     if not rate_result.converged:
         raise ValueError(
@@ -223,9 +227,18 @@ def fw_lower_bound_probe(
     ev = EventSpec(target=target, delta=delta, sense="hit")
     bound = -(rate_result.lambda_hat + theta)
 
+    known = dict(naive or {})
+    for eps, est in known.items():
+        if (est.method, est.epsilon, est.n_samples, est.seed) != ("naive", eps, n_samples, seed):
+            raise ValueError(
+                f"the estimate given for eps {eps} ({est.method}, eps {est.epsilon}, "
+                f"{est.n_samples} samples, seed {est.seed}) is not the probe's naive "
+                f"estimate ({n_samples} samples, seed {seed})")
+
     rows = []
     for eps in eps_list:
-        est = estimate_naive(cs, u0, eps, ev, n_samples, seed, cfg)
+        est = known[eps] if eps in known else estimate_naive(
+            cs, u0, eps, ev, n_samples, seed, cfg)
         method = "naive"
         if est.p_hat == 0.0:
             est = estimate_importance(

@@ -122,7 +122,7 @@ def rate_function(
 
     def skeletons(h_rows: list[np.ndarray]) -> np.ndarray:
         h_mesh = np.stack([control(hf).on_mesh(cfg.mesh) for hf in h_rows])
-        return solve_batch(cs, u0, None, h_mesh, skeleton_cfg)[0]
+        return solve_batch(cs, u0, None, h_mesh, skeleton_cfg, store_dk=False)[0]
 
     def objective_on(h_flat: np.ndarray, u: np.ndarray, mu: float) -> tuple[float, float]:
         res = path_distance(u, target, cfg.grid, cfg.mesh).squared
@@ -273,11 +273,11 @@ def level_set_continuity_probe(
     controls = _draw_controls(rng, bound, count, cfg.mesh.t_final, blocks, cs.d)
     h_mesh = np.stack([ctrl.on_mesh(cfg.mesh) for ctrl in controls])
     skeleton_cfg = replace(cfg, noise_scale=0.0)
-    ref_paths = solve_batch(cs, u0, None, h_mesh, skeleton_cfg)[0]
+    ref_paths = solve_batch(cs, u0, None, h_mesh, skeleton_cfg, store_dk=False)[0]
 
     estimates = []
     for u0_n in u0_sequence:
-        per_paths = solve_batch(cs, u0_n, None, h_mesh, skeleton_cfg)[0]
+        per_paths = solve_batch(cs, u0_n, None, h_mesh, skeleton_cfg, store_dk=False)[0]
         dists = np.empty((count, count))
         for i, p in enumerate(ref_paths):
             for j, q in enumerate(per_paths):

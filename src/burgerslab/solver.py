@@ -230,13 +230,18 @@ class ReflectedPath:
         return float(np.min(self.u))
 
 
-# One chunk of solve_paths keeps its stored u and dK within this many bytes,
-# so the memory of a Monte Carlo loop grows with the chunk, not the path count.
+# One chunk of solve_paths is sized to hold its paths' u and dK in this many
+# bytes, so the memory of a Monte Carlo loop grows with the chunk, not the
+# path count.  solve_paths stores no dK, so a chunk's u fills about half of it.
 BATCH_BYTES = 8 * 2**20
 
 
 def _paths_per_chunk(cfg: SchemeConfig) -> int:
-    """How many paths' stored u and dK fit in BATCH_BYTES (at least one)."""
+    """How many paths' u and dK fit in BATCH_BYTES (at least one).
+
+    dK still counts although a chunk stores none, so a run's chunks, and
+    with them its batches and kernel calls, are those of a march storing it.
+    """
     return max(1, BATCH_BYTES // (8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)))
 
 
@@ -334,7 +339,7 @@ class _Stepper:
     def march(
         self,
         u: np.ndarray,
-        dk: np.ndarray,
+        dk: np.ndarray | None,
         dw: np.ndarray | None,
         h: np.ndarray | None,
         times: list[float],
@@ -343,6 +348,9 @@ class _Stepper:
 
         dw is (P, steps, d) or None; h is (steps, d) shared or (P, steps, d)
         per row, or None.  A zero control gives the bits of no control.
+        dk None stores no reflection increments: projection then skips
+        them, and penalization books each step's in the next state's row
+        before adding u_free to it, so u keeps its bits.
         Every CHECK_EVERY steps the states stored since the last look are
         checked at once.  Rows are independent, so a row that blew up keeps
         stepping (non-finite, warnings off) until no lower row can still
@@ -396,11 +404,14 @@ class _Stepper:
                     # one implicit solve for every row: P right-hand sides as an (m, P) array
                     u_free = cho_solve_banded(self._inv, rhs.T).T
 
-                    u_next, dk_k = u[:, k + 1], dk[:, k]
+                    u_next = u[:, k + 1]
                     if cfg.reflection == "projection":
                         np.maximum(u_free, 0.0, out=u_next)
-                        np.subtract(u_next, u_free, out=dk_k)
+                        if dk is not None:
+                            np.subtract(u_next, u_free, out=dk[:, k])
                     else:
+                        # without stored dK the increment is booked in u_next itself
+                        dk_k = u_next if dk is None else dk[:, k]
                         np.negative(u_free, out=dk_k)
                         np.maximum(dk_k, 0.0, out=dk_k)
                         dk_k *= self.penalty
@@ -457,8 +468,16 @@ def solve_batch(
     dw: np.ndarray | None,
     h: np.ndarray | None,
     cfg: SchemeConfig | Sequence[SchemeConfig],
-) -> tuple[np.ndarray, np.ndarray]:
-    """March P paths from one start at once; returns u (P, steps+1, m), dK (P, steps, m).
+    *,
+    store_dk: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """March P paths from one start at once; returns u (P, steps+1, m) and dK.
+
+    dK is (P, steps, m), or None with store_dk False: the march then stores
+    no reflection increments, and u keeps its bits.  Callers that never
+    read dK pass False (solve_paths, the rate function's skeletons, the
+    penalized rows of the penalization probe); solve, step and the
+    level-set sampler keep it.
 
     dw holds each path's increments (P, steps, d); it may be None only
     when the noise scale is zero, and is not used then.  h holds control
@@ -470,10 +489,9 @@ def solve_batch(
     the (P, m) start states, any other once per step on the (P, m) state;
     each step solves all P right-hand sides in one implicit-solve call.
     Every row marches at once, so the caller sizes the batch (solve_paths
-    chunks a long one).  Row p equals,
-    bit for bit, the batch of one on row p's inputs and config.  A blow-up
-    raises BlowUpError for the lowest row that blows up, with path_index
-    that row.
+    chunks a long one).  Row p equals, bit for bit, the batch of one on
+    row p's inputs and config.  A blow-up raises BlowUpError for the
+    lowest row that blows up, with path_index that row.
     """
     sizes = set()
     penalties = None
@@ -511,7 +529,7 @@ def solve_batch(
     n_paths = sizes.pop() if sizes else 1
 
     u = np.empty((n_paths, steps + 1, m))
-    dk = np.empty((n_paths, steps, m))
+    dk = np.empty((n_paths, steps, m)) if store_dk else None
     u[:, 0] = u0
     _Stepper(cs, cfg, n_paths, penalties).march(u, dk, dw, h, cfg.mesh.times[:-1].tolist())
     return u, dk
@@ -528,20 +546,20 @@ def solve_paths(
 
     increments holds each path's (steps, d) increments and is pulled one
     chunk at a time; h is a control shared by every path, (steps, d) or
-    None.  A chunk is as many paths as fit BATCH_BYTES and runs as one
-    solve_batch, so u equals the batch of one bit for bit.  dw is the
-    path's increments as given and u a copy of its row, so a path the
-    caller keeps does not keep its chunk, and no chunk is left when the
-    next is drawn and solved: with a lazy iterable the noise and paths in
-    memory grow with one chunk, not the path count.  A blow-up raises for
-    the lowest path index that blows up, with path_index counted from the
-    first path.
+    None.  A chunk is as many paths as _paths_per_chunk allows and runs as
+    one solve_batch that stores no dK, so u equals the batch of one bit for
+    bit.  dw is the path's increments as given and u a copy of its row, so
+    a path the caller keeps does not keep its chunk, and no chunk is left
+    when the next is drawn and solved: with a lazy iterable the noise and
+    paths in memory grow with one chunk, not the path count.  A blow-up
+    raises for the lowest path index that blows up, with path_index counted
+    from the first path.
     """
     paths = iter(increments)
     first, size = 0, _paths_per_chunk(cfg)
     while chunk := list(islice(paths, size)):
         try:
-            u = solve_batch(cs, u0, np.stack(chunk), h, cfg)[0]
+            u = solve_batch(cs, u0, np.stack(chunk), h, cfg, store_dk=False)[0]
         except BlowUpError as err:
             err.path_index += first
             raise

@@ -68,6 +68,34 @@ class TestAveragingExperiment:
             assert row.mean_sq_dist == float(np.mean(d2))
             assert row.std_err == float(np.std(d2)) / math.sqrt(7)
 
+    @pytest.mark.parametrize("kwargs", [dict(), dict(noise_profile="bounded", d=2)])
+    def test_constant_average_evaluated_once_per_march(self, kwargs):
+        # the frozen set of a constant base: f_bar and sigma_bar once per march,
+        # with the bits of calling them every step
+        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0, **kwargs)
+        calls = []
+        for name in ("f_bar", "sigma_bar"):
+            def counted(x, z, fn=getattr(avg, name), name=name):
+                calls.append(name)
+                return fn(x, z)
+            object.__setattr__(avg, name, counted)
+        slow = frozen_average_set(ms, avg)
+        per_step = replace(slow, f=lambda t, x, z: slow.f(t, x, z),
+                           sigma=lambda t, x, z: slow.sigma(t, x, z))
+        cfg = replace(CFG, noise_scale=1.0)
+        dw = np.stack([sample_noise(5, MESH, ms.d, path_index=i).increments
+                       for i in range(3)])
+        u, dk = solver.solve_batch(slow, U0, dw, None, cfg)
+        steps = MESH.steps
+        if "sigma_bar" in avg.constant:
+            assert calls == ["f_bar", "sigma_bar"]
+        else:
+            assert calls.count("f_bar") == 1 and calls.count("sigma_bar") == steps
+        calls.clear()
+        u_ref, dk_ref = solver.solve_batch(per_step, U0, dw, None, cfg)
+        assert calls.count("f_bar") == calls.count("sigma_bar") == steps
+        assert (u.tobytes(), dk.tobytes()) == (u_ref.tobytes(), dk_ref.tobytes())
+
     def test_distinct_eps_required(self):
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
         with pytest.raises(ValueError):

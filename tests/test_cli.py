@@ -147,6 +147,33 @@ class TestRunExperiment:
         assert "squared residual" in record["message"] and "tol 0.001" in record["message"]
         assert not (tmp_path / "out" / "fw_bound.csv").exists()
 
+    def test_rare_event_probe_reuses_the_naive_estimate(self, tmp_path, monkeypatch):
+        # the driver's naive estimate at eps is the probe's row at that eps
+        from burgerslab import ldp
+
+        ran = []
+        real = ldp.estimate_naive
+
+        def counted(cs, u0, eps, *rest):
+            ran.append(eps)
+            return real(cs, u0, eps, *rest)
+
+        monkeypatch.setattr(ldp, "estimate_naive", counted)
+        cfg = load_config(write_config(tmp_path, {
+            "experiment": "rare-event",
+            "seed": 4,
+            "grid": {"m": 16},
+            "mesh": {"t_final": 1.0, "dt": 0.02},
+            "params": {"eps": 0.1, "eps_list": [0.2, 0.1], "delta": 0.1,
+                       "n_samples": 20, "blocks": 2},
+        }))
+        code, _ = run_experiment(cfg, tmp_path / "out")
+        assert code == 0
+        assert ran == [0.2]
+        est = (tmp_path / "out" / "rare_event.csv").read_text().splitlines()[1].split(",")
+        row = (tmp_path / "out" / "fw_bound.csv").read_text().splitlines()[2].split(",")
+        assert (est[0], est[1:3]) == ("naive", row[:2])  # the same eps and p_hat
+
 
 class TestAveragingDriver:
     def test_optional_path_dump(self, tmp_path):

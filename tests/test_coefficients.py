@@ -371,6 +371,27 @@ class TestConstantCallbacks:
             CoefficientSet(g=cs.g, dg_dz=cs.dg_dz, f=cs.f, sigma=cs.sigma, d=cs.d,
                            constant=frozenset())
 
+    @pytest.mark.parametrize("kwargs, averaged, frozen", [
+        (dict(), {"f_bar", "sigma_bar"}, {"g", "f", "sigma"}),
+        (dict(noise_profile="bounded", d=2), {"f_bar"}, {"g", "f"}),
+        (dict(a_g=0.8, c1=0.5), {"sigma_bar"}, {"sigma"}),
+        (dict(c2=-0.0, noise_profile="bounded"), set(), {"g"}),
+    ], ids=["all", "bounded", "a_g,c1", "signed-zero"])
+    def test_averaged_set_records_its_constant_callbacks(self, kwargs, averaged, frozen):
+        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0, **kwargs)
+        assert avg.constant == averaged
+        assert frozen_average_set(ms, avg).constant == frozen
+        # wrapping the built set's callbacks, as a tracer does, keeps the record
+        for name in ("f_bar", "sigma_bar"):
+            object.__setattr__(avg, name, lambda x, z, fn=getattr(avg, name): fn(x, z))
+        assert avg.constant == averaged
+        assert frozen_average_set(ms, avg).constant == frozen
+        # a Cesaro average is evaluated per call
+        assert average_coefficients(ms, 10.0).constant == frozenset()
+        with pytest.raises(TypeError):
+            AveragedCoefficientSet(f_bar=avg.f_bar, sigma_bar=avg.sigma_bar, d=avg.d,
+                                   constant=frozenset())
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("call", CALL_SHAPES, ids=[c[0] for c in CALL_SHAPES])
     def test_multiscale_default_bump_equals_unit_bump(self, d, call):

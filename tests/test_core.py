@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from burgerslab import core
 from burgerslab.core import (
     NoisePath,
     SpatialGrid,
@@ -142,6 +144,69 @@ class TestPathDistance:
         q = np.zeros((11, 16))
         with pytest.raises(ValueError):
             path_distance(p, q, self.g, self.mesh)
+
+
+def _whole_path_distance(p, q, grid, mesh):
+    """path_distance as one pass over whole-path arrays, the formula the blocked one keeps."""
+    diff = p - q
+    sup_h = math.sqrt(float(np.max(grid.dx * np.einsum("km,km->k", diff, diff))))
+    jumps = np.diff(diff, axis=1, prepend=0.0, append=0.0)
+    vsq = np.einsum("km,km->k", jumps, jumps) / grid.dx
+    l2_v = math.sqrt(float(np.sum(vsq[:-1])) * mesh.dt)
+    return sup_h, l2_v
+
+
+class TestBlockedPathDistance:
+    """path_distance streams time blocks through two buffers and keeps the bits of one pass."""
+
+    @pytest.mark.parametrize("m", [2, 3, 33, 128])
+    def test_equals_whole_path_formula_at_the_block_edges(self, m):
+        rows = core.DISTANCE_BLOCK // (m + 2)  # one block's time rows
+        rng = np.random.default_rng(m)
+        for n_rows in (2, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1):
+            grid, mesh = SpatialGrid(m), TimeMesh(0.5, n_rows - 1)
+            for scale in (1.0, 1e-9, 1e7):
+                p, q = scale * rng.standard_normal((2, n_rows, m))
+                got = path_distance(p, q, grid, mesh)
+                assert (got.sup_h, got.l2_v) == _whole_path_distance(p, q, grid, mesh)
+
+    @pytest.mark.parametrize("block", [1, 5, 6, 7, 40])
+    def test_block_length_never_shows(self, monkeypatch, block):
+        # m = 4: block floats per buffer give block // 6 time rows (at least one),
+        # so 11 rows span one, two or many blocks with a short last one
+        grid, mesh = SpatialGrid(4), TimeMesh(1.0, 10)
+        p, q = np.random.default_rng(block).standard_normal((2, 11, 4))
+        want = _whole_path_distance(p, q, grid, mesh)
+        monkeypatch.setattr(core, "DISTANCE_BLOCK", block * 6)
+        got = path_distance(p, q, grid, mesh)
+        assert (got.sup_h, got.l2_v) == want
+
+    def test_one_step_and_batch_rows(self):
+        grid, mesh = SpatialGrid(2), TimeMesh(1.0, 1)
+        p, q = np.array([[0.5, -1.0], [2.0, 0.0]]), np.array([[0.0, 1.0], [-0.0, 3.0]])
+        got = path_distance(p, q, grid, mesh)
+        assert (got.sup_h, got.l2_v) == _whole_path_distance(p, q, grid, mesh)
+        # rows of a (P, steps+1, m) batch, as the Monte Carlo loops pass them
+        grid, mesh = SpatialGrid(12), TimeMesh(0.6, 30)
+        batch = np.random.default_rng(5).standard_normal((4, 31, 12))
+        for p in batch:
+            for q in (batch[0], batch[3], batch[1, :, :][::-1]):
+                got = path_distance(p, q, grid, mesh)
+                assert (got.sup_h, got.l2_v) == _whole_path_distance(p, q, grid, mesh)
+
+    def test_scratch_stays_under_one_mib(self):
+        # the reflection_fine workload's size: three path-sized temporaries
+        # (~15 MiB) in one pass, two block buffers and two per-row norms here
+        grid, mesh = SpatialGrid(128), TimeMesh(0.5, 5000)
+        p, q = np.random.default_rng(2).standard_normal((2, 5001, 128))
+        path_distance(p, q, grid, mesh)
+        tracemalloc.start()
+        try:
+            path_distance(p, q, grid, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestNoise:

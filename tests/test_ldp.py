@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from burgerslab import solver
+from burgerslab import ldp, solver
 from burgerslab.core import SpatialGrid, TimeMesh, path_distance, sample_noise, sine_field
 from burgerslab.coefficients import make_burgers_set
 from burgerslab.ldp import (
@@ -161,6 +161,29 @@ class TestLowerBoundProbe:
             fw_lower_bound_probe(
                 ADDITIVE, U0, FLOW, 0.1, [0.2], 10, 21, CFG, bad, theta=0.5
             )
+
+    def test_given_naive_estimate_is_not_run_again(self, monkeypatch):
+        args = (ADDITIVE, U0, FLOW, 0.15, [0.5, 0.2], 60, 19, CFG, self._zero_rate())
+        plain = fw_lower_bound_probe(*args, theta=0.5)
+        ev = EventSpec(target=FLOW, delta=0.15)
+        given = estimate_naive(ADDITIVE, U0, 0.2, ev, 60, 19, CFG)
+        ran = []
+
+        def counted(cs, u0, eps, *rest):
+            ran.append(eps)
+            return estimate_naive(cs, u0, eps, *rest)
+
+        monkeypatch.setattr(ldp, "estimate_naive", counted)
+        assert fw_lower_bound_probe(*args, theta=0.5, naive={0.2: given}) == plain
+        assert ran == [0.5]
+        # an estimate of other samples, another seed or another eps is refused
+        for bad in (estimate_naive(ADDITIVE, U0, 0.2, ev, 59, 19, CFG),
+                    estimate_naive(ADDITIVE, U0, 0.2, ev, 60, 18, CFG),
+                    estimate_naive(ADDITIVE, U0, 0.5, ev, 60, 19, CFG),
+                    estimate_importance(ADDITIVE, U0, 0.2, ev, Control.zero(1.0, 1), 60, 19,
+                                        CFG)):
+            with pytest.raises(ValueError, match="not the probe's naive estimate"):
+                fw_lower_bound_probe(*args, theta=0.5, naive={0.2: bad})
 
     def test_reachable_target_satisfied_at_half_rate_slack(self):
         gen = Control.constant(1.0, 1.0)

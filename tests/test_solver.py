@@ -487,10 +487,13 @@ class TestSolveBatch:
         solved = []
         real = solver.solve_batch
 
-        def tracked(*args):
-            # every chunk solved so far is gone when the next one is solved
+        def tracked(*args, **kwargs):
+            # every chunk solved so far is gone when the next one is solved,
+            # and no chunk stores dK
             assert all(ref() is None for ref in solved)
-            u, dk = real(*args)
+            assert kwargs == {"store_dk": False}
+            u, dk = real(*args, **kwargs)
+            assert dk is None
             solved.append(weakref.ref(u))
             return u, dk
 
@@ -785,6 +788,40 @@ class TestHoistedMarch:
         solve_batch(ref_cs, u0, dw, h, cfg)
         steps = cfg.mesh.steps
         assert calls == {"g": steps, "dg_dz": steps, "f": steps, "sigma": steps}
+
+
+class TestMarchWithoutDk:
+    """store_dk=False keeps u's bits and blow-ups, for every batch case."""
+
+    @pytest.mark.parametrize("control", ["none", "shared", "per_path"])
+    @pytest.mark.parametrize("reflection", ["projection", "penalized"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("profile", ["additive", "bounded", "multiscale", "constant",
+                                         "constant_zero", "multiscale_default", "burgers_ag1"])
+    @pytest.mark.parametrize("convection", ["central", "upwind"])
+    def test_u_and_blow_up_equal_march_with_dk(self, convection, profile, d, reflection,
+                                               control):
+        cs, u0, cfg, dw = _batch_case(convection, profile, d, reflection)
+        n = dw.shape[0]
+        h = _batch_control(control, cfg, d, n)
+        runs = [[cfg], [replace(cfg, noise_scale=0.0)]]
+        if reflection == "penalized":
+            runs.append([replace(cfg, penalty_n=10.0 * (p + 1)) for p in range(n)])
+        for run in runs:
+            noise = dw if run[0].noise_scale > 0.0 else None
+            arg = run if len(run) > 1 else run[0]
+            u, dk = solve_batch(cs, u0, noise, h, arg)
+            u_free, no_dk = solve_batch(cs, u0, noise, h, arg, store_dk=False)
+            assert no_dk is None and u_free.tobytes() == u.tobytes()
+            # a ceiling below the median row peak: at least half the rows blow up
+            ceiling = 0.999 * float(np.median(np.max(np.abs(u[:, 1:]), axis=(1, 2))))
+            low = [replace(c, blowup_ceiling=ceiling) for c in run]
+            low = low if len(run) > 1 else low[0]
+            with pytest.raises(BlowUpError) as kept:
+                solve_batch(cs, u0, noise, h, low)
+            with pytest.raises(BlowUpError) as free:
+                solve_batch(cs, u0, noise, h, low, store_dk=False)
+            assert free.value.args == kept.value.args
 
 
 class TestPenalized:
