@@ -11,7 +11,6 @@ from .core import (
     PathDistance,
     SpatialGrid,
     TimeMesh,
-    exp_weighted_sup,
     h_norm,
     path_distance,
     sample_noise,
@@ -45,12 +44,9 @@ from .solver import (
     total_variation_k,
 )
 from .ratefn import (
-    LevelSetSample,
     RateFunctionResult,
     RateOptions,
-    level_set_continuity_probe,
     rate_function,
-    sample_level_set,
 )
 from .ldp import (
     EventSpec,
@@ -62,7 +58,6 @@ from .ldp import (
 )
 from .averaging import (
     AveragingReport,
-    increment_modulus,
     khasminskii_block_error,
     penalization_convergence_probe,
     run_averaging_experiment,

@@ -6,9 +6,9 @@ increments, then reports the mean squared path distance per eps.  Coupling
 turns the in-probability convergence statement into a monotone statistic
 that is readable at a hundred samples.
 
-Diagnostics mirror the proof devices: the time-increment modulus of a
-path, a Khasminskii block functional that freezes the state at block
-starts, and the penalization-versus-projection comparison on common noise.
+Diagnostics mirror the proof devices: a Khasminskii block functional that
+freezes the state at block starts, and the penalization-versus-projection
+comparison on common noise.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "AveragingRow",
     "AveragingReport",
     "run_averaging_experiment",
-    "increment_modulus",
     "khasminskii_block_error",
     "penalization_convergence_probe",
     "frozen_average_set",
@@ -129,27 +128,6 @@ def run_averaging_experiment(
             n_samples=n_samples,
         ))
     return AveragingReport(rows=rows, coupling_seed=seed, delta=delta)
-
-
-def increment_modulus(p: ReflectedPath, window: float) -> float:
-    """max over mesh s of max over v in [s, s+window] of |u(v) - u(s)|_H^2.
-
-    The window is truncated at the horizon near the right end.  Halving the
-    window never increases the value (nested suprema).
-    """
-    dt, t_final = p.mesh.dt, p.mesh.t_final
-    if not 0.0 < window < t_final:
-        raise ValueError(f"window must lie in (0, {t_final}), got {window}")
-    w = int(window / dt + 1e-9)
-    if w < 1:
-        return 0.0
-    dx = p.grid.dx
-    worst = 0.0
-    for off in range(1, w + 1):
-        diff = p.u[off:] - p.u[:-off]
-        hsq = dx * np.einsum("km,km->k", diff, diff)
-        worst = max(worst, float(np.max(hsq)))
-    return worst
 
 
 def khasminskii_block_error(

@@ -90,8 +90,11 @@ _POSITIVE_LIST = (lambda v, c: v and min(v) > 0, "must be a nonempty list of num
 
 
 def _whole_steps(t_final: float, dt: float) -> bool:
-    """True when dt > 0 splits t_final into a positive whole number of steps."""
-    steps = round(t_final / dt) if dt > 0 else 0
+    """True when dt > 0 splits t_final into a positive, finite whole number of steps."""
+    quotient = t_final / dt if dt > 0 else 0.0
+    if not math.isfinite(quotient):
+        return False
+    steps = round(quotient)
     return steps >= 1 and abs(steps * dt - t_final) <= 1e-9 * max(1.0, t_final)
 
 
@@ -448,7 +451,7 @@ def _drive_rare_event(cfg: ExperimentConfig):
     u0 = cfg.build_u0()
     gen = _constant_control(cfg.mesh.t_final, p["h_star"], cs.d)
     target = solve_skeleton(cs, u0, gen, cfg.scheme).u
-    ev = EventSpec(target=target, delta=p["delta"], sense="hit")
+    ev = EventSpec(target=target, delta=p["delta"])
     naive = estimate_naive(cs, u0, eps, ev, n_samples, cfg.seed, cfg.scheme)
     tilted = estimate_importance(cs, u0, eps, ev, gen, n_samples, cfg.seed, cfg.scheme)
     est_rows = [
@@ -570,17 +573,17 @@ def run_experiment(
     """Dispatch to the named driver; write CSVs, runmeta.jsonl and manifest.txt.
 
     Returns (exit code, artifact paths).  Fatal errors (blow-up, any
-    ValueError a library call raises) yield a failure.json record and exit
-    code 1; the rate-function experiment reports optimizer non-convergence
-    in its tables, while the rare-event lower-bound probe cannot run without
-    a converged rate and fails.
+    ValueError a library call raises, arrays larger than memory) yield a
+    failure.json record and exit code 1; the rate-function experiment
+    reports optimizer non-convergence in its tables, while the rare-event
+    lower-bound probe cannot run without a converged rate and fails.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
         tables = _DRIVERS[cfg.experiment](cfg)
-    except (BlowUpError, ValueError) as exc:
+    except (BlowUpError, ValueError, MemoryError) as exc:
         return 1, [_write_failure(out, cfg, exc)]
 
     artifacts: list[Path] = []

@@ -28,7 +28,6 @@ __all__ = [
     "v_norm",
     "path_distance",
     "sample_noise",
-    "exp_weighted_sup",
 ]
 
 
@@ -216,43 +215,3 @@ def sample_noise(seed: int, mesh: TimeMesh, d: int, path_index: int = 0) -> Nois
     rng = np.random.Generator(np.random.Philox(ss))
     increments = rng.standard_normal((mesh.steps, d)) * math.sqrt(mesh.dt)
     return NoisePath(mesh=mesh, d=d, increments=increments, seed=seed, path_index=path_index)
-
-
-def exp_weighted_sup(
-    p: np.ndarray,
-    q: np.ndarray,
-    vsq_p: np.ndarray,
-    vsq_q: np.ndarray,
-    alpha: float,
-    grid: SpatialGrid,
-    mesh: TimeMesh,
-) -> tuple[float, float]:
-    """Exponentially weighted sup-H^2 and time-integrated V^2 of p - q.
-
-    The weight at t_k is exp{-alpha * sum_{m<k} (1 + ||p_m||_V^2 + ||q_m||_V^2) dt},
-    the running energy of both paths; it tames the quadratic convection term
-    so the weighted distance contracts.  vsq_p / vsq_q are the cached squared
-    V norms of each path at the mesh nodes.
-
-    Returns (sup_k weight_k |p_k - q_k|_H^2, sum_{k<steps} weight_k ||p_k - q_k||_V^2 dt).
-    """
-    if alpha <= 0.0:
-        raise ValueError(f"weight exponent must be positive, got alpha={alpha}")
-    p = _check_path(p, grid, mesh)
-    q = _check_path(q, grid, mesh)
-    vsq_p = np.asarray(vsq_p, dtype=float)
-    vsq_q = np.asarray(vsq_q, dtype=float)
-    if vsq_p.shape != (mesh.steps + 1,) or vsq_q.shape != (mesh.steps + 1,):
-        raise ValueError("cached V norms must have one entry per time node")
-
-    growth = 1.0 + vsq_p + vsq_q
-    # log weight at t_k accumulates the first k left-endpoint terms
-    log_w = np.zeros(mesh.steps + 1)
-    log_w[1:] = -alpha * mesh.dt * np.cumsum(growth[:-1])
-    weights = np.exp(log_w)
-
-    diff = p - q
-    weighted_sup = float(np.max(weights * _h_norms_sq(diff, grid)))
-    vsq_diff = _v_norms_sq(diff, grid)
-    weighted_int = float(np.sum(weights[:-1] * vsq_diff[:-1]) * mesh.dt)
-    return weighted_sup, weighted_int

@@ -1,7 +1,7 @@
 """Monte Carlo probes for the small-noise family.
 
-All probabilities concern tube events {rho(u, target) < delta} (or their
-complements) where rho is the canonical squared path functional
+All probabilities concern tube events {rho(u, target) < delta} where rho
+is the canonical squared path functional
 sup_t |u - target|_H^2 + ∫ ||u - target||_V^2 dt.
 
 Two estimators are provided: the naive frequency, and an importance-sampled
@@ -50,27 +50,22 @@ LOG_WEIGHT_CLIP = 700.0  # exp overflow threshold for float64
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Tube event around a target path.
+    """Tube event {rho(u, target) < delta} around a target path.
 
-    sense "hit" is {rho(u, target) < delta}, "miss" the complement, with
-    rho the squared path functional.  delta = inf makes "hit" the sure
+    rho is the squared path functional.  delta = inf makes it the sure
     event (useful for weight diagnostics).
     """
 
     target: np.ndarray
     delta: float
-    sense: str = "hit"
 
     def __post_init__(self) -> None:
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:  # NaN fails too
             raise ValueError(f"tube radius must be positive, got {self.delta}")
-        if self.sense not in ("hit", "miss"):
-            raise ValueError(f"sense must be 'hit' or 'miss', got {self.sense!r}")
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
 
     def occurred(self, u: np.ndarray, cfg: SchemeConfig) -> bool:
-        d2 = path_distance(u, self.target, cfg.grid, cfg.mesh).squared
-        return d2 < self.delta if self.sense == "hit" else d2 >= self.delta
+        return path_distance(u, self.target, cfg.grid, cfg.mesh).squared < self.delta
 
 
 @dataclass(frozen=True)
@@ -224,7 +219,7 @@ def fw_lower_bound_probe(
         )
     if theta <= 0.0:
         raise ValueError(f"slack theta must be positive, got {theta}")
-    ev = EventSpec(target=target, delta=delta, sense="hit")
+    ev = EventSpec(target=target, delta=delta)
     bound = -(rate_result.lambda_hat + theta)
 
     known = dict(naive or {})

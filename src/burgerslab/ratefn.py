@@ -19,23 +19,15 @@ the reflected dynamics is not differentiable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import SpatialGrid, TimeMesh, path_distance
 from .coefficients import CoefficientSet
-from .solver import Control, ReflectedPath, SchemeConfig, solve_batch, solve_skeleton
+from .solver import Control, SchemeConfig, solve_batch, solve_skeleton
 
-__all__ = [
-    "RateOptions",
-    "RateFunctionResult",
-    "LevelSetSample",
-    "rate_function",
-    "sample_level_set",
-    "level_set_continuity_probe",
-]
+__all__ = ["RateOptions", "RateFunctionResult", "rate_function"]
 
 # The continuation's penalty weights mu, one stage each; the first step size of
 # a stage's line search, which also caps the warm starts; the relative width of
@@ -192,97 +184,3 @@ def rate_function(
         tol=opt.tol,
         history=history,
     )
-
-
-@dataclass(frozen=True)
-class LevelSetSample:
-    """Sampled members of the energy level set {rate <= bound}."""
-
-    bound: float
-    members: list[tuple[Control, ReflectedPath]]
-
-    def __post_init__(self) -> None:
-        for ctrl, _ in self.members:
-            if ctrl.energy > self.bound + 1e-9:
-                raise ValueError(
-                    f"member control energy {ctrl.energy:.6g} exceeds bound {self.bound}"
-                )
-
-
-def _draw_controls(
-    rng: np.random.Generator, bound: float, count: int, t_final: float, blocks: int, d: int
-) -> list[Control]:
-    controls = []
-    block_dt = t_final / blocks
-    for _ in range(count):
-        raw = rng.standard_normal((blocks, d))
-        raw_energy = 0.5 * float(np.sum(raw**2)) * block_dt
-        target_energy = rng.uniform(0.0, bound) if bound > 0 else 0.0
-        scale = math.sqrt(target_energy / raw_energy) if raw_energy > 0 else 0.0
-        controls.append(Control(t_final, raw * scale))
-    return controls
-
-
-def sample_level_set(
-    cs: CoefficientSet,
-    u0: np.ndarray,
-    bound: float,
-    count: int,
-    seed: int,
-    cfg: SchemeConfig,
-    blocks: int = 8,
-) -> LevelSetSample:
-    """Random skeleton paths with control energy uniform in [0, bound].
-
-    Every member's skeleton is one row of a single batch; each equals the
-    skeleton solve of its control bit for bit.
-    """
-    if bound < 0:
-        raise ValueError(f"level-set bound must be nonnegative, got {bound}")
-    if count < 1:
-        raise ValueError(f"need at least one member, got count={count}")
-    rng = np.random.default_rng(seed)
-    controls = _draw_controls(rng, bound, count, cfg.mesh.t_final, blocks, cs.d)
-    skeleton_cfg = replace(cfg, noise_scale=0.0)
-    h_mesh = np.stack([ctrl.on_mesh(cfg.mesh) for ctrl in controls])
-    u, dk = solve_batch(cs, u0, None, h_mesh, skeleton_cfg)
-    members = [(ctrl, ReflectedPath(u[p], dk[p], skeleton_cfg)) for p, ctrl in enumerate(controls)]
-    return LevelSetSample(bound=bound, members=members)
-
-
-def level_set_continuity_probe(
-    cs: CoefficientSet,
-    u0: np.ndarray,
-    u0_sequence: list[np.ndarray],
-    bound: float,
-    count: int,
-    seed: int,
-    cfg: SchemeConfig,
-    blocks: int = 8,
-) -> list[float]:
-    """One-sided Hausdorff estimates between sampled level sets.
-
-    For each perturbed start the same control sample is solved from both
-    initial conditions (the coupling device behind the Hausdorff-continuity
-    argument), and the estimate is the larger of the two one-sided
-    sup-min squared distances between the sampled sets.
-    """
-    if not u0_sequence:
-        raise ValueError("u0_sequence must be nonempty")
-    rng = np.random.default_rng(seed)
-    controls = _draw_controls(rng, bound, count, cfg.mesh.t_final, blocks, cs.d)
-    h_mesh = np.stack([ctrl.on_mesh(cfg.mesh) for ctrl in controls])
-    skeleton_cfg = replace(cfg, noise_scale=0.0)
-    ref_paths = solve_batch(cs, u0, None, h_mesh, skeleton_cfg, store_dk=False)[0]
-
-    estimates = []
-    for u0_n in u0_sequence:
-        per_paths = solve_batch(cs, u0_n, None, h_mesh, skeleton_cfg, store_dk=False)[0]
-        dists = np.empty((count, count))
-        for i, p in enumerate(ref_paths):
-            for j, q in enumerate(per_paths):
-                dists[i, j] = path_distance(p, q, cfg.grid, cfg.mesh).squared
-        forward = float(np.max(np.min(dists, axis=1)))
-        backward = float(np.max(np.min(dists, axis=0)))
-        estimates.append(max(forward, backward))
-    return estimates

@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "complementarity_residual",
     "total_variation_k",
     "energy_functional",
-    "write_path_csv",
     "path_binary_bytes",
     "read_path_binary",
 ]
@@ -70,7 +69,7 @@ BINARY_MAGIC = b"RBPATH01"
 
 
 class BlowUpError(RuntimeError):
-    """State became non-finite or exceeded the ceiling at some step.
+    """State became non-finite or exceeded BLOWUP_CEILING at some step.
 
     path_index is the row of the batch that blew up (0 for a single solve);
     noise_scale and time_scale are the solve's, so that with the noise seed
@@ -103,7 +102,6 @@ class SchemeConfig:
     convection: str = "central"
     time_scale: float = 1.0
     noise_scale: float = 1.0
-    blowup_ceiling: float = 1e6
 
     def __post_init__(self) -> None:
         if self.reflection not in REFLECTIONS:
@@ -199,7 +197,6 @@ class ReflectedPath:
     u: np.ndarray
     dk: np.ndarray
     config: SchemeConfig
-    noise_seed: int | None = None
 
     def __post_init__(self) -> None:
         for arr in (self.u, self.dk):
@@ -266,6 +263,8 @@ MAX_M = 256
 # A march looks for a blow-up once per this many steps, over every state
 # stored since its last look: one max and one min instead of a check per step.
 CHECK_EVERY = 64
+# A state with some |u| above this counts as blown up, like a non-finite one.
+BLOWUP_CEILING = 1e6
 
 
 class _Stepper:
@@ -427,11 +426,10 @@ class _Stepper:
     def _note_blowups(self, block: np.ndarray, start: int, times: list[float],
                       first_bad: dict[int, tuple[int, float, float]]) -> None:
         """Record (step, t, peak) of each row's first bad state in block = u[:, start + 1:]."""
-        ceiling = self.cfg.blowup_ceiling
-        if block.max() <= ceiling and -block.min() <= ceiling:  # NaN fails both
+        if block.max() <= BLOWUP_CEILING and -block.min() <= BLOWUP_CEILING:  # NaN fails both
             return
         peak = np.max(np.abs(block), axis=2)
-        bad = ~np.isfinite(peak) | (peak > ceiling)
+        bad = ~np.isfinite(peak) | (peak > BLOWUP_CEILING)
         for row in np.flatnonzero(bad.any(axis=1)).tolist():
             j = int(np.argmax(bad[row]))
             first_bad.setdefault(row, (start + j, times[start + j] + self.dt, float(peak[row, j])))
@@ -476,8 +474,7 @@ def solve_batch(
     dK is (P, steps, m), or None with store_dk False: the march then stores
     no reflection increments, and u keeps its bits.  Callers that never
     read dK pass False (solve_paths, the rate function's skeletons, the
-    penalized rows of the penalization probe); solve, step and the
-    level-set sampler keep it.
+    penalized rows of the penalization probe); solve and step keep it.
 
     dw holds each path's increments (P, steps, d); it may be None only
     when the noise scale is zero, and is not used then.  h holds control
@@ -590,7 +587,7 @@ def solve(
     dw = noise.increments[None] if (noise is not None and cfg.noise_scale > 0.0) else None
     h = control.on_mesh(cfg.mesh) if control is not None else None
     u, dk = solve_batch(cs, u0, dw, h, cfg)
-    return ReflectedPath(u[0], dk[0], cfg, noise.seed if noise is not None else None)
+    return ReflectedPath(u[0], dk[0], cfg)
 
 
 def solve_skeleton(
@@ -624,14 +621,6 @@ def energy_functional(p: ReflectedPath) -> tuple[float, float]:
     return sup_h_sq, int_v_sq
 
 
-def write_path_csv(p: ReflectedPath, fh: TextIO) -> None:
-    """CSV dump: one row per time node, columns t then the node values."""
-    header = "t," + ",".join(f"x_{xi:.6f}" for xi in p.grid.nodes)
-    fh.write(header + "\n")
-    for t, row in zip(p.mesh.times, p.u):
-        fh.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
-
-
 def path_binary_bytes(p: ReflectedPath) -> bytes:
     """Compact dump payload.  Layout (little endian):
 
@@ -648,13 +637,22 @@ def path_binary_bytes(p: ReflectedPath) -> bytes:
 
 
 def read_path_binary(path: str) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Read a file holding path_binary_bytes; returns (meta, u, dK)."""
+    """Read a file holding path_binary_bytes; returns (meta, u, dK).
+
+    A file whose length is not the one its header implies (cut short, or
+    with bytes after dK) is rejected, as is one without the magic.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"not a path dump (magic {magic!r})")
-        m, steps, dt, dx = struct.unpack("<qqdd", fh.read(32))
-        u = np.frombuffer(fh.read((steps + 1) * m * 8), dtype="<f8").reshape(steps + 1, m)
-        dk = np.frombuffer(fh.read(steps * m * 8), dtype="<f8").reshape(steps, m)
+        data = fh.read()
+    head = len(BINARY_MAGIC) + struct.calcsize("<qqdd")
+    if data[:len(BINARY_MAGIC)] != BINARY_MAGIC or len(data) < head:
+        raise ValueError(f"not a path dump (magic {data[:len(BINARY_MAGIC)]!r})")
+    m, steps, dt, dx = struct.unpack_from("<qqdd", data, len(BINARY_MAGIC))
+    size = head + 8 * m * (2 * steps + 1)
+    if m < 1 or steps < 1 or len(data) != size:
+        raise ValueError(f"path dump of {len(data)} bytes, but its header "
+                         f"(m={m}, steps={steps}) implies {size}")
+    u = np.frombuffer(data, dtype="<f8", count=(steps + 1) * m, offset=head)
+    dk = np.frombuffer(data, dtype="<f8", count=steps * m, offset=head + u.nbytes)
     meta = {"m": m, "steps": steps, "dt": dt, "dx": dx}
-    return meta, u.copy(), dk.copy()
+    return meta, u.reshape(steps + 1, m).copy(), dk.reshape(steps, m).copy()

@@ -16,12 +16,11 @@ from burgerslab.core import (
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.averaging import (
     frozen_average_set,
-    increment_modulus,
     khasminskii_block_error,
     penalization_convergence_probe,
     run_averaging_experiment,
 )
-from burgerslab.solver import SchemeConfig, solve, solve_skeleton
+from burgerslab.solver import SchemeConfig, solve
 
 GRID = SpatialGrid(16)
 MESH = TimeMesh(1.0, 200)
@@ -116,35 +115,6 @@ class TestAveragingExperiment:
         # bounded against 1 + |u0|^4, and not growing with the scaling
         assert max(ratios) < 2.0
         assert ratios[2] / ratios[1] < 1.5
-
-
-class TestIncrementModulus:
-    def _heat_path(self):
-        cs = make_burgers_set(0.0, noise_profile="zero")
-        cfg = SchemeConfig(grid=GRID, mesh=TimeMesh(0.5, 500), noise_scale=0.0)
-        return solve_skeleton(cs, U0, None, cfg)
-
-    def test_constant_path_zero(self):
-        cs = make_burgers_set(0.0, noise_profile="zero")
-        cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=0.0)
-        p = solve_skeleton(cs, np.zeros(GRID.m), None, cfg)
-        assert increment_modulus(p, 0.1) == 0.0
-
-    def test_heat_flow_first_mode_bound(self):
-        p = self._heat_path()
-        bound = (1 - math.exp(-math.pi**2 * 0.01)) ** 2 * h_norm(U0, GRID) ** 2
-        assert increment_modulus(p, 0.01) <= bound
-
-    def test_smaller_window_never_larger(self):
-        p = self._heat_path()
-        assert increment_modulus(p, 0.01) <= increment_modulus(p, 0.04)
-
-    def test_window_validated(self):
-        p = self._heat_path()
-        with pytest.raises(ValueError):
-            increment_modulus(p, 0.0)
-        with pytest.raises(ValueError):
-            increment_modulus(p, 1.0)
 
 
 class TestKhasminskiiBlocks:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,6 +248,17 @@ class TestMain:
         assert record == {"experiment": "heat-regression", "seed": 3, "error": "ValueError",
                           "message": "boom"}
 
+    def test_arrays_larger_than_memory_write_failure_record(self, tmp_path, capsys):
+        # 10^15 steps: the path array alone is hundreds of PiB, past any
+        # address space, so the allocation fails at once; once a traceback
+        payload = {"experiment": "reflection", "mesh": {"dt": 1e-15}}
+        out = tmp_path / "out"
+        assert main(["--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+        assert "allocate" in capsys.readouterr().err
+        record = json.loads((out / "failure.json").read_text())
+        assert record["error"] == "MemoryError" and record["experiment"] == "reflection"
+        assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+
     @pytest.mark.parametrize("case", ["directory", "not-utf8"])
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, case):
         # each once ended in an IsADirectoryError or UnicodeDecodeError traceback
@@ -332,6 +346,14 @@ BAD_CONFIGS = [
         {"experiment": "averaging", **MULTISCALE, "params": {"eps_list": [], "n_paths": 1}}),
     bad("heat-regression-dt-not-dividing-t-final", "params.dt_values",
         {**TINY_HEAT, "params": {**TINY_HEAT["params"], "dt_values": [0.03]}}),
+    bad("mesh-step-count-overflows", "mesh.dt",
+        {"experiment": "reflection", "mesh": {"t_final": 1e308, "dt": 1e-10}}),
+    bad("heat-regression-step-count-overflows", "params.dt_values",
+        {**TINY_HEAT, "params": {**TINY_HEAT["params"], "t_final": 1e308, "dt_values": [1e-10]}}),
+    bad("mesh-subnormal-dt-overflows", "mesh.dt",
+        {"experiment": "reflection", "mesh": {"t_final": 1.0, "dt": 5e-324}}),
+    bad("heat-regression-subnormal-dt-overflows", "params.dt_values",
+        {**TINY_HEAT, "params": {**TINY_HEAT["params"], "dt_values": [5e-324]}}),
     bad("experiment-override-revalidates-params", "params.m_values",
         TINY_HEAT, "--experiment", "reflection"),
     bad("dump-first-pair-not-bool", "params.dump_first_pair",
@@ -381,3 +403,49 @@ def test_key_the_experiment_never_reads_is_rejected(tmp_path, capsys, payload, i
         assert f"'{field}'" in err and f"'{field}'" in record["message"]
     assert "convection" not in record["message"]
     assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+
+
+# 10^14 or 10^15 steps: each experiment's first array is petabytes, past any
+# address space, so the allocation fails at once
+HUGE_MESHES = [
+    pytest.param({"experiment": "rare-event", "mesh": {"dt": 1e-15}}, id="rare-event"),
+    pytest.param({"experiment": "rate-function", "mesh": {"dt": 1e-15}}, id="rate-function"),
+    pytest.param({"experiment": "condition-probe", "mesh": {"dt": 1e-15}},
+                 id="condition-probe"),
+    pytest.param({"experiment": "averaging", "mesh": {"dt": 1e-15},
+                  "coefficients": {"family": "multiscale", "beta": 0.5}}, id="averaging"),
+    pytest.param({"experiment": "heat-regression", "params": {"dt_values": [1e-15]}},
+                 id="heat-regression"),
+]
+
+
+@pytest.mark.parametrize("payload", HUGE_MESHES)
+def test_every_experiment_too_large_for_memory_writes_failure_record(tmp_path, capsys, payload):
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+    assert "allocate" in capsys.readouterr().err
+    record = json.loads((out / "failure.json").read_text())
+    assert record["error"] == "MemoryError" and record["experiment"] == payload["experiment"]
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+
+
+@pytest.mark.parametrize("payload, code", [
+    pytest.param({"experiment": "reflection", "no_such_key": 1}, 2, id="unknown-key"),
+    pytest.param({"experiment": "reflection", "mesh": {"t_final": 1e308, "dt": 1e-10}}, 2,
+                 id="overflowing-mesh"),
+    pytest.param({"experiment": "reflection", "mesh": {"dt": 1e-15}}, 1, id="petabyte-mesh"),
+])
+def test_command_line_never_prints_a_traceback(tmp_path, payload, code):
+    # the module run as a program, under -X dev -W error: the exit code and a
+    # failure record, with the error on one line
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "burgerslab.cli",
+         "--config", str(write_config(tmp_path, payload)), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert (out / "failure.json").exists()
+    assert "Traceback" not in done.stderr and done.stderr.startswith("error: ")

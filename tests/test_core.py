@@ -9,7 +9,6 @@ from burgerslab.core import (
     NoisePath,
     SpatialGrid,
     TimeMesh,
-    exp_weighted_sup,
     h_norm,
     path_distance,
     sample_noise,
@@ -239,51 +238,3 @@ class TestNoise:
             sample_noise(0, mesh, 0)
         with pytest.raises(ValueError):
             NoisePath(mesh=mesh, d=2, increments=np.zeros((10, 1)), seed=0)
-
-
-class TestExpWeightedSup:
-    def setup_method(self):
-        self.g = SpatialGrid(8)
-        self.mesh = TimeMesh(1.0, 40)
-        self.p = np.tile(sine_field(self.g), (41, 1))
-        self.q = np.zeros((41, 8))
-        self.vp = np.full(41, v_norm(sine_field(self.g), self.g) ** 2)
-        self.vq = np.zeros(41)
-
-    def test_identical_paths(self):
-        ws, wi = exp_weighted_sup(self.p, self.p, self.vp, self.vp, 1.0, self.g, self.mesh)
-        assert ws == 0.0 and wi == 0.0
-
-    def test_small_alpha_limit_is_unweighted(self):
-        ws, wi = exp_weighted_sup(self.p, self.q, self.vp, self.vq, 1e-14, self.g, self.mesh)
-        d = path_distance(self.p, self.q, self.g, self.mesh)
-        assert ws == pytest.approx(d.sup_h**2, rel=1e-8)
-        assert wi == pytest.approx(d.l2_v**2, rel=1e-8)
-
-    def test_constant_path_closed_form(self):
-        alpha, dt, steps = 0.7, self.mesh.dt, self.mesh.steps
-        c = 1.0 + self.vp[0] + self.vq[0]
-        hsq = h_norm(sine_field(self.g), self.g) ** 2
-        vsq = v_norm(sine_field(self.g), self.g) ** 2
-        ws, wi = exp_weighted_sup(self.p, self.q, self.vp, self.vq, alpha, self.g, self.mesh)
-        # sup attained at t_0 where the weight is 1
-        assert ws == pytest.approx(hsq, rel=1e-10)
-        r = math.exp(-alpha * c * dt)
-        geometric = dt * (1 - r**steps) / (1 - r)
-        assert wi == pytest.approx(vsq * geometric, rel=1e-10)
-
-    def test_monotone_in_alpha(self):
-        values = [
-            exp_weighted_sup(self.p, self.q, self.vp, self.vq, a, self.g, self.mesh)
-            for a in (0.1, 1.0, 10.0)
-        ]
-        sups = [v[0] for v in values]
-        ints = [v[1] for v in values]
-        assert sups[0] >= sups[1] >= sups[2]
-        assert ints[0] > ints[1] > ints[2]
-
-    def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            exp_weighted_sup(self.p, self.q, self.vp, self.vq, 0.0, self.g, self.mesh)
-        with pytest.raises(ValueError):
-            exp_weighted_sup(self.p, self.q, self.vp, self.vq, -1.0, self.g, self.mesh)

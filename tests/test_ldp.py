@@ -31,8 +31,20 @@ class TestEventSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             EventSpec(target=FLOW, delta=0.0)
-        with pytest.raises(ValueError):
-            EventSpec(target=FLOW, delta=0.1, sense="near")
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan])
+    def test_radius_must_be_a_positive_number(self, delta):
+        # a NaN radius once passed and made every event impossible
+        with pytest.raises(ValueError, match="tube radius"):
+            EventSpec(target=FLOW, delta=delta)
+
+    @pytest.mark.parametrize("side, hit", [("below", False), ("at", False), ("above", True)])
+    def test_hit_is_strictly_inside_the_tube(self, side, hit):
+        # the event is d² < delta: a path at squared distance exactly delta misses
+        u = FLOW + 0.1
+        d2 = path_distance(u, FLOW, GRID, MESH).squared
+        delta = {"below": np.nextafter(d2, 0.0), "at": d2, "above": np.nextafter(d2, np.inf)}
+        assert EventSpec(target=FLOW, delta=float(delta[side])).occurred(u, CFG) is hit
 
     def test_sure_event(self):
         ev = EventSpec(target=FLOW, delta=float("inf"))
@@ -44,13 +56,6 @@ class TestEventSpec:
         ev = EventSpec(target=FLOW + 0.5, delta=1e-12)
         est = estimate_naive(ADDITIVE, U0, 0.3, ev, 20, seed=0, cfg=CFG)
         assert est.p_hat == 0.0
-
-    def test_miss_sense_complements_hit(self):
-        hit = EventSpec(target=FLOW, delta=0.2, sense="hit")
-        miss = EventSpec(target=FLOW, delta=0.2, sense="miss")
-        p_hit = estimate_naive(ADDITIVE, U0, 0.3, hit, 50, seed=1, cfg=CFG).p_hat
-        p_miss = estimate_naive(ADDITIVE, U0, 0.3, miss, 50, seed=1, cfg=CFG).p_hat
-        assert p_hit + p_miss == pytest.approx(1.0, abs=1e-15)
 
 
 class TestNaive:

@@ -6,12 +6,7 @@ import pytest
 from burgerslab import ratefn
 from burgerslab.core import SpatialGrid, TimeMesh, path_distance, sine_field
 from burgerslab.coefficients import make_burgers_set
-from burgerslab.ratefn import (
-    RateOptions,
-    level_set_continuity_probe,
-    rate_function,
-    sample_level_set,
-)
+from burgerslab.ratefn import RateOptions, rate_function
 from burgerslab.solver import Control, SchemeConfig, solve_batch, solve_skeleton
 
 ADDITIVE = make_burgers_set(0.0, noise_profile="additive")
@@ -209,90 +204,3 @@ class TestBatchedLineSearch:
         res = rate_function(ADDITIVE, u0, target, CFG, OPT)
         assert res.iterations > len(ratefn.MU_SCHEDULE)
         assert len(calls) == 1
-
-
-class TestLevelSets:
-    def test_zero_bound_is_uncontrolled_flow(self):
-        u0 = sine_field(GRID)
-        sample = sample_level_set(ADDITIVE, u0, 0.0, 5, seed=1, cfg=CFG)
-        flow = solve_skeleton(ADDITIVE, u0, None, CFG).u
-        for ctrl, path in sample.members:
-            assert ctrl.energy == 0.0
-            assert np.array_equal(path.u, flow)
-
-    def test_energies_within_bound(self):
-        sample = sample_level_set(ADDITIVE, sine_field(GRID), 0.8, 12, seed=2, cfg=CFG)
-        assert len(sample.members) == 12
-        assert all(ctrl.energy <= 0.8 + 1e-9 for ctrl, _ in sample.members)
-
-    def test_seed_changes_members(self):
-        u0 = sine_field(GRID)
-        a = sample_level_set(ADDITIVE, u0, 0.8, 6, seed=3, cfg=CFG)
-        b = sample_level_set(ADDITIVE, u0, 0.8, 6, seed=4, cfg=CFG)
-        vals_a = np.concatenate([c.values.ravel() for c, _ in a.members])
-        vals_b = np.concatenate([c.values.ravel() for c, _ in b.members])
-        assert not np.array_equal(vals_a, vals_b)
-
-    @pytest.mark.parametrize("cs", [ADDITIVE, BOUNDED_2D], ids=["additive", "bounded_2d"])
-    def test_batched_members_equal_skeleton_solves(self, cs):
-        # the members are rows of one batch; each equals the skeleton solve
-        # of its control, bit for bit
-        u0 = sine_field(GRID)
-        sample = sample_level_set(cs, u0, 0.8, 6, seed=11, cfg=CFG)
-        for ctrl, path in sample.members:
-            ref = solve_skeleton(cs, u0, ctrl, CFG)
-            for field in ("u", "dk", "h_sq", "v_sq"):
-                assert np.array_equal(getattr(path, field), getattr(ref, field)), field
-            assert path.config == ref.config and path.noise_seed is None
-
-    def test_seed_reproducibility(self):
-        u0 = sine_field(GRID)
-        a = sample_level_set(ADDITIVE, u0, 0.8, 6, seed=5, cfg=CFG)
-        b = sample_level_set(ADDITIVE, u0, 0.8, 6, seed=5, cfg=CFG)
-        for (ca, pa), (cb, pb) in zip(a.members, b.members):
-            assert np.array_equal(ca.values, cb.values)
-            assert np.array_equal(pa.u, pb.u)
-
-
-class TestContinuityProbe:
-    def test_identical_starts_give_zero(self):
-        u0 = sine_field(GRID)
-        ests = level_set_continuity_probe(
-            ADDITIVE, u0, [u0.copy(), u0.copy()], 0.5, 6, seed=6, cfg=CFG
-        )
-        assert all(e == 0.0 for e in ests)
-
-    def test_shrinking_perturbations_shrink_estimates(self):
-        u0 = sine_field(GRID)
-        seq = [u0 + (1.0 / n) * sine_field(GRID) for n in (1, 2, 4, 8)]
-        ests = level_set_continuity_probe(ADDITIVE, u0, seq, 0.5, 6, seed=7, cfg=CFG)
-        assert all(b < a for a, b in zip(ests, ests[1:]))
-
-    def test_zero_bound_singleton(self):
-        u0 = sine_field(GRID)
-        u0n = u0 + 0.3 * sine_field(GRID, k=2) ** 2
-        ests = level_set_continuity_probe(ADDITIVE, u0, [u0n], 0.0, 4, seed=8, cfg=CFG)
-        flow = solve_skeleton(ADDITIVE, u0, None, CFG).u
-        flow_n = solve_skeleton(ADDITIVE, u0n, None, CFG).u
-        expected = path_distance(flow, flow_n, GRID, MESH).squared
-        assert ests[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            level_set_continuity_probe(ADDITIVE, sine_field(GRID), [], 0.5, 4, 9, CFG)
-
-    def test_batched_probe_matches_per_control_solves(self):
-        # the probe solves each set of controls as one batch; the estimate is
-        # what one skeleton solve per control gives, bit for bit
-        u0 = sine_field(GRID)
-        seq = [u0 + 0.2 * sine_field(GRID, k=2) ** 2, 0.5 * u0]
-        ests = level_set_continuity_probe(ADDITIVE, u0, seq, 0.8, 5, seed=10, cfg=CFG)
-        controls = [ctrl for ctrl, _ in sample_level_set(
-            ADDITIVE, u0, 0.8, 5, seed=10, cfg=CFG).members]
-        ref = [solve_skeleton(ADDITIVE, u0, c, CFG).u for c in controls]
-        for u0_n, est in zip(seq, ests):
-            per = [solve_skeleton(ADDITIVE, u0_n, c, CFG).u for c in controls]
-            dists = np.array([[path_distance(p, q, GRID, MESH).squared for q in per]
-                              for p in ref])
-            assert est == max(float(np.max(np.min(dists, axis=1))),
-                              float(np.max(np.min(dists, axis=0))))

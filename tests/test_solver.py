@@ -11,7 +11,7 @@ import pytest
 
 from burgerslab import solver
 from burgerslab.core import (
-    SpatialGrid, TimeMesh, _h_norms_sq, _v_norms_sq, h_norm, sample_noise, sine_field,
+    SpatialGrid, TimeMesh, _h_norms_sq, _v_norms_sq, h_norm, sample_noise, sine_field, v_norm,
 )
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.solver import (
@@ -28,7 +28,6 @@ from burgerslab.solver import (
     solve_skeleton,
     step,
     total_variation_k,
-    write_path_csv,
 )
 
 ZERO = make_burgers_set(0.0, noise_profile="zero")
@@ -159,13 +158,28 @@ class TestStep:
         u, dks = solve_batch(cs, u0, dw, np.tile(h, (cfg.mesh.steps, 1)), cfg)
         assert (u_new.tobytes(), dk.tobytes()) == (u[0, 1].tobytes(), dks[0, 0].tobytes())
 
-    def test_blow_up_raises(self):
+    def test_blow_up_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 1.0)
         grid, mesh = SpatialGrid(8), TimeMesh(1.0, 10)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0, blowup_ceiling=1.0)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
         with pytest.raises(BlowUpError) as err:
             step(np.full(8, 50.0), 0.3, None, None, ZERO, cfg)
         assert (err.value.step_index, err.value.path_index, err.value.t) == (0, 0, 0.3 + 0.1)
         assert err.value.peak > 1.0
+
+    @pytest.mark.parametrize("scale, blows_up", [(0.5, False), (2.0, True)])
+    def test_default_ceiling(self, scale, blows_up):
+        # a state of twice BLOWUP_CEILING is a blow-up, half of it is not;
+        # one step of 1e-6 barely moves a flat start
+        grid, mesh = SpatialGrid(8), TimeMesh(1e-5, 10)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
+        u0 = np.full(8, scale * solver.BLOWUP_CEILING)
+        if blows_up:
+            with pytest.raises(BlowUpError):
+                step(u0, 0.0, None, None, ZERO, cfg)
+        else:
+            u_new, _ = step(u0, 0.0, None, None, ZERO, cfg)
+            assert np.max(u_new) > 0.49 * solver.BLOWUP_CEILING
 
     def test_upwind_consistent_with_central(self):
         # both discretizations converge to the same Burgers flow
@@ -304,7 +318,6 @@ class TestSolve:
         p = solve(ADDITIVE, np.zeros(32), nz, None, cfg)
         assert p.min_u >= 0.0
         assert complementarity_residual(p) == 0.0
-        assert p.noise_seed == 2
 
     def test_two_channel_noise(self):
         grid, mesh = SpatialGrid(16), TimeMesh(1.0, 100)
@@ -356,9 +369,10 @@ class TestSolve:
         exact = c * grid.nodes * (1 - grid.nodes) / 2
         assert np.max(np.abs(p.u[-1] - exact)) <= 0.05 * c / 8
 
-    def test_blow_up_reports_step(self):
+    def test_blow_up_reports_step(self, monkeypatch):
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 1e4)
         grid, mesh = SpatialGrid(64), TimeMesh(1.0, 50)  # coarse dt
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0, blowup_ceiling=1e4)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
         cs = make_burgers_set(8.0, noise_profile="zero")
         with pytest.raises(BlowUpError) as err:
             solve_skeleton(cs, 50 * sine_field(grid), None, cfg)
@@ -524,8 +538,9 @@ class TestSolveBatch:
     def test_blow_up_names_lowest_row_at_its_own_step(self, monkeypatch):
         # row 5 blows up first, row 3 later: the error is row 3's, as a
         # per-path loop (which reaches row 3 first) would raise
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 50.0)
         grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5, blowup_ceiling=50.0)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5)
         dw = np.zeros((8, mesh.steps, 1))
         dw[3], dw[5] = 50.0, 2500.0
         u0 = np.zeros(grid.m)
@@ -556,13 +571,14 @@ class TestSolveBatch:
         # the lowest path over the ceiling sits in the second chunk of two
         # paths; the error's path_index and noise_scale, with the seed the
         # increments came from, replay it with one solve
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 1e9)
         grid, mesh, seed = SpatialGrid(16), TimeMesh(0.5, 50), 10
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.7, blowup_ceiling=1e9)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.7)
         u0 = np.zeros(grid.m)
         noises = [sample_noise(seed, mesh, 1, path_index=i) for i in range(6)]
         peaks = [np.max(np.abs(solve(ADDITIVE, u0, nz, None, cfg).u)) for nz in noises]
         assert max(peaks[2:4]) > max(peaks[:2])  # a path of the second chunk peaks higher
-        cfg = replace(cfg, blowup_ceiling=(max(peaks[:2]) + max(peaks[2:4])) / 2)
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", (max(peaks[:2]) + max(peaks[2:4])) / 2)
         per_path = 8 * grid.m * (2 * mesh.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
         with pytest.raises(BlowUpError) as err:
@@ -648,9 +664,9 @@ def _reference_march(cs, u0, dw, h, cfg, penalties=None):
                 state, t, None if dw is None else dw[:, k], None if h is None else h[..., k, :])
             u[:, k + 1] = state
             top = float(np.abs(state).max())
-            if not (math.isfinite(top) and top <= cfg.blowup_ceiling):
+            if not (math.isfinite(top) and top <= solver.BLOWUP_CEILING):
                 peak = np.max(np.abs(state), axis=1)
-                bad = np.flatnonzero(~np.isfinite(peak) | (peak > cfg.blowup_ceiling))
+                bad = np.flatnonzero(~np.isfinite(peak) | (peak > solver.BLOWUP_CEILING))
                 for row in bad.tolist():
                     first_bad.setdefault(row, (k, t + dt, float(peak[row])))
                 if 0 in first_bad:
@@ -692,8 +708,9 @@ class TestReferenceStep:
         # the march looks for a blow-up once per CHECK_EVERY steps; the error
         # still names the lowest row at its own first bad step
         monkeypatch.setattr(solver, "CHECK_EVERY", check_every)
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 50.0)
         grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5, blowup_ceiling=50.0)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5)
         dw = np.zeros((8, mesh.steps, 1))
         if case == "rows_3_and_5":
             dw[3], dw[5] = 50.0, 2500.0
@@ -799,8 +816,8 @@ class TestMarchWithoutDk:
     @pytest.mark.parametrize("profile", ["additive", "bounded", "multiscale", "constant",
                                          "constant_zero", "multiscale_default", "burgers_ag1"])
     @pytest.mark.parametrize("convection", ["central", "upwind"])
-    def test_u_and_blow_up_equal_march_with_dk(self, convection, profile, d, reflection,
-                                               control):
+    def test_u_and_blow_up_equal_march_with_dk(self, monkeypatch, convection, profile, d,
+                                               reflection, control):
         cs, u0, cfg, dw = _batch_case(convection, profile, d, reflection)
         n = dw.shape[0]
         h = _batch_control(control, cfg, d, n)
@@ -815,12 +832,12 @@ class TestMarchWithoutDk:
             assert no_dk is None and u_free.tobytes() == u.tobytes()
             # a ceiling below the median row peak: at least half the rows blow up
             ceiling = 0.999 * float(np.median(np.max(np.abs(u[:, 1:]), axis=(1, 2))))
-            low = [replace(c, blowup_ceiling=ceiling) for c in run]
-            low = low if len(run) > 1 else low[0]
-            with pytest.raises(BlowUpError) as kept:
-                solve_batch(cs, u0, noise, h, low)
-            with pytest.raises(BlowUpError) as free:
-                solve_batch(cs, u0, noise, h, low, store_dk=False)
+            with monkeypatch.context() as low:
+                low.setattr(solver, "BLOWUP_CEILING", ceiling)
+                with pytest.raises(BlowUpError) as kept:
+                    solve_batch(cs, u0, noise, h, arg)
+                with pytest.raises(BlowUpError) as free:
+                    solve_batch(cs, u0, noise, h, arg, store_dk=False)
             assert free.value.args == kept.value.args
 
 
@@ -906,6 +923,18 @@ class TestEnergyFunctional:
         p = solve_skeleton(ZERO, np.zeros(8), None, cfg)
         assert energy_functional(p) == (0.0, 0.0)
 
+    def test_matches_the_reference_norms(self):
+        # node by node, the cached norms behind the functional are h_norm and
+        # v_norm squared
+        grid, mesh = SpatialGrid(16), TimeMesh(0.5, 40)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
+        p = solve(ADDITIVE, sine_field(grid), sample_noise(4, mesh, 1), None, cfg)
+        h_sq = [h_norm(row, grid) ** 2 for row in p.u]
+        v_sq = [v_norm(row, grid) ** 2 for row in p.u]
+        sup_h_sq, int_v_sq = energy_functional(p)
+        assert sup_h_sq == pytest.approx(max(h_sq), rel=1e-12)
+        assert int_v_sq == pytest.approx(sum(v_sq[:-1]) * mesh.dt, rel=1e-12)
+
     def test_heat_flow_analytic_integral(self):
         grid, mesh = SpatialGrid(128), TimeMesh(0.1, 4000)
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
@@ -937,16 +966,22 @@ class TestExport:
         assert meta == {"m": 16, "steps": 40, "dt": mesh.dt, "dx": grid.dx}
         assert np.array_equal(u, p.u) and np.array_equal(dk, p.dk)
 
-    def test_csv_layout(self, tmp_path):
-        grid, mesh = SpatialGrid(4), TimeMesh(1.0, 2)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
-        p = solve_skeleton(ZERO, sine_field(grid), None, cfg)
-        out = tmp_path / "path.csv"
-        with open(out, "w") as fh:
-            write_path_csv(p, fh)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("t,x_")
-        assert len(lines) == 1 + mesh.steps + 1
-        first = [float(v) for v in lines[1].split(",")]
-        assert first[0] == 0.0
-        assert first[1:] == pytest.approx(list(sine_field(grid)))
+    def _dump(self, tmp_path):
+        grid, mesh = SpatialGrid(8), TimeMesh(0.5, 10)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
+        p = solve(ADDITIVE, sine_field(grid), sample_noise(2, mesh, 1), None, cfg)
+        return tmp_path / "dump.bin", path_binary_bytes(p)
+
+    def test_wrong_magic_rejected(self, tmp_path):
+        path, data = self._dump(tmp_path)
+        path.write_bytes(b"RBPATH00" + data[8:])
+        with pytest.raises(ValueError, match="not a path dump"):
+            read_path_binary(str(path))
+
+    @pytest.mark.parametrize("case", ["cut-short", "trailing-bytes"])
+    def test_length_must_match_the_header(self, tmp_path, case):
+        # a short file once failed in a reshape, and bytes after dK were ignored
+        path, data = self._dump(tmp_path)
+        path.write_bytes(data[:-8] if case == "cut-short" else data + bytes(8))
+        with pytest.raises(ValueError, match="implies"):
+            read_path_binary(str(path))
