@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import path_distance, sample_noise
+from .core import _distance_of_rows, _distance_rows, path_distance, sample_noise
 from .coefficients import AveragedCoefficientSet, CoefficientSet, _expand, _shape
-from .solver import ReflectedPath, SchemeConfig, solve, solve_batch, solve_paths
+from .solver import ReflectedPath, SchemeConfig, march_windows, solve, solve_paths
 
 __all__ = [
     "AveragingRow",
@@ -180,8 +180,11 @@ def penalization_convergence_probe(
 
     Returns the projection path and one (n, squared distance) row per n.
     Every scheme is checked before any solve.  The projection path is one
-    solve; every penalized path runs in one solve_batch, one row per n on
-    the same increments, and each row equals its own solve bit for bit.
+    solve.  The penalized paths march as one batch, one row per n on the
+    same increments, through solver.march_windows: each window's H and V
+    norms against the projection go into one (steps+1)-long pair per row,
+    and no penalized path is ever held whole.  Each distance has the bits
+    of path_distance on that row's own solve.
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
@@ -191,8 +194,14 @@ def penalization_convergence_probe(
         return proj, []
     dw = None if noise is None or cfg.noise_scale == 0.0 else np.repeat(
         noise.increments[None], len(pen_cfgs), axis=0)
-    pen_u = solve_batch(cs, u0, dw, None, pen_cfgs, store_dk=False)[0]
+    hsq = np.empty((len(pen_cfgs), cfg.mesh.steps + 1))
+    vsq = np.empty_like(hsq)
+    for first, states in march_windows(cs, u0, dw, None, pen_cfgs):
+        skip = 1 if first else 0  # the state the window shares with the one before
+        rows = slice(first + skip, first + states.shape[1])
+        for i, u in enumerate(states):
+            _distance_rows(u[skip:], proj.u[rows], cfg.grid, hsq[i, rows], vsq[i, rows])
     return proj, [
-        (c.penalty_n, path_distance(u, proj.u, cfg.grid, cfg.mesh).squared)
-        for c, u in zip(pen_cfgs, pen_u)
+        (c.penalty_n, _distance_of_rows(h, v, cfg.mesh).squared)
+        for c, h, v in zip(pen_cfgs, hsq, vsq)
     ]

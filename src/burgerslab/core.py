@@ -178,16 +178,30 @@ def path_distance(
     buffer whose zero columns give the boundary jumps (x - 0 and 0 - x are
     exact), so each row's norms have the bits of _h_norms_sq and
     _v_norms_sq on the whole difference, and the scratch is two buffers of
-    about DISTANCE_BLOCK floats, not three path-sized arrays.
+    about DISTANCE_BLOCK floats, not three path-sized arrays.  The row pass
+    (_distance_rows) and the reduction (_distance_of_rows) are two parts,
+    so a path held a window of rows at a time gets the same bits.
     """
     p = _check_path(p, grid, mesh)
     q = _check_path(q, grid, mesh)
+    hsq = np.empty(len(p))
+    vsq = np.empty(len(p))
+    _distance_rows(p, q, grid, hsq, vsq)
+    return _distance_of_rows(hsq, vsq, mesh)
+
+
+def _distance_rows(p: np.ndarray, q: np.ndarray, grid: SpatialGrid,
+                   hsq: np.ndarray, vsq: np.ndarray) -> None:
+    """|p_k - q_k|_H^2 and ||p_k - q_k||_V^2 of each row k of two (rows, m) blocks into hsq, vsq.
+
+    The row pass of path_distance: a caller holding a path a window of
+    rows at a time fills one (steps+1)-long pair window by window, with the
+    bits of the whole-path call.
+    """
     rows, m = p.shape
     block = max(1, min(rows, DISTANCE_BLOCK // (m + 2)))
     padded = np.zeros((block, m + 2))
     jumps = np.empty((block, m + 1))
-    hsq = np.empty(rows)
-    vsq = np.empty(rows)
     for lo in range(0, rows, block):
         n = min(block, rows - lo)
         diff, jump = padded[:n, 1:-1], jumps[:n]
@@ -197,6 +211,10 @@ def path_distance(
         np.einsum("km,km->k", jump, jump, out=vsq[lo:lo + n])
     hsq *= grid.dx
     vsq /= grid.dx
+
+
+def _distance_of_rows(hsq: np.ndarray, vsq: np.ndarray, mesh: TimeMesh) -> PathDistance:
+    """The reduction of path_distance: sup over the hsq rows, left-endpoint sum of vsq."""
     sup_h = math.sqrt(float(np.max(hsq)))
     l2_v = math.sqrt(float(np.sum(vsq[:-1])) * mesh.dt)
     return PathDistance(sup_h=sup_h, l2_v=l2_v)

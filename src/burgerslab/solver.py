@@ -53,6 +53,7 @@ __all__ = [
     "step",
     "solve",
     "solve_batch",
+    "march_windows",
     "solve_paths",
     "solve_skeleton",
     "complementarity_residual",
@@ -242,18 +243,20 @@ def _paths_per_chunk(cfg: SchemeConfig) -> int:
     return max(1, BATCH_BYTES // (8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)))
 
 
-def cho_solve_banded(inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cho_solve_banded(inv: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Solve (I - dt L) x = b for the (m, P) right-hand sides b; inv is the matrix's inverse.
 
     One stacked (1, m) x (m, m) product per column, so column p's bits equal
     the solve of that column alone (a single (P, m) x (m, m) gemm does not
     keep them at P >= 3).  inv is symmetric, as the matrix is, so a row
-    times inv is the solve.  This is burgerslab's own numpy function, not
-    scipy's routine of the same name: the name stays because
-    perfbench/tracer.py patches solver.cho_solve_banded to time the kernel
-    and requires calls to it, until a benchmark change renames the hook.
+    times inv is the solve.  out, a (P, 1, m) buffer, takes the products
+    instead of a new array; x is then a view of it.  This is burgerslab's
+    own numpy function, not scipy's routine of the same name: the name
+    stays because perfbench/tracer.py patches solver.cho_solve_banded to
+    time the kernel and requires calls to it, until a benchmark change
+    renames the hook.
     """
-    return np.matmul(b.T[:, None, :], inv)[:, 0].T
+    return np.matmul(b.T[:, None, :], inv, out=out)[:, 0].T
 
 
 # The largest grid for the implicit solve: past m = 256 its dense m x m inverse
@@ -270,18 +273,21 @@ BLOWUP_CEILING = 1e6
 class _Stepper:
     """One march's workspace: the inverse implicit matrix and the buffers a step writes in place.
 
-    rows is the batch size P.  A term whose callback the set records as
-    constant (CoefficientSet.constant) is evaluated once per march, on the
-    (P, m) start states, and reused by every step: with a constant g the
-    convection is exactly +0.0 and neither g nor dg_dz is called; with a
-    constant f as well, dt * (0 + f) is one array; with a constant sigma
-    the drift dt * h sigma and the kick noise_scale * dw sigma of a block of
-    CHECK_EVERY steps are one product each.  Any other term is computed per
-    step.  A non-constant g sees the state in a ghost-padded (P, m + 2)
-    buffer whose Dirichlet ghosts stay zero.  sigma is copied into one
-    C-ordered (d, P, m) buffer: no zero strides, so every row takes the
-    BLAS path.  penalties, if given, replaces cfg.penalty_n by one penalty
-    per row, so the weight dt * n is a (P, 1) column instead of a scalar.
+    rows is the batch size P; start binds one march's start states,
+    increments, control and times.  A term whose callback the set records
+    as constant (CoefficientSet.constant) is evaluated by start, once per
+    march, on the (P, m) start states, and reused by every step: with a
+    constant g the convection is exactly +0.0 and neither g nor dg_dz is
+    called; with a constant f as well, dt * (0 + f) is one array; with a
+    constant sigma the drift dt * h sigma and the kick noise_scale * dw
+    sigma of a block of CHECK_EVERY steps are one product each.  Any other
+    term is computed per step.  A non-constant g sees the state in a
+    ghost-padded (P, m + 2) buffer whose Dirichlet ghosts stay zero.  sigma
+    is copied into one C-ordered (d, P, m) buffer: no zero strides, so
+    every row takes the BLAS path.  The implicit solve writes into one
+    (P, 1, m) buffer.
+    penalties, if given, replaces cfg.penalty_n by one penalty per row, so
+    the weight dt * n is a (P, 1) column instead of a scalar.
     """
 
     def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, rows: int = 1,
@@ -300,8 +306,42 @@ class _Stepper:
                                   + np.diag(off, -1))
         self._padded = None if "g" in cs.constant else np.zeros((rows, m + 2))
         self._rhs = np.empty((rows, m))
+        self._free = np.empty((rows, 1, m))
         self._sigma = np.empty((cs.d, rows, m))
         self._sig_t = self._sigma.transpose(1, 0, 2)
+
+    def start(self, u0: np.ndarray, dw: np.ndarray | None, h: np.ndarray | None,
+              times: list[float]) -> _Stepper:
+        """Begin the march from the (P, m) states u0, one step from each of times; returns self.
+
+        dw is (P, steps, d) or None; h is (steps, d) shared or (P, steps, d)
+        per row, or None.  The constant terms are evaluated here, once per
+        march, however many calls to march it takes.
+        """
+        cs, cfg, x = self.cs, self.cfg, self.x
+        rows, m = self._rhs.shape
+        self.times = times
+        self.dw = dw if cfg.noise_scale > 0.0 else None
+        self.h = h
+        # (step, t, peak) of each row's first bad state, over the whole march
+        self.first_bad: dict[int, tuple[int, float, float]] = {}
+        forced = self.dw is not None or h is not None
+        self._block_forcing = forced and "sigma" in cs.constant
+        self._forced_per_step = forced and not self._block_forcing
+        width = min(CHECK_EVERY, len(times)) if self._block_forcing else 1
+        self._drift = None if h is None else np.empty((rows, width, 1, m))
+        self._kick = None if self.dw is None else np.empty((rows, width, 1, m))
+
+        t_fast = times[0] / cfg.time_scale
+        self._f = cs.f(t_fast, x, u0) if "f" in cs.constant else None
+        self._base = None
+        if self._f is not None and "g" in cs.constant:
+            self._base = np.zeros((rows, m))  # the convection of a constant g
+            self._base += self._f
+            self._base *= self.dt
+        if self._block_forcing:
+            np.copyto(self._sigma, cs.sigma(t_fast, x, u0))
+        return self
 
     def _convection(self, t: float, u: np.ndarray, out: np.ndarray) -> None:
         """d/dx g(t, u) into out, from g on the ghost-padded state (+0.0 for a constant g)."""
@@ -320,68 +360,49 @@ class _Stepper:
         backward = (gp[:, 1:-1] - gp[:, :-2]) / dx
         out[...] = np.where(speed >= 0.0, forward, backward)
 
-    def _forcing(self, lo: int, hi: int, dw: np.ndarray | None, h: np.ndarray | None,
-                 drift: np.ndarray | None, kick: np.ndarray | None) -> None:
-        """dt * h sigma and noise_scale * dw sigma of steps lo..hi-1 into drift, kick (P, K, 1, m).
+    def _forcing(self, lo: int, hi: int) -> None:
+        """dt * h sigma and noise_scale * dw sigma of steps lo..hi-1 into the drift, kick buffers.
 
         Each row and step is one (1, d) x (d, m) matrix product, the BLAS
         call np.dot(c, sigma) makes for one state, so a row's bits never
         depend on the batch or the block around it.
         """
-        if drift is not None:
-            out = np.matmul(h[..., lo:hi, None, :], self._sig_t[:, None], out=drift[:, :hi - lo])
+        if self._drift is not None:
+            out = np.matmul(self.h[..., lo:hi, None, :], self._sig_t[:, None],
+                            out=self._drift[:, :hi - lo])
             out *= self.dt
-        if kick is not None:
-            out = np.matmul(dw[:, lo:hi, None, :], self._sig_t[:, None], out=kick[:, :hi - lo])
+        if self._kick is not None:
+            out = np.matmul(self.dw[:, lo:hi, None, :], self._sig_t[:, None],
+                            out=self._kick[:, :hi - lo])
             out *= self.cfg.noise_scale
 
-    def march(
-        self,
-        u: np.ndarray,
-        dk: np.ndarray | None,
-        dw: np.ndarray | None,
-        h: np.ndarray | None,
-        times: list[float],
-    ) -> None:
-        """Fill u[:, 1:] and dk from u[:, 0], one step from each of times; raises on a blow-up.
+    def march(self, u: np.ndarray, dk: np.ndarray | None, first: int = 0) -> None:
+        """Fill u[:, 1:] and dk from u[:, 0] by the march's steps first, first + 1, ...
 
-        dw is (P, steps, d) or None; h is (steps, d) shared or (P, steps, d)
-        per row, or None.  A zero control gives the bits of no control.
+        u is (P, n+1, m) and dk (P, n, m) or None, for the n steps from
+        step first; a whole march is one call with first 0, and a march in
+        windows is one call per window, each starting from the last state
+        of the one before.  A zero control gives the bits of no control.
         dk None stores no reflection increments: projection then skips
         them, and penalization books each step's in the next state's row
         before adding u_free to it, so u keeps its bits.
         Every CHECK_EVERY steps the states stored since the last look are
-        checked at once.  Rows are independent, so a row that blew up keeps
-        stepping (non-finite, warnings off) until no lower row can still
-        blow up; the error carries that row's own first bad step.
+        checked at once, into first_bad.  Rows are independent, so a row
+        that blew up keeps stepping (non-finite, warnings off) until no
+        lower row can still blow up: the BlowUpError of the lowest bad row,
+        with its own first bad step, is raised once row 0 has blown up or
+        the march has reached its last step.
         """
-        cs, cfg, x, rhs = self.cs, self.cfg, self.x, self._rhs
-        steps, (rows, m) = len(times), self._rhs.shape
-        want_noise = cfg.noise_scale > 0.0 and dw is not None
-        forced = want_noise or h is not None
-        block_forcing = forced and "sigma" in cs.constant
-        width = min(CHECK_EVERY, steps) if block_forcing else 1
-        drift = None if h is None else np.empty((rows, width, 1, m))
-        kick = np.empty((rows, width, 1, m)) if want_noise else None
-
-        t_fast = times[0] / cfg.time_scale
-        f = cs.f(t_fast, x, u[:, 0]) if "f" in cs.constant else None
-        base = None
-        if f is not None and "g" in cs.constant:
-            base = np.zeros((rows, m))  # the convection of a constant g
-            base += f
-            base *= self.dt
-        if block_forcing:
-            np.copyto(self._sigma, cs.sigma(t_fast, x, u[:, 0]))
-
-        first_bad: dict[int, tuple[int, float, float]] = {}
+        cs, cfg, x, rhs, times = self.cs, self.cfg, self.x, self._rhs, self.times
+        steps = u.shape[1] - 1
+        f, base, drift, kick = self._f, self._base, self._drift, self._kick
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, steps, CHECK_EVERY):
                 stop = min(start + CHECK_EVERY, steps)
-                if block_forcing:
-                    self._forcing(start, stop, dw, h, drift, kick)
+                if self._block_forcing:
+                    self._forcing(first + start, first + stop)
                 for k in range(start, stop):
-                    t, uk, j = times[k], u[:, k], k - start
+                    t, uk, j = times[first + k], u[:, k], k - start
                     t_fast = t / cfg.time_scale
                     # rhs = u + dt * (convection + f), each product and sum as the formula rounds it
                     if base is not None:
@@ -391,9 +412,9 @@ class _Stepper:
                         rhs += cs.f(t_fast, x, uk) if f is None else f
                         rhs *= self.dt
                         rhs += uk
-                    if forced and not block_forcing:
+                    if self._forced_per_step:
                         np.copyto(self._sigma, cs.sigma(t_fast, x, uk))
-                        self._forcing(k, k + 1, dw, h, drift, kick)
+                        self._forcing(first + k, first + k + 1)
                         j = 0
                     if drift is not None:
                         rhs += drift[:, j, 0]
@@ -401,7 +422,7 @@ class _Stepper:
                         rhs += kick[:, j, 0]
 
                     # one implicit solve for every row: P right-hand sides as an (m, P) array
-                    u_free = cho_solve_banded(self._inv, rhs.T).T
+                    u_free = cho_solve_banded(self._inv, rhs.T, self._free).T
 
                     u_next = u[:, k + 1]
                     if cfg.reflection == "projection":
@@ -415,16 +436,15 @@ class _Stepper:
                         np.maximum(dk_k, 0.0, out=dk_k)
                         dk_k *= self.penalty
                         np.add(u_free, dk_k, out=u_next)
-                self._note_blowups(u[:, start + 1:stop + 1], start, times, first_bad)
-                if 0 in first_bad:
+                self._note_blowups(u[:, start + 1:stop + 1], first + start)
+                if 0 in self.first_bad:
                     break
-        if first_bad:
-            row = min(first_bad)
-            raise BlowUpError(*first_bad[row], path_index=row,
+        if self.first_bad and (0 in self.first_bad or first + steps == len(times)):
+            row = min(self.first_bad)
+            raise BlowUpError(*self.first_bad[row], path_index=row,
                               noise_scale=cfg.noise_scale, time_scale=cfg.time_scale)
 
-    def _note_blowups(self, block: np.ndarray, start: int, times: list[float],
-                      first_bad: dict[int, tuple[int, float, float]]) -> None:
+    def _note_blowups(self, block: np.ndarray, start: int) -> None:
         """Record (step, t, peak) of each row's first bad state in block = u[:, start + 1:]."""
         if block.max() <= BLOWUP_CEILING and -block.min() <= BLOWUP_CEILING:  # NaN fails both
             return
@@ -432,7 +452,8 @@ class _Stepper:
         bad = ~np.isfinite(peak) | (peak > BLOWUP_CEILING)
         for row in np.flatnonzero(bad.any(axis=1)).tolist():
             j = int(np.argmax(bad[row]))
-            first_bad.setdefault(row, (start + j, times[start + j] + self.dt, float(peak[row, j])))
+            self.first_bad.setdefault(
+                row, (start + j, self.times[start + j] + self.dt, float(peak[row, j])))
 
 
 def step(
@@ -455,41 +476,21 @@ def step(
     path = np.empty((1, 2, cfg.grid.m))
     path[0, 0] = u
     dk = np.empty((1, 1, cfg.grid.m))
-    _Stepper(cs, cfg).march(path, dk, None if dw is None else np.asarray(dw, float)[None, None],
-                            None if h is None else np.asarray(h, float)[None], [t])
+    dw = None if dw is None else np.asarray(dw, float)[None, None]
+    h = None if h is None else np.asarray(h, float)[None]
+    _Stepper(cs, cfg).start(path[:, 0], dw, h, [t]).march(path, dk)
     return path[0, 1], dk[0, 0]
 
 
-def solve_batch(
+def _batch_inputs(
     cs: CoefficientSet,
     u0: np.ndarray,
     dw: np.ndarray | None,
     h: np.ndarray | None,
     cfg: SchemeConfig | Sequence[SchemeConfig],
-    *,
-    store_dk: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """March P paths from one start at once; returns u (P, steps+1, m) and dK.
-
-    dK is (P, steps, m), or None with store_dk False: the march then stores
-    no reflection increments, and u keeps its bits.  Callers that never
-    read dK pass False (solve_paths, the rate function's skeletons, the
-    penalized rows of the penalization probe); solve and step keep it.
-
-    dw holds each path's increments (P, steps, d); it may be None only
-    when the noise scale is zero, and is not used then.  h holds control
-    values on the mesh, shared (steps, d) or per path (P, steps, d), or is
-    None.  cfg is one scheme for every path, or one per path (P configs
-    that differ only in penalty_n; anything else raises ValueError), which
-    sets the path count when there is no noise or per-path control.  A
-    callback the set records as constant is evaluated once per march on
-    the (P, m) start states, any other once per step on the (P, m) state;
-    each step solves all P right-hand sides in one implicit-solve call.
-    Every row marches at once, so the caller sizes the batch (solve_paths
-    chunks a long one).  Row p equals, bit for bit, the batch of one on
-    row p's inputs and config.  A blow-up raises BlowUpError for the
-    lowest row that blows up, with path_index that row.
-    """
+) -> tuple[SchemeConfig, np.ndarray, np.ndarray | None, np.ndarray | None, int,
+           list[float] | None]:
+    """solve_batch's checks; returns (cfg, u0, dw, h, path count, per-row penalties or None)."""
     sizes = set()
     penalties = None
     if not isinstance(cfg, SchemeConfig):
@@ -506,7 +507,7 @@ def solve_batch(
         raise ValueError(f"u0 shape {u0.shape} does not match grid ({cfg.grid.m},)")
     if np.min(u0) < 0.0:
         raise ValueError(f"u0 must be nonnegative, min entry is {np.min(u0):.3g}")
-    steps, m, d = cfg.mesh.steps, cfg.grid.m, cs.d
+    steps, d = cfg.mesh.steps, cs.d
     if dw is not None:
         dw = np.asarray(dw, dtype=float)
         if dw.ndim != 3 or dw.shape[1:] != (steps, d):
@@ -524,12 +525,94 @@ def solve_batch(
         raise ValueError(
             f"increments, controls and configs disagree on the path count: {sorted(sizes)}")
     n_paths = sizes.pop() if sizes else 1
+    return cfg, u0, dw, h, n_paths, penalties
 
+
+def solve_batch(
+    cs: CoefficientSet,
+    u0: np.ndarray,
+    dw: np.ndarray | None,
+    h: np.ndarray | None,
+    cfg: SchemeConfig | Sequence[SchemeConfig],
+    *,
+    store_dk: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """March P paths from one start at once; returns u (P, steps+1, m) and dK.
+
+    dK is (P, steps, m), or None with store_dk False: the march then stores
+    no reflection increments, and u keeps its bits.  Callers that never
+    read dK pass False (solve_paths and the rate function's skeletons);
+    solve and step keep it.  march_windows runs the same march without
+    holding the whole path.
+
+    dw holds each path's increments (P, steps, d); it may be None only
+    when the noise scale is zero, and is not used then.  h holds control
+    values on the mesh, shared (steps, d) or per path (P, steps, d), or is
+    None.  cfg is one scheme for every path, or one per path (P configs
+    that differ only in penalty_n; anything else raises ValueError), which
+    sets the path count when there is no noise or per-path control.  A
+    callback the set records as constant is evaluated once per march on
+    the (P, m) start states, any other once per step on the (P, m) state;
+    each step solves all P right-hand sides in one implicit-solve call.
+    Every row marches at once, so the caller sizes the batch (solve_paths
+    chunks a long one).  Row p equals, bit for bit, the batch of one on
+    row p's inputs and config.  A blow-up raises BlowUpError for the
+    lowest row that blows up, with path_index that row.
+    """
+    cfg, u0, dw, h, n_paths, penalties = _batch_inputs(cs, u0, dw, h, cfg)
+    steps, m = cfg.mesh.steps, cfg.grid.m
     u = np.empty((n_paths, steps + 1, m))
     dk = np.empty((n_paths, steps, m)) if store_dk else None
     u[:, 0] = u0
-    _Stepper(cs, cfg, n_paths, penalties).march(u, dk, dw, h, cfg.mesh.times[:-1].tolist())
+    stepper = _Stepper(cs, cfg, n_paths, penalties)
+    stepper.start(u[:, 0], dw, h, cfg.mesh.times[:-1].tolist()).march(u, dk)
     return u, dk
+
+
+# march_windows hands its states to the reader this many steps at a time; a
+# multiple of CHECK_EVERY, so the forcing blocks and the blow-up checks fall
+# on the steps of one whole march.
+WINDOW_STEPS = 256
+
+
+def march_windows(
+    cs: CoefficientSet,
+    u0: np.ndarray,
+    dw: np.ndarray | None,
+    h: np.ndarray | None,
+    cfg: SchemeConfig | Sequence[SchemeConfig],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The march of solve_batch, handed to the reader a window of WINDOW_STEPS steps at a time.
+
+    Takes solve_batch's arguments, checked at once, and yields
+    (first_step, states) per window: states is a read-only (P, n+1, m)
+    view of one reused buffer holding the states at steps first_step ..
+    first_step + n, so consecutive windows share a state, and it is only
+    valid until the next window is drawn.  Every state has the bits of
+    solve_batch's u, and no dK is stored.  The march is one: constant
+    callbacks are evaluated once, not once per window.  A blow-up raises
+    solve_batch's BlowUpError, with the global step and the lowest bad row;
+    no window holding a bad state is yielded.
+    """
+    cfg, u0, dw, h, n_paths, penalties = _batch_inputs(cs, u0, dw, h, cfg)
+
+    def windows() -> Iterator[tuple[int, np.ndarray]]:
+        steps, window = cfg.mesh.steps, WINDOW_STEPS
+        buf = np.empty((n_paths, min(window, steps) + 1, cfg.grid.m))
+        buf[:, 0] = u0
+        stepper = _Stepper(cs, cfg, n_paths, penalties)
+        stepper.start(buf[:, 0], dw, h, cfg.mesh.times[:-1].tolist())
+        for first in range(0, steps, window):
+            n = min(window, steps - first)
+            if first:
+                buf[:, 0] = buf[:, window]
+            stepper.march(buf[:, :n + 1], None, first)
+            if not stepper.first_bad:
+                states = buf[:, :n + 1].view()
+                states.flags.writeable = False
+                yield first, states
+
+    return windows()
 
 
 def solve_paths(
@@ -605,8 +688,9 @@ def complementarity_residual(p: ReflectedPath) -> float:
 
     Zero exactly for the projection scheme (the increment only acts where
     the clipped state is zero); small and decreasing in n for penalization.
+    One dot product over the flattened arrays, with no path-sized product.
     """
-    return p.grid.dx * float(np.sum(p.u[1:] * p.dk))
+    return p.grid.dx * float(np.vdot(p.u[1:], p.dk))
 
 
 def total_variation_k(p: ReflectedPath) -> float:

@@ -9,8 +9,6 @@ independent estimates.
 
 import json
 import math
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest

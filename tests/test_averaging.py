@@ -206,7 +206,7 @@ class TestPenalizationProbe:
                 return fn(*args)
             return run
 
-        for name in ("solve", "solve_batch"):
+        for name in ("solve", "march_windows"):
             monkeypatch.setattr(averaging, name, counted(getattr(averaging, name)))
         cs = make_burgers_set(0.0, noise_profile="zero", c2=-1.0)
         cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=0.0)  # dt = 0.005
@@ -216,6 +216,49 @@ class TestPenalizationProbe:
         proj, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), [], None, cfg)
         assert rows == [] and calls == ["solve"]
         assert proj.u.tobytes() == solve(cs, np.zeros(GRID.m), None, None, cfg).u.tobytes()
+        calls.clear()
+        penalization_convergence_probe(cs, np.zeros(GRID.m), [10, 100], None, cfg)
+        assert calls == ["solve", "march_windows"]  # the penalized rows march as one batch
+
+    @pytest.mark.parametrize("window", [64, 128, 256, 1024])
+    def test_windowed_distances_equal_path_distance(self, monkeypatch, window):
+        # 600 steps: windows that leave a short last one, and one longer than the march
+        monkeypatch.setattr(solver, "WINDOW_STEPS", window)
+        cs = make_burgers_set(0.0, noise_profile="additive", c2=-1.0, sigma_amp=0.5)
+        mesh = TimeMesh(0.6, 600)
+        cfg = SchemeConfig(grid=GRID, mesh=mesh, noise_scale=1.0)
+        nz = sample_noise(12, mesh, 1)
+        n_list = [5.0, 50.0, 500.0]
+        proj, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), n_list, nz, cfg)
+        pen_cfgs = [replace(cfg, reflection="penalized", penalty_n=n) for n in n_list]
+        whole = solver.solve_batch(cs, np.zeros(GRID.m), np.repeat(nz.increments[None], 3, axis=0),
+                                   None, pen_cfgs)[0]
+        expected = [(n, path_distance(u, proj.u, GRID, mesh).squared)
+                    for n, u in zip(n_list, whole)]
+        assert [(n, d2.hex()) for n, d2 in rows] == [(n, d2.hex()) for n, d2 in expected]
+        assert all(d2 > 0.0 for _, d2 in rows)
+
+    def test_penalized_rows_never_held_whole(self):
+        # tracemalloc peak of the probe: the projection path (u and dK) and
+        # window-sized buffers, below the n penalized rows' full paths alone
+        import tracemalloc
+
+        cs = make_burgers_set(0.0, noise_profile="additive", c2=-1.0, sigma_amp=0.25)
+        grid, mesh = SpatialGrid(32), TimeMesh(0.5, 4000)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
+        nz = sample_noise(7, mesh, 1)
+        n_list = [10.0, 100.0, 1000.0, 2000.0]
+        path_bytes = 8 * (mesh.steps + 1) * grid.m
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            proj, rows = penalization_convergence_probe(cs, np.zeros(grid.m), n_list, nz, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 4
+        assert peak < len(n_list) * path_bytes
 
     def test_repeat_identical(self):
         cs = make_burgers_set(0.0, noise_profile="additive", c2=-1.0, sigma_amp=0.5)

@@ -841,6 +841,99 @@ class TestMarchWithoutDk:
             assert free.value.args == kept.value.args
 
 
+def _windowed(cs, u0, dw, h, cfg):
+    """The first steps and the whole path that march_windows hands out, window by window."""
+    firsts, parts = [], []
+    for first, states in solver.march_windows(cs, u0, dw, h, cfg):
+        assert not states.flags.writeable
+        if parts:  # consecutive windows share a state
+            assert states[:, 0].tobytes() == parts[-1][:, -1].tobytes()
+        firsts.append(first)
+        parts.append(np.array(states if not parts else states[:, 1:]))
+    return firsts, np.concatenate(parts, axis=1)
+
+
+class TestMarchWindows:
+    """march_windows hands out solve_batch's states a window at a time, with their bits."""
+
+    # 30 steps in blocks of 5: windows that divide them, a short last window,
+    # and one window longer than the march
+    @pytest.mark.parametrize("window", [10, 20, 40])
+    @pytest.mark.parametrize("control", ["none", "per_path"])
+    @pytest.mark.parametrize("reflection", ["projection", "penalized"])
+    @pytest.mark.parametrize("profile", ["additive", "multiscale", "constant"])
+    def test_states_equal_solve_batch(self, monkeypatch, profile, reflection, control, window):
+        monkeypatch.setattr(solver, "CHECK_EVERY", 5)
+        monkeypatch.setattr(solver, "WINDOW_STEPS", window)
+        cs, u0, cfg, dw = _batch_case("upwind", profile, 2, reflection)
+        n, steps = dw.shape[0], cfg.mesh.steps
+        h = _batch_control(control, cfg, 2, n)
+        runs = [cfg, replace(cfg, noise_scale=0.0)]
+        if reflection == "penalized":
+            runs.append([replace(cfg, penalty_n=10.0 * (p + 1)) for p in range(n)])
+        for run in runs:
+            noise = dw if (run if isinstance(run, SchemeConfig) else run[0]).noise_scale else None
+            firsts, u = _windowed(cs, u0, noise, h, run)
+            assert firsts == list(range(0, steps, window))
+            assert u.tobytes() == solve_batch(cs, u0, noise, h, run, store_dk=False)[0].tobytes()
+
+    def test_default_window_is_whole_blocks(self):
+        assert solver.WINDOW_STEPS % solver.CHECK_EVERY == 0
+        cs, u0, cfg, dw = _batch_case("central", "constant", 1, "penalized", n_paths=3,
+                                      steps=solver.WINDOW_STEPS * 2 + 70)
+        firsts, u = _windowed(cs, u0, dw, None, cfg)
+        assert firsts == [0, solver.WINDOW_STEPS, 2 * solver.WINDOW_STEPS]
+        assert u.tobytes() == solve_batch(cs, u0, dw, None, cfg)[0].tobytes()
+
+    def test_constant_callbacks_are_called_once_per_march(self, monkeypatch):
+        monkeypatch.setattr(solver, "CHECK_EVERY", 5)
+        monkeypatch.setattr(solver, "WINDOW_STEPS", 10)
+        cs, u0, cfg, dw = _batch_case("upwind", "constant", 2, "penalized", n_paths=3)
+        calls = _count_calls(cs)
+        firsts, _ = _windowed(cs, u0, dw, None, cfg)
+        assert len(firsts) == 3 and calls == {"f": 1, "sigma": 1}
+
+    def test_inputs_checked_at_the_call(self):
+        cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
+        with pytest.raises(ValueError, match="nonnegative"):
+            solver.march_windows(cs, -u0 - 1.0, dw, None, cfg)
+        with pytest.raises(ValueError, match="increments shape"):
+            solver.march_windows(cs, u0, dw[:, :-1], None, cfg)
+
+    @pytest.mark.parametrize("case", ["rows_3_and_5", "row_0_late", "row_2_between_checks"])
+    def test_blow_up_in_a_later_window(self, monkeypatch, case):
+        # windows of 8 steps in blocks of 4: the error is solve_batch's, with
+        # the global step, and no window holding a bad state is handed out
+        monkeypatch.setattr(solver, "CHECK_EVERY", 4)
+        monkeypatch.setattr(solver, "WINDOW_STEPS", 8)
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 50.0)
+        grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5)
+        dw = np.zeros((8, mesh.steps, 1))
+        if case == "rows_3_and_5":
+            dw[3, 17:], dw[5, 12:] = 50.0, 2500.0
+        elif case == "row_0_late":
+            dw[0, 25:], dw[4, 11:] = 3000.0, 50.0
+        else:
+            dw[2, 9:], dw[6, 20:] = 400.0, 2500.0
+        u0 = np.zeros(grid.m)
+        with pytest.raises(BlowUpError) as whole:
+            solve_batch(ADDITIVE, u0, dw, None, cfg)
+        earliest = min(
+            err.step_index for err in (
+                pytest.raises(BlowUpError, solve_batch, ADDITIVE, u0, dw[row:row + 1], None,
+                              cfg).value
+                for row in np.flatnonzero(dw.any(axis=(1, 2)))))
+        firsts = []
+        with pytest.raises(BlowUpError) as got:
+            for first, states in solver.march_windows(ADDITIVE, u0, dw, None, cfg):
+                assert np.max(np.abs(states)) <= 50.0
+                firsts.append(first)
+        assert got.value.args == whole.value.args
+        assert got.value.step_index >= 8  # not in the first window
+        assert firsts == list(range(0, earliest // 8 * 8, 8))
+
+
 class TestPenalized:
     def _run(self, n, noise, cfg):
         from dataclasses import replace
