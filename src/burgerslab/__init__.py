@@ -19,7 +19,6 @@ from .core import (
 )
 from .coefficients import (
     AuditReport,
-    AveragedCoefficientSet,
     CoefficientSet,
     SampleBox,
     audit_assumptions,

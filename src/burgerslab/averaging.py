@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import _distance_of_rows, _distance_rows, path_distance, sample_noise
-from .coefficients import AveragedCoefficientSet, CoefficientSet, _expand, _shape
+from .coefficients import CoefficientSet
 from .solver import ReflectedPath, SchemeConfig, march_windows, solve, solve_paths
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "run_averaging_experiment",
     "khasminskii_block_error",
     "penalization_convergence_probe",
-    "frozen_average_set",
 ]
 
 
@@ -55,34 +54,9 @@ class AveragingReport:
             raise ValueError("rows must be keyed by distinct epsilon values")
 
 
-def frozen_average_set(ms: CoefficientSet, avg: AveragedCoefficientSet) -> CoefficientSet:
-    """Time-constant dynamics (f_bar, sigma_bar) sharing g with the fast set; t only shapes them.
-
-    f and sigma are constant callbacks where avg records f_bar and
-    sigma_bar as constant, so a march evaluates them once.
-    """
-    if avg.d != ms.d:
-        raise ValueError(f"channel mismatch: averaged d={avg.d}, fast d={ms.d}")
-
-    def f(t, x, z):
-        return _expand(avg.f_bar(x, z), t, x, z)
-
-    def sigma(t, x, z):
-        out = avg.sigma_bar(x, z)
-        shape = (ms.d,) + _shape(t, x, z)
-        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
-
-    f.constant = "f_bar" in avg.constant
-    sigma.constant = "sigma_bar" in avg.constant
-    return CoefficientSet(
-        g=ms.g, dg_dz=ms.dg_dz, f=f, sigma=sigma, d=ms.d,
-        name=f"averaged({ms.name})",
-    )
-
-
 def run_averaging_experiment(
     ms: CoefficientSet,
-    avg: AveragedCoefficientSet,
+    avg: CoefficientSet,
     u0: np.ndarray,
     eps_list: list[float],
     n_samples: int,
@@ -92,25 +66,27 @@ def run_averaging_experiment(
 ) -> AveragingReport:
     """Mean squared path distance between the fast and averaged solutions.
 
-    Per sample index the same increments feed both equations; the averaged
-    paths do not depend on eps and are solved once.  The averaged paths and
-    then the fast paths of each eps run through solver.solve_paths, a chunk
-    at a time, so only the averaged paths are kept.  Reported per eps: mean
-    of the squared distances, its standard error, and the fraction
-    exceeding delta (the in-probability view).
+    avg is the averaged set (its f and sigma do not depend on t), marched
+    as it is.  Per sample index the same increments feed both equations;
+    the averaged paths do not depend on eps and are solved once.  The
+    averaged paths and then the fast paths of each eps run through
+    solver.solve_paths, a chunk at a time, so only the averaged paths are
+    kept.  Reported per eps: mean of the squared distances, its standard
+    error, and the fraction exceeding delta (the in-probability view).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if delta <= 0.0:
         raise ValueError(f"exceedance threshold must be positive, got {delta}")
-    avg_set = frozen_average_set(ms, avg)
+    if avg.d != ms.d:
+        raise ValueError(f"channel mismatch: averaged d={avg.d}, fast d={ms.d}")
     base_cfg = replace(cfg, noise_scale=1.0, time_scale=1.0)
 
     dw = np.stack([
         sample_noise(seed, cfg.mesh, ms.d, path_index=i).increments for i in range(n_samples)
     ])
     # copied path by path, so no chunk of the solve outlives the loop
-    slow_paths = np.fromiter((slow for _, slow in solve_paths(avg_set, u0, dw, None, base_cfg)),
+    slow_paths = np.fromiter((slow for _, slow in solve_paths(avg, u0, dw, None, base_cfg)),
                              (float, (cfg.mesh.steps + 1, cfg.grid.m)), n_samples)
 
     rows = []
@@ -132,7 +108,7 @@ def run_averaging_experiment(
 
 def khasminskii_block_error(
     ms: CoefficientSet,
-    avg: AveragedCoefficientSet,
+    avg: CoefficientSet,
     p: ReflectedPath,
     theta: float,
     eps: float,
@@ -142,8 +118,8 @@ def khasminskii_block_error(
     Blocks of length theta (snapped to the mesh) tile [0, T] up to the last
     full block; on each one the reaction deviation
     |f(s/eps, ., u(k theta)) - f_bar(., u(k theta))|_H is integrated in s
-    against the weight |u(k theta)|_H, and the block totals are summed.
-    Decaying coefficient deviations make this small as soon as theta/eps is
+    against the weight |u(k theta)|_H, and the block totals are summed
+    (f is ms's; f_bar is the averaged set's f, read at t = 0).  Decaying coefficient deviations make this small as soon as theta/eps is
     large; a single block spanning the horizon reduces to |u(0)|_H times
     the whole-horizon integrated deviation.
     """
@@ -163,7 +139,7 @@ def khasminskii_block_error(
         u_blk = p.u[k * w]
         weight = math.sqrt(p.h_sq[k * w])
         s = times[k * w : (k + 1) * w]
-        diff = ms.f(s[:, None] / eps, x[None, :], u_blk[None, :]) - avg.f_bar(x, u_blk)
+        diff = ms.f(s[:, None] / eps, x[None, :], u_blk[None, :]) - avg.f(0.0, x, u_blk)
         dev = np.sqrt(dx * np.einsum("km,km->k", diff, diff))
         total += weight * float(np.sum(dev)) * dt
     return total

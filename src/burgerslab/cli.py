@@ -62,11 +62,7 @@ from .ldp import (
     estimate_naive,
     fw_lower_bound_probe,
 )
-from .averaging import (
-    frozen_average_set,
-    penalization_convergence_probe,
-    run_averaging_experiment,
-)
+from .averaging import penalization_convergence_probe, run_averaging_experiment
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "main"]
 
@@ -526,7 +522,7 @@ def _drive_averaging(cfg: ExperimentConfig):
         noise = sample_noise(cfg.seed, cfg.mesh, ms.d, path_index=0)
         fast = solve(ms, u0, noise, None,
                      replace(cfg.scheme, noise_scale=1.0, time_scale=p["eps_list"][0]))
-        slow = solve(frozen_average_set(ms, avg), u0, noise, None,
+        slow = solve(avg, u0, noise, None,
                      replace(cfg.scheme, noise_scale=1.0, time_scale=1.0))
         tables["fast_path_0.bin"] = path_binary_bytes(fast)
         tables["averaged_path_0.bin"] = path_binary_bytes(slow)

@@ -8,9 +8,15 @@ arguments broadcast, g/f return the broadcast shape, sigma returns
 
 Builtin families:
   * make_burgers_set    - g = a_g z^2/2 plus a bounded reaction/noise profile
-  * make_multiscale_set - a time-decaying perturbation of averaged callbacks,
+  * make_multiscale_set - a time-decaying perturbation of an averaged set,
     engineered so the time-average of the squared deviation vanishes like
     a known kappa(t_hat)
+
+An averaged set is an ordinary CoefficientSet whose f and sigma do not
+depend on t (f_bar(x, z) is its f(t, x, z) at any t).  Nothing in the
+signature enforces that: it is a condition on the set, which the builtin
+family and average_coefficients meet by construction.  Readers of f_bar
+and sigma_bar call f(0.0, x, z) and sigma(0.0, x, z).
 
 A builtin coefficient that depends on neither t nor the state is a
 constant callback, built once: it fills the broadcast shape with its value
@@ -41,7 +47,6 @@ import numpy as np
 
 __all__ = [
     "CoefficientSet",
-    "AveragedCoefficientSet",
     "AuditReport",
     "SampleBox",
     "make_burgers_set",
@@ -83,9 +88,9 @@ def _shape(*args) -> tuple[int, ...]:
     return np.broadcast(*args).shape
 
 
-def _expand(out: np.ndarray, *args) -> np.ndarray:
-    """Give out the full broadcast shape of args (read-only view if needed)."""
-    shape = _shape(*args)
+def _expand(out: np.ndarray, *args, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Give out the shape lead + the broadcast shape of args (read-only view if needed)."""
+    shape = lead + _shape(*args)
     out = np.asarray(out, dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
@@ -148,28 +153,6 @@ class CoefficientSet:
             if getattr(getattr(self, name), "constant", False)))
 
 
-@dataclass(frozen=True)
-class AveragedCoefficientSet:
-    """Time-averaged reaction/noise callbacks f_bar(x, z), sigma_bar(x, z)."""
-
-    f_bar: Callable[..., np.ndarray]
-    sigma_bar: Callable[..., np.ndarray]
-    d: int
-    source: CoefficientSet | None = None
-    t_hat_used: float = math.inf
-    # which of f_bar and sigma_bar are constant callbacks, read when the set is built
-    constant: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.source is not None and self.source.d != self.d:
-            raise ValueError(
-                f"channel count {self.d} does not match source set d={self.source.d}"
-            )
-        object.__setattr__(self, "constant", frozenset(
-            name for name in ("f_bar", "sigma_bar")
-            if getattr(getattr(self, name), "constant", False)))
-
-
 def make_burgers_set(
     a_g: float = 0.0,
     noise_profile: str = "additive",
@@ -229,86 +212,62 @@ def make_burgers_set(
 
 
 def make_multiscale_set(
-    f_bar: Callable[..., np.ndarray],
-    sigma_bar: Callable[..., np.ndarray],
-    d: int,
+    avg: CoefficientSet,
     beta: float,
     amplitude: float,
-    g: Callable[..., np.ndarray] | None = None,
-    dg_dz: Callable[..., np.ndarray] | None = None,
     bump: Callable[..., np.ndarray] | None = None,
     name: str = "multiscale",
 ) -> CoefficientSet:
-    """Decaying perturbation of averaged callbacks.
+    """Decaying perturbation of an averaged set.
 
-    f(s, x, z) = f_bar(x, z) + amplitude * bump(x, z) * (1 + s)^(-beta) and
-    each sigma channel picks up (amplitude/sqrt(d)) * bump * (1 + s)^(-beta),
+    With f_bar(x, z) = avg.f(0.0, x, z) and sigma_bar(x, z) = avg.sigma(0.0,
+    x, z), f(s, x, z) = f_bar(x, z) + amplitude * bump(x, z) * (1 + s)^(-beta)
+    and each sigma channel picks up (amplitude/sqrt(d)) * bump * (1 + s)^(-beta),
     so the time-average of |f - f_bar|^2 + sum_j |sigma_j - sigma_bar_j|^2
     equals 2 * amplitude^2 * bump^2 * (1/T) ∫ (1+s)^(-2 beta) ds, which
-    vanishes as the horizon grows (logarithmically for beta = 1/2).
+    vanishes as the horizon grows (logarithmically for beta = 1/2).  g,
+    dg_dz and d are avg's.  The callables of avg are read when the set is
+    built, so a wrapper later set on avg does not reach the fast set.
     bump defaults to the scalar 1.0, so the default perturbation is the
     scalar amplitude * (1 + s)^(-beta), with the bits of a unit-array bump
-    (amplitude * 1 is amplitude); f_bar and sigma_bar must then return the
-    full broadcast shape of (x, z), as every callback does.  Periodic
-    perturbations are deliberately not offered: their squared deviation
-    does not average out.
+    (amplitude * 1 is amplitude).  Periodic perturbations are deliberately
+    not offered: their squared deviation does not average out.
     """
     if beta <= 0.0:
         raise ValueError(f"decay exponent must be positive, got beta={beta}")
     if bump is None:
         bump = lambda x, z: 1.0
-    if g is None:
-        g = _zero_g
-        dg_dz = _zero_g
-    per_channel = amplitude / math.sqrt(d)
+    f_bar, sigma_bar = avg.f, avg.sigma
+    per_channel = amplitude / math.sqrt(avg.d)
 
     def f(t, x, z):
         decay = (1.0 + np.asarray(t, dtype=float)) ** (-beta)
-        return f_bar(x, z) + amplitude * bump(x, z) * decay
+        return f_bar(0.0, x, z) + amplitude * bump(x, z) * decay
 
     def sigma(t, x, z):
         decay = (1.0 + np.asarray(t, dtype=float)) ** (-beta)
         pert = per_channel * bump(x, z) * decay
-        return sigma_bar(x, z) + pert[None, ...]
+        return sigma_bar(0.0, x, z) + pert[None, ...]
 
-    return CoefficientSet(g=g, dg_dz=dg_dz, f=f, sigma=sigma, d=d, name=name)
-
-
-def _at_time_zero(callback: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """(x, z) -> callback(0.0, x, z), a constant callback when callback is one."""
-
-    def at_zero(x, z):
-        return callback(0.0, x, z)
-
-    at_zero.constant = getattr(callback, "constant", False)
-    return at_zero
+    return CoefficientSet(g=avg.g, dg_dz=avg.dg_dz, f=f, sigma=sigma, d=avg.d, name=name)
 
 
 def burgers_multiscale_family(
     beta: float, amplitude: float, **burgers
-) -> tuple[CoefficientSet, AveragedCoefficientSet]:
+) -> tuple[CoefficientSet, CoefficientSet]:
     """Builtin multiscale family: a Burgers set perturbed by (1+s)^(-beta).
 
     The keyword arguments go to make_burgers_set, which declares their
     defaults.  Returns the fast set together with its exact averaged
-    counterpart (the unperturbed profile), ready for coupled averaging
-    experiments.  f_bar and sigma_bar are the base's callbacks at t = 0,
-    constant callbacks where the base's are.
+    counterpart, the unperturbed Burgers set itself (its callbacks ignore
+    t, and its constant record is the one make_burgers_set built), ready
+    for coupled averaging experiments.
     """
-    base = make_burgers_set(**burgers)
-    f_bar = _at_time_zero(base.f)
-    sigma_bar = _at_time_zero(base.sigma)
+    avg = make_burgers_set(**burgers)
     ms = make_multiscale_set(
-        f_bar,
-        sigma_bar,
-        base.d,
-        beta,
-        amplitude,
-        g=base.g,
-        dg_dz=base.dg_dz,
-        name=f"multiscale(beta={beta}, amp={amplitude}, base={base.name})",
+        avg, beta, amplitude,
+        name=f"multiscale(beta={beta}, amp={amplitude}, base={avg.name})",
     )
-    avg = AveragedCoefficientSet(f_bar=f_bar, sigma_bar=sigma_bar, d=base.d, source=ms)
     return ms, avg
 
 
@@ -340,29 +299,31 @@ def time_average(func_of_s: Callable[[float], np.ndarray], t_hat: float) -> np.n
     return acc / t_hat
 
 
-def average_coefficients(cs: CoefficientSet, t_hat: float) -> AveragedCoefficientSet:
+def average_coefficients(cs: CoefficientSet, t_hat: float) -> CoefficientSet:
     """Cesaro-average the reaction and noise over [0, t_hat].
 
-    The returned callbacks evaluate the quadrature lazily per call; exact on
+    Returns the averaged set: g and dg_dz are cs's, and f and sigma
+    evaluate the quadrature lazily per call (never constant callbacks),
+    ignore t and return the full broadcast shape, t included.  Exact on
     time-constant inputs (Simpson integrates constants exactly).
     """
     if t_hat <= 0.0:
         raise ValueError(f"averaging horizon must be positive, got {t_hat}")
 
-    def f_bar(x, z):
-        return time_average(lambda s: cs.f(s, x, z), t_hat)
+    def f(t, x, z):
+        return _expand(time_average(lambda s: cs.f(s, x, z), t_hat), t, x, z)
 
-    def sigma_bar(x, z):
-        return time_average(lambda s: cs.sigma(s, x, z), t_hat)
+    def sigma(t, x, z):
+        return _expand(time_average(lambda s: cs.sigma(s, x, z), t_hat), t, x, z,
+                       lead=(cs.d,))
 
-    return AveragedCoefficientSet(
-        f_bar=f_bar, sigma_bar=sigma_bar, d=cs.d, source=cs, t_hat_used=t_hat
-    )
+    return CoefficientSet(g=cs.g, dg_dz=cs.dg_dz, f=f, sigma=sigma, d=cs.d,
+                          name=f"averaged({cs.name})")
 
 
 def estimate_kappa(
     cs: CoefficientSet,
-    avg: AveragedCoefficientSet,
+    avg: CoefficientSet,
     t_hat_list: Sequence[float],
     z_samples: Sequence[float],
     x_samples: Sequence[float],
@@ -371,8 +332,9 @@ def estimate_kappa(
 
     kappa_hat(t_hat) = max over sampled (x, z) of
     [(1/t_hat) ∫_0^t_hat |f - f_bar|^2 + sum_j |sigma_j - sigma_bar_j|^2 ds]
-    / (1 + z^2).  Invariant under relabeling of noise channels (the channel
-    deviations enter through their sum).
+    / (1 + z^2), with f_bar and sigma_bar the averaged set's f and sigma,
+    read once at t = 0.  Invariant under relabeling of noise channels (the
+    channel deviations enter through their sum).
     """
     t_hats = list(t_hat_list)
     if any(b <= a for a, b in zip(t_hats, t_hats[1:])):
@@ -381,8 +343,8 @@ def estimate_kappa(
         raise ValueError("sample sets must be nonempty")
     xg, zg = np.meshgrid(np.asarray(x_samples, float), np.asarray(z_samples, float))
     x, z = xg.ravel(), zg.ravel()
-    fb = avg.f_bar(x, z)
-    sb = avg.sigma_bar(x, z)
+    fb = avg.f(0.0, x, z)
+    sb = avg.sigma(0.0, x, z)
 
     def sq_dev(s: float) -> np.ndarray:
         df = cs.f(s, x, z) - fb

@@ -151,15 +151,6 @@ def _check_path(p: np.ndarray, grid: SpatialGrid, mesh: TimeMesh) -> np.ndarray:
     return p
 
 
-def _h_norms_sq(p: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    return grid.dx * np.einsum("km,km->k", p, p)
-
-
-def _v_norms_sq(p: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    jumps = np.diff(p, axis=1, prepend=0.0, append=0.0)
-    return np.einsum("km,km->k", jumps, jumps) / grid.dx
-
-
 # path_distance streams the paths through buffers of about this many floats,
 # a block of whole time rows, so a distance's scratch stays in cache whatever
 # the path length.
@@ -176,11 +167,12 @@ def path_distance(
 
     The difference goes block by block of time rows into a ghost-padded
     buffer whose zero columns give the boundary jumps (x - 0 and 0 - x are
-    exact), so each row's norms have the bits of _h_norms_sq and
-    _v_norms_sq on the whole difference, and the scratch is two buffers of
-    about DISTANCE_BLOCK floats, not three path-sized arrays.  The row pass
-    (_distance_rows) and the reduction (_distance_of_rows) are two parts,
-    so a path held a window of rows at a time gets the same bits.
+    exact), so each row's norms have the bits of dx * sum(diff^2) and
+    sum(jumps^2) / dx over the whole difference, with the jumps of np.diff
+    and zero ghosts, and the scratch is two buffers of about DISTANCE_BLOCK
+    floats, not three path-sized arrays.  The row pass (_distance_rows)
+    and the reduction (_distance_of_rows) are two parts, so a path held a
+    window of rows at a time gets the same bits.
     """
     p = _check_path(p, grid, mesh)
     q = _check_path(q, grid, mesh)

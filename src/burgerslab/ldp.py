@@ -278,10 +278,13 @@ def condition_convergence_probe(
     skeleton share the control; the probe reports, per eps, the worst
     empirical fraction of paths whose squared distance to the skeleton
     meets delta.  Path indices are shared across eps values (common random
-    numbers), so the reported trend is a coupled comparison.
+    numbers), so the reported trend is a coupled comparison.  Every input
+    is checked before any solve.
     """
     if delta <= 0.0:
         raise ValueError(f"threshold delta must be positive, got {delta}")
+    if n_samples < 1 or len(u0_set) == 0 or len(controls) == 0:
+        raise ValueError("need at least one sample, one start and one control")
     if energy_bound is not None:
         for ctrl in controls:
             if not ctrl.in_energy_class(energy_bound):

@@ -40,8 +40,7 @@ from .core import (
     NoisePath,
     SpatialGrid,
     TimeMesh,
-    _h_norms_sq,
-    _v_norms_sq,
+    _distance_rows,
 )
 from .coefficients import CoefficientSet
 
@@ -192,7 +191,8 @@ class ReflectedPath:
 
     u has shape (steps+1, m); dk has shape (steps, m) and pairs with the
     post-reflection state u[k+1].  grid and mesh are the config's; h_sq and
-    v_sq, the squared H and V norms per time node, are computed on first read.
+    v_sq, the squared H and V norms per time node, are computed together on
+    first read, as the row pass of path_distance against the zero path.
     """
 
     u: np.ndarray
@@ -212,16 +212,20 @@ class ReflectedPath:
         return self.config.mesh
 
     @cached_property
-    def h_sq(self) -> np.ndarray:
-        h_sq = _h_norms_sq(self.u, self.grid)
+    def _norms_sq(self) -> tuple[np.ndarray, np.ndarray]:
+        h_sq, v_sq = np.empty(len(self.u)), np.empty(len(self.u))
+        _distance_rows(self.u, np.broadcast_to(0.0, self.u.shape), self.grid, h_sq, v_sq)
         h_sq.setflags(write=False)
-        return h_sq
-
-    @cached_property
-    def v_sq(self) -> np.ndarray:
-        v_sq = _v_norms_sq(self.u, self.grid)
         v_sq.setflags(write=False)
-        return v_sq
+        return h_sq, v_sq
+
+    @property
+    def h_sq(self) -> np.ndarray:
+        return self._norms_sq[0]
+
+    @property
+    def v_sq(self) -> np.ndarray:
+        return self._norms_sq[1]
 
     @property
     def min_u(self) -> float:

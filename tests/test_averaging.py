@@ -15,7 +15,6 @@ from burgerslab.core import (
 )
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.averaging import (
-    frozen_average_set,
     khasminskii_block_error,
     penalization_convergence_probe,
     run_averaging_experiment,
@@ -55,12 +54,11 @@ class TestAveragingExperiment:
         per_path = 8 * GRID.m * (2 * MESH.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 3 * per_path)
         rep = run_averaging_experiment(ms, avg, U0, [0.1, 0.01], 7, seed=4, cfg=CFG)
-        slow_set = frozen_average_set(ms, avg)
         for row in rep.rows:
             d2 = []
             for i in range(7):
                 nz = sample_noise(4, MESH, 1, path_index=i)
-                slow = solve(slow_set, U0, nz, None, replace(CFG, noise_scale=1.0))
+                slow = solve(avg, U0, nz, None, replace(CFG, noise_scale=1.0))
                 fast = solve(ms, U0, nz, None,
                              replace(CFG, noise_scale=1.0, time_scale=row.epsilon))
                 d2.append(path_distance(fast.u, slow.u, GRID, MESH).squared)
@@ -69,31 +67,38 @@ class TestAveragingExperiment:
 
     @pytest.mark.parametrize("kwargs", [dict(), dict(noise_profile="bounded", d=2)])
     def test_constant_average_evaluated_once_per_march(self, kwargs):
-        # the frozen set of a constant base: f_bar and sigma_bar once per march,
-        # with the bits of calling them every step
+        # the family's averaged set, its callbacks wrapped after it was built
+        # as a tracer does: the constant ones once per march, g and dg_dz
+        # never, with the bits of calling f and sigma every step
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0, **kwargs)
+        per_step = replace(avg, f=lambda t, x, z: avg.f(t, x, z),
+                           sigma=lambda t, x, z: avg.sigma(t, x, z))
         calls = []
-        for name in ("f_bar", "sigma_bar"):
-            def counted(x, z, fn=getattr(avg, name), name=name):
+        for name in ("g", "dg_dz", "f", "sigma"):
+            def counted(*args, fn=getattr(avg, name), name=name):
                 calls.append(name)
-                return fn(x, z)
+                return fn(*args)
             object.__setattr__(avg, name, counted)
-        slow = frozen_average_set(ms, avg)
-        per_step = replace(slow, f=lambda t, x, z: slow.f(t, x, z),
-                           sigma=lambda t, x, z: slow.sigma(t, x, z))
         cfg = replace(CFG, noise_scale=1.0)
         dw = np.stack([sample_noise(5, MESH, ms.d, path_index=i).increments
                        for i in range(3)])
-        u, dk = solver.solve_batch(slow, U0, dw, None, cfg)
+        u, dk = solver.solve_batch(avg, U0, dw, None, cfg)
         steps = MESH.steps
-        if "sigma_bar" in avg.constant:
-            assert calls == ["f_bar", "sigma_bar"]
+        if "sigma" in avg.constant:
+            assert calls == ["f", "sigma"]
         else:
-            assert calls.count("f_bar") == 1 and calls.count("sigma_bar") == steps
+            assert calls.count("f") == 1 and calls.count("sigma") == steps
+            assert len(calls) == steps + 1
         calls.clear()
         u_ref, dk_ref = solver.solve_batch(per_step, U0, dw, None, cfg)
-        assert calls.count("f_bar") == calls.count("sigma_bar") == steps
+        assert calls.count("f") == calls.count("sigma") == steps == len(calls) // 2
         assert (u.tobytes(), dk.tobytes()) == (u_ref.tobytes(), dk_ref.tobytes())
+
+    def test_channel_counts_must_match(self):
+        ms = burgers_multiscale_family(beta=0.5, amplitude=1.0, d=2)[0]
+        avg = make_burgers_set(d=1)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            run_averaging_experiment(ms, avg, U0, [0.1], 1, seed=4, cfg=CFG)
 
     def test_distinct_eps_required(self):
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
@@ -144,7 +149,7 @@ class TestKhasminskiiBlocks:
         acc = 0.0
         for k in range(MESH.steps):
             s = MESH.times[k]
-            diff = np.asarray(ms.f(s / eps, x, p.u[0]) - avg.f_bar(x, p.u[0]))
+            diff = np.asarray(ms.f(s / eps, x, p.u[0]) - avg.f(0.0, x, p.u[0]))
             acc += math.sqrt(GRID.dx * float(np.dot(diff, diff))) * MESH.dt
         expected = h_norm(p.u[0], GRID) * acc
         assert got == pytest.approx(expected, rel=1e-12)

@@ -4,6 +4,8 @@ perfbench/tracer.py replaces names such as solver.cho_solve_banded,
 averaging.solve and averaging.path_distance, and raises for one that moved.
 Installing it here, in a fresh process so the patches stay out of the test
 run, makes a moved hook fail the tests and not only the traced benchmark.
+The span counts also show that a traced run does the work of an untraced
+one: wrapping a built set's callbacks does not change what a march calls.
 """
 
 import json
@@ -15,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
-import json, sys
+import collections, json, sys
 sys.path.insert(0, sys.argv[1])
 import tracer
 import burgerslab.cli as cli
@@ -24,30 +26,36 @@ spans = tracer.Tracer()
 tracer.install(spans)
 code = cli.main(["--config", sys.argv[2], "--out", sys.argv[3]])
 metrics = tracer.summarize(spans.spans)
-print(json.dumps({"code": code, "metrics": metrics}))
+names = collections.Counter(span[2] for span in spans.spans)
+print(json.dumps({"code": code, "metrics": metrics, "spans": names}))
 """
 
 
-def test_tracer_installs_and_sees_the_reflection_layers(tmp_path):
-    config = tmp_path / "reflection.json"
-    config.write_text(json.dumps({
-        "experiment": "reflection",
-        "grid": {"m": 16},
-        "mesh": {"t_final": 0.1, "dt": 0.001},
-        "params": {"n_list": [10, 100], "sigma_amp": 0.25},
-        "seed": 1,
-    }))
+def _traced_run(tmp_path, config):
+    """The traced CLI run of config in a fresh process: its metrics and span counts by name."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     src = str(ROOT / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-c", SCRIPT, str(ROOT / "perfbench"),
-         str(config), str(tmp_path / "out")],
+         str(path), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
-    metrics = result["metrics"]
+    return result["metrics"], result["spans"]
+
+
+def test_tracer_installs_and_sees_the_reflection_layers(tmp_path):
+    metrics, _ = _traced_run(tmp_path, {
+        "experiment": "reflection",
+        "grid": {"m": 16},
+        "mesh": {"t_final": 0.1, "dt": 0.001},
+        "params": {"n_list": [10, 100], "sigma_amp": 0.25},
+        "seed": 1,
+    })
     # the projection path is one solve of 100 steps; the penalized rows march
     # in windows, so every step of both marches calls the kernel
     assert metrics["solver.solve.calls"] == 1
@@ -55,3 +63,27 @@ def test_tracer_installs_and_sees_the_reflection_layers(tmp_path):
     assert metrics["solver.kernel.calls"] == 200
     assert metrics["coefficients.callback.calls"] == 4
     assert metrics["averaging.penalization_probe_s"] > 0.0
+
+
+def test_traced_averaging_does_the_untraced_work(tmp_path):
+    # the tracer wraps the callbacks of both sets the family returns; the
+    # averaged set's constant record was fixed when it was built, so its
+    # marches (the coupled loop's and the dumped pair's) call f and sigma
+    # once each and never g or dg_dz, as an untraced run does
+    _, spans = _traced_run(tmp_path, {
+        "experiment": "averaging",
+        "grid": {"m": 16},
+        "mesh": {"t_final": 0.1, "dt": 0.002},
+        "coefficients": {"family": "multiscale", "beta": 0.5, "amplitude": 1.0},
+        "params": {"eps_list": [0.1, 0.01], "n_paths": 2, "kappa_t_hats": [10.0, 100.0],
+                   "dump_first_pair": True},
+        "seed": 1,
+    })
+    assert (tmp_path / "out" / "averaged_path_0.bin").is_file()
+    assert "coefficients.g" not in spans and "coefficients.dg_dz" not in spans
+    # 50 steps: the fast marches (one batch per eps, then the dumped path)
+    # call f and sigma every step, each averaged march once, and
+    # estimate_kappa once per Simpson node (85 at t_hat 10, 136 at 100)
+    # plus once for the averaged set
+    per_callback = 3 * 50 + 2 + (85 + 136 + 1)
+    assert spans["coefficients.f"] == spans["coefficients.sigma"] == per_callback

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from burgerslab.coefficients import (
-    AveragedCoefficientSet,
     CoefficientSet,
     SampleBox,
     audit_assumptions,
@@ -16,7 +15,6 @@ from burgerslab.coefficients import (
     make_multiscale_set,
     time_average,
 )
-from burgerslab.averaging import frozen_average_set
 
 
 class TestBurgersSet:
@@ -57,27 +55,27 @@ class TestMultiscaleSet:
         x = np.linspace(0.1, 0.9, 5)
         z = np.linspace(-2, 2, 5)
         for s in (0.0, 3.7, 1e4):
-            assert np.array_equal(ms.f(s, x, z), avg.f_bar(x, z))
-            assert np.array_equal(ms.sigma(s, x, z), avg.sigma_bar(x, z))
+            assert np.array_equal(ms.f(s, x, z), avg.f(s, x, z))
+            assert np.array_equal(ms.sigma(s, x, z), avg.sigma(s, x, z))
 
     def test_decay_to_average(self):
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
         x, z = np.array([0.5]), np.array([1.0])
-        dev = abs(float((ms.f(1e8, x, z) - avg.f_bar(x, z))[0]))
+        dev = abs(float((ms.f(1e8, x, z) - avg.f(0.0, x, z))[0]))
         assert dev < 2e-4
 
     def test_closed_form_time_average(self):
         # (1/T) ∫ (1+s)^(-1) ds = log(1+T)/T for the squared f deviation
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
         x, z = np.array([0.5]), np.array([0.0])
-        fb = avg.f_bar(x, z)
+        fb = avg.f(0.0, x, z)
         mean_sq = float(time_average(lambda s: (ms.f(s, x, z) - fb) ** 2, 100.0)[0])
         assert mean_sq == pytest.approx(math.log(101.0) / 100.0, rel=1e-6)
         assert mean_sq == pytest.approx(0.04615, abs=2e-4)
 
     def test_bad_beta(self):
         with pytest.raises(ValueError):
-            make_multiscale_set(lambda x, z: 0.0, lambda x, z: 0.0, 1, beta=0.0, amplitude=1.0)
+            make_multiscale_set(make_burgers_set(), beta=0.0, amplitude=1.0)
 
 
 class TestAverageCoefficients:
@@ -86,22 +84,18 @@ class TestAverageCoefficients:
         avg = average_coefficients(cs, t_hat=50.0)
         x = np.linspace(0.05, 0.95, 7)
         z = np.linspace(-3, 3, 7)
-        assert avg.f_bar(x, z) == pytest.approx(cs.f(0.0, x, z), rel=1e-13)
-        assert avg.sigma_bar(x, z) == pytest.approx(cs.sigma(0.0, x, z), rel=1e-13)
-        assert avg.t_hat_used == 50.0
+        assert avg.f(0.0, x, z) == pytest.approx(cs.f(0.0, x, z), rel=1e-13)
+        assert avg.sigma(0.0, x, z) == pytest.approx(cs.sigma(0.0, x, z), rel=1e-13)
+        assert (avg.g, avg.dg_dz, avg.d) == (cs.g, cs.dg_dz, cs.d)
 
     def test_decaying_perturbation_mean(self):
         # (1/T) ∫ (1+s)^(-1/2) ds = (2 sqrt(1+T) - 2)/T ~ 2/sqrt(T)
         base = make_burgers_set(0.0, c1=1.0)
-        ms = make_multiscale_set(
-            f_bar=lambda x, z: base.f(0.0, x, z),
-            sigma_bar=lambda x, z: base.sigma(0.0, x, z),
-            d=1, beta=0.5, amplitude=1.0,
-        )
+        ms = make_multiscale_set(base, beta=0.5, amplitude=1.0)
         t_hat = 1e4
         avg = average_coefficients(ms, t_hat=t_hat)
         x, z = np.array([0.5]), np.array([1.3])
-        drift = abs(float((avg.f_bar(x, z) - base.f(0.0, x, z))[0]))
+        drift = abs(float((avg.f(0.0, x, z) - base.f(0.0, x, z))[0]))
         expected = (2.0 * math.sqrt(1.0 + t_hat) - 2.0) / t_hat
         assert drift == pytest.approx(expected, rel=1e-4)
         assert drift <= 2e-2
@@ -116,9 +110,9 @@ class TestAverageCoefficients:
             d=1,
         )
         x, z = np.array([0.3, 0.8]), np.array([-1.0, 2.0])
-        fa = average_coefficients(a, 25.0).f_bar(x, z)
-        fb = average_coefficients(b, 25.0).f_bar(x, z)
-        fc = average_coefficients(combo, 25.0).f_bar(x, z)
+        fa = average_coefficients(a, 25.0).f(0.0, x, z)
+        fb = average_coefficients(b, 25.0).f(0.0, x, z)
+        fc = average_coefficients(combo, 25.0).f(0.0, x, z)
         assert fc == pytest.approx(fa + fb, rel=1e-13)
 
     def test_bad_horizon(self):
@@ -159,8 +153,8 @@ class TestEstimateKappa:
         ms_swapped = CoefficientSet(
             g=ms.g, dg_dz=ms.dg_dz, f=ms.f, sigma=swapped(ms.sigma), d=2
         )
-        avg_swapped = AveragedCoefficientSet(
-            f_bar=avg.f_bar, sigma_bar=swapped(avg.sigma_bar), d=2
+        avg_swapped = CoefficientSet(
+            g=avg.g, dg_dz=avg.dg_dz, f=avg.f, sigma=swapped(avg.sigma), d=2
         )
         a = estimate_kappa(ms, avg, [50.0], [-1, 1], [0.5])
         b = estimate_kappa(ms_swapped, avg_swapped, [50.0], [-1, 1], [0.5])
@@ -228,8 +222,7 @@ class TestAveragedConstants:
         )
         box = SampleBox(t=(0.0, 20.0), z=(-4, 4))
         fast = audit_assumptions(ms, box, n_samples=3000, seed=6)
-        frozen = frozen_average_set(ms, avg)
-        slow = audit_assumptions(frozen, box, n_samples=3000, seed=7)
+        slow = audit_assumptions(avg, box, n_samples=3000, seed=7)
         l_f = max(fast.l_f_monotone_hat, fast.l_f_growth_hat)
         tol = 1.05
         assert slow.l_f_monotone_hat <= tol * l_f
@@ -262,8 +255,10 @@ BUILTIN_SETS = {
     "multiscale": lambda: burgers_multiscale_family(beta=0.5, amplitude=1.0)[0],
     "multiscale_d2": lambda: burgers_multiscale_family(beta=0.5, amplitude=0.7, a_g=0.8,
                                                        noise_profile="bounded", c1=1.0, d=2)[0],
-    "frozen_average": lambda: frozen_average_set(
-        *burgers_multiscale_family(beta=0.5, amplitude=1.0)),
+    "family_average": lambda: burgers_multiscale_family(beta=0.5, amplitude=1.0)[1],
+    "cesaro_average": lambda: average_coefficients(
+        burgers_multiscale_family(beta=0.5, amplitude=0.7, noise_profile="bounded", c1=1.0,
+                                  d=2)[0], 4.0),
 }
 
 
@@ -283,6 +278,22 @@ class TestCallbackShapes:
             if np.ndim(z) == 2:
                 padded = np.pad(z, ((0, 0), (1, 1)))
                 assert np.shape(cs.g(t, padded)) == np.broadcast(t, padded).shape
+
+    @pytest.mark.parametrize("call", CALL_SHAPES, ids=[c[0] for c in CALL_SHAPES])
+    def test_average_ignores_t_in_the_broadcast_shape(self, call):
+        # f and sigma of the averaged set have the bits of one quadrature at
+        # every t, spread over the full broadcast shape of (t, x, z)
+        ms = burgers_multiscale_family(beta=0.5, amplitude=0.7, noise_profile="bounded",
+                                       c1=1.0, d=2)[0]
+        avg = average_coefficients(ms, 4.0)
+        _, t, x, z = call
+        shape = np.broadcast(t, x, z).shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, lead in (("f", ()), ("sigma", (2,))):
+                a = getattr(avg, name)(t, x, z)
+                b = getattr(avg, name)(np.asarray(t) + 7.25, x, z)
+                assert a.shape == b.shape == lead + shape
+                assert _same_bits(a, b)
 
 
 def _formula_set(a_g, profile, c1, c2, sigma_amp, d):
@@ -371,26 +382,35 @@ class TestConstantCallbacks:
             CoefficientSet(g=cs.g, dg_dz=cs.dg_dz, f=cs.f, sigma=cs.sigma, d=cs.d,
                            constant=frozenset())
 
-    @pytest.mark.parametrize("kwargs, averaged, frozen", [
-        (dict(), {"f_bar", "sigma_bar"}, {"g", "f", "sigma"}),
-        (dict(noise_profile="bounded", d=2), {"f_bar"}, {"g", "f"}),
-        (dict(a_g=0.8, c1=0.5), {"sigma_bar"}, {"sigma"}),
-        (dict(c2=-0.0, noise_profile="bounded"), set(), {"g"}),
+    @pytest.mark.parametrize("kwargs, constant", [
+        (dict(), {"g", "f", "sigma"}),
+        (dict(noise_profile="bounded", d=2), {"g", "f"}),
+        (dict(a_g=0.8, c1=0.5), {"sigma"}),
+        (dict(c2=-0.0, noise_profile="bounded"), {"g"}),
     ], ids=["all", "bounded", "a_g,c1", "signed-zero"])
-    def test_averaged_set_records_its_constant_callbacks(self, kwargs, averaged, frozen):
+    def test_family_average_is_the_base_set(self, kwargs, constant):
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0, **kwargs)
-        assert avg.constant == averaged
-        assert frozen_average_set(ms, avg).constant == frozen
-        # wrapping the built set's callbacks, as a tracer does, keeps the record
-        for name in ("f_bar", "sigma_bar"):
-            object.__setattr__(avg, name, lambda x, z, fn=getattr(avg, name): fn(x, z))
-        assert avg.constant == averaged
-        assert frozen_average_set(ms, avg).constant == frozen
-        # a Cesaro average is evaluated per call
-        assert average_coefficients(ms, 10.0).constant == frozenset()
-        with pytest.raises(TypeError):
-            AveragedCoefficientSet(f_bar=avg.f_bar, sigma_bar=avg.sigma_bar, d=avg.d,
-                                   constant=frozenset())
+        base = make_burgers_set(**kwargs)
+        assert avg.constant == base.constant == constant
+        assert avg.name == base.name and avg.d == base.d
+        # the fast set shares g and dg_dz, and only g can be constant there
+        assert (ms.g, ms.dg_dz) == (avg.g, avg.dg_dz)
+        assert ms.constant == constant & {"g"}
+        # wrapping the built averaged set, as a tracer does, keeps both records
+        # and does not reach the callables the fast set read when it was built
+        calls = []
+        for name in ("g", "dg_dz", "f", "sigma"):
+            def counted(*args, fn=getattr(avg, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            object.__setattr__(avg, name, counted)
+        assert avg.constant == constant and ms.constant == constant & {"g"}
+        x, z = np.linspace(0.1, 0.9, 5), np.linspace(-2.0, 2.0, 5)
+        for t in (0.0, 0.3):
+            ms.g(t, z), ms.dg_dz(t, z), ms.f(t, x, z), ms.sigma(t, x, z)
+        assert calls == []
+        # a Cesaro average is evaluated per call; only g passes through
+        assert average_coefficients(ms, 10.0).constant == constant & {"g"}
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("call", CALL_SHAPES, ids=[c[0] for c in CALL_SHAPES])
@@ -398,8 +418,7 @@ class TestConstantCallbacks:
         kwargs = dict(beta=0.5, amplitude=0.7, a_g=0.0, noise_profile="bounded", c1=1.0,
                       c2=-0.0, d=d)
         folded, avg = burgers_multiscale_family(**kwargs)
-        unit = make_multiscale_set(avg.f_bar, avg.sigma_bar, d, kwargs["beta"],
-                                   kwargs["amplitude"], g=folded.g, dg_dz=folded.dg_dz,
+        unit = make_multiscale_set(avg, kwargs["beta"], kwargs["amplitude"],
                                    bump=lambda x, z: np.ones(np.broadcast(x, z).shape))
         _, t, x, z = call
         with np.errstate(over="ignore"):

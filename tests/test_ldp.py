@@ -226,6 +226,24 @@ class TestConditionProbe:
             )
 
 
+    @pytest.mark.parametrize("u0_set, controls, n_samples", [
+        ([U0], [Control.zero(1.0, 1)], 0),
+        ([], [Control.zero(1.0, 1)], 5),
+        ([U0], [], 5),
+    ], ids=["no-samples", "no-starts", "no-controls"])
+    def test_empty_inputs_rejected_before_any_solve(self, monkeypatch, u0_set, controls,
+                                                    n_samples):
+        # n_samples 0 once solved every skeleton and then divided by zero; an
+        # empty start or control set once reported worst_fraction 0.0
+        calls = []
+        for name in ("solve_skeleton", "solve_paths"):
+            monkeypatch.setattr(ldp, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(ValueError, match="at least one"):
+            condition_convergence_probe(ADDITIVE, u0_set, controls, [0.1], 0.25, n_samples,
+                                        25, CFG)
+        assert calls == []
+
+
 def _small_chunks(monkeypatch, paths_per_chunk):
     per_path = 8 * GRID.m * (2 * MESH.steps + 1)
     monkeypatch.setattr(solver, "BATCH_BYTES", paths_per_chunk * per_path)

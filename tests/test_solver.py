@@ -11,7 +11,7 @@ import pytest
 
 from burgerslab import solver
 from burgerslab.core import (
-    SpatialGrid, TimeMesh, _h_norms_sq, _v_norms_sq, h_norm, sample_noise, sine_field, v_norm,
+    SpatialGrid, TimeMesh, h_norm, sample_noise, sine_field, v_norm,
 )
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.solver import (
@@ -411,7 +411,7 @@ def _batch_case(convection, profile, d, reflection, n_paths=5, steps=30):
     if profile == "multiscale":
         cs, _ = burgers_multiscale_family(
             beta=0.5, amplitude=1.0, a_g=0.8, noise_profile="bounded", c2=-1.0, d=d)
-    elif profile == "multiscale_default":  # constant g, f_bar and sigma_bar, default bump
+    elif profile == "multiscale_default":  # constant g, averaged f and sigma, default bump
         cs, _ = burgers_multiscale_family(beta=0.5, amplitude=1.0, d=d)
     elif profile == "constant":  # every callback a constant, as in the reflection experiment
         cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.25, d=d)
@@ -983,6 +983,13 @@ class TestPenalized:
         assert 0.0 < abs(r1000) < abs(r100)
 
 
+def _formula_norms_sq(u, grid):
+    """The squared H and V norms of each row as whole-path formulas: the bit reference."""
+    jumps = np.diff(u, axis=1, prepend=0.0, append=0.0)
+    return (grid.dx * np.einsum("km,km->k", u, u),
+            np.einsum("km,km->k", jumps, jumps) / grid.dx)
+
+
 class TestReflectedPath:
     def _path(self):
         grid, mesh = SpatialGrid(16), TimeMesh(0.5, 40)
@@ -996,17 +1003,33 @@ class TestReflectedPath:
 
     def test_norms_are_lazy_read_only_and_exact(self):
         p, cfg = self._path()
-        assert "h_sq" not in vars(p) and "v_sq" not in vars(p)
-        for name, norms in (("h_sq", _h_norms_sq), ("v_sq", _v_norms_sq)):
+        assert not {"h_sq", "v_sq", "_norms_sq"} & set(vars(p))
+        for name, norms in zip(("h_sq", "v_sq"), _formula_norms_sq(p.u, cfg.grid)):
             value = getattr(p, name)
             assert getattr(p, name) is value
-            assert value.tobytes() == norms(p.u, cfg.grid).tobytes()
+            assert value.tobytes() == norms.tobytes()
             assert not value.flags.writeable
             with pytest.raises(ValueError):
                 value[0] = 1.0
             with pytest.raises(FrozenInstanceError):
                 setattr(p, name, np.zeros_like(value))
         assert not p.u.flags.writeable and not p.dk.flags.writeable
+
+    @pytest.mark.parametrize("steps, m, scale", [
+        (0, 2, 1.0), (1, 3, 1.0), (40, 16, 1e-300), (300, 33, 1e150), (5000, 128, 1.0),
+    ])
+    def test_norms_have_the_bits_of_the_formulas(self, steps, m, scale):
+        # rows longer than a DISTANCE_BLOCK, signed zeros, subnormals and near-overflow
+        grid, mesh = SpatialGrid(m), TimeMesh(1.0, max(steps, 1))
+        rng = np.random.default_rng(steps + m)
+        u = scale * rng.standard_normal((steps + 1, m))
+        u.flat[::7] = -0.0
+        u.flat[3::11] = 0.0
+        p = solver.ReflectedPath(u=u, dk=np.zeros((steps, m)),
+                                 config=SchemeConfig(grid=grid, mesh=mesh))
+        with np.errstate(over="ignore", under="ignore"):
+            h_ref, v_ref = _formula_norms_sq(u, grid)
+            assert (p.h_sq.tobytes(), p.v_sq.tobytes()) == (h_ref.tobytes(), v_ref.tobytes())
 
 
 class TestEnergyFunctional:
