@@ -76,7 +76,7 @@ def run_averaging_experiment(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN fails too
         raise ValueError(f"exceedance threshold must be positive, got {delta}")
     if avg.d != ms.d:
         raise ValueError(f"channel mismatch: averaged d={avg.d}, fast d={ms.d}")
@@ -126,7 +126,7 @@ def khasminskii_block_error(
     dt, t_final = p.mesh.dt, p.mesh.t_final
     if not 0.0 < theta <= t_final:
         raise ValueError(f"block length must lie in (0, {t_final}], got {theta}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     w = max(1, int(round(theta / dt)))
     n_blocks = p.mesh.steps // w

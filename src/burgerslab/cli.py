@@ -216,6 +216,10 @@ _UNREAD = {
     "reflection": ("coefficients", "u0", "scheme.reflection", "scheme.penalty_n"),
 }
 
+# experiments whose every artifact is one deterministic computation: the seed,
+# which the config and --seed still accept, changes none of their bytes
+_SEEDLESS = ("heat-regression", "rate-function")
+
 # what the burgers family never reads: the multiscale perturbation's keys
 _MULTISCALE_ONLY = ("beta", "amplitude")
 
@@ -673,6 +677,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"experiment={cfg.experiment} seed={cfg.seed} out={out_dir}")
     print(f"grid m={cfg.grid.m}, mesh T={cfg.mesh.t_final} steps={cfg.mesh.steps}, "
           f"coefficients {cfg.coefficients['family']}, u0 {cfg.u0_spec['kind']}")
+    if cfg.experiment in _SEEDLESS:
+        print(f"note: {cfg.experiment} draws no noise; seed {cfg.seed} changes no artifact",
+              file=sys.stderr)
     code, artifacts = run_experiment(cfg, out_dir, config_path=args.config)
     for path in artifacts:
         print(f"wrote {path}")

@@ -67,30 +67,9 @@ PER_PANEL = 16
 RATIO_CAP = 1e6
 
 
-def _shape(*args) -> tuple[int, ...]:
-    """Broadcast shape of the arguments.
-
-    When every argument but the last is a float or an array whose shape ends
-    the last one's (the solver's call: a float t, nodes (m,), states (P, m);
-    the audits': all (n,)), that is the last argument's shape, read without
-    np.broadcast; anything else goes to np.broadcast (a C call, unlike
-    broadcast_shapes).
-    """
-    z = args[-1]
-    if type(z) is np.ndarray:
-        shape = z.shape
-        for a in args[:-1]:
-            if type(a) is not float and (type(a) is not np.ndarray
-                                         or a.shape != shape[z.ndim - a.ndim:]):
-                break
-        else:
-            return shape
-    return np.broadcast(*args).shape
-
-
 def _expand(out: np.ndarray, *args, lead: tuple[int, ...] = ()) -> np.ndarray:
     """Give out the shape lead + the broadcast shape of args (read-only view if needed)."""
-    shape = lead + _shape(*args)
+    shape = lead + np.broadcast(*args).shape
     out = np.asarray(out, dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
@@ -102,7 +81,7 @@ def _constant(value: float, lead: tuple[int, ...] = ()) -> Callable[..., np.ndar
     """
 
     def constant(*args):
-        out = np.empty(lead + _shape(*args))
+        out = np.empty(lead + np.broadcast(*args).shape)
         out.fill(value)
         return out
 
@@ -140,7 +119,6 @@ class CoefficientSet:
     f: Callable[..., np.ndarray]
     sigma: Callable[..., np.ndarray]
     d: int
-    name: str = "custom"
     # which of g, f and sigma are constant callbacks, read when the set is built
     constant: frozenset[str] = field(init=False, repr=False, compare=False)
 
@@ -202,54 +180,47 @@ def make_burgers_set(
         def sigma(t, x, z):
             z = np.asarray(z, dtype=float)
             row = _expand(sigma_amp * (0.5 + z / (1.0 + z * z)), t, x, z)
-            return row[None] if d == 1 else np.broadcast_to(row, (d,) + row.shape)
+            return np.broadcast_to(row, (d,) + row.shape)
 
     else:
         sigma = _constant(sigma_amp if noise_profile == "additive" else 0.0, (d,))
 
-    label = f"burgers(a_g={a_g}, f={c1}*z/(1+z^2)+{c2}, sigma={noise_profile})"
-    return CoefficientSet(g=g, dg_dz=dg_dz, f=f, sigma=sigma, d=d, name=label)
+    return CoefficientSet(g=g, dg_dz=dg_dz, f=f, sigma=sigma, d=d)
 
 
 def make_multiscale_set(
     avg: CoefficientSet,
     beta: float,
     amplitude: float,
-    bump: Callable[..., np.ndarray] | None = None,
-    name: str = "multiscale",
 ) -> CoefficientSet:
     """Decaying perturbation of an averaged set.
 
     With f_bar(x, z) = avg.f(0.0, x, z) and sigma_bar(x, z) = avg.sigma(0.0,
-    x, z), f(s, x, z) = f_bar(x, z) + amplitude * bump(x, z) * (1 + s)^(-beta)
-    and each sigma channel picks up (amplitude/sqrt(d)) * bump * (1 + s)^(-beta),
-    so the time-average of |f - f_bar|^2 + sum_j |sigma_j - sigma_bar_j|^2
-    equals 2 * amplitude^2 * bump^2 * (1/T) ∫ (1+s)^(-2 beta) ds, which
-    vanishes as the horizon grows (logarithmically for beta = 1/2).  g,
-    dg_dz and d are avg's.  The callables of avg are read when the set is
-    built, so a wrapper later set on avg does not reach the fast set.
-    bump defaults to the scalar 1.0, so the default perturbation is the
-    scalar amplitude * (1 + s)^(-beta), with the bits of a unit-array bump
-    (amplitude * 1 is amplitude).  Periodic perturbations are deliberately
-    not offered: their squared deviation does not average out.
+    x, z), f(s, x, z) = f_bar(x, z) + amplitude * (1 + s)^(-beta) and each
+    sigma channel picks up (amplitude/sqrt(d)) * (1 + s)^(-beta), so the
+    time-average of |f - f_bar|^2 + sum_j |sigma_j - sigma_bar_j|^2 equals
+    2 * amplitude^2 * (1/T) ∫ (1+s)^(-2 beta) ds, which vanishes as the
+    horizon grows (logarithmically for beta = 1/2).  g, dg_dz and d are
+    avg's.  The callables of avg are read when the set is built, so a
+    wrapper later set on avg does not reach the fast set.  Periodic
+    perturbations are deliberately not offered: their squared deviation
+    does not average out.
     """
-    if beta <= 0.0:
+    if not beta > 0.0:  # NaN fails too
         raise ValueError(f"decay exponent must be positive, got beta={beta}")
-    if bump is None:
-        bump = lambda x, z: 1.0
     f_bar, sigma_bar = avg.f, avg.sigma
     per_channel = amplitude / math.sqrt(avg.d)
 
     def f(t, x, z):
         decay = (1.0 + np.asarray(t, dtype=float)) ** (-beta)
-        return f_bar(0.0, x, z) + amplitude * bump(x, z) * decay
+        return f_bar(0.0, x, z) + amplitude * decay
 
     def sigma(t, x, z):
         decay = (1.0 + np.asarray(t, dtype=float)) ** (-beta)
-        pert = per_channel * bump(x, z) * decay
+        pert = per_channel * decay
         return sigma_bar(0.0, x, z) + pert[None, ...]
 
-    return CoefficientSet(g=avg.g, dg_dz=avg.dg_dz, f=f, sigma=sigma, d=avg.d, name=name)
+    return CoefficientSet(g=avg.g, dg_dz=avg.dg_dz, f=f, sigma=sigma, d=avg.d)
 
 
 def burgers_multiscale_family(
@@ -264,11 +235,7 @@ def burgers_multiscale_family(
     for coupled averaging experiments.
     """
     avg = make_burgers_set(**burgers)
-    ms = make_multiscale_set(
-        avg, beta, amplitude,
-        name=f"multiscale(beta={beta}, amp={amplitude}, base={avg.name})",
-    )
-    return ms, avg
+    return make_multiscale_set(avg, beta, amplitude), avg
 
 
 def _graded_simpson(t_hat: float) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +257,7 @@ def _graded_simpson(t_hat: float) -> tuple[np.ndarray, np.ndarray]:
 
 def time_average(func_of_s: Callable[[float], np.ndarray], t_hat: float) -> np.ndarray:
     """(1/t_hat) ∫_0^t_hat func(s) ds by graded composite Simpson."""
-    if t_hat <= 0.0:
+    if not t_hat > 0.0:  # NaN fails too
         raise ValueError(f"averaging horizon must be positive, got {t_hat}")
     nodes, weights = _graded_simpson(t_hat)
     acc = weights[0] * np.asarray(func_of_s(float(nodes[0])), dtype=float)
@@ -307,7 +274,7 @@ def average_coefficients(cs: CoefficientSet, t_hat: float) -> CoefficientSet:
     ignore t and return the full broadcast shape, t included.  Exact on
     time-constant inputs (Simpson integrates constants exactly).
     """
-    if t_hat <= 0.0:
+    if not t_hat > 0.0:  # NaN fails too
         raise ValueError(f"averaging horizon must be positive, got {t_hat}")
 
     def f(t, x, z):
@@ -317,8 +284,7 @@ def average_coefficients(cs: CoefficientSet, t_hat: float) -> CoefficientSet:
         return _expand(time_average(lambda s: cs.sigma(s, x, z), t_hat), t, x, z,
                        lead=(cs.d,))
 
-    return CoefficientSet(g=cs.g, dg_dz=cs.dg_dz, f=f, sigma=sigma, d=cs.d,
-                          name=f"averaged({cs.name})")
+    return CoefficientSet(g=cs.g, dg_dz=cs.dg_dz, f=f, sigma=sigma, d=cs.d)
 
 
 def estimate_kappa(

@@ -58,7 +58,7 @@ class TimeMesh:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.t_final <= 0.0:
+        if not self.t_final > 0.0:  # NaN fails too
             raise ValueError(f"horizon must be positive, got {self.t_final}")
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")

@@ -88,7 +88,7 @@ class RareEventEstimate:
     n_clipped: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p_hat <= 1.0) or self.std_err < 0.0:
+        if not (0.0 <= self.p_hat <= 1.0 and self.std_err >= 0.0):  # NaN fails too
             raise ValueError("estimate out of range")
 
 
@@ -113,7 +113,7 @@ def _tube_estimate(
     Girsanov exponent of h_tilt on the path's own increments; without a
     tilt h is zero, log_w = -0.0 and every weight is exactly 1.
     """
-    if eps <= 0.0 or n_samples < 1:
+    if not eps > 0.0 or n_samples < 1:  # NaN fails too
         raise ValueError("need eps > 0 and at least one sample")
     run_cfg = replace(cfg, noise_scale=math.sqrt(eps))
     h_drive = None if h_tilt is None else h_tilt.on_mesh(cfg.mesh)
@@ -217,7 +217,7 @@ def fw_lower_bound_probe(
             f"rate estimate for the target did not converge: squared residual "
             f"{rate_result.residual:.6g} > tol {rate_result.tol:.6g}"
         )
-    if theta <= 0.0:
+    if not theta > 0.0:  # NaN fails too
         raise ValueError(f"slack theta must be positive, got {theta}")
     ev = EventSpec(target=target, delta=delta)
     bound = -(rate_result.lambda_hat + theta)
@@ -281,7 +281,7 @@ def condition_convergence_probe(
     numbers), so the reported trend is a coupled comparison.  Every input
     is checked before any solve.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN fails too
         raise ValueError(f"threshold delta must be positive, got {delta}")
     if n_samples < 1 or len(u0_set) == 0 or len(controls) == 0:
         raise ValueError("need at least one sample, one start and one control")

@@ -20,6 +20,7 @@ the reflected dynamics is not differentiable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class RateOptions:
     def __post_init__(self) -> None:
         if self.blocks < 1:
             raise ValueError("need at least one control block")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails too
             raise ValueError("tol must be positive")
 
 
@@ -98,10 +99,12 @@ def rate_function(
     LADDER at a time as one batch of skeleton solves and accepts the first
     one, in ladder order, that meets the Armijo test; the next batch is
     solved only if none does.  Rows equal single solves bit for bit, so the
-    iterates are those of trying one step size at a time.  The skeleton does
-    not depend on mu: the accepted path is kept, and each continuation stage
-    and the final residual start from it without solving again.  A blow-up
-    in any row of a ladder batch raises, also in a row past the accepted one.
+    iterates are those of trying one step size at a time.  A batch's rows
+    are measured against the target lazily, so no row past the accepted one
+    is.  The skeleton does not depend on mu: the accepted residual is kept,
+    and each continuation stage and the final result start from it without
+    measuring the path again.  A blow-up in any row of a ladder batch
+    raises, also in a row past the accepted one.
     """
     target = _check_target(target, cfg.grid, cfg.mesh)
     t_final = cfg.mesh.t_final
@@ -112,14 +115,16 @@ def rate_function(
     def control(h_flat: np.ndarray) -> Control:
         return Control(t_final, h_flat.reshape(opt.blocks, d))
 
-    def skeletons(h_rows: list[np.ndarray]) -> np.ndarray:
-        h_mesh = np.stack([control(hf).on_mesh(cfg.mesh) for hf in h_rows])
-        return solve_batch(cs, u0, None, h_mesh, skeleton_cfg, store_dk=False)[0]
+    def residual(u: np.ndarray) -> float:
+        return path_distance(u, target, cfg.grid, cfg.mesh).squared
 
-    def objective_on(h_flat: np.ndarray, u: np.ndarray, mu: float) -> tuple[float, float]:
-        res = path_distance(u, target, cfg.grid, cfg.mesh).squared
-        energy = 0.5 * float(np.dot(h_flat, h_flat)) * block_dt
-        return energy + mu * res, res
+    def residuals(h_rows: list[np.ndarray]) -> Iterator[float]:
+        # one batch of skeleton solves, each row measured only when drawn
+        h_mesh = np.stack([control(hf).on_mesh(cfg.mesh) for hf in h_rows])
+        return map(residual, solve_batch(cs, u0, None, h_mesh, skeleton_cfg, store_dk=False)[0])
+
+    def objective_on(h_flat: np.ndarray, res: float, mu: float) -> float:
+        return 0.5 * float(np.dot(h_flat, h_flat)) * block_dt + mu * res
 
     def gradient(h_flat: np.ndarray, mu: float) -> np.ndarray:
         # central differences: all 2 * blocks * d bumped controls as one batch
@@ -130,13 +135,13 @@ def rate_function(
             bump = np.zeros_like(h_flat)
             bump[k] = widths[k]
             trials += [h_flat + bump, h_flat - bump]
-        j = np.array([objective_on(hf, u, mu)[0] for hf, u in zip(trials, skeletons(trials))])
+        j = np.array([objective_on(hf, res, mu) for hf, res in zip(trials, residuals(trials))])
         return (j[0::2] - j[1::2]) / (2.0 * widths)
 
     def line_search(h_flat: np.ndarray, grad: np.ndarray, gnorm_sq: float, j_cur: float,
                     alpha: float, mu: float) -> tuple | None:
         # the ladder alpha, alpha/2, ... down to 1e-12, LADDER rows per batch;
-        # returns (alpha, h, u, J, residual) of the first Armijo step, or None
+        # returns (alpha, h, J, residual) of the first Armijo step, or None
         ladder = []
         while alpha > 1e-12:
             ladder.append(alpha)
@@ -144,19 +149,19 @@ def rate_function(
         for first in range(0, len(ladder), LADDER):
             alphas = ladder[first:first + LADDER]
             trials = [h_flat - a * grad for a in alphas]
-            for a, trial, u in zip(alphas, trials, skeletons(trials)):
-                j_new, res_new = objective_on(trial, u, mu)
+            for a, trial, res in zip(alphas, trials, residuals(trials)):
+                j_new = objective_on(trial, res, mu)
                 if j_new <= j_cur - 1e-4 * a * gnorm_sq:
-                    return a, trial, u, j_new, res_new
+                    return a, trial, j_new, res
         return None
 
     h = np.zeros(opt.blocks * d)
-    u = solve_skeleton(cs, u0, control(h), cfg).u
+    res_cur = residual(solve_skeleton(cs, u0, control(h), cfg).u)
     history: list[tuple[float, float, float]] = []
     iterations = 0
 
     for mu in MU_SCHEDULE:
-        j_cur, res_cur = objective_on(h, u, mu)
+        j_cur = objective_on(h, res_cur, mu)
         history.append((mu, j_cur, res_cur))
         alpha0 = STEP_SIZE
         for _ in range(opt.max_iters):
@@ -167,20 +172,19 @@ def rate_function(
             step = line_search(h, grad, gnorm_sq, j_cur, alpha0, mu)
             if step is None:
                 break
-            alpha, h, u, j_cur, res_cur = step
+            alpha, h, j_cur, res_cur = step
             # warm-start the next backtracking from just above the accepted step
             alpha0 = min(STEP_SIZE, 2.0 * alpha)
             iterations += 1
             history.append((mu, j_cur, res_cur))
 
-    _, residual = objective_on(h, u, 0.0)
     h_star = control(h)
     return RateFunctionResult(
         lambda_hat=h_star.energy,
         h_star=h_star,
-        residual=residual,
+        residual=res_cur,
         iterations=iterations,
-        converged=residual <= opt.tol,
+        converged=res_cur <= opt.tol,
         tol=opt.tol,
         history=history,
     )

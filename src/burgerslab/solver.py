@@ -109,15 +109,15 @@ class SchemeConfig:
         if self.convection not in CONVECTIONS:
             raise ValueError(f"unknown convection {self.convection!r}; use one of {CONVECTIONS}")
         if self.reflection == "penalized":
-            if self.penalty_n <= 0.0:
+            if not self.penalty_n > 0.0:  # NaN fails too, here and below
                 raise ValueError("penalized reflection needs penalty_n > 0")
             if self.penalty_n * self.mesh.dt > 1.0 + 1e-12:
                 raise ValueError(
                     f"explicit penalty unstable: n*dt = {self.penalty_n * self.mesh.dt:.3g} > 1"
                 )
-        if self.time_scale <= 0.0:
+        if not self.time_scale > 0.0:
             raise ValueError(f"time_scale must be positive, got {self.time_scale}")
-        if self.noise_scale < 0.0:
+        if not self.noise_scale >= 0.0:
             raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale}")
 
 
@@ -136,7 +136,7 @@ class Control:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"control values must be (blocks, d), got shape {v.shape}")
-        if self.t_final <= 0.0:
+        if not self.t_final > 0.0:  # NaN fails too
             raise ValueError(f"control horizon must be positive, got {self.t_final}")
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
@@ -232,19 +232,14 @@ class ReflectedPath:
         return float(np.min(self.u))
 
 
-# One chunk of solve_paths is sized to hold its paths' u and dK in this many
-# bytes, so the memory of a Monte Carlo loop grows with the chunk, not the
-# path count.  solve_paths stores no dK, so a chunk's u fills about half of it.
-BATCH_BYTES = 8 * 2**20
+# One chunk of solve_paths is sized to hold its paths' u in this many bytes, so
+# the memory of a Monte Carlo loop grows with the chunk, not the path count.
+BATCH_BYTES = 4 * 2**20
 
 
 def _paths_per_chunk(cfg: SchemeConfig) -> int:
-    """How many paths' u and dK fit in BATCH_BYTES (at least one).
-
-    dK still counts although a chunk stores none, so a run's chunks, and
-    with them its batches and kernel calls, are those of a march storing it.
-    """
-    return max(1, BATCH_BYTES // (8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)))
+    """How many paths' u, (steps+1, m) each, fit in BATCH_BYTES (at least one)."""
+    return max(1, BATCH_BYTES // (8 * cfg.grid.m * (cfg.mesh.steps + 1)))
 
 
 def cho_solve_banded(inv: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -263,6 +258,14 @@ def cho_solve_banded(inv: np.ndarray, b: np.ndarray, out: np.ndarray | None = No
     return np.matmul(b.T[:, None, :], inv, out=out)[:, 0].T
 
 
+def _implicit_inverse(cfg: SchemeConfig) -> np.ndarray:
+    """The inverse of the implicit matrix I - dt L, tridiagonal with r = dt / dx^2."""
+    r = cfg.mesh.dt / cfg.grid.dx**2
+    m = cfg.grid.m
+    off = np.full(m - 1, -r)
+    return np.linalg.inv(np.diag(np.full(m, 1.0 + 2.0 * r)) + np.diag(off, 1) + np.diag(off, -1))
+
+
 # The largest grid for the implicit solve: past m = 256 its dense m x m inverse
 # falls well behind a banded solve (README "Performance").
 MAX_M = 256
@@ -275,59 +278,43 @@ BLOWUP_CEILING = 1e6
 
 
 class _Stepper:
-    """One march's workspace: the inverse implicit matrix and the buffers a step writes in place.
+    """One march: its inputs, the implicit inverse and the buffers a step writes in place.
 
-    rows is the batch size P; start binds one march's start states,
-    increments, control and times.  A term whose callback the set records
-    as constant (CoefficientSet.constant) is evaluated by start, once per
-    march, on the (P, m) start states, and reused by every step: with a
-    constant g the convection is exactly +0.0 and neither g nor dg_dz is
-    called; with a constant f as well, dt * (0 + f) is one array; with a
-    constant sigma the drift dt * h sigma and the kick noise_scale * dw
-    sigma of a block of CHECK_EVERY steps are one product each.  Any other
-    term is computed per step.  A non-constant g sees the state in a
-    ghost-padded (P, m + 2) buffer whose Dirichlet ghosts stay zero.  sigma
-    is copied into one C-ordered (d, P, m) buffer: no zero strides, so
-    every row takes the BLAS path.  The implicit solve writes into one
-    (P, 1, m) buffer.
-    penalties, if given, replaces cfg.penalty_n by one penalty per row, so
-    the weight dt * n is a (P, 1) column instead of a scalar.
+    The march starts from the (P, m) states u0, one step from each of
+    times; dw is (P, steps, d) or None, h is (steps, d) shared or (P,
+    steps, d) per row, or None, and penalties holds one penalty n per row,
+    so the weight dt * n is a (P, 1) column.  A term whose callback the set
+    records as constant (CoefficientSet.constant) is evaluated here, once
+    per march, on the start states, and reused by every step, however many
+    calls to march the march takes: with a constant g the convection is
+    exactly +0.0 and neither g nor dg_dz is called; with a constant f as
+    well, dt * (0 + f) is one array; with a constant sigma the drift dt * h
+    sigma and the kick noise_scale * dw sigma of a block of CHECK_EVERY
+    steps are one product each.  Any other term is computed per step.  A
+    non-constant g sees the state in a ghost-padded (P, m + 2) buffer whose
+    Dirichlet ghosts stay zero.  sigma is copied into one C-ordered (d, P,
+    m) buffer: no zero strides, so every row takes the BLAS path.  The
+    implicit solve writes into one (P, 1, m) buffer.
     """
 
-    def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, rows: int = 1,
-                 penalties: Sequence[float] | None = None):
-        self.cs = cs
-        self.cfg = cfg
-        self.x = cfg.grid.nodes
+    def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, u0: np.ndarray,
+                 dw: np.ndarray | None, h: np.ndarray | None, times: list[float],
+                 penalties: Sequence[float]):
+        rows, m = u0.shape
+        x = cfg.grid.nodes
+        self.cs, self.cfg, self.x, self.times, self.h = cs, cfg, x, times, h
         self.dx = cfg.grid.dx
         self.dt = cfg.mesh.dt
-        self.penalty = (self.dt * cfg.penalty_n if penalties is None
-                        else self.dt * np.array(penalties, dtype=float)[:, None])
-        r = self.dt / self.dx**2
-        m = cfg.grid.m
-        off = np.full(m - 1, -r)
-        self._inv = np.linalg.inv(np.diag(np.full(m, 1.0 + 2.0 * r)) + np.diag(off, 1)
-                                  + np.diag(off, -1))
+        self.penalty = self.dt * np.array(penalties, dtype=float)[:, None]
+        self._inv = _implicit_inverse(cfg)
         self._padded = None if "g" in cs.constant else np.zeros((rows, m + 2))
         self._rhs = np.empty((rows, m))
         self._free = np.empty((rows, 1, m))
         self._sigma = np.empty((cs.d, rows, m))
         self._sig_t = self._sigma.transpose(1, 0, 2)
-
-    def start(self, u0: np.ndarray, dw: np.ndarray | None, h: np.ndarray | None,
-              times: list[float]) -> _Stepper:
-        """Begin the march from the (P, m) states u0, one step from each of times; returns self.
-
-        dw is (P, steps, d) or None; h is (steps, d) shared or (P, steps, d)
-        per row, or None.  The constant terms are evaluated here, once per
-        march, however many calls to march it takes.
-        """
-        cs, cfg, x = self.cs, self.cfg, self.x
-        rows, m = self._rhs.shape
-        self.times = times
         self.dw = dw if cfg.noise_scale > 0.0 else None
-        self.h = h
-        # (step, t, peak) of each row's first bad state, over the whole march
+        # steps marched so far, and (step, t, peak) of each row's first bad state
+        self.done = 0
         self.first_bad: dict[int, tuple[int, float, float]] = {}
         forced = self.dw is not None or h is not None
         self._block_forcing = forced and "sigma" in cs.constant
@@ -345,7 +332,6 @@ class _Stepper:
             self._base *= self.dt
         if self._block_forcing:
             np.copyto(self._sigma, cs.sigma(t_fast, x, u0))
-        return self
 
     def _convection(self, t: float, u: np.ndarray, out: np.ndarray) -> None:
         """d/dx g(t, u) into out, from g on the ghost-padded state (+0.0 for a constant g)."""
@@ -380,13 +366,13 @@ class _Stepper:
                             out=self._kick[:, :hi - lo])
             out *= self.cfg.noise_scale
 
-    def march(self, u: np.ndarray, dk: np.ndarray | None, first: int = 0) -> None:
-        """Fill u[:, 1:] and dk from u[:, 0] by the march's steps first, first + 1, ...
+    def march(self, u: np.ndarray, dk: np.ndarray | None) -> None:
+        """Fill u[:, 1:] and dk from u[:, 0] by the march's next n steps.
 
-        u is (P, n+1, m) and dk (P, n, m) or None, for the n steps from
-        step first; a whole march is one call with first 0, and a march in
-        windows is one call per window, each starting from the last state
-        of the one before.  A zero control gives the bits of no control.
+        u is (P, n+1, m) and dk (P, n, m) or None; a whole march is one
+        call, and a march in windows is one call per window, each starting
+        from the last state of the one before.  A zero control gives the
+        bits of no control.
         dk None stores no reflection increments: projection then skips
         them, and penalization books each step's in the next state's row
         before adding u_free to it, so u keeps its bits.
@@ -398,7 +384,7 @@ class _Stepper:
         the march has reached its last step.
         """
         cs, cfg, x, rhs, times = self.cs, self.cfg, self.x, self._rhs, self.times
-        steps = u.shape[1] - 1
+        first, steps = self.done, u.shape[1] - 1
         f, base, drift, kick = self._f, self._base, self._drift, self._kick
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, steps, CHECK_EVERY):
@@ -443,7 +429,8 @@ class _Stepper:
                 self._note_blowups(u[:, start + 1:stop + 1], first + start)
                 if 0 in self.first_bad:
                     break
-        if self.first_bad and (0 in self.first_bad or first + steps == len(times)):
+        self.done += steps
+        if self.first_bad and (0 in self.first_bad or self.done == len(times)):
             row = min(self.first_bad)
             raise BlowUpError(*self.first_bad[row], path_index=row,
                               noise_scale=cfg.noise_scale, time_scale=cfg.time_scale)
@@ -482,7 +469,7 @@ def step(
     dk = np.empty((1, 1, cfg.grid.m))
     dw = None if dw is None else np.asarray(dw, float)[None, None]
     h = None if h is None else np.asarray(h, float)[None]
-    _Stepper(cs, cfg).start(path[:, 0], dw, h, [t]).march(path, dk)
+    _Stepper(cs, cfg, path[:, 0], dw, h, [t], [cfg.penalty_n]).march(path, dk)
     return path[0, 1], dk[0, 0]
 
 
@@ -492,9 +479,8 @@ def _batch_inputs(
     dw: np.ndarray | None,
     h: np.ndarray | None,
     cfg: SchemeConfig | Sequence[SchemeConfig],
-) -> tuple[SchemeConfig, np.ndarray, np.ndarray | None, np.ndarray | None, int,
-           list[float] | None]:
-    """solve_batch's checks; returns (cfg, u0, dw, h, path count, per-row penalties or None)."""
+) -> tuple[SchemeConfig, np.ndarray, np.ndarray | None, np.ndarray | None, list[float]]:
+    """solve_batch's checks; returns (cfg, u0, dw, h, one penalty per path)."""
     sizes = set()
     penalties = None
     if not isinstance(cfg, SchemeConfig):
@@ -509,7 +495,7 @@ def _batch_inputs(
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (cfg.grid.m,):
         raise ValueError(f"u0 shape {u0.shape} does not match grid ({cfg.grid.m},)")
-    if np.min(u0) < 0.0:
+    if not np.min(u0) >= 0.0:  # NaN fails too
         raise ValueError(f"u0 must be nonnegative, min entry is {np.min(u0):.3g}")
     steps, d = cfg.mesh.steps, cs.d
     if dw is not None:
@@ -529,7 +515,7 @@ def _batch_inputs(
         raise ValueError(
             f"increments, controls and configs disagree on the path count: {sorted(sizes)}")
     n_paths = sizes.pop() if sizes else 1
-    return cfg, u0, dw, h, n_paths, penalties
+    return cfg, u0, dw, h, penalties or [cfg.penalty_n] * n_paths
 
 
 def solve_batch(
@@ -563,20 +549,13 @@ def solve_batch(
     row p's inputs and config.  A blow-up raises BlowUpError for the
     lowest row that blows up, with path_index that row.
     """
-    cfg, u0, dw, h, n_paths, penalties = _batch_inputs(cs, u0, dw, h, cfg)
+    cfg, u0, dw, h, penalties = _batch_inputs(cs, u0, dw, h, cfg)
     steps, m = cfg.mesh.steps, cfg.grid.m
-    u = np.empty((n_paths, steps + 1, m))
-    dk = np.empty((n_paths, steps, m)) if store_dk else None
+    u = np.empty((len(penalties), steps + 1, m))
+    dk = np.empty((len(penalties), steps, m)) if store_dk else None
     u[:, 0] = u0
-    stepper = _Stepper(cs, cfg, n_paths, penalties)
-    stepper.start(u[:, 0], dw, h, cfg.mesh.times[:-1].tolist()).march(u, dk)
+    _Stepper(cs, cfg, u[:, 0], dw, h, cfg.mesh.times[:-1].tolist(), penalties).march(u, dk)
     return u, dk
-
-
-# march_windows hands its states to the reader this many steps at a time; a
-# multiple of CHECK_EVERY, so the forcing blocks and the blow-up checks fall
-# on the steps of one whole march.
-WINDOW_STEPS = 256
 
 
 def march_windows(
@@ -586,31 +565,31 @@ def march_windows(
     h: np.ndarray | None,
     cfg: SchemeConfig | Sequence[SchemeConfig],
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The march of solve_batch, handed to the reader a window of WINDOW_STEPS steps at a time.
+    """The march of solve_batch, handed to the reader a window of CHECK_EVERY steps at a time.
 
     Takes solve_batch's arguments, checked at once, and yields
     (first_step, states) per window: states is a read-only (P, n+1, m)
     view of one reused buffer holding the states at steps first_step ..
     first_step + n, so consecutive windows share a state, and it is only
     valid until the next window is drawn.  Every state has the bits of
-    solve_batch's u, and no dK is stored.  The march is one: constant
-    callbacks are evaluated once, not once per window.  A blow-up raises
-    solve_batch's BlowUpError, with the global step and the lowest bad row;
-    no window holding a bad state is yielded.
+    solve_batch's u, and no dK is stored.  A window is one forcing block and
+    one blow-up check of the march, which is one: constant callbacks are
+    evaluated once, not once per window.  A blow-up raises solve_batch's
+    BlowUpError, with the global step and the lowest bad row; no window
+    holding a bad state is yielded.
     """
-    cfg, u0, dw, h, n_paths, penalties = _batch_inputs(cs, u0, dw, h, cfg)
+    cfg, u0, dw, h, penalties = _batch_inputs(cs, u0, dw, h, cfg)
 
     def windows() -> Iterator[tuple[int, np.ndarray]]:
-        steps, window = cfg.mesh.steps, WINDOW_STEPS
-        buf = np.empty((n_paths, min(window, steps) + 1, cfg.grid.m))
+        steps, window = cfg.mesh.steps, CHECK_EVERY
+        buf = np.empty((len(penalties), min(window, steps) + 1, cfg.grid.m))
         buf[:, 0] = u0
-        stepper = _Stepper(cs, cfg, n_paths, penalties)
-        stepper.start(buf[:, 0], dw, h, cfg.mesh.times[:-1].tolist())
+        stepper = _Stepper(cs, cfg, buf[:, 0], dw, h, cfg.mesh.times[:-1].tolist(), penalties)
         for first in range(0, steps, window):
             n = min(window, steps - first)
             if first:
                 buf[:, 0] = buf[:, window]
-            stepper.march(buf[:, :n + 1], None, first)
+            stepper.march(buf[:, :n + 1], None)
             if not stepper.first_bad:
                 states = buf[:, :n + 1].view()
                 states.flags.writeable = False
@@ -630,14 +609,14 @@ def solve_paths(
 
     increments holds each path's (steps, d) increments and is pulled one
     chunk at a time; h is a control shared by every path, (steps, d) or
-    None.  A chunk is as many paths as _paths_per_chunk allows and runs as
-    one solve_batch that stores no dK, so u equals the batch of one bit for
-    bit.  dw is the path's increments as given and u a copy of its row, so
-    a path the caller keeps does not keep its chunk, and no chunk is left
-    when the next is drawn and solved: with a lazy iterable the noise and
-    paths in memory grow with one chunk, not the path count.  A blow-up
-    raises for the lowest path index that blows up, with path_index counted
-    from the first path.
+    None.  A chunk is as many paths as fit their u in BATCH_BYTES
+    (_paths_per_chunk) and runs as one solve_batch that stores no dK, so u
+    equals the batch of one bit for bit.  dw is the path's increments as
+    given and u a copy of its row, so a path the caller keeps does not keep
+    its chunk, and no chunk is left when the next is drawn and solved: with
+    a lazy iterable the noise and paths in memory grow with one chunk, not
+    the path count.  A blow-up raises for the lowest path index that blows
+    up, with path_index counted from the first path.
     """
     paths = iter(increments)
     first, size = 0, _paths_per_chunk(cfg)

@@ -51,7 +51,7 @@ class TestAveragingExperiment:
     def test_batched_matches_per_path_loop(self, monkeypatch):
         # 7 paths in chunks of 3: every distance is the one a solve per path gives
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0, a_g=0.5)
-        per_path = 8 * GRID.m * (2 * MESH.steps + 1)
+        per_path = 8 * GRID.m * (MESH.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 3 * per_path)
         rep = run_averaging_experiment(ms, avg, U0, [0.1, 0.01], 7, seed=4, cfg=CFG)
         for row in rep.rows:
@@ -225,10 +225,11 @@ class TestPenalizationProbe:
         penalization_convergence_probe(cs, np.zeros(GRID.m), [10, 100], None, cfg)
         assert calls == ["solve", "march_windows"]  # the penalized rows march as one batch
 
-    @pytest.mark.parametrize("window", [64, 128, 256, 1024])
+    @pytest.mark.parametrize("window", [5, 10, 20, 40, 64, 1024])
     def test_windowed_distances_equal_path_distance(self, monkeypatch, window):
-        # 600 steps: windows that leave a short last one, and one longer than the march
-        monkeypatch.setattr(solver, "WINDOW_STEPS", window)
+        # 600 steps: windows that divide them, one that leaves a short last
+        # window, and one longer than the march
+        monkeypatch.setattr(solver, "CHECK_EVERY", window)
         cs = make_burgers_set(0.0, noise_profile="additive", c2=-1.0, sigma_amp=0.5)
         mesh = TimeMesh(0.6, 600)
         cfg = SchemeConfig(grid=GRID, mesh=mesh, noise_scale=1.0)

@@ -222,6 +222,31 @@ class TestMain:
         meta = (tmp_path / "out" / "runmeta.jsonl").read_text()
         assert '"seed": 9' in meta
 
+    @pytest.mark.parametrize("payload", [
+        pytest.param(HEAT_CFG, id="heat-regression"),
+        pytest.param({"experiment": "rate-function", "grid": {"m": 8},
+                      "mesh": {"t_final": 0.2, "dt": 0.01},
+                      "params": {"blocks": 2, "max_iters": 3}}, id="rate-function"),
+    ])
+    def test_seedless_experiment_says_the_seed_changes_nothing(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, payload)
+        tables = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["--config", str(path), "--out", str(out), "--seed", seed]) == 0
+            err = capsys.readouterr().err
+            assert err == (f"note: {payload['experiment']} draws no noise; seed {seed} "
+                           "changes no artifact\n")
+            tables.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert tables[0] and tables[0] == tables[1]
+
+    def test_seeded_experiment_prints_no_note(self, tmp_path, capsys):
+        payload = {"experiment": "reflection", "grid": {"m": 8},
+                   "mesh": {"t_final": 0.2, "dt": 0.01}, "params": {"n_list": [10, 50]}}
+        path = write_config(tmp_path, payload)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_cli_bad_config_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # without --out the failure record lands in '.'
         path = write_config(tmp_path, {"experiment": "unknown-thing"})

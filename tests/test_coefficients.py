@@ -392,7 +392,7 @@ class TestConstantCallbacks:
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0, **kwargs)
         base = make_burgers_set(**kwargs)
         assert avg.constant == base.constant == constant
-        assert avg.name == base.name and avg.d == base.d
+        assert avg.d == base.d
         # the fast set shares g and dg_dz, and only g can be constant there
         assert (ms.g, ms.dg_dz) == (avg.g, avg.dg_dz)
         assert ms.constant == constant & {"g"}
@@ -411,16 +411,3 @@ class TestConstantCallbacks:
         assert calls == []
         # a Cesaro average is evaluated per call; only g passes through
         assert average_coefficients(ms, 10.0).constant == constant & {"g"}
-
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("call", CALL_SHAPES, ids=[c[0] for c in CALL_SHAPES])
-    def test_multiscale_default_bump_equals_unit_bump(self, d, call):
-        kwargs = dict(beta=0.5, amplitude=0.7, a_g=0.0, noise_profile="bounded", c1=1.0,
-                      c2=-0.0, d=d)
-        folded, avg = burgers_multiscale_family(**kwargs)
-        unit = make_multiscale_set(avg, kwargs["beta"], kwargs["amplitude"],
-                                   bump=lambda x, z: np.ones(np.broadcast(x, z).shape))
-        _, t, x, z = call
-        with np.errstate(over="ignore"):
-            assert _same_bits(folded.f(t, x, z), unit.f(t, x, z))
-            assert _same_bits(folded.sigma(t, x, z), unit.sigma(t, x, z))

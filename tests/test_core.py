@@ -238,3 +238,71 @@ class TestNoise:
             sample_noise(0, mesh, 0)
         with pytest.raises(ValueError):
             NoisePath(mesh=mesh, d=2, increments=np.zeros((10, 1)), seed=0)
+
+
+def _nan_cases():
+    """(name, call) for every range check of the library on a float: each gets NaN."""
+    from burgerslab.averaging import khasminskii_block_error, run_averaging_experiment
+    from burgerslab.coefficients import (
+        average_coefficients,
+        make_burgers_set,
+        make_multiscale_set,
+        time_average,
+    )
+    from burgerslab.ldp import (
+        EventSpec,
+        RareEventEstimate,
+        condition_convergence_probe,
+        estimate_importance,
+        estimate_naive,
+        fw_lower_bound_probe,
+    )
+    from burgerslab.ratefn import RateFunctionResult, RateOptions
+    from burgerslab.solver import Control, SchemeConfig, solve_batch, solve_skeleton
+
+    nan = math.nan
+    grid, mesh = SpatialGrid(4), TimeMesh(0.1, 4)
+    cfg = SchemeConfig(grid=grid, mesh=mesh)
+    cs = make_burgers_set()
+    u0 = sine_field(grid)
+    flow = solve_skeleton(cs, u0, None, cfg)
+    ev = EventSpec(target=flow.u, delta=0.1)
+    zero = Control.zero(mesh.t_final, 1)
+    rate = RateFunctionResult(lambda_hat=0.0, h_star=zero, residual=0.0, iterations=0,
+                              converged=True, tol=1e-3)
+    return {
+        "TimeMesh.t_final": lambda: TimeMesh(nan, 10),
+        "SchemeConfig.time_scale": lambda: SchemeConfig(grid=grid, mesh=mesh, time_scale=nan),
+        "SchemeConfig.noise_scale": lambda: SchemeConfig(grid=grid, mesh=mesh, noise_scale=nan),
+        "SchemeConfig.penalty_n": lambda: SchemeConfig(grid=grid, mesh=mesh,
+                                                       reflection="penalized", penalty_n=nan),
+        "Control.t_final": lambda: Control(nan, np.zeros((1, 1))),
+        "RateOptions.tol": lambda: RateOptions(tol=nan),
+        "RareEventEstimate.std_err": lambda: RareEventEstimate(
+            p_hat=0.5, std_err=nan, n_samples=1, epsilon=0.1, method="naive", seed=0,
+            raw_mean=0.5),
+        "estimate_naive.eps": lambda: estimate_naive(cs, u0, nan, ev, 2, 0, cfg),
+        "estimate_importance.eps": lambda: estimate_importance(cs, u0, nan, ev, zero, 2, 0, cfg),
+        "fw_lower_bound_probe.theta": lambda: fw_lower_bound_probe(
+            cs, u0, flow.u, 0.1, [0.1], 2, 0, cfg, rate, nan),
+        "condition_convergence_probe.delta": lambda: condition_convergence_probe(
+            cs, [u0], [zero], [0.1], nan, 2, 0, cfg),
+        "run_averaging_experiment.delta": lambda: run_averaging_experiment(
+            cs, cs, u0, [0.1], 2, 0, cfg, delta=nan),
+        "khasminskii_block_error.theta": lambda: khasminskii_block_error(cs, cs, flow, nan, 0.1),
+        "khasminskii_block_error.eps": lambda: khasminskii_block_error(cs, cs, flow, 0.05, nan),
+        "make_multiscale_set.beta": lambda: make_multiscale_set(cs, nan, 1.0),
+        "time_average.t_hat": lambda: time_average(lambda s: s, nan),
+        "average_coefficients.t_hat": lambda: average_coefficients(cs, nan),
+        "solve_batch.u0": lambda: solve_batch(cs, np.where(u0 > 0.5, nan, u0), None, None,
+                                              SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_nan_cases()))
+def test_nan_fails_every_range_check(name):
+    # each of these once took NaN and ended later in a misleading blow-up or
+    # a rate that never converged
+    call = _nan_cases()[name]
+    with pytest.raises(ValueError):
+        call()

@@ -245,7 +245,7 @@ class TestConditionProbe:
 
 
 def _small_chunks(monkeypatch, paths_per_chunk):
-    per_path = 8 * GRID.m * (2 * MESH.steps + 1)
+    per_path = 8 * GRID.m * (MESH.steps + 1)
     monkeypatch.setattr(solver, "BATCH_BYTES", paths_per_chunk * per_path)
 
 

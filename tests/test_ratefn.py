@@ -204,3 +204,35 @@ class TestBatchedLineSearch:
         res = rate_function(ADDITIVE, u0, target, CFG, OPT)
         assert res.iterations > len(ratefn.MU_SCHEDULE)
         assert len(calls) == 1
+
+    def test_each_path_measured_once(self, monkeypatch):
+        # the accepted residual is kept, so no stage start and not the final
+        # residual measure the accepted path again: with one step size per
+        # batch, the measured paths are the h = 0 start and each solved row.
+        # A ladder batch is measured lazily, so at any LADDER the measured
+        # paths are those of one step size at a time
+        u0 = sine_field(GRID)
+        target = solve_skeleton(ADDITIVE, u0, Control.constant(1.0, 1.0), CFG).u
+        rows = []
+
+        def counted_solve(*args, **kwargs):
+            u, dk = solve_batch(*args, **kwargs)
+            rows.append(len(u))
+            return u, dk
+
+        monkeypatch.setattr(ratefn, "solve_batch", counted_solve)
+        measured = {}
+        for ladder in (1, ratefn.LADDER, 48):
+            seen = measured[ladder] = []
+
+            def counted(u, *args, seen=seen):
+                seen.append(u.tobytes())
+                return path_distance(u, *args)
+
+            monkeypatch.setattr(ratefn, "path_distance", counted)
+            monkeypatch.setattr(ratefn, "LADDER", ladder)
+            res = rate_function(ADDITIVE, u0, target, CFG, OPT)
+            assert res.iterations > len(ratefn.MU_SCHEDULE)
+            if ladder == 1:
+                assert len(seen) == 1 + sum(rows)
+        assert measured[1] == measured[ratefn.LADDER] == measured[48]

@@ -203,7 +203,7 @@ class TestImplicitSolve:
     def test_solves_the_tridiagonal_system(self, m, r):
         grid = SpatialGrid(m)
         cfg = SchemeConfig(grid=grid, mesh=TimeMesh(r * grid.dx**2, 1), noise_scale=0.0)
-        inv = solver._Stepper(ZERO, cfg)._inv
+        inv = solver._implicit_inverse(cfg)
         matrix = ((1.0 + 2.0 * r) * np.eye(m) - r * np.eye(m, k=1) - r * np.eye(m, k=-1))
         b = np.random.default_rng(m).normal(size=(m, 5))
         x = solver.cho_solve_banded(inv, b)
@@ -218,7 +218,7 @@ class TestImplicitSolve:
         # a single (P, m) x (m, m) gemm changes the bits of a row at P >= 3
         grid = SpatialGrid(m)
         cfg = SchemeConfig(grid=grid, mesh=TimeMesh(21.78 * grid.dx**2, 1), noise_scale=0.0)
-        inv = solver._Stepper(ZERO, cfg)._inv
+        inv = solver._implicit_inverse(cfg)
         b = np.random.default_rng(n_rhs).normal(size=(m, n_rhs))
         x = solver.cho_solve_banded(inv, b)
         for p in range(n_rhs):
@@ -411,7 +411,7 @@ def _batch_case(convection, profile, d, reflection, n_paths=5, steps=30):
     if profile == "multiscale":
         cs, _ = burgers_multiscale_family(
             beta=0.5, amplitude=1.0, a_g=0.8, noise_profile="bounded", c2=-1.0, d=d)
-    elif profile == "multiscale_default":  # constant g, averaged f and sigma, default bump
+    elif profile == "multiscale_default":  # the family's defaults: only g is constant
         cs, _ = burgers_multiscale_family(beta=0.5, amplitude=1.0, d=d)
     elif profile == "constant":  # every callback a constant, as in the reflection experiment
         cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.25, d=d)
@@ -485,7 +485,7 @@ class TestSolveBatch:
         cs, u0, cfg, dw = _batch_case("central", "bounded", 2, "projection", n_paths=7)
         h = np.full((cfg.mesh.steps, 2), 0.3)
         whole = solve_batch(cs, u0, dw, h, cfg)[0]
-        per_path = 8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)
+        per_path = 8 * cfg.grid.m * (cfg.mesh.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
         assert solver._paths_per_chunk(cfg) == 2  # chunks of 2, 2, 2 and 1 paths
         chunked = list(solve_paths(cs, u0, iter(dw), h, cfg))
@@ -494,9 +494,25 @@ class TestSolveBatch:
             assert dw_p.tobytes() == dw[p].tobytes()
             assert u_p.tobytes() == whole[p].tobytes()
 
+    # (m, steps, paths, paths per chunk when the budget was 8 MiB of u and dK):
+    # shipped rare_event and condition_probe, shipped averaging, and the
+    # rare_event and averaging benchmark workloads
+    @pytest.mark.parametrize("m, steps, n_paths, before", [
+        (32, 200, 2000, 81), (32, 200, 100, 81), (32, 500, 100, 32),
+        (32, 50, 40, 324), (32, 500, 8, 32),
+    ])
+    def test_chunks_of_the_shipped_meshes(self, m, steps, n_paths, before):
+        # the budget of u alone splits every shipped and workload loop into
+        # the chunks of the budget of u and dK
+        def chunks(size):
+            return [min(size, n_paths - i) for i in range(0, n_paths, size)]
+
+        cfg = SchemeConfig(grid=SpatialGrid(m), mesh=TimeMesh(1.0, steps))
+        assert chunks(solver._paths_per_chunk(cfg)) == chunks(before)
+
     def test_solve_paths_holds_one_chunk(self, monkeypatch):
         cs, u0, cfg, dw = _batch_case("central", "bounded", 1, "projection", n_paths=7)
-        per_path = 8 * cfg.grid.m * (2 * cfg.mesh.steps + 1)
+        per_path = 8 * cfg.grid.m * (cfg.mesh.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
         solved = []
         real = solver.solve_batch
@@ -559,7 +575,7 @@ class TestSolveBatch:
         assert "path 3" in str(got)
         # solve_paths in chunks of 2: row 3 blows up in the second chunk and
         # keeps its global index and its own step
-        per_path = 8 * grid.m * (2 * mesh.steps + 1)
+        per_path = 8 * grid.m * (mesh.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
         paths = solve_paths(ADDITIVE, u0, dw, None, cfg)
         next(paths), next(paths)  # the first chunk, rows 0 and 1, is fine
@@ -579,7 +595,7 @@ class TestSolveBatch:
         peaks = [np.max(np.abs(solve(ADDITIVE, u0, nz, None, cfg).u)) for nz in noises]
         assert max(peaks[2:4]) > max(peaks[:2])  # a path of the second chunk peaks higher
         monkeypatch.setattr(solver, "BLOWUP_CEILING", (max(peaks[:2]) + max(peaks[2:4])) / 2)
-        per_path = 8 * grid.m * (2 * mesh.steps + 1)
+        per_path = 8 * grid.m * (mesh.steps + 1)
         monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
         with pytest.raises(BlowUpError) as err:
             list(solve_paths(ADDITIVE, u0, (nz.increments for nz in noises), None, cfg))
@@ -795,7 +811,7 @@ class TestHoistedMarch:
         assert calls == {"f": 1}  # no noise and no control: sigma is not needed
         # solve_paths in chunks of 2, 2, 2 and 1 paths: one march per chunk
         calls.clear()
-        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * 8 * cfg.grid.m * (2 * cfg.mesh.steps + 1))
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * 8 * cfg.grid.m * (cfg.mesh.steps + 1))
         for (_, u_p), row in zip(solve_paths(cs, u0, iter(dw), h, cfg), plain[0]):
             assert u_p.tobytes() == row.tobytes()
         assert calls == {"f": 4, "sigma": 4}
@@ -856,15 +872,14 @@ def _windowed(cs, u0, dw, h, cfg):
 class TestMarchWindows:
     """march_windows hands out solve_batch's states a window at a time, with their bits."""
 
-    # 30 steps in blocks of 5: windows that divide them, a short last window,
-    # and one window longer than the march
-    @pytest.mark.parametrize("window", [10, 20, 40])
+    # 30 steps: windows that divide them, a short last window, and one
+    # window longer than the march
+    @pytest.mark.parametrize("window", [5, 10, 20, 40])
     @pytest.mark.parametrize("control", ["none", "per_path"])
     @pytest.mark.parametrize("reflection", ["projection", "penalized"])
     @pytest.mark.parametrize("profile", ["additive", "multiscale", "constant"])
     def test_states_equal_solve_batch(self, monkeypatch, profile, reflection, control, window):
-        monkeypatch.setattr(solver, "CHECK_EVERY", 5)
-        monkeypatch.setattr(solver, "WINDOW_STEPS", window)
+        monkeypatch.setattr(solver, "CHECK_EVERY", window)
         cs, u0, cfg, dw = _batch_case("upwind", profile, 2, reflection)
         n, steps = dw.shape[0], cfg.mesh.steps
         h = _batch_control(control, cfg, 2, n)
@@ -877,17 +892,16 @@ class TestMarchWindows:
             assert firsts == list(range(0, steps, window))
             assert u.tobytes() == solve_batch(cs, u0, noise, h, run, store_dk=False)[0].tobytes()
 
-    def test_default_window_is_whole_blocks(self):
-        assert solver.WINDOW_STEPS % solver.CHECK_EVERY == 0
+    def test_default_window_is_one_block(self):
+        block = solver.CHECK_EVERY
         cs, u0, cfg, dw = _batch_case("central", "constant", 1, "penalized", n_paths=3,
-                                      steps=solver.WINDOW_STEPS * 2 + 70)
+                                      steps=block * 2 + 30)
         firsts, u = _windowed(cs, u0, dw, None, cfg)
-        assert firsts == [0, solver.WINDOW_STEPS, 2 * solver.WINDOW_STEPS]
+        assert firsts == [0, block, 2 * block]
         assert u.tobytes() == solve_batch(cs, u0, dw, None, cfg)[0].tobytes()
 
     def test_constant_callbacks_are_called_once_per_march(self, monkeypatch):
-        monkeypatch.setattr(solver, "CHECK_EVERY", 5)
-        monkeypatch.setattr(solver, "WINDOW_STEPS", 10)
+        monkeypatch.setattr(solver, "CHECK_EVERY", 10)
         cs, u0, cfg, dw = _batch_case("upwind", "constant", 2, "penalized", n_paths=3)
         calls = _count_calls(cs)
         firsts, _ = _windowed(cs, u0, dw, None, cfg)
@@ -902,10 +916,9 @@ class TestMarchWindows:
 
     @pytest.mark.parametrize("case", ["rows_3_and_5", "row_0_late", "row_2_between_checks"])
     def test_blow_up_in_a_later_window(self, monkeypatch, case):
-        # windows of 8 steps in blocks of 4: the error is solve_batch's, with
-        # the global step, and no window holding a bad state is handed out
-        monkeypatch.setattr(solver, "CHECK_EVERY", 4)
-        monkeypatch.setattr(solver, "WINDOW_STEPS", 8)
+        # windows of 8 steps: the error is solve_batch's, with the global
+        # step, and no window holding a bad state is handed out
+        monkeypatch.setattr(solver, "CHECK_EVERY", 8)
         monkeypatch.setattr(solver, "BLOWUP_CEILING", 50.0)
         grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5)
