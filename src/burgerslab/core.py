@@ -58,8 +58,8 @@ class TimeMesh:
     steps: int
 
     def __post_init__(self) -> None:
-        if not self.t_final > 0.0:  # NaN fails too
-            raise ValueError(f"horizon must be positive, got {self.t_final}")
+        if not 0.0 < self.t_final < math.inf:  # NaN fails too
+            raise ValueError(f"horizon t_final must be positive and finite, got {self.t_final}")
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
 

@@ -28,6 +28,7 @@ are nonnegative.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -115,10 +116,12 @@ class SchemeConfig:
                 raise ValueError(
                     f"explicit penalty unstable: n*dt = {self.penalty_n * self.mesh.dt:.3g} > 1"
                 )
-        if not self.time_scale > 0.0:
-            raise ValueError(f"time_scale must be positive, got {self.time_scale}")
-        if not self.noise_scale >= 0.0:
-            raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale}")
+        # an infinite time scale would freeze the coefficients' clock at t/tau = 0,
+        # and a blow-up would record it in failure.json as a number JSON lacks
+        if not 0.0 < self.time_scale < math.inf:
+            raise ValueError(f"time_scale must be positive and finite, got {self.time_scale}")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be nonnegative and finite, got {self.noise_scale}")
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,9 @@ class Control:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"control values must be (blocks, d), got shape {v.shape}")
-        if not self.t_final > 0.0:  # NaN fails too
-            raise ValueError(f"control horizon must be positive, got {self.t_final}")
+        if not 0.0 < self.t_final < math.inf:  # NaN fails too
+            raise ValueError(f"control horizon t_final must be positive and finite, "
+                             f"got {self.t_final}")
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
 
@@ -290,11 +294,15 @@ class _Stepper:
     exactly +0.0 and neither g nor dg_dz is called; with a constant f as
     well, dt * (0 + f) is one array; with a constant sigma the drift dt * h
     sigma and the kick noise_scale * dw sigma of a block of CHECK_EVERY
-    steps are one product each.  Any other term is computed per step.  A
-    non-constant g sees the state in a ghost-padded (P, m + 2) buffer whose
-    Dirichlet ghosts stay zero.  sigma is copied into one C-ordered (d, P,
-    m) buffer: no zero strides, so every row takes the BLAS path.  The
-    implicit solve writes into one (P, 1, m) buffer.
+    steps are one product each.  A constant sigma with a shared control
+    gives every row the same drift, so the drift buffer then holds one row,
+    (1, width, 1, m), and each step adds it to all P right-hand sides; the
+    kick differs per row and stays (P, width, 1, m).  Any other term is
+    computed per step.  A non-constant g sees the state in a ghost-padded
+    (P, m + 2) buffer whose Dirichlet ghosts stay zero.  sigma is copied
+    into one C-ordered (d, P, m) buffer: no zero strides, so every row
+    takes the BLAS path.  The implicit solve writes into one (P, 1, m)
+    buffer.
     """
 
     def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, u0: np.ndarray,
@@ -320,7 +328,9 @@ class _Stepper:
         self._block_forcing = forced and "sigma" in cs.constant
         self._forced_per_step = forced and not self._block_forcing
         width = min(CHECK_EVERY, len(times)) if self._block_forcing else 1
-        self._drift = None if h is None else np.empty((rows, width, 1, m))
+        # a shared control under a constant sigma drives every row alike: one drift row
+        drift_rows = 1 if self._block_forcing and h is not None and h.ndim == 2 else rows
+        self._drift = None if h is None else np.empty((drift_rows, width, 1, m))
         self._kick = None if self.dw is None else np.empty((rows, width, 1, m))
 
         t_fast = times[0] / cfg.time_scale
@@ -355,10 +365,13 @@ class _Stepper:
 
         Each row and step is one (1, d) x (d, m) matrix product, the BLAS
         call np.dot(c, sigma) makes for one state, so a row's bits never
-        depend on the batch or the block around it.
+        depend on the batch or the block around it.  A one-row drift buffer
+        (shared control, constant sigma) takes row 0's product, which has
+        the bits of every row's own: the rows share h, and a constant sigma
+        is the same on every row.
         """
         if self._drift is not None:
-            out = np.matmul(self.h[..., lo:hi, None, :], self._sig_t[:, None],
+            out = np.matmul(self.h[..., lo:hi, None, :], self._sig_t[:len(self._drift), None],
                             out=self._drift[:, :hi - lo])
             out *= self.dt
         if self._kick is not None:

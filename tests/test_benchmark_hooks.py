@@ -1,7 +1,8 @@
 """The benchmark's layer tracer still finds every hook it patches.
 
 perfbench/tracer.py replaces names such as solver.cho_solve_banded,
-averaging.solve and averaging.path_distance, and raises for one that moved.
+averaging.solve, ldp.estimate_naive and cli.rate_function, and raises for
+one that moved.
 Installing it here, in a fresh process so the patches stay out of the test
 run, makes a moved hook fail the tests and not only the traced benchmark.
 The span counts also show that a traced run does the work of an untraced
@@ -87,3 +88,27 @@ def test_traced_averaging_does_the_untraced_work(tmp_path):
     # plus once for the averaged set
     per_callback = 3 * 50 + 2 + (85 + 136 + 1)
     assert spans["coefficients.f"] == spans["coefficients.sigma"] == per_callback
+
+
+def test_traced_rare_event_sees_the_ldp_and_ratefn_layers(tmp_path):
+    metrics, spans = _traced_run(tmp_path, {
+        "experiment": "rare-event",
+        "grid": {"m": 16},
+        "mesh": {"t_final": 1.0, "dt": 0.05},
+        "params": {"eps": 0.1, "eps_list": [0.1, 0.05], "delta": 10.0, "n_samples": 4,
+                   "theta": 0.5, "h_star": 1.0, "blocks": 2},
+        "seed": 1,
+    })
+    # a tube of squared radius 10 holds every path, so the probe's naive
+    # count is never zero and its importance fallback is not taken
+    for name in ("ldp.estimate_naive", "ldp.estimate_importance", "ratefn.rate_function",
+                 "core.path_distance"):
+        assert spans[name] > 0, name
+    assert spans["ldp.estimate_naive"] == 2 and spans["ldp.estimate_importance"] == 1
+    assert spans["core.sample_noise"] == 3 * 4
+    # every callback is constant, so f is called once per march and each
+    # march of 20 steps calls the kernel 20 times: 185 marches, the target
+    # skeleton, the three tube loops (one chunk each) and the rate function's
+    # 181 (its h = 0 start and 180 batches of gradient and line-search rows)
+    assert spans["coefficients.f"] == spans["coefficients.sigma"] == 185
+    assert metrics["solver.kernel.calls"] == 20 * 185

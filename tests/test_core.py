@@ -306,3 +306,24 @@ def test_nan_fails_every_range_check(name):
     call = _nan_cases()[name]
     with pytest.raises(ValueError):
         call()
+
+
+def _inf_cases():
+    from burgerslab.solver import Control, SchemeConfig
+
+    inf = math.inf
+    grid, mesh = SpatialGrid(4), TimeMesh(0.1, 4)
+    return {
+        "t_final": lambda: TimeMesh(inf, 10),
+        "control horizon t_final": lambda: Control(inf, [[1.0]]),
+        "noise_scale": lambda: SchemeConfig(grid=grid, mesh=mesh, noise_scale=inf),
+        "time_scale": lambda: SchemeConfig(grid=grid, mesh=mesh, time_scale=inf),
+    }
+
+
+@pytest.mark.parametrize("field", list(_inf_cases()))
+def test_infinity_fails_the_finite_range_checks(field):
+    # an infinite horizon once built dt = inf, and an infinite noise scale
+    # solved into numpy warnings and a blow-up at step 0; the error names the field
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        _inf_cases()[field]()

@@ -287,6 +287,37 @@ class TestBatchedLoops:
                 assert est.raw_mean == 1.0 and est.std_err == 0.0
                 assert est.n_clipped == 0
 
+    def test_shared_tilt_drift_is_one_row(self):
+        # tracemalloc peaks of one chunk of 40 rows over 50 steps (one forcing
+        # block): the tilt's drift dt * h sigma is one row for the whole chunk,
+        # so the tilted loop holds less than one path's bytes more than the
+        # naive one, not the 40 x 50 x m drift block of a per-row copy
+        import tracemalloc
+
+        grid, mesh = SpatialGrid(64), TimeMesh(1.0, 50)
+        cfg = SchemeConfig(grid=grid, mesh=mesh)
+        u0 = sine_field(grid)
+        ev = EventSpec(target=solve_skeleton(ADDITIVE, u0, None, cfg).u, delta=0.1)
+        tilt = Control.constant(1.0, 1.0)
+        assert solver._paths_per_chunk(cfg) >= 40 and mesh.steps <= solver.CHECK_EVERY
+        path_bytes = 8 * (mesh.steps + 1) * grid.m
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        naive = lambda: estimate_naive(ADDITIVE, u0, 0.1, ev, 40, 3, cfg)
+        naive()  # the first draw imports numpy.random; that stays out of the peaks
+        naive_peak = peak(naive)
+        tilted_peak = peak(lambda: estimate_importance(ADDITIVE, u0, 0.1, ev, tilt, 40, 3, cfg))
+        assert tilted_peak - naive_peak < path_bytes
+
     def test_condition_probe_chunking_changes_nothing(self, monkeypatch):
         args = (ADDITIVE, [U0, 0.5 * U0], [Control.zero(1.0, 1), Control.constant(1.0, 1.0)],
                 [0.5, 0.1], 0.05, 9, 41, CFG)

@@ -875,10 +875,12 @@ class TestMarchWindows:
     # 30 steps: windows that divide them, a short last window, and one
     # window longer than the march
     @pytest.mark.parametrize("window", [5, 10, 20, 40])
-    @pytest.mark.parametrize("control", ["none", "per_path"])
+    @pytest.mark.parametrize("control", ["none", "shared", "per_path"])
     @pytest.mark.parametrize("reflection", ["projection", "penalized"])
     @pytest.mark.parametrize("profile", ["additive", "multiscale", "constant"])
     def test_states_equal_solve_batch(self, monkeypatch, profile, reflection, control, window):
+        # a shared control under the constant profile's sigma drives every
+        # row through one drift row; each row still has the batch of one's bits
         monkeypatch.setattr(solver, "CHECK_EVERY", window)
         cs, u0, cfg, dw = _batch_case("upwind", profile, 2, reflection)
         n, steps = dw.shape[0], cfg.mesh.steps
@@ -891,6 +893,11 @@ class TestMarchWindows:
             firsts, u = _windowed(cs, u0, noise, h, run)
             assert firsts == list(range(0, steps, window))
             assert u.tobytes() == solve_batch(cs, u0, noise, h, run, store_dk=False)[0].tobytes()
+            for p in range(len(u)):
+                one = _windowed(cs, u0, None if noise is None else noise[p:p + 1],
+                                h[p:p + 1] if control == "per_path" else h,
+                                run if isinstance(run, SchemeConfig) else run[p])[1]
+                assert one[0].tobytes() == u[p].tobytes()
 
     def test_default_window_is_one_block(self):
         block = solver.CHECK_EVERY
