@@ -37,7 +37,6 @@ from .solver import (
     energy_functional,
     solve,
     solve_batch,
-    solve_paths,
     solve_skeleton,
     step,
     total_variation_k,

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _distance_of_rows, _distance_rows, path_distance, sample_noise
+from .core import NoisePath, path_distance, sample_noise
 from .coefficients import CoefficientSet
-from .solver import ReflectedPath, SchemeConfig, march_windows, solve, solve_paths
+from .solver import (BlowUpError, ReflectedPath, SchemeConfig, _paths_per_chunk,
+                     march_distances, solve, solve_batch)
 
 __all__ = [
     "AveragingRow",
@@ -68,11 +69,12 @@ def run_averaging_experiment(
 
     avg is the averaged set (its f and sigma do not depend on t), marched
     as it is.  Per sample index the same increments feed both equations;
-    the averaged paths do not depend on eps and are solved once.  The
-    averaged paths and then the fast paths of each eps run through
-    solver.solve_paths, a chunk at a time, so only the averaged paths are
-    kept.  Reported per eps: mean of the squared distances, its standard
-    error, and the fraction exceeding delta (the in-probability view).
+    the averaged paths do not depend on eps.  Per chunk of
+    _paths_per_chunk samples the averaged paths are solved once, then the
+    fast paths of each eps, each fast chunk dropped before the next, so no
+    path outlives its chunk; a blow-up's path_index counts from path 0.
+    Reported per eps: mean of the squared distances, its standard error,
+    and the fraction exceeding delta (the in-probability view).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -81,21 +83,26 @@ def run_averaging_experiment(
     if avg.d != ms.d:
         raise ValueError(f"channel mismatch: averaged d={avg.d}, fast d={ms.d}")
     base_cfg = replace(cfg, noise_scale=1.0, time_scale=1.0)
-
-    dw = np.stack([
-        sample_noise(seed, cfg.mesh, ms.d, path_index=i).increments for i in range(n_samples)
-    ])
-    # copied path by path, so no chunk of the solve outlives the loop
-    slow_paths = np.fromiter((slow for _, slow in solve_paths(avg, u0, dw, None, base_cfg)),
-                             (float, (cfg.mesh.steps + 1, cfg.grid.m)), n_samples)
+    fast_cfgs = [replace(base_cfg, time_scale=eps) for eps in eps_list]
+    d2s = np.empty((len(eps_list), n_samples))
+    size = _paths_per_chunk(cfg)
+    for first in range(0, n_samples, size):
+        dw = np.stack([sample_noise(seed, cfg.mesh, ms.d, path_index=i).increments
+                       for i in range(first, min(first + size, n_samples))])
+        try:
+            slow = solve_batch(avg, u0, dw, None, base_cfg, store_dk=False)[0]
+            for d2, fast_cfg in zip(d2s, fast_cfgs):
+                fast = solve_batch(ms, u0, dw, None, fast_cfg, store_dk=False)[0]
+                d2[first:first + len(dw)] = [
+                    path_distance(f, s, cfg.grid, cfg.mesh).squared for f, s in zip(fast, slow)]
+                del fast
+        except BlowUpError as err:
+            err.path_index += first
+            raise
+        del dw, slow
 
     rows = []
-    for eps in eps_list:
-        fast_cfg = replace(cfg, noise_scale=1.0, time_scale=eps)
-        d2 = np.array([
-            path_distance(fast, slow, cfg.grid, cfg.mesh).squared
-            for (_, fast), slow in zip(solve_paths(ms, u0, dw, None, fast_cfg), slow_paths)
-        ])
+    for eps, d2 in zip(eps_list, d2s):
         rows.append(AveragingRow(
             epsilon=eps,
             mean_sq_dist=float(np.mean(d2)),
@@ -149,7 +156,7 @@ def penalization_convergence_probe(
     cs: CoefficientSet,
     u0: np.ndarray,
     n_list: list[float],
-    noise,
+    noise: NoisePath | None,
     cfg: SchemeConfig,
 ) -> tuple[ReflectedPath, list[tuple[float, float]]]:
     """Squared distance of penalized(n) to the projection solution, common noise.
@@ -157,10 +164,9 @@ def penalization_convergence_probe(
     Returns the projection path and one (n, squared distance) row per n.
     Every scheme is checked before any solve.  The projection path is one
     solve.  The penalized paths march as one batch, one row per n on the
-    same increments, through solver.march_windows: each window's H and V
-    norms against the projection go into one (steps+1)-long pair per row,
-    and no penalized path is ever held whole.  Each distance has the bits
-    of path_distance on that row's own solve.
+    same increments, through solver.march_distances against the
+    projection, so no penalized path is ever held whole.  Each distance has
+    the bits of path_distance on that row's own solve.
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
@@ -170,14 +176,5 @@ def penalization_convergence_probe(
         return proj, []
     dw = None if noise is None or cfg.noise_scale == 0.0 else np.repeat(
         noise.increments[None], len(pen_cfgs), axis=0)
-    hsq = np.empty((len(pen_cfgs), cfg.mesh.steps + 1))
-    vsq = np.empty_like(hsq)
-    for first, states in march_windows(cs, u0, dw, None, pen_cfgs):
-        skip = 1 if first else 0  # the state the window shares with the one before
-        rows = slice(first + skip, first + states.shape[1])
-        for i, u in enumerate(states):
-            _distance_rows(u[skip:], proj.u[rows], cfg.grid, hsq[i, rows], vsq[i, rows])
-    return proj, [
-        (c.penalty_n, _distance_of_rows(h, v, cfg.mesh).squared)
-        for c, h, v in zip(pen_cfgs, hsq, vsq)
-    ]
+    d2 = march_distances(cs, u0, dw, None, pen_cfgs, proj.u)
+    return proj, [(c.penalty_n, d) for c, d in zip(pen_cfgs, d2.tolist())]

@@ -153,8 +153,9 @@ def _check_path(p: np.ndarray, grid: SpatialGrid, mesh: TimeMesh) -> np.ndarray:
 
 # path_distance streams the paths through buffers of about this many floats,
 # a block of whole time rows, so a distance's scratch stays in cache whatever
-# the path length.
-DISTANCE_BLOCK = 32 * 1024
+# the path length, and a row pass over a window of P paths at once holds no
+# more scratch than one path's.
+DISTANCE_BLOCK = 8 * 1024
 
 
 def path_distance(
@@ -184,23 +185,25 @@ def path_distance(
 
 def _distance_rows(p: np.ndarray, q: np.ndarray, grid: SpatialGrid,
                    hsq: np.ndarray, vsq: np.ndarray) -> None:
-    """|p_k - q_k|_H^2 and ||p_k - q_k||_V^2 of each row k of two (rows, m) blocks into hsq, vsq.
+    """|p_k - q_k|_H^2 and ||p_k - q_k||_V^2 of each row k of p and q into hsq, vsq.
 
-    The row pass of path_distance: a caller holding a path a window of
-    rows at a time fills one (steps+1)-long pair window by window, with the
-    bits of the whole-path call.
+    The row pass of path_distance: p is (rows, m), or (rows, P, m) for P
+    paths, q broadcasts against it, and hsq, vsq are p's shape without m.
+    Every (row, path) has the bits of the whole-path call, so a caller
+    holding paths a window of rows at a time fills each path's pair window
+    by window.
     """
-    rows, m = p.shape
-    block = max(1, min(rows, DISTANCE_BLOCK // (m + 2)))
-    padded = np.zeros((block, m + 2))
-    jumps = np.empty((block, m + 1))
+    rows, paths, m = p.shape[0], p.shape[1:-1], p.shape[-1]
+    block = max(1, min(rows, DISTANCE_BLOCK // (math.prod(paths) * (m + 2))))
+    padded = np.zeros((block, *paths, m + 2))
+    jumps = np.empty((block, *paths, m + 1))
     for lo in range(0, rows, block):
         n = min(block, rows - lo)
-        diff, jump = padded[:n, 1:-1], jumps[:n]
+        diff, jump = padded[:n, ..., 1:-1], jumps[:n]
         np.subtract(p[lo:lo + n], q[lo:lo + n], out=diff)
-        np.einsum("km,km->k", diff, diff, out=hsq[lo:lo + n])
-        np.subtract(padded[:n, 1:], padded[:n, :-1], out=jump)
-        np.einsum("km,km->k", jump, jump, out=vsq[lo:lo + n])
+        np.einsum("...m,...m->...", diff, diff, out=hsq[lo:lo + n])
+        np.subtract(padded[:n, ..., 1:], padded[:n, ..., :-1], out=jump)
+        np.einsum("...m,...m->...", jump, jump, out=vsq[lo:lo + n])
     hsq *= grid.dx
     vsq /= grid.dx
 

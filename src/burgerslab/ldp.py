@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .core import TimeMesh, path_distance, sample_noise
+# path_distance and solve are not called here: they stay module names so that
+# tools which wrap the distance and solver layers by module name find them
+from .core import path_distance, sample_noise
 from .coefficients import CoefficientSet
 from .ratefn import RateFunctionResult
-# solve stays a module name here, beside the batch kernel, so tools that wrap
-# the solver layer by module name still find it
-from .solver import Control, SchemeConfig, solve, solve_paths, solve_skeleton
+from .solver import (BlowUpError, Control, SchemeConfig, _paths_per_chunk, march_distances,
+                     solve, solve_skeleton)
 
 __all__ = [
     "EventSpec",
@@ -64,9 +65,6 @@ class EventSpec:
             raise ValueError(f"tube radius must be positive, got {self.delta}")
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
 
-    def occurred(self, u: np.ndarray, cfg: SchemeConfig) -> bool:
-        return path_distance(u, self.target, cfg.grid, cfg.mesh).squared < self.delta
-
 
 @dataclass(frozen=True)
 class RareEventEstimate:
@@ -92,9 +90,26 @@ class RareEventEstimate:
             raise ValueError("estimate out of range")
 
 
-def _increments(seed: int, mesh: TimeMesh, d: int, n_samples: int):
-    """Lazily the increments of paths 0..n_samples-1, path i on the Philox stream (seed, i)."""
-    return (sample_noise(seed, mesh, d, path_index=i).increments for i in range(n_samples))
+def _distances(cs: CoefficientSet, u0: np.ndarray, h: np.ndarray | None, cfg: SchemeConfig,
+               reference: np.ndarray, n_samples: int, seed: int,
+               ) -> Iterator[tuple[np.ndarray, float]]:
+    """Yield (dw, squared distance to reference) of paths 0..n_samples-1 under cfg.
+
+    Path i is driven by the Philox stream (seed, i) and the shared control
+    h (or None).  Each chunk of _paths_per_chunk paths is drawn and marched
+    by one solver.march_distances, so no path is held whole; a blow-up's
+    path_index counts from path 0.
+    """
+    size = _paths_per_chunk(cfg)
+    for first in range(0, n_samples, size):
+        dw = np.stack([sample_noise(seed, cfg.mesh, cs.d, path_index=i).increments
+                       for i in range(first, min(first + size, n_samples))])
+        try:
+            d2 = march_distances(cs, u0, dw, h, cfg, reference)
+        except BlowUpError as err:
+            err.path_index += first
+            raise
+        yield from zip(dw, d2.tolist())
 
 
 def _tube_estimate(
@@ -123,9 +138,9 @@ def _tube_estimate(
 
     stats = np.empty(n_samples)
     n_clipped = 0
-    paths = solve_paths(cs, u0, _increments(seed, cfg.mesh, cs.d, n_samples), h_drive, run_cfg)
-    for i, (dw, u) in enumerate(paths):
-        hit = ev.occurred(u, cfg)
+    paths = _distances(cs, u0, h_drive, run_cfg, ev.target, n_samples, seed)
+    for i, (dw, d2) in enumerate(paths):
+        hit = d2 < ev.delta
         log_w = -float(np.sum(h_path * dw)) / sqrt_eps - h_l2_sq / (2.0 * eps)
         if log_w > LOG_WEIGHT_CLIP:
             log_w = LOG_WEIGHT_CLIP
@@ -301,12 +316,9 @@ def condition_convergence_probe(
         worst = 0.0
         for iu, u0 in enumerate(u0_set):
             for ic, ctrl in enumerate(controls):
-                base = skeletons[iu][ic]
-                exceed = 0
-                dws = _increments(seed, cfg.mesh, cs.d, n_samples)
-                for _, u in solve_paths(cs, u0, dws, ctrl.on_mesh(cfg.mesh), run_cfg):
-                    if path_distance(u, base, cfg.grid, cfg.mesh).squared >= delta:
-                        exceed += 1
+                paths = _distances(cs, u0, ctrl.on_mesh(cfg.mesh), run_cfg, skeletons[iu][ic],
+                                   n_samples, seed)
+                exceed = sum(d2 >= delta for _, d2 in paths)
                 worst = max(worst, exceed / n_samples)
         rows.append(ConditionRow(epsilon=eps, worst_fraction=worst))
     return rows

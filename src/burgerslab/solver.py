@@ -32,8 +32,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .core import (
     NoisePath,
     SpatialGrid,
     TimeMesh,
+    _distance_of_rows,
     _distance_rows,
 )
 from .coefficients import CoefficientSet
@@ -53,8 +53,7 @@ __all__ = [
     "step",
     "solve",
     "solve_batch",
-    "march_windows",
-    "solve_paths",
+    "march_distances",
     "solve_skeleton",
     "complementarity_residual",
     "total_variation_k",
@@ -236,8 +235,8 @@ class ReflectedPath:
         return float(np.min(self.u))
 
 
-# One chunk of solve_paths is sized to hold its paths' u in this many bytes, so
-# the memory of a Monte Carlo loop grows with the chunk, not the path count.
+# One chunk of a Monte Carlo loop is sized to hold its paths' u in this many
+# bytes, so the loop's memory grows with the chunk, not the path count.
 BATCH_BYTES = 4 * 2**20
 
 
@@ -544,9 +543,9 @@ def solve_batch(
 
     dK is (P, steps, m), or None with store_dk False: the march then stores
     no reflection increments, and u keeps its bits.  Callers that never
-    read dK pass False (solve_paths and the rate function's skeletons);
-    solve and step keep it.  march_windows runs the same march without
-    holding the whole path.
+    read dK pass False (the averaging loop and the rate function's
+    skeletons); solve and step keep it.  march_distances runs the same
+    march without holding the whole path.
 
     dw holds each path's increments (P, steps, d); it may be None only
     when the noise scale is zero, and is not used then.  h holds control
@@ -557,10 +556,11 @@ def solve_batch(
     callback the set records as constant is evaluated once per march on
     the (P, m) start states, any other once per step on the (P, m) state;
     each step solves all P right-hand sides in one implicit-solve call.
-    Every row marches at once, so the caller sizes the batch (solve_paths
-    chunks a long one).  Row p equals, bit for bit, the batch of one on
-    row p's inputs and config.  A blow-up raises BlowUpError for the
-    lowest row that blows up, with path_index that row.
+    Every row marches at once, so the caller sizes the batch (a Monte
+    Carlo loop marches _paths_per_chunk rows at a time).  Row p equals,
+    bit for bit, the batch of one on row p's inputs and config.  A blow-up
+    raises BlowUpError for the lowest row that blows up, with path_index
+    that row.
     """
     cfg, u0, dw, h, penalties = _batch_inputs(cs, u0, dw, h, cfg)
     steps, m = cfg.mesh.steps, cfg.grid.m
@@ -571,77 +571,50 @@ def solve_batch(
     return u, dk
 
 
-def march_windows(
+def march_distances(
     cs: CoefficientSet,
     u0: np.ndarray,
     dw: np.ndarray | None,
     h: np.ndarray | None,
     cfg: SchemeConfig | Sequence[SchemeConfig],
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The march of solve_batch, handed to the reader a window of CHECK_EVERY steps at a time.
+    reference: np.ndarray,
+) -> np.ndarray:
+    """Each row's squared path distance to reference, marched without holding a path.
 
-    Takes solve_batch's arguments, checked at once, and yields
-    (first_step, states) per window: states is a read-only (P, n+1, m)
-    view of one reused buffer holding the states at steps first_step ..
-    first_step + n, so consecutive windows share a state, and it is only
-    valid until the next window is drawn.  Every state has the bits of
-    solve_batch's u, and no dK is stored.  A window is one forcing block and
-    one blow-up check of the march, which is one: constant callbacks are
-    evaluated once, not once per window.  A blow-up raises solve_batch's
-    BlowUpError, with the global step and the lowest bad row; no window
-    holding a bad state is yielded.
+    Takes solve_batch's arguments and one (steps+1, m) reference, all
+    checked before any step; row p's distance has the bits of
+    path_distance(u[p], reference).squared on solve_batch's u.  The rows
+    march through one reused, time-major buffer of CHECK_EVERY steps, and
+    one row pass per window (core._distance_rows) fills each row's
+    (steps+1)-long H and V pair, reduced as path_distance reduces it.  A
+    window is one forcing block and one blow-up check of the march, which
+    is one: constant callbacks are evaluated once.  A blow-up raises
+    solve_batch's BlowUpError, with the global step and the lowest bad row;
+    no window holding a bad state is measured.
     """
     cfg, u0, dw, h, penalties = _batch_inputs(cs, u0, dw, h, cfg)
-
-    def windows() -> Iterator[tuple[int, np.ndarray]]:
-        steps, window = cfg.mesh.steps, CHECK_EVERY
-        buf = np.empty((len(penalties), min(window, steps) + 1, cfg.grid.m))
-        buf[:, 0] = u0
-        stepper = _Stepper(cs, cfg, buf[:, 0], dw, h, cfg.mesh.times[:-1].tolist(), penalties)
-        for first in range(0, steps, window):
-            n = min(window, steps - first)
-            if first:
-                buf[:, 0] = buf[:, window]
-            stepper.march(buf[:, :n + 1], None)
-            if not stepper.first_bad:
-                states = buf[:, :n + 1].view()
-                states.flags.writeable = False
-                yield first, states
-
-    return windows()
-
-
-def solve_paths(
-    cs: CoefficientSet,
-    u0: np.ndarray,
-    increments: Iterable[np.ndarray],
-    h: np.ndarray | None,
-    cfg: SchemeConfig,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (dw, u) per path, solving the paths a chunk at a time.
-
-    increments holds each path's (steps, d) increments and is pulled one
-    chunk at a time; h is a control shared by every path, (steps, d) or
-    None.  A chunk is as many paths as fit their u in BATCH_BYTES
-    (_paths_per_chunk) and runs as one solve_batch that stores no dK, so u
-    equals the batch of one bit for bit.  dw is the path's increments as
-    given and u a copy of its row, so a path the caller keeps does not keep
-    its chunk, and no chunk is left when the next is drawn and solved: with
-    a lazy iterable the noise and paths in memory grow with one chunk, not
-    the path count.  A blow-up raises for the lowest path index that blows
-    up, with path_index counted from the first path.
-    """
-    paths = iter(increments)
-    first, size = 0, _paths_per_chunk(cfg)
-    while chunk := list(islice(paths, size)):
-        try:
-            u = solve_batch(cs, u0, np.stack(chunk), h, cfg, store_dk=False)[0]
-        except BlowUpError as err:
-            err.path_index += first
-            raise
-        first += len(chunk)
-        yield from zip(chunk, map(np.copy, u))
-        del chunk, u
+    steps, window = cfg.mesh.steps, CHECK_EVERY
+    reference = np.asarray(reference, dtype=float)
+    if reference.shape != (steps + 1, cfg.grid.m):
+        raise ValueError(f"reference shape {reference.shape} does not match (steps+1, m) = "
+                         f"({steps + 1}, {cfg.grid.m})")
+    hsq = np.empty((len(penalties), steps + 1))
+    vsq = np.empty_like(hsq)
+    buf = np.empty((min(window, steps) + 1, len(penalties), cfg.grid.m))
+    buf[0] = u0
+    stepper = _Stepper(cs, cfg, buf[0], dw, h, cfg.mesh.times[:-1].tolist(), penalties)
+    for first in range(0, steps, window):
+        n = min(window, steps - first)
+        if first:
+            buf[0] = buf[window]
+        stepper.march(buf[:n + 1].transpose(1, 0, 2), None)
+        if stepper.first_bad:
+            continue
+        skip = 1 if first else 0  # the state the window shares with the one before
+        rows = slice(first + skip, first + n + 1)
+        _distance_rows(buf[skip:n + 1], reference[rows, None], cfg.grid, hsq[:, rows].T,
+                       vsq[:, rows].T)
+    return np.array([_distance_of_rows(a, b, cfg.mesh).squared for a, b in zip(hsq, vsq)])
 
 
 def solve(

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,12 +20,17 @@ from burgerslab.averaging import (
     penalization_convergence_probe,
     run_averaging_experiment,
 )
-from burgerslab.solver import SchemeConfig, solve
+from burgerslab.solver import BlowUpError, SchemeConfig, solve
 
 GRID = SpatialGrid(16)
 MESH = TimeMesh(1.0, 200)
 CFG = SchemeConfig(grid=GRID, mesh=MESH)
 U0 = sine_field(GRID)
+
+
+def _small_chunks(monkeypatch, paths_per_chunk):
+    monkeypatch.setattr(solver, "BATCH_BYTES", paths_per_chunk * 8 * GRID.m * (MESH.steps + 1))
+    assert solver._paths_per_chunk(CFG) == paths_per_chunk
 
 
 class TestAveragingExperiment:
@@ -64,6 +70,70 @@ class TestAveragingExperiment:
                 d2.append(path_distance(fast.u, slow.u, GRID, MESH).squared)
             assert row.mean_sq_dist == float(np.mean(d2))
             assert row.std_err == float(np.std(d2)) / math.sqrt(7)
+
+    def test_chunked_equals_unchunked(self, monkeypatch):
+        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
+        args = (ms, avg, U0, [0.1, 0.01], 7, 4, CFG)
+        whole = run_averaging_experiment(*args)
+        _small_chunks(monkeypatch, 2)  # chunks of 2, 2, 2 and 1 paths
+        assert run_averaging_experiment(*args) == whole
+
+    def test_holds_one_chunk(self, monkeypatch):
+        # chunk-major: a chunk's averaged paths, then its fast paths of each
+        # eps; when a chunk is marched, only its own averaged paths are left
+        # of what was marched before, and no march stores dK
+        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
+        _small_chunks(monkeypatch, 2)
+        marched = []
+        real = averaging.solve_batch
+
+        def tracked(cs, *args, **kwargs):
+            alive = [(kind, rows) for kind, rows, ref in marched if ref() is not None]
+            assert alive == ([] if cs is avg else [("avg", len(args[1]))])
+            assert kwargs == {"store_dk": False}
+            u, dk = real(cs, *args, **kwargs)
+            assert dk is None
+            marched.append(("avg" if cs is avg else "fast", len(u), weakref.ref(u)))
+            return u, dk
+
+        monkeypatch.setattr(averaging, "solve_batch", tracked)
+        run_averaging_experiment(ms, avg, U0, [0.1, 0.01], 7, 4, CFG)
+        assert [(kind, rows) for kind, rows, _ in marched] == (
+            [("avg", 2), ("fast", 2), ("fast", 2)] * 3 + [("avg", 1), ("fast", 1), ("fast", 1)])
+
+    def test_blow_up_names_the_global_path_and_replays(self, monkeypatch):
+        # the ceiling lies above every path of the first chunk of two and
+        # below some of the second: the error is that of the first march of
+        # the second chunk to blow up (averaged, then fast per eps), for its
+        # lowest row, and its path_index, noise_scale and time_scale, with
+        # the seed, replay it with one solve
+        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
+        seed, eps_list = 5, [0.1, 0.01]
+        marches = [(avg, 1.0)] + [(ms, eps) for eps in eps_list]
+
+        def peaks(cs, time_scale):
+            run = replace(CFG, noise_scale=1.0, time_scale=time_scale)
+            return [np.max(np.abs(solve(cs, U0, sample_noise(seed, MESH, 1, path_index=i),
+                                        None, run).u)) for i in range(4)]
+
+        peak = [peaks(cs, time_scale) for cs, time_scale in marches]
+        first_chunk = max(max(p[:2]) for p in peak)
+        second_chunk = max(max(p[2:]) for p in peak)
+        assert second_chunk > first_chunk
+        ceiling = (first_chunk + second_chunk) / 2
+        cs, time_scale, row = next((cs, time_scale, i) for (cs, time_scale), p in zip(marches, peak)
+                                   for i in (2, 3) if p[i] > ceiling)
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", ceiling)
+        _small_chunks(monkeypatch, 2)
+        with pytest.raises(BlowUpError) as err:
+            run_averaging_experiment(ms, avg, U0, eps_list, 4, seed, CFG)
+        got = err.value
+        assert (got.path_index, got.noise_scale, got.time_scale) == (row, 1.0, time_scale)
+        with pytest.raises(BlowUpError) as replay:
+            solve(cs, U0, sample_noise(seed, MESH, 1, path_index=got.path_index), None,
+                  replace(CFG, noise_scale=got.noise_scale, time_scale=got.time_scale))
+        assert (replay.value.step_index, replay.value.t, replay.value.peak) == (
+            got.step_index, got.t, got.peak)
 
     @pytest.mark.parametrize("kwargs", [dict(), dict(noise_profile="bounded", d=2)])
     def test_constant_average_evaluated_once_per_march(self, kwargs):
@@ -211,7 +281,7 @@ class TestPenalizationProbe:
                 return fn(*args)
             return run
 
-        for name in ("solve", "march_windows"):
+        for name in ("solve", "march_distances"):
             monkeypatch.setattr(averaging, name, counted(getattr(averaging, name)))
         cs = make_burgers_set(0.0, noise_profile="zero", c2=-1.0)
         cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=0.0)  # dt = 0.005
@@ -223,7 +293,7 @@ class TestPenalizationProbe:
         assert proj.u.tobytes() == solve(cs, np.zeros(GRID.m), None, None, cfg).u.tobytes()
         calls.clear()
         penalization_convergence_probe(cs, np.zeros(GRID.m), [10, 100], None, cfg)
-        assert calls == ["solve", "march_windows"]  # the penalized rows march as one batch
+        assert calls == ["solve", "march_distances"]  # the penalized rows march as one batch
 
     @pytest.mark.parametrize("window", [5, 10, 20, 40, 64, 1024])
     def test_windowed_distances_equal_path_distance(self, monkeypatch, window):

@@ -15,7 +15,7 @@ from burgerslab.ldp import (
     fw_lower_bound_probe,
 )
 from burgerslab.ratefn import RateOptions, rate_function
-from burgerslab.solver import Control, SchemeConfig, solve, solve_skeleton
+from burgerslab.solver import BlowUpError, Control, SchemeConfig, solve, solve_skeleton
 
 ADDITIVE = make_burgers_set(0.0, noise_profile="additive")
 NOISELESS = make_burgers_set(0.0, noise_profile="zero")
@@ -40,11 +40,26 @@ class TestEventSpec:
 
     @pytest.mark.parametrize("side, hit", [("below", False), ("at", False), ("above", True)])
     def test_hit_is_strictly_inside_the_tube(self, side, hit):
-        # the event is d² < delta: a path at squared distance exactly delta misses
-        u = FLOW + 0.1
+        # the event is d² < delta: the one sample's path at squared distance
+        # exactly delta misses
+        eps, seed = 0.2, 3
+        u = solve(ADDITIVE, U0, sample_noise(seed, MESH, 1), None,
+                  replace(CFG, noise_scale=math.sqrt(eps))).u
         d2 = path_distance(u, FLOW, GRID, MESH).squared
         delta = {"below": np.nextafter(d2, 0.0), "at": d2, "above": np.nextafter(d2, np.inf)}
-        assert EventSpec(target=FLOW, delta=float(delta[side])).occurred(u, CFG) is hit
+        ev = EventSpec(target=FLOW, delta=float(delta[side]))
+        assert estimate_naive(ADDITIVE, U0, eps, ev, 1, seed, CFG).p_hat == float(hit)
+
+    def test_target_shape_checked_before_any_step(self, monkeypatch):
+        # a target off the mesh was once rejected only after a whole chunk had marched
+        calls = []
+        real = solver.cho_solve_banded
+        monkeypatch.setattr(solver, "cho_solve_banded",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        for target in (FLOW[:-1], FLOW[:, :-1]):
+            with pytest.raises(ValueError, match="reference shape"):
+                estimate_naive(ADDITIVE, U0, 0.2, EventSpec(target=target, delta=0.1), 5, 0, CFG)
+        assert calls == []
 
     def test_sure_event(self):
         ev = EventSpec(target=FLOW, delta=float("inf"))
@@ -236,7 +251,7 @@ class TestConditionProbe:
         # n_samples 0 once solved every skeleton and then divided by zero; an
         # empty start or control set once reported worst_fraction 0.0
         calls = []
-        for name in ("solve_skeleton", "solve_paths"):
+        for name in ("solve_skeleton", "march_distances"):
             monkeypatch.setattr(ldp, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(ValueError, match="at least one"):
             condition_convergence_probe(ADDITIVE, u0_set, controls, [0.1], 0.25, n_samples,
@@ -244,9 +259,10 @@ class TestConditionProbe:
         assert calls == []
 
 
-def _small_chunks(monkeypatch, paths_per_chunk):
-    per_path = 8 * GRID.m * (MESH.steps + 1)
+def _small_chunks(monkeypatch, paths_per_chunk, cfg=CFG):
+    per_path = 8 * cfg.grid.m * (cfg.mesh.steps + 1)
     monkeypatch.setattr(solver, "BATCH_BYTES", paths_per_chunk * per_path)
+    assert solver._paths_per_chunk(cfg) == paths_per_chunk
 
 
 class TestBatchedLoops:
@@ -324,3 +340,60 @@ class TestBatchedLoops:
         whole = condition_convergence_probe(*args)
         _small_chunks(monkeypatch, 2)
         assert condition_convergence_probe(*args) == whole
+
+    def test_chunked_equals_unchunked(self, monkeypatch):
+        # 7 samples in one chunk, then in chunks of 2, 2, 2 and 1
+        ev = EventSpec(target=FLOW, delta=0.1)
+        tilt = Control.constant(1.0, 0.4)
+        whole = [estimate_naive(ADDITIVE, U0, 0.2, ev, 7, 5, CFG),
+                 estimate_importance(ADDITIVE, U0, 0.2, ev, tilt, 7, 5, CFG)]
+        assert 0.0 < whole[0].p_hat < 1.0
+        _small_chunks(monkeypatch, 2)
+        assert [estimate_naive(ADDITIVE, U0, 0.2, ev, 7, 5, CFG),
+                estimate_importance(ADDITIVE, U0, 0.2, ev, tilt, 7, 5, CFG)] == whole
+
+    def test_constant_callbacks_are_called_once_per_chunk(self, monkeypatch):
+        # 7 tilted samples in chunks of 2, 2, 2 and 1: one march per chunk,
+        # each evaluating the constant f and sigma once
+        cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.25, d=2)
+        assert cs.constant == {"g", "f", "sigma"}
+        ev = EventSpec(target=solve_skeleton(cs, U0, None, CFG).u, delta=0.1)
+        tilt = Control(1.0, np.array([[0.5, -0.5]]))
+        plain = estimate_importance(cs, U0, 0.2, ev, tilt, 7, 6, CFG)
+        calls = {}
+        for name in ("g", "dg_dz", "f", "sigma"):
+            def counted(*args, fn=getattr(cs, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            object.__setattr__(cs, name, counted)
+        _small_chunks(monkeypatch, 2)
+        assert estimate_importance(cs, U0, 0.2, ev, tilt, 7, 6, CFG) == plain
+        assert calls == {"f": 4, "sigma": 4}
+
+    def test_blow_up_names_the_global_path_and_replays(self, monkeypatch):
+        # the lowest path over the ceiling sits in the second chunk of two
+        # paths; the error's path_index and noise_scale, with the seed the
+        # increments came from, replay it with one solve
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 1e9)
+        grid, mesh, seed, eps = SpatialGrid(16), TimeMesh(0.5, 50), 10, 0.49
+        cfg = SchemeConfig(grid=grid, mesh=mesh)
+        run = replace(cfg, noise_scale=math.sqrt(eps))
+        u0 = np.zeros(grid.m)
+        noises = [sample_noise(seed, mesh, 1, path_index=i) for i in range(6)]
+        peaks = [np.max(np.abs(solve(ADDITIVE, u0, nz, None, run).u)) for nz in noises]
+        assert max(peaks[2:4]) > max(peaks[:2])  # a path of the second chunk peaks higher
+        ceiling = (max(peaks[:2]) + max(peaks[2:4])) / 2
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", ceiling)
+        _small_chunks(monkeypatch, 2, cfg)
+        ev = EventSpec(target=np.zeros((mesh.steps + 1, grid.m)), delta=1.0)
+        with pytest.raises(BlowUpError) as err:
+            estimate_naive(ADDITIVE, u0, eps, ev, 6, seed, cfg)
+        got = err.value
+        assert got.path_index == min(i for i, peak in enumerate(peaks) if peak > ceiling)
+        assert got.path_index in (2, 3)
+        assert (got.noise_scale, got.time_scale) == (run.noise_scale, 1.0)
+        with pytest.raises(BlowUpError) as replay:
+            solve(ADDITIVE, u0, sample_noise(seed, mesh, 1, path_index=got.path_index), None,
+                  replace(cfg, noise_scale=got.noise_scale, time_scale=got.time_scale))
+        assert (replay.value.step_index, replay.value.t, replay.value.peak) == (
+            got.step_index, got.t, got.peak)

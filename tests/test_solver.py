@@ -2,16 +2,15 @@ import math
 import os
 import subprocess
 import sys
-import weakref
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from burgerslab import solver
+from burgerslab import core, solver
 from burgerslab.core import (
-    SpatialGrid, TimeMesh, h_norm, sample_noise, sine_field, v_norm,
+    SpatialGrid, TimeMesh, h_norm, path_distance, sample_noise, sine_field, v_norm,
 )
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.solver import (
@@ -24,7 +23,6 @@ from burgerslab.solver import (
     read_path_binary,
     solve,
     solve_batch,
-    solve_paths,
     solve_skeleton,
     step,
     total_variation_k,
@@ -481,19 +479,6 @@ class TestSolveBatch:
                 assert u[p].tobytes() == u1[0].tobytes()
                 assert dk[p].tobytes() == dk1[0].tobytes()
 
-    def test_chunked_equals_unchunked(self, monkeypatch):
-        cs, u0, cfg, dw = _batch_case("central", "bounded", 2, "projection", n_paths=7)
-        h = np.full((cfg.mesh.steps, 2), 0.3)
-        whole = solve_batch(cs, u0, dw, h, cfg)[0]
-        per_path = 8 * cfg.grid.m * (cfg.mesh.steps + 1)
-        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
-        assert solver._paths_per_chunk(cfg) == 2  # chunks of 2, 2, 2 and 1 paths
-        chunked = list(solve_paths(cs, u0, iter(dw), h, cfg))
-        assert len(chunked) == 7
-        for p, (dw_p, u_p) in enumerate(chunked):
-            assert dw_p.tobytes() == dw[p].tobytes()
-            assert u_p.tobytes() == whole[p].tobytes()
-
     # (m, steps, paths, paths per chunk when the budget was 8 MiB of u and dK):
     # shipped rare_event and condition_probe, shipped averaging, and the
     # rare_event and averaging benchmark workloads
@@ -509,27 +494,6 @@ class TestSolveBatch:
 
         cfg = SchemeConfig(grid=SpatialGrid(m), mesh=TimeMesh(1.0, steps))
         assert chunks(solver._paths_per_chunk(cfg)) == chunks(before)
-
-    def test_solve_paths_holds_one_chunk(self, monkeypatch):
-        cs, u0, cfg, dw = _batch_case("central", "bounded", 1, "projection", n_paths=7)
-        per_path = 8 * cfg.grid.m * (cfg.mesh.steps + 1)
-        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
-        solved = []
-        real = solver.solve_batch
-
-        def tracked(*args, **kwargs):
-            # every chunk solved so far is gone when the next one is solved,
-            # and no chunk stores dK
-            assert all(ref() is None for ref in solved)
-            assert kwargs == {"store_dk": False}
-            u, dk = real(*args, **kwargs)
-            assert dk is None
-            solved.append(weakref.ref(u))
-            return u, dk
-
-        monkeypatch.setattr(solver, "solve_batch", tracked)
-        kept = list(solve_paths(cs, u0, iter(dw), None, cfg))  # the caller keeps every path
-        assert len(solved) == 4 and len(kept) == 7
 
     def test_config_sequence(self):
         cs, u0, cfg, dw = _batch_case("upwind", "additive", 1, "penalized")
@@ -573,40 +537,6 @@ class TestSolveBatch:
         assert (got.step_index, got.t, got.peak) == (
             alone[3].step_index, alone[3].t, alone[3].peak)
         assert "path 3" in str(got)
-        # solve_paths in chunks of 2: row 3 blows up in the second chunk and
-        # keeps its global index and its own step
-        per_path = 8 * grid.m * (mesh.steps + 1)
-        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
-        paths = solve_paths(ADDITIVE, u0, dw, None, cfg)
-        next(paths), next(paths)  # the first chunk, rows 0 and 1, is fine
-        with pytest.raises(BlowUpError) as err:
-            next(paths)
-        assert (err.value.path_index, err.value.step_index) == (3, alone[3].step_index)
-
-    def test_blow_up_replays_from_seed_path_and_noise_scale(self, monkeypatch):
-        # the lowest path over the ceiling sits in the second chunk of two
-        # paths; the error's path_index and noise_scale, with the seed the
-        # increments came from, replay it with one solve
-        monkeypatch.setattr(solver, "BLOWUP_CEILING", 1e9)
-        grid, mesh, seed = SpatialGrid(16), TimeMesh(0.5, 50), 10
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.7)
-        u0 = np.zeros(grid.m)
-        noises = [sample_noise(seed, mesh, 1, path_index=i) for i in range(6)]
-        peaks = [np.max(np.abs(solve(ADDITIVE, u0, nz, None, cfg).u)) for nz in noises]
-        assert max(peaks[2:4]) > max(peaks[:2])  # a path of the second chunk peaks higher
-        monkeypatch.setattr(solver, "BLOWUP_CEILING", (max(peaks[:2]) + max(peaks[2:4])) / 2)
-        per_path = 8 * grid.m * (mesh.steps + 1)
-        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * per_path)
-        with pytest.raises(BlowUpError) as err:
-            list(solve_paths(ADDITIVE, u0, (nz.increments for nz in noises), None, cfg))
-        got = err.value
-        assert got.path_index == 3
-        assert (got.noise_scale, got.time_scale) == (0.7, 1.0)
-        with pytest.raises(BlowUpError) as replay:
-            solve(ADDITIVE, u0, sample_noise(seed, mesh, 1, path_index=got.path_index), None,
-                  replace(cfg, noise_scale=got.noise_scale, time_scale=got.time_scale))
-        assert (replay.value.step_index, replay.value.t, replay.value.peak) == (
-            got.step_index, got.t, got.peak)
 
     def test_shape_checks(self):
         cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
@@ -797,7 +727,7 @@ class TestHoistedMarch:
                 assert dk.tobytes() == dk_ref[rows].tobytes()
         assert np.any(dk_ref > 0.0)  # the reflection acted
 
-    def test_constant_callbacks_are_called_once_per_march(self, monkeypatch):
+    def test_constant_callbacks_are_called_once_per_march(self):
         cs, u0, cfg, dw = _batch_case("upwind", "constant", 2, "projection", n_paths=7)
         h = _batch_control("shared", cfg, 2, 7)
         plain = solve_batch(cs, u0, dw, h, cfg)
@@ -809,12 +739,6 @@ class TestHoistedMarch:
         calls.clear()
         solve_batch(cs, u0, None, None, replace(cfg, noise_scale=0.0))
         assert calls == {"f": 1}  # no noise and no control: sigma is not needed
-        # solve_paths in chunks of 2, 2, 2 and 1 paths: one march per chunk
-        calls.clear()
-        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * 8 * cfg.grid.m * (cfg.mesh.steps + 1))
-        for (_, u_p), row in zip(solve_paths(cs, u0, iter(dw), h, cfg), plain[0]):
-            assert u_p.tobytes() == row.tobytes()
-        assert calls == {"f": 4, "sigma": 4}
         # the per-step reference calls every callback at every step
         ref_cs = _per_step(cs)
         calls.clear()  # building a set spot-checks dg_dz against g
@@ -857,20 +781,27 @@ class TestMarchWithoutDk:
             assert free.value.args == kept.value.args
 
 
-def _windowed(cs, u0, dw, h, cfg):
-    """The first steps and the whole path that march_windows hands out, window by window."""
-    firsts, parts = [], []
-    for first, states in solver.march_windows(cs, u0, dw, h, cfg):
-        assert not states.flags.writeable
-        if parts:  # consecutive windows share a state
-            assert states[:, 0].tobytes() == parts[-1][:, -1].tobytes()
-        firsts.append(first)
-        parts.append(np.array(states if not parts else states[:, 1:]))
-    return firsts, np.concatenate(parts, axis=1)
+def _reference(cfg):
+    """A fixed (steps+1, m) path to measure batch cases against."""
+    return (0.5 * np.linspace(1.0, 0.2, cfg.mesh.steps + 1)[:, None]
+            * sine_field(cfg.grid)[None, :])
 
 
-class TestMarchWindows:
-    """march_windows hands out solve_batch's states a window at a time, with their bits."""
+def _count_kernel_calls(monkeypatch):
+    """Count the implicit solves of every march from here on."""
+    calls = []
+    real = solver.cho_solve_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "cho_solve_banded", counted)
+    return calls
+
+
+class TestMarchDistances:
+    """march_distances gives path_distance on solve_batch's rows, with their bits."""
 
     # 30 steps: windows that divide them, a short last window, and one
     # window longer than the march
@@ -878,53 +809,89 @@ class TestMarchWindows:
     @pytest.mark.parametrize("control", ["none", "shared", "per_path"])
     @pytest.mark.parametrize("reflection", ["projection", "penalized"])
     @pytest.mark.parametrize("profile", ["additive", "multiscale", "constant"])
-    def test_states_equal_solve_batch(self, monkeypatch, profile, reflection, control, window):
+    def test_distances_equal_path_distance(self, monkeypatch, profile, reflection, control,
+                                           window):
         # a shared control under the constant profile's sigma drives every
         # row through one drift row; each row still has the batch of one's bits
         monkeypatch.setattr(solver, "CHECK_EVERY", window)
         cs, u0, cfg, dw = _batch_case("upwind", profile, 2, reflection)
-        n, steps = dw.shape[0], cfg.mesh.steps
+        n = dw.shape[0]
         h = _batch_control(control, cfg, 2, n)
+        ref = _reference(cfg)
         runs = [cfg, replace(cfg, noise_scale=0.0)]
         if reflection == "penalized":
             runs.append([replace(cfg, penalty_n=10.0 * (p + 1)) for p in range(n)])
         for run in runs:
             noise = dw if (run if isinstance(run, SchemeConfig) else run[0]).noise_scale else None
-            firsts, u = _windowed(cs, u0, noise, h, run)
-            assert firsts == list(range(0, steps, window))
-            assert u.tobytes() == solve_batch(cs, u0, noise, h, run, store_dk=False)[0].tobytes()
+            got = solver.march_distances(cs, u0, noise, h, run, ref)
+            u = solve_batch(cs, u0, noise, h, run, store_dk=False)[0]
+            expected = [path_distance(row, ref, cfg.grid, cfg.mesh).squared for row in u]
+            assert [d.hex() for d in got.tolist()] == [d.hex() for d in expected]
             for p in range(len(u)):
-                one = _windowed(cs, u0, None if noise is None else noise[p:p + 1],
-                                h[p:p + 1] if control == "per_path" else h,
-                                run if isinstance(run, SchemeConfig) else run[p])[1]
-                assert one[0].tobytes() == u[p].tobytes()
+                one = solver.march_distances(
+                    cs, u0, None if noise is None else noise[p:p + 1],
+                    h[p:p + 1] if control == "per_path" else h,
+                    run if isinstance(run, SchemeConfig) else run[p], ref)
+                assert one.tolist()[0].hex() == expected[p].hex()
 
-    def test_default_window_is_one_block(self):
+    @pytest.mark.parametrize("block_rows", [1, 2, 7])
+    def test_row_blocks_inside_a_window(self, monkeypatch, block_rows):
+        # the row pass takes a window of every row in blocks of whole time
+        # rows; blocks that split a window keep every distance's bits
+        cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
+        ref = _reference(cfg)
+        u = solve_batch(cs, u0, dw, None, cfg, store_dk=False)[0]
+        expected = [path_distance(row, ref, cfg.grid, cfg.mesh).squared.hex() for row in u]
+        monkeypatch.setattr(core, "DISTANCE_BLOCK", block_rows * len(u) * (cfg.grid.m + 2))
+        got = solver.march_distances(cs, u0, dw, None, cfg, ref)
+        assert [d.hex() for d in got.tolist()] == expected
+
+    def test_default_window_is_one_block(self, monkeypatch):
         block = solver.CHECK_EVERY
         cs, u0, cfg, dw = _batch_case("central", "constant", 1, "penalized", n_paths=3,
                                       steps=block * 2 + 30)
-        firsts, u = _windowed(cs, u0, dw, None, cfg)
-        assert firsts == [0, block, 2 * block]
-        assert u.tobytes() == solve_batch(cs, u0, dw, None, cfg)[0].tobytes()
+        marched = []
+        real = solver._Stepper.march
+
+        def recorded(stepper, u, dk):
+            marched.append(u.shape[1] - 1)
+            return real(stepper, u, dk)
+
+        monkeypatch.setattr(solver._Stepper, "march", recorded)
+        ref = _reference(cfg)
+        got = solver.march_distances(cs, u0, dw, None, cfg, ref)
+        assert marched == [block, block, 30]
+        u = solve_batch(cs, u0, dw, None, cfg)[0]
+        assert got.tolist() == [path_distance(row, ref, cfg.grid, cfg.mesh).squared
+                                for row in u]
 
     def test_constant_callbacks_are_called_once_per_march(self, monkeypatch):
         monkeypatch.setattr(solver, "CHECK_EVERY", 10)
         cs, u0, cfg, dw = _batch_case("upwind", "constant", 2, "penalized", n_paths=3)
         calls = _count_calls(cs)
-        firsts, _ = _windowed(cs, u0, dw, None, cfg)
-        assert len(firsts) == 3 and calls == {"f": 1, "sigma": 1}
+        kernel = _count_kernel_calls(monkeypatch)
+        solver.march_distances(cs, u0, dw, None, cfg, _reference(cfg))
+        assert len(kernel) == cfg.mesh.steps  # three windows of 10 steps
+        assert calls == {"f": 1, "sigma": 1}
 
-    def test_inputs_checked_at_the_call(self):
+    def test_inputs_checked_at_the_call(self, monkeypatch):
+        # every input, the reference too, is checked before any step
         cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
+        ref = _reference(cfg)
+        kernel = _count_kernel_calls(monkeypatch)
         with pytest.raises(ValueError, match="nonnegative"):
-            solver.march_windows(cs, -u0 - 1.0, dw, None, cfg)
+            solver.march_distances(cs, -u0 - 1.0, dw, None, cfg, ref)
         with pytest.raises(ValueError, match="increments shape"):
-            solver.march_windows(cs, u0, dw[:, :-1], None, cfg)
+            solver.march_distances(cs, u0, dw[:, :-1], None, cfg, ref)
+        for bad in (ref[:-1], ref[:, :-1], ref[0]):
+            with pytest.raises(ValueError, match="reference shape"):
+                solver.march_distances(cs, u0, dw, None, cfg, bad)
+        assert kernel == []
 
     @pytest.mark.parametrize("case", ["rows_3_and_5", "row_0_late", "row_2_between_checks"])
     def test_blow_up_in_a_later_window(self, monkeypatch, case):
         # windows of 8 steps: the error is solve_batch's, with the global
-        # step, and no window holding a bad state is handed out
+        # step, and no window holding a bad state is measured
         monkeypatch.setattr(solver, "CHECK_EVERY", 8)
         monkeypatch.setattr(solver, "BLOWUP_CEILING", 50.0)
         grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
@@ -944,14 +911,21 @@ class TestMarchWindows:
                 pytest.raises(BlowUpError, solve_batch, ADDITIVE, u0, dw[row:row + 1], None,
                               cfg).value
                 for row in np.flatnonzero(dw.any(axis=(1, 2)))))
-        firsts = []
+        measured = []
+        real = solver._distance_rows
+
+        def checked(p, q, *rest):
+            assert np.max(np.abs(p)) <= 50.0
+            measured.append(p.shape[:2])
+            return real(p, q, *rest)
+
+        monkeypatch.setattr(solver, "_distance_rows", checked)
         with pytest.raises(BlowUpError) as got:
-            for first, states in solver.march_windows(ADDITIVE, u0, dw, None, cfg):
-                assert np.max(np.abs(states)) <= 50.0
-                firsts.append(first)
+            solver.march_distances(ADDITIVE, u0, dw, None, cfg, np.zeros((mesh.steps + 1, grid.m)))
         assert got.value.args == whole.value.args
         assert got.value.step_index >= 8  # not in the first window
-        assert firsts == list(range(0, earliest // 8 * 8, 8))
+        # the windows before the earliest bad state's, every row of each
+        assert measured == [(9, 8)] + [(8, 8)] * (earliest // 8 - 1)
 
 
 class TestPenalized:
