@@ -21,7 +21,8 @@ import numpy as np
 from .core import NoisePath, path_distance, sample_noise
 from .coefficients import CoefficientSet
 from .solver import (BlowUpError, ReflectedPath, SchemeConfig, _paths_per_chunk,
-                     march_distances, solve, solve_batch)
+                     complementarity_residual, march_distances, solve, solve_batch,
+                     total_variation_k)
 
 __all__ = [
     "AveragingRow",
@@ -158,23 +159,29 @@ def penalization_convergence_probe(
     n_list: list[float],
     noise: NoisePath | None,
     cfg: SchemeConfig,
-) -> tuple[ReflectedPath, list[tuple[float, float]]]:
+) -> tuple[tuple[float, float, float], list[tuple[float, float]]]:
     """Squared distance of penalized(n) to the projection solution, common noise.
 
-    Returns the projection path and one (n, squared distance) row per n.
-    Every scheme is checked before any solve.  The projection path is one
-    solve.  The penalized paths march as one batch, one row per n on the
-    same increments, through solver.march_distances against the
-    projection, so no penalized path is ever held whole.  Each distance has
-    the bits of path_distance on that row's own solve.
+    Returns the projection path's diagnostics (min u, complementarity
+    residual, total variation of K), in the columns' order of the
+    reflection experiment's diagnostics table, and one (n, squared
+    distance) row per n.  Every scheme is checked before any solve.  The
+    projection path is one solve; its diagnostics are read, and its dK
+    dropped, before the penalized paths march.  Those march as one batch,
+    one row per n on the same increments, through solver.march_distances
+    against the projection's u, so no penalized path is ever held whole.
+    Each distance has the bits of path_distance on that row's own solve.
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     pen_cfgs = [replace(cfg, reflection="penalized", penalty_n=float(n)) for n in n_list]
     proj = solve(cs, u0, noise, None, replace(cfg, reflection="projection", penalty_n=0.0))
+    diagnostics = (proj.min_u, complementarity_residual(proj), total_variation_k(proj))
+    reference = proj.u
+    del proj  # its dK, as large as u, is read by nothing below
     if not pen_cfgs:
-        return proj, []
+        return diagnostics, []
     dw = None if noise is None or cfg.noise_scale == 0.0 else np.repeat(
         noise.increments[None], len(pen_cfgs), axis=0)
-    d2 = march_distances(cs, u0, dw, None, pen_cfgs, proj.u)
-    return proj, [(c.penalty_n, d) for c, d in zip(pen_cfgs, d2.tolist())]
+    d2 = march_distances(cs, u0, dw, None, pen_cfgs, reference)
+    return diagnostics, [(c.penalty_n, d) for c, d in zip(pen_cfgs, d2.tolist())]

@@ -48,11 +48,9 @@ from .solver import (
     BlowUpError,
     Control,
     SchemeConfig,
-    complementarity_residual,
     path_binary_bytes,
     solve,
     solve_skeleton,
-    total_variation_k,
 )
 from .ratefn import RateOptions, rate_function
 from .ldp import (
@@ -412,11 +410,10 @@ def _drive_reflection(cfg: ExperimentConfig):
     run = replace(cfg.scheme, reflection="projection", penalty_n=0.0,
                   noise_scale=1.0 if sigma_amp > 0 else 0.0)
     noise = sample_noise(cfg.seed, cfg.mesh, cs.d) if sigma_amp > 0 else None
-    proj, pen = penalization_convergence_probe(cs, u0, cfg.params["n_list"], noise, run)
-    diag_rows = [[proj.min_u, complementarity_residual(proj), total_variation_k(proj)]]
+    diagnostics, pen = penalization_convergence_probe(cs, u0, cfg.params["n_list"], noise, run)
     pen_rows = [[n, d2] for n, d2 in pen]
     return {
-        "reflection_diagnostics.csv": (["min_u", "complementarity", "tv_k"], diag_rows),
+        "reflection_diagnostics.csv": (["min_u", "complementarity", "tv_k"], [list(diagnostics)]),
         "penalization.csv": (["penalty_n", "sq_dist_to_projection"], pen_rows),
     }
 
@@ -675,8 +672,15 @@ def main(argv: list[str] | None = None) -> int:
     if not args.out and not _make_out(out_dir, "out_dir"):
         return 2
     print(f"experiment={cfg.experiment} seed={cfg.seed} out={out_dir}")
-    print(f"grid m={cfg.grid.m}, mesh T={cfg.mesh.t_final} steps={cfg.mesh.steps}, "
-          f"coefficients {cfg.coefficients['family']}, u0 {cfg.u0_spec['kind']}")
+    unread = _UNREAD.get(cfg.experiment, ())
+    sections = [text for name, text in (
+        ("grid", f"grid m={cfg.grid.m}"),
+        ("mesh", f"mesh T={cfg.mesh.t_final} steps={cfg.mesh.steps}"),
+        ("coefficients", f"coefficients {cfg.coefficients['family']}"),
+        ("u0", f"u0 {cfg.u0_spec['kind']}"),
+    ) if name not in unread]
+    if sections:
+        print(", ".join(sections))
     if cfg.experiment in _SEEDLESS:
         print(f"note: {cfg.experiment} draws no noise; seed {cfg.seed} changes no artifact",
               file=sys.stderr)

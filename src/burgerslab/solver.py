@@ -8,9 +8,9 @@ One step advances
 with homogeneous Dirichlet boundaries:
 
   * Laplacian implicit: (I - dt L) u~ = rhs, solved by a product with the
-    dense inverse of that tridiagonal matrix, computed once per solve (the
-    matrix is SPD and constant; the grid schema bounds m so the m x m inverse
-    stays cheap).
+    dense inverse of that tridiagonal matrix, built once per grid and mesh
+    and shared, read-only, by every march on them (the matrix is SPD and
+    constant; the grid schema bounds m so the m x m inverse stays cheap).
   * Convection, reaction, control drift and noise explicit, evaluated at
     the left endpoint.  The reaction and noise coefficients see the dilated
     clock t/time_scale; the convection antiderivative g keeps the plain
@@ -24,6 +24,10 @@ with homogeneous Dirichlet boundaries:
 dK is stored per node as a density increment; the measure mass on a cell
 is dx * dK, and the total variation is dx * sum dK since all increments
 are nonnegative.
+
+Step k of a march starts at t_k = k * dt, which has the bits of
+TimeMesh.times[k] (numpy's linspace computes k * (T / steps) + 0.0), so a
+march keeps no list of its times.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -261,12 +265,23 @@ def cho_solve_banded(inv: np.ndarray, b: np.ndarray, out: np.ndarray | None = No
     return np.matmul(b.T[:, None, :], inv, out=out)[:, 0].T
 
 
-def _implicit_inverse(cfg: SchemeConfig) -> np.ndarray:
-    """The inverse of the implicit matrix I - dt L, tridiagonal with r = dt / dx^2."""
-    r = cfg.mesh.dt / cfg.grid.dx**2
-    m = cfg.grid.m
+# How many implicit inverses stay built, one per (m, dt): every run but the
+# heat regression marches on one grid and mesh; that one marches on six, each once.
+INVERSES_KEPT = 4
+
+
+@lru_cache(maxsize=INVERSES_KEPT)
+def _implicit_inverse(m: int, dt: float) -> np.ndarray:
+    """The read-only inverse of I - dt L on m nodes, tridiagonal with r = dt / dx^2.
+
+    Built once per (m, dt) and shared by every march on that grid and mesh.
+    r keeps the grid's dx = 1/(m+1): dt * (m+1)^2 rounds differently.
+    """
+    r = dt / SpatialGrid(m).dx**2
     off = np.full(m - 1, -r)
-    return np.linalg.inv(np.diag(np.full(m, 1.0 + 2.0 * r)) + np.diag(off, 1) + np.diag(off, -1))
+    inv = np.linalg.inv(np.diag(np.full(m, 1.0 + 2.0 * r)) + np.diag(off, 1) + np.diag(off, -1))
+    inv.setflags(write=False)
+    return inv
 
 
 # The largest grid for the implicit solve: past m = 256 its dense m x m inverse
@@ -283,12 +298,15 @@ BLOWUP_CEILING = 1e6
 class _Stepper:
     """One march: its inputs, the implicit inverse and the buffers a step writes in place.
 
-    The march starts from the (P, m) states u0, one step from each of
-    times; dw is (P, steps, d) or None, h is (steps, d) shared or (P,
+    The march takes steps steps from the (P, m) states u0 at time t0, step
+    k from t0 + k * dt, computed only where a callback or a blow-up reads
+    it; dw is (P, steps, d) or None, h is (steps, d) shared or (P,
     steps, d) per row, or None, and penalties holds one penalty n per row,
-    so the weight dt * n is a (P, 1) column.  A term whose callback the set
-    records as constant (CoefficientSet.constant) is evaluated here, once
-    per march, on the start states, and reused by every step, however many
+    so the weight dt * n is a (P, 1) column.  The implicit inverse is the
+    shared one of the grid and mesh (_implicit_inverse).  A term whose
+    callback the set records as constant (CoefficientSet.constant) is
+    evaluated here, once per march, on the start states (which may be a
+    broadcast view of one state), and reused by every step, however many
     calls to march the march takes: with a constant g the convection is
     exactly +0.0 and neither g nor dg_dz is called; with a constant f as
     well, dt * (0 + f) is one array; with a constant sigma the drift dt * h
@@ -305,15 +323,16 @@ class _Stepper:
     """
 
     def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, u0: np.ndarray,
-                 dw: np.ndarray | None, h: np.ndarray | None, times: list[float],
-                 penalties: Sequence[float]):
+                 dw: np.ndarray | None, h: np.ndarray | None, penalties: Sequence[float],
+                 steps: int, t0: float = 0.0):
         rows, m = u0.shape
         x = cfg.grid.nodes
-        self.cs, self.cfg, self.x, self.times, self.h = cs, cfg, x, times, h
+        self.cs, self.cfg, self.x, self.h = cs, cfg, x, h
+        self.steps, self.t0 = steps, t0
         self.dx = cfg.grid.dx
         self.dt = cfg.mesh.dt
         self.penalty = self.dt * np.array(penalties, dtype=float)[:, None]
-        self._inv = _implicit_inverse(cfg)
+        self._inv = _implicit_inverse(m, self.dt)
         self._padded = None if "g" in cs.constant else np.zeros((rows, m + 2))
         self._rhs = np.empty((rows, m))
         self._free = np.empty((rows, 1, m))
@@ -326,13 +345,13 @@ class _Stepper:
         forced = self.dw is not None or h is not None
         self._block_forcing = forced and "sigma" in cs.constant
         self._forced_per_step = forced and not self._block_forcing
-        width = min(CHECK_EVERY, len(times)) if self._block_forcing else 1
+        width = min(CHECK_EVERY, steps) if self._block_forcing else 1
         # a shared control under a constant sigma drives every row alike: one drift row
         drift_rows = 1 if self._block_forcing and h is not None and h.ndim == 2 else rows
         self._drift = None if h is None else np.empty((drift_rows, width, 1, m))
         self._kick = None if self.dw is None else np.empty((rows, width, 1, m))
 
-        t_fast = times[0] / cfg.time_scale
+        t_fast = t0 / cfg.time_scale
         self._f = cs.f(t_fast, x, u0) if "f" in cs.constant else None
         self._base = None
         if self._f is not None and "g" in cs.constant:
@@ -341,6 +360,12 @@ class _Stepper:
             self._base *= self.dt
         if self._block_forcing:
             np.copyto(self._sigma, cs.sigma(t_fast, x, u0))
+        # a step reads its time only for a callback it calls
+        self._clocked = self._base is None or self._forced_per_step
+
+    def _time(self, k: int) -> float:
+        """The march's time after k steps, t0 + k * dt."""
+        return self.t0 + k * self.dt
 
     def _convection(self, t: float, u: np.ndarray, out: np.ndarray) -> None:
         """d/dx g(t, u) into out, from g on the ghost-padded state (+0.0 for a constant g)."""
@@ -395,7 +420,7 @@ class _Stepper:
         with its own first bad step, is raised once row 0 has blown up or
         the march has reached its last step.
         """
-        cs, cfg, x, rhs, times = self.cs, self.cfg, self.x, self._rhs, self.times
+        cs, cfg, x, rhs = self.cs, self.cfg, self.x, self._rhs
         first, steps = self.done, u.shape[1] - 1
         f, base, drift, kick = self._f, self._base, self._drift, self._kick
         with np.errstate(over="ignore", invalid="ignore"):
@@ -404,8 +429,10 @@ class _Stepper:
                 if self._block_forcing:
                     self._forcing(first + start, first + stop)
                 for k in range(start, stop):
-                    t, uk, j = times[first + k], u[:, k], k - start
-                    t_fast = t / cfg.time_scale
+                    uk, j = u[:, k], k - start
+                    if self._clocked:
+                        t = self._time(first + k)
+                        t_fast = t / cfg.time_scale
                     # rhs = u + dt * (convection + f), each product and sum as the formula rounds it
                     if base is not None:
                         np.add(base, uk, out=rhs)
@@ -442,7 +469,7 @@ class _Stepper:
                 if 0 in self.first_bad:
                     break
         self.done += steps
-        if self.first_bad and (0 in self.first_bad or self.done == len(times)):
+        if self.first_bad and (0 in self.first_bad or self.done == self.steps):
             row = min(self.first_bad)
             raise BlowUpError(*self.first_bad[row], path_index=row,
                               noise_scale=cfg.noise_scale, time_scale=cfg.time_scale)
@@ -456,7 +483,7 @@ class _Stepper:
         for row in np.flatnonzero(bad.any(axis=1)).tolist():
             j = int(np.argmax(bad[row]))
             self.first_bad.setdefault(
-                row, (start + j, self.times[start + j] + self.dt, float(peak[row, j])))
+                row, (start + j, self._time(start + j) + self.dt, float(peak[row, j])))
 
 
 def step(
@@ -481,7 +508,7 @@ def step(
     dk = np.empty((1, 1, cfg.grid.m))
     dw = None if dw is None else np.asarray(dw, float)[None, None]
     h = None if h is None else np.asarray(h, float)[None]
-    _Stepper(cs, cfg, path[:, 0], dw, h, [t], [cfg.penalty_n]).march(path, dk)
+    _Stepper(cs, cfg, path[:, 0], dw, h, [cfg.penalty_n], 1, t).march(path, dk)
     return path[0, 1], dk[0, 0]
 
 
@@ -563,11 +590,13 @@ def solve_batch(
     that row.
     """
     cfg, u0, dw, h, penalties = _batch_inputs(cs, u0, dw, h, cfg)
-    steps, m = cfg.mesh.steps, cfg.grid.m
-    u = np.empty((len(penalties), steps + 1, m))
-    dk = np.empty((len(penalties), steps, m)) if store_dk else None
+    steps, m, paths = cfg.mesh.steps, cfg.grid.m, len(penalties)
+    # built first, so the inverse's and the constant terms' scratch is freed below the path
+    stepper = _Stepper(cs, cfg, np.broadcast_to(u0, (paths, m)), dw, h, penalties, steps)
+    u = np.empty((paths, steps + 1, m))
+    dk = np.empty((paths, steps, m)) if store_dk else None
     u[:, 0] = u0
-    _Stepper(cs, cfg, u[:, 0], dw, h, cfg.mesh.times[:-1].tolist(), penalties).march(u, dk)
+    stepper.march(u, dk)
     return u, dk
 
 
@@ -598,11 +627,12 @@ def march_distances(
     if reference.shape != (steps + 1, cfg.grid.m):
         raise ValueError(f"reference shape {reference.shape} does not match (steps+1, m) = "
                          f"({steps + 1}, {cfg.grid.m})")
-    hsq = np.empty((len(penalties), steps + 1))
+    paths, m = len(penalties), cfg.grid.m
+    stepper = _Stepper(cs, cfg, np.broadcast_to(u0, (paths, m)), dw, h, penalties, steps)
+    hsq = np.empty((paths, steps + 1))
     vsq = np.empty_like(hsq)
-    buf = np.empty((min(window, steps) + 1, len(penalties), cfg.grid.m))
+    buf = np.empty((min(window, steps) + 1, paths, m))
     buf[0] = u0
-    stepper = _Stepper(cs, cfg, buf[0], dw, h, cfg.mesh.times[:-1].tolist(), penalties)
     for first in range(0, steps, window):
         n = min(window, steps - first)
         if first:

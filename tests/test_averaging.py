@@ -20,7 +20,8 @@ from burgerslab.averaging import (
     penalization_convergence_probe,
     run_averaging_experiment,
 )
-from burgerslab.solver import BlowUpError, SchemeConfig, solve
+from burgerslab.solver import (BlowUpError, SchemeConfig, complementarity_residual, solve,
+                               total_variation_k)
 
 GRID = SpatialGrid(16)
 MESH = TimeMesh(1.0, 200)
@@ -234,6 +235,11 @@ class TestKhasminskiiBlocks:
             khasminskii_block_error(ms, avg, p, 2.0, 0.1)
 
 
+def _diagnostics_hex(p):
+    """The projection diagnostics of path p, as the probe returns them, in hex."""
+    return [v.hex() for v in (p.min_u, complementarity_residual(p), total_variation_k(p))]
+
+
 class TestPenalizationProbe:
     def test_inactive_obstacle_gives_zero(self):
         # strong upward forcing keeps the state positive: schemes coincide
@@ -259,7 +265,7 @@ class TestPenalizationProbe:
         cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=noise_scale)
         nz = sample_noise(11, MESH, 1)
         n_list = [5.0, 20.0, 80.0, 200.0]
-        proj, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), n_list, nz, cfg)
+        diagnostics, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), n_list, nz, cfg)
         # the per-n loop the batch replaces
         ref = solve(cs, np.zeros(GRID.m), nz, None, cfg)
         expected = [
@@ -269,8 +275,8 @@ class TestPenalizationProbe:
                 ref.u, GRID, MESH).squared)
             for n in n_list
         ]
-        assert rows == expected
-        assert (proj.u.tobytes(), proj.dk.tobytes()) == (ref.u.tobytes(), ref.dk.tobytes())
+        assert [(n, d2.hex()) for n, d2 in rows] == [(n, d2.hex()) for n, d2 in expected]
+        assert [v.hex() for v in diagnostics] == _diagnostics_hex(ref)
 
     def test_schemes_checked_before_any_solve(self, monkeypatch):
         calls = []
@@ -288,9 +294,10 @@ class TestPenalizationProbe:
         with pytest.raises(ValueError, match="unstable"):
             penalization_convergence_probe(cs, np.zeros(GRID.m), [10, 100, 1000], None, cfg)
         assert calls == []
-        proj, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), [], None, cfg)
+        diagnostics, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), [], None, cfg)
         assert rows == [] and calls == ["solve"]
-        assert proj.u.tobytes() == solve(cs, np.zeros(GRID.m), None, None, cfg).u.tobytes()
+        ref = solve(cs, np.zeros(GRID.m), None, None, cfg)
+        assert [v.hex() for v in diagnostics] == _diagnostics_hex(ref)
         calls.clear()
         penalization_convergence_probe(cs, np.zeros(GRID.m), [10, 100], None, cfg)
         assert calls == ["solve", "march_distances"]  # the penalized rows march as one batch
@@ -305,22 +312,26 @@ class TestPenalizationProbe:
         cfg = SchemeConfig(grid=GRID, mesh=mesh, noise_scale=1.0)
         nz = sample_noise(12, mesh, 1)
         n_list = [5.0, 50.0, 500.0]
-        proj, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), n_list, nz, cfg)
+        diagnostics, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), n_list, nz, cfg)
+        ref = solve(cs, np.zeros(GRID.m), nz, None, cfg)
         pen_cfgs = [replace(cfg, reflection="penalized", penalty_n=n) for n in n_list]
         whole = solver.solve_batch(cs, np.zeros(GRID.m), np.repeat(nz.increments[None], 3, axis=0),
                                    None, pen_cfgs)[0]
-        expected = [(n, path_distance(u, proj.u, GRID, mesh).squared)
+        expected = [(n, path_distance(u, ref.u, GRID, mesh).squared)
                     for n, u in zip(n_list, whole)]
         assert [(n, d2.hex()) for n, d2 in rows] == [(n, d2.hex()) for n, d2 in expected]
         assert all(d2 > 0.0 for _, d2 in rows)
+        assert [v.hex() for v in diagnostics] == _diagnostics_hex(ref)
 
-    def test_penalized_rows_never_held_whole(self):
-        # tracemalloc peak of the probe: the projection path (u and dK) and
-        # window-sized buffers, below the n penalized rows' full paths alone
+    @pytest.mark.parametrize("m, steps", [(32, 4000), (64, 2000)])
+    def test_penalized_rows_never_held_whole(self, m, steps):
+        # tracemalloc peak of the probe: the projection solve's u and dK and
+        # a quarter path of scratch; its dK is dropped before the penalized
+        # rows march in window-sized buffers
         import tracemalloc
 
         cs = make_burgers_set(0.0, noise_profile="additive", c2=-1.0, sigma_amp=0.25)
-        grid, mesh = SpatialGrid(32), TimeMesh(0.5, 4000)
+        grid, mesh = SpatialGrid(m), TimeMesh(0.5, steps)
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
         nz = sample_noise(7, mesh, 1)
         n_list = [10.0, 100.0, 1000.0, 2000.0]
@@ -329,12 +340,12 @@ class TestPenalizationProbe:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            proj, rows = penalization_convergence_probe(cs, np.zeros(grid.m), n_list, nz, cfg)
+            _, rows = penalization_convergence_probe(cs, np.zeros(grid.m), n_list, nz, cfg)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert len(rows) == 4
-        assert peak < len(n_list) * path_bytes
+        assert peak < 2.25 * path_bytes
 
     def test_repeat_identical(self):
         cs = make_burgers_set(0.0, noise_profile="additive", c2=-1.0, sigma_amp=0.5)

@@ -247,6 +247,24 @@ class TestMain:
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("payload, sections", [
+        # the heat regression builds its own grids, meshes, set and start
+        pytest.param(HEAT_CFG, [], id="heat-regression"),
+        # the reflection probe marches its own set from a zero start
+        pytest.param({"experiment": "reflection", "grid": {"m": 8},
+                      "mesh": {"t_final": 0.2, "dt": 0.01}, "params": {"n_list": [10, 50]}},
+                     ["grid m=8, mesh T=0.2 steps=20"], id="reflection"),
+    ])
+    def test_banner_names_only_the_sections_the_run_reads(self, tmp_path, capsys, payload,
+                                                          sections):
+        path = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"experiment={payload['experiment']} seed={payload.get('seed', 0)} " \
+                           f"out={out_dir}"
+        assert [line for line in lines[1:] if not line.startswith("wrote ")] == sections
+
     def test_cli_bad_config_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # without --out the failure record lands in '.'
         path = write_config(tmp_path, {"experiment": "unknown-thing"})

@@ -201,7 +201,7 @@ class TestImplicitSolve:
     def test_solves_the_tridiagonal_system(self, m, r):
         grid = SpatialGrid(m)
         cfg = SchemeConfig(grid=grid, mesh=TimeMesh(r * grid.dx**2, 1), noise_scale=0.0)
-        inv = solver._implicit_inverse(cfg)
+        inv = solver._implicit_inverse(m, cfg.mesh.dt)
         matrix = ((1.0 + 2.0 * r) * np.eye(m) - r * np.eye(m, k=1) - r * np.eye(m, k=-1))
         b = np.random.default_rng(m).normal(size=(m, 5))
         x = solver.cho_solve_banded(inv, b)
@@ -216,11 +216,40 @@ class TestImplicitSolve:
         # a single (P, m) x (m, m) gemm changes the bits of a row at P >= 3
         grid = SpatialGrid(m)
         cfg = SchemeConfig(grid=grid, mesh=TimeMesh(21.78 * grid.dx**2, 1), noise_scale=0.0)
-        inv = solver._implicit_inverse(cfg)
+        inv = solver._implicit_inverse(m, cfg.mesh.dt)
         b = np.random.default_rng(n_rhs).normal(size=(m, n_rhs))
         x = solver.cho_solve_banded(inv, b)
         for p in range(n_rhs):
             assert x[:, p].tobytes() == solver.cho_solve_banded(inv, b[:, p:p + 1])[:, 0].tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 7, 40, 2000, 5000])
+    @pytest.mark.parametrize("m", [2, 3, 16, 32, 128, 256])
+    def test_inverse_has_the_bits_of_the_direct_build(self, m, steps):
+        # r is dt / dx^2 with the grid's dx, as the inverse was built per
+        # solve; dt * (m + 1)^2 rounds differently
+        grid = SpatialGrid(m)
+        cfg = SchemeConfig(grid=grid, mesh=TimeMesh(0.7, steps), noise_scale=0.0)
+        r = cfg.mesh.dt / grid.dx**2
+        off = np.full(m - 1, -r)
+        direct = np.linalg.inv(np.diag(np.full(m, 1.0 + 2.0 * r)) + np.diag(off, 1)
+                               + np.diag(off, -1))
+        assert solver._implicit_inverse(m, cfg.mesh.dt).tobytes() == direct.tobytes()
+
+    def test_one_read_only_inverse_per_grid_and_mesh(self):
+        grid, mesh = SpatialGrid(24), TimeMesh(0.3, 90)
+        u0 = np.zeros((2, grid.m))
+
+        def inverse(cfg):
+            return solver._Stepper(FORCED_DOWN, cfg, u0, None, None, [cfg.penalty_n] * 2,
+                                   mesh.steps)._inv
+
+        a = inverse(SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0))
+        b = inverse(SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0, reflection="penalized",
+                                 penalty_n=10.0, convection="upwind", time_scale=0.5))
+        assert a is b
+        assert not a.flags.writeable
+        other = inverse(SchemeConfig(grid=grid, mesh=TimeMesh(0.3, 91), noise_scale=0.0))
+        assert other is not a
 
     def test_runs_without_scipy(self):
         script = (
@@ -669,6 +698,53 @@ class TestReferenceStep:
         with pytest.raises(BlowUpError) as got:
             solve_batch(ADDITIVE, np.zeros(grid.m), dw, None, cfg)
         assert got.value.args == ref.value.args
+
+
+class TestClock:
+    """Step k of a march starts at k * dt, with the bits of mesh.times[k]."""
+
+    @pytest.mark.parametrize("t_final", [0.1, 0.3, 0.5, 0.7, 1.0, 1.0 / 3.0, 2.9])
+    def test_k_dt_is_the_mesh_time(self, t_final):
+        # every step count up to 599, and longer marches up to 20,000 steps
+        for steps in [*range(1, 600), 1000, 2000, 4999, 5000, 12345, 20000]:
+            mesh = TimeMesh(t_final, steps)
+            clock = np.array([k * mesh.dt for k in range(steps)])
+            assert clock.tobytes() == mesh.times[:-1].tobytes(), steps
+
+    @pytest.mark.parametrize("window", [7, 64])
+    def test_callbacks_see_the_mesh_times(self, monkeypatch, window):
+        monkeypatch.setattr(solver, "CHECK_EVERY", window)
+        seen = []
+
+        def f(t, x, z):
+            seen.append(t)
+            return FORCED_DOWN.f(t, x, z)
+
+        cs = replace(FORCED_DOWN, f=f)
+        grid, mesh = SpatialGrid(8), TimeMesh(0.7, 150)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0, time_scale=0.3)
+        expected = (mesh.times[:-1] / 0.3).tobytes()
+        solve_batch(cs, np.zeros(grid.m), None, None, cfg)
+        assert np.array(seen).tobytes() == expected
+        seen.clear()
+        solver.march_distances(cs, np.zeros(grid.m), None, None, cfg, _reference(cfg))
+        assert np.array(seen).tobytes() == expected
+
+    @pytest.mark.parametrize("t_final, steps, bad", [
+        (0.3, 70, 41), (0.7, 30, 29), (1.0 / 3.0, 90, 17), (2.9, 1000, 777), (0.1, 5000, 4097),
+    ])
+    def test_blow_up_time_is_the_mesh_time(self, monkeypatch, t_final, steps, bad):
+        # BlowUpError.t is mesh.times[step] + dt, as it was read from the mesh's times
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 50.0)
+        grid, mesh = SpatialGrid(8), TimeMesh(t_final, steps)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
+        dw = np.zeros((1, steps, 1))
+        dw[0, bad:] = 1e4
+        for march in (solve_batch, lambda *a: solver.march_distances(*a, _reference(cfg))):
+            with pytest.raises(BlowUpError) as err:
+                march(ADDITIVE, np.zeros(grid.m), dw, None, cfg)
+            assert err.value.step_index == bad
+            assert err.value.t.hex() == (mesh.times[bad] + mesh.dt).hex()
 
 
 def _per_step(cs):
