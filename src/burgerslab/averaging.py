@@ -51,9 +51,12 @@ class AveragingReport:
     delta: float
 
     def __post_init__(self) -> None:
-        eps = [r.epsilon for r in self.rows]
-        if len(set(eps)) != len(eps):
-            raise ValueError("rows must be keyed by distinct epsilon values")
+        _check_distinct([r.epsilon for r in self.rows])
+
+
+def _check_distinct(eps: list[float]) -> None:
+    if len(set(eps)) != len(eps):
+        raise ValueError("rows must be keyed by distinct epsilon values")
 
 
 def run_averaging_experiment(
@@ -75,10 +78,12 @@ def run_averaging_experiment(
     fast paths of each eps, each fast chunk dropped before the next, so no
     path outlives its chunk; a blow-up's path_index counts from path 0.
     Reported per eps: mean of the squared distances, its standard error,
-    and the fraction exceeding delta (the in-probability view).
+    and the fraction exceeding delta (the in-probability view).  The eps
+    values must be distinct, which is checked before any march.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    _check_distinct(eps_list)
     if not delta > 0.0:  # NaN fails too
         raise ValueError(f"exceedance threshold must be positive, got {delta}")
     if avg.d != ms.d:
@@ -168,8 +173,9 @@ def penalization_convergence_probe(
     distance) row per n.  Every scheme is checked before any solve.  The
     projection path is one solve; its diagnostics are read, and its dK
     dropped, before the penalized paths march.  Those march as one batch,
-    one row per n on the same increments, through solver.march_distances
-    against the projection's u, so no penalized path is ever held whole.
+    one row per n on one broadcast view of the increments, through
+    solver.march_distances against the projection's u, so no penalized
+    path is ever held whole.
     Each distance has the bits of path_distance on that row's own solve.
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -181,7 +187,7 @@ def penalization_convergence_probe(
     del proj  # its dK, as large as u, is read by nothing below
     if not pen_cfgs:
         return diagnostics, []
-    dw = None if noise is None or cfg.noise_scale == 0.0 else np.repeat(
-        noise.increments[None], len(pen_cfgs), axis=0)
+    dw = None if noise is None or cfg.noise_scale == 0.0 else np.broadcast_to(
+        noise.increments, (len(pen_cfgs), *noise.increments.shape))
     d2 = march_distances(cs, u0, dw, None, pen_cfgs, reference)
     return diagnostics, [(c.penalty_n, d) for c, d in zip(pen_cfgs, d2.tolist())]

@@ -51,6 +51,7 @@ from .solver import (
     path_binary_bytes,
     solve,
     solve_skeleton,
+    stable_penalty,
 )
 from .ratefn import RateOptions, rate_function
 from .ldp import (
@@ -96,10 +97,6 @@ def _increasing(v: list) -> bool:
     return all(b > a for a, b in zip(v, v[1:]))
 
 
-def _stable_penalty(n: float, c: dict) -> bool:
-    return 0 < n and n * c["mesh.dt"] <= 1.0 + 1e-12
-
-
 def _constant_control(t_final: float, amp: float, d: int) -> Control:
     return Control.constant(t_final, [amp] * d, d=d)
 
@@ -115,7 +112,10 @@ _MESH = (
      "must be > 0 and divide mesh.t_final into whole steps"),
 )
 
-_BURGERS = {k: p.default for k, p in inspect.signature(make_burgers_set).parameters.items()}
+# the library defaults that schema defaults stand for, read from the signatures
+_BURGERS, _SCHEME_CFG, _RATE_OPTIONS, _AVERAGING = (
+    {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+    for fn in (make_burgers_set, SchemeConfig, RateOptions, run_averaging_experiment))
 
 _COEFFICIENTS = (
     ("family", ("burgers", "multiscale"), "burgers",
@@ -134,11 +134,11 @@ _COEFFICIENTS = (
 )
 
 _SCHEME = (
-    ("reflection", REFLECTIONS, "projection", *_ANY),
-    ("penalty_n", float, 0.0,
-     lambda v, c: c["scheme.reflection"] != "penalized" or _stable_penalty(v, c),
+    ("reflection", REFLECTIONS, _SCHEME_CFG["reflection"], *_ANY),
+    ("penalty_n", float, _SCHEME_CFG["penalty_n"],
+     lambda v, c: c["scheme.reflection"] != "penalized" or stable_penalty(v, c["mesh.dt"]),
      "penalized reflection needs n > 0 and n*dt <= 1 (explicit penalty stability)"),
-    ("convection", CONVECTIONS, "central", *_ANY),
+    ("convection", CONVECTIONS, _SCHEME_CFG["convection"], *_ANY),
 )
 
 _U0 = (
@@ -161,15 +161,15 @@ _PARAMS = {
     ),
     "reflection": (
         ("n_list", list[float], [10.0, 100.0, 1000.0],
-         lambda v, c: v and _increasing(v) and all(_stable_penalty(n, c) for n in v),
+         lambda v, c: v and _increasing(v) and all(stable_penalty(n, c["mesh.dt"]) for n in v),
          "must be a nonempty, strictly increasing list of n > 0 with n*dt <= 1"),
         ("sigma_amp", float, 0.0, *_NONNEGATIVE),
     ),
     "rate-function": (
         ("h_star", float, 1.0, *_ANY),
-        ("blocks", int, 8, *_AT_LEAST_1),
-        ("tol", float, 1e-3, *_POSITIVE),
-        ("max_iters", int, 40, *_AT_LEAST_1),
+        ("blocks", int, _RATE_OPTIONS["blocks"], *_AT_LEAST_1),
+        ("tol", float, _RATE_OPTIONS["tol"], *_POSITIVE),
+        ("max_iters", int, _RATE_OPTIONS["max_iters"], *_AT_LEAST_1),
     ),
     "rare-event": (
         ("eps", float, 0.1, *_POSITIVE),
@@ -199,7 +199,7 @@ _PARAMS = {
          lambda v, c: v and min(v) > 0 and len(set(v)) == len(v),
          "must be a nonempty list of distinct numbers > 0"),
         ("n_paths", int, 100, *_AT_LEAST_1),
-        ("delta", float, 0.25, *_POSITIVE),
+        ("delta", float, _AVERAGING["delta"], *_POSITIVE),
         ("kappa_t_hats", list[float], [1e2, 1e3, 1e4],
          lambda v, c: v and min(v) > 0 and _increasing(v),
          "must be a nonempty, strictly increasing list of numbers > 0"),

@@ -141,11 +141,12 @@ def v_norm(u: np.ndarray, grid: SpatialGrid) -> float:
     return math.sqrt(float(np.dot(jumps, jumps)) / grid.dx)
 
 
-def _check_path(p: np.ndarray, grid: SpatialGrid, mesh: TimeMesh) -> np.ndarray:
+def _check_path(p: np.ndarray, grid: SpatialGrid, mesh: TimeMesh,
+                name: str = "path") -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (mesh.steps + 1, grid.m):
         raise ValueError(
-            f"path shape {p.shape} does not match (steps+1, m) = "
+            f"{name} shape {p.shape} does not match (steps+1, m) = "
             f"({mesh.steps + 1}, {grid.m})"
         )
     return p

@@ -20,13 +20,12 @@ the reflected dynamics is not differentiable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
-from .core import SpatialGrid, TimeMesh, path_distance
+from .core import _check_path, path_distance
 from .coefficients import CoefficientSet
-from .solver import Control, SchemeConfig, solve_batch, solve_skeleton
+from .solver import Control, SchemeConfig, march_distances, solve_skeleton
 
 __all__ = ["RateOptions", "RateFunctionResult", "rate_function"]
 
@@ -76,16 +75,6 @@ class RateFunctionResult:
     history: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def _check_target(target: np.ndarray, grid: SpatialGrid, mesh: TimeMesh) -> np.ndarray:
-    target = np.asarray(target, dtype=float)
-    if target.shape != (mesh.steps + 1, grid.m):
-        raise ValueError(
-            f"target shape {target.shape} does not match (steps+1, m) = "
-            f"({mesh.steps + 1}, {grid.m})"
-        )
-    return target
-
-
 def rate_function(
     cs: CoefficientSet,
     u0: np.ndarray,
@@ -95,18 +84,19 @@ def rate_function(
 ) -> RateFunctionResult:
     """Least control energy steering the skeleton to a target path.
 
-    Each backtracking line search tries the step sizes alpha0, alpha0/2, ...
-    LADDER at a time as one batch of skeleton solves and accepts the first
-    one, in ladder order, that meets the Armijo test; the next batch is
-    solved only if none does.  Rows equal single solves bit for bit, so the
-    iterates are those of trying one step size at a time.  A batch's rows
-    are measured against the target lazily, so no row past the accepted one
-    is.  The skeleton does not depend on mu: the accepted residual is kept,
-    and each continuation stage and the final result start from it without
+    Beyond the h = 0 start, every skeleton is a row of one
+    solver.march_distances batch, which returns each row's squared residual
+    against the target: one batch per gradient, and one per LADDER step
+    sizes alpha0, alpha0/2, ... of a backtracking line search, which
+    accepts the first one, in ladder order, that meets the Armijo test and
+    marches the next batch only if none does.  Rows equal single solves
+    bit for bit, so the iterates are those of trying one step size at a
+    time.  The skeleton does not depend on mu: the accepted residual is
+    kept, and each stage and the final result start from it without
     measuring the path again.  A blow-up in any row of a ladder batch
-    raises, also in a row past the accepted one.
+    raises, also past the accepted one.
     """
-    target = _check_target(target, cfg.grid, cfg.mesh)
+    target = _check_path(target, cfg.grid, cfg.mesh, "target")
     t_final = cfg.mesh.t_final
     d = cs.d
     block_dt = t_final / opt.blocks
@@ -115,13 +105,10 @@ def rate_function(
     def control(h_flat: np.ndarray) -> Control:
         return Control(t_final, h_flat.reshape(opt.blocks, d))
 
-    def residual(u: np.ndarray) -> float:
-        return path_distance(u, target, cfg.grid, cfg.mesh).squared
-
-    def residuals(h_rows: list[np.ndarray]) -> Iterator[float]:
-        # one batch of skeleton solves, each row measured only when drawn
+    def residuals(h_rows: list[np.ndarray]) -> list[float]:
+        # one march of the skeletons of every row, each measured against the target
         h_mesh = np.stack([control(hf).on_mesh(cfg.mesh) for hf in h_rows])
-        return map(residual, solve_batch(cs, u0, None, h_mesh, skeleton_cfg, store_dk=False)[0])
+        return march_distances(cs, u0, None, h_mesh, skeleton_cfg, target).tolist()
 
     def objective_on(h_flat: np.ndarray, res: float, mu: float) -> float:
         return 0.5 * float(np.dot(h_flat, h_flat)) * block_dt + mu * res
@@ -156,7 +143,8 @@ def rate_function(
         return None
 
     h = np.zeros(opt.blocks * d)
-    res_cur = residual(solve_skeleton(cs, u0, control(h), cfg).u)
+    res_cur = path_distance(solve_skeleton(cs, u0, control(h), cfg).u, target, cfg.grid,
+                            cfg.mesh).squared
     history: list[tuple[float, float, float]] = []
     iterations = 0
 

@@ -44,6 +44,7 @@ from .core import (
     NoisePath,
     SpatialGrid,
     TimeMesh,
+    _check_path,
     _distance_of_rows,
     _distance_rows,
 )
@@ -95,6 +96,11 @@ class BlowUpError(RuntimeError):
                 f"(t={self.t:.6g}), max |u| = {self.peak:.3g}")
 
 
+def stable_penalty(n: float, dt: float) -> bool:
+    """Whether n > 0 and n * dt <= 1 (up to rounding): the explicit penalty cannot overshoot."""
+    return 0.0 < n and n * dt <= 1.0 + 1e-12
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Grid, mesh and scheme options for one solve."""
@@ -115,7 +121,7 @@ class SchemeConfig:
         if self.reflection == "penalized":
             if not self.penalty_n > 0.0:  # NaN fails too, here and below
                 raise ValueError("penalized reflection needs penalty_n > 0")
-            if self.penalty_n * self.mesh.dt > 1.0 + 1e-12:
+            if not stable_penalty(self.penalty_n, self.mesh.dt):
                 raise ValueError(
                     f"explicit penalty unstable: n*dt = {self.penalty_n * self.mesh.dt:.3g} > 1"
                 )
@@ -569,10 +575,10 @@ def solve_batch(
     """March P paths from one start at once; returns u (P, steps+1, m) and dK.
 
     dK is (P, steps, m), or None with store_dk False: the march then stores
-    no reflection increments, and u keeps its bits.  Callers that never
-    read dK pass False (the averaging loop and the rate function's
-    skeletons); solve and step keep it.  march_distances runs the same
-    march without holding the whole path.
+    no reflection increments, and u keeps its bits.  The averaging loop,
+    which never reads dK, passes False; solve keeps it.  A caller that
+    only measures rows against one reference calls march_distances, the
+    same march without holding the whole path.
 
     dw holds each path's increments (P, steps, d); it may be None only
     when the noise scale is zero, and is not used then.  h holds control
@@ -622,12 +628,8 @@ def march_distances(
     no window holding a bad state is measured.
     """
     cfg, u0, dw, h, penalties = _batch_inputs(cs, u0, dw, h, cfg)
-    steps, window = cfg.mesh.steps, CHECK_EVERY
-    reference = np.asarray(reference, dtype=float)
-    if reference.shape != (steps + 1, cfg.grid.m):
-        raise ValueError(f"reference shape {reference.shape} does not match (steps+1, m) = "
-                         f"({steps + 1}, {cfg.grid.m})")
-    paths, m = len(penalties), cfg.grid.m
+    reference = _check_path(reference, cfg.grid, cfg.mesh, "reference")
+    steps, window, paths, m = cfg.mesh.steps, CHECK_EVERY, len(penalties), cfg.grid.m
     stepper = _Stepper(cs, cfg, np.broadcast_to(u0, (paths, m)), dw, h, penalties, steps)
     hsq = np.empty((paths, steps + 1))
     vsq = np.empty_like(hsq)

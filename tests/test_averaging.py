@@ -171,10 +171,22 @@ class TestAveragingExperiment:
         with pytest.raises(ValueError, match="channel mismatch"):
             run_averaging_experiment(ms, avg, U0, [0.1], 1, seed=4, cfg=CFG)
 
-    def test_distinct_eps_required(self):
+    def test_distinct_eps_required(self, monkeypatch):
+        # a repeated eps is rejected before any march, not after the experiment
+        calls, kernel = [], solver.cho_solve_banded
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "cho_solve_banded", counted)
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
-        with pytest.raises(ValueError):
-            run_averaging_experiment(ms, avg, U0, [0.1, 0.1], 1, seed=4, cfg=CFG)
+        cfg = replace(CFG, mesh=TimeMesh(1.0, 50))
+        with pytest.raises(ValueError, match="distinct epsilon"):
+            run_averaging_experiment(ms, avg, U0, [0.1, 0.1], 4, seed=4, cfg=cfg)
+        assert calls == []
+        run_averaging_experiment(ms, avg, U0, [0.1, 0.2], 4, seed=4, cfg=cfg)
+        assert len(calls) == 150  # the averaged march and one per eps, 50 steps each
 
     def test_fourth_moment_no_superquartic_growth(self):
         cs = make_burgers_set(1.0, noise_profile="additive")
@@ -346,6 +358,34 @@ class TestPenalizationProbe:
             tracemalloc.stop()
         assert len(rows) == 4
         assert peak < 2.25 * path_bytes
+
+    @pytest.mark.parametrize("m, mesh", [(16, TimeMesh(0.3, 150)), (9, TimeMesh(0.2, 70))],
+                             ids=["m16-steps150", "m9-steps70"])
+    @pytest.mark.parametrize("profile", ["additive", "bounded"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_share_one_noise_view(self, monkeypatch, d, profile, m, mesh):
+        # every penalized row reads the one noise path through a broadcast
+        # view, with the bits of a march on one copy per row: under block
+        # forcing (additive, a constant sigma) and per-step forcing (bounded)
+        cs = make_burgers_set(0.0, noise_profile=profile, c2=-1.0, sigma_amp=0.5, d=d)
+        cfg = SchemeConfig(grid=SpatialGrid(m), mesh=mesh, noise_scale=1.0)
+        nz = sample_noise(13, mesh, d)
+        n_list = [10.0, 100.0, 300.0]
+        seen = []
+
+        def spied(cs, u0, dw, *args):
+            seen.append(dw)
+            return solver.march_distances(cs, u0, dw, *args)
+
+        monkeypatch.setattr(averaging, "march_distances", spied)
+        _, rows = penalization_convergence_probe(cs, np.zeros(m), n_list, nz, cfg)
+        assert seen[0].strides[0] == 0  # one view, no copy per row
+        ref = solve(cs, np.zeros(m), nz, None, cfg)
+        pen_cfgs = [replace(cfg, reflection="penalized", penalty_n=n) for n in n_list]
+        copies = np.repeat(nz.increments[None], len(n_list), axis=0)
+        expected = solver.march_distances(cs, np.zeros(m), copies, None, pen_cfgs, ref.u)
+        assert [d2.hex() for _, d2 in rows] == [d2.hex() for d2 in expected.tolist()]
+        assert all(d2 > 0.0 for _, d2 in rows)
 
     def test_repeat_identical(self):
         cs = make_burgers_set(0.0, noise_profile="additive", c2=-1.0, sigma_amp=0.5)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,12 @@ from pathlib import Path
 import pytest
 
 from burgerslab import cli
+from burgerslab.averaging import run_averaging_experiment
 from burgerslab.cli import ConfigError, load_config, main, run_experiment
+from burgerslab.coefficients import make_burgers_set
+from burgerslab.core import SpatialGrid, TimeMesh
+from burgerslab.ratefn import RateOptions
+from burgerslab.solver import SchemeConfig
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "cfg.json") -> Path:
@@ -45,6 +51,46 @@ class TestLoadConfig:
         })
         with pytest.raises(ConfigError, match="penalty"):
             load_config(path)
+
+    @pytest.mark.parametrize("n, stable", [(1000.0, True), (1000.0 * (1 + 1e-13), True),
+                                           (1000.0 * (1 + 1e-11), False), (1001.0, False)])
+    def test_schema_and_scheme_share_the_penalty_bound(self, tmp_path, n, stable):
+        # n * dt <= 1 up to rounding, at dt = 1e-3: the scheme row, the
+        # reflection experiment's n_list and SchemeConfig draw the line alike
+        steps = {"t_final": 1.0, "dt": 1e-3}
+        payloads = [{"experiment": "rate-function", "mesh": steps,
+                     "scheme": {"reflection": "penalized", "penalty_n": n}},
+                    {"experiment": "reflection", "mesh": steps, "params": {"n_list": [n]}}]
+        for i, payload in enumerate(payloads):
+            path = write_config(tmp_path, payload, name=f"cfg{i}.json")
+            if stable:
+                load_config(path)
+            else:
+                with pytest.raises(ConfigError, match="n\\*dt <= 1"):
+                    load_config(path)
+        grid, mesh = SpatialGrid(4), TimeMesh(1.0, 1000)
+        if stable:
+            SchemeConfig(grid, mesh, reflection="penalized", penalty_n=n)
+        else:
+            with pytest.raises(ValueError, match="unstable"):
+                SchemeConfig(grid, mesh, reflection="penalized", penalty_n=n)
+
+    def test_schema_defaults_are_the_library_defaults(self):
+        # each default a config may leave out is the one the library call it feeds takes
+        def defaults(rows):
+            return {row[0]: row[2] for row in rows}
+
+        def signature(fn):
+            return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+        pairs = [(cli._SCHEME, SchemeConfig, ("reflection", "penalty_n", "convection")),
+                 (cli._PARAMS["rate-function"], RateOptions, ("blocks", "tol", "max_iters")),
+                 (cli._PARAMS["averaging"], run_averaging_experiment, ("delta",)),
+                 (cli._COEFFICIENTS, make_burgers_set,
+                  ("a_g", "noise_profile", "c1", "c2", "sigma_amp", "d"))]
+        for rows, fn, keys in pairs:
+            schema, library = defaults(rows), signature(fn)
+            assert {k: schema[k] for k in keys} == {k: library[k] for k in keys}
 
     def test_unknown_top_key_named(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "reflection", "mehs": {}})

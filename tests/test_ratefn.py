@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from burgerslab import ratefn
+from burgerslab import ratefn, solver
 from burgerslab.core import SpatialGrid, TimeMesh, path_distance, sine_field
 from burgerslab.coefficients import make_burgers_set
 from burgerslab.ratefn import RateOptions, rate_function
-from burgerslab.solver import Control, SchemeConfig, solve_batch, solve_skeleton
+from burgerslab.solver import (Control, SchemeConfig, march_distances, solve_batch,
+                               solve_skeleton)
 
 ADDITIVE = make_burgers_set(0.0, noise_profile="additive")
 NOISELESS = make_burgers_set(0.0, noise_profile="zero")
@@ -68,17 +69,29 @@ class TestRateFunction:
         for js in by_stage.values():
             assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
 
-    def test_target_shape_validated(self):
-        with pytest.raises(ValueError):
+    def test_target_shape_validated(self, monkeypatch):
+        # a target off the (steps+1, m) shape is rejected before any step
+        calls, kernel = [], solver.cho_solve_banded
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "cho_solve_banded", counted)
+        with pytest.raises(ValueError, match="target shape"):
             rate_function(ADDITIVE, np.zeros(16), np.zeros((10, 16)), CFG, OPT)
+        assert calls == []
+        solve_skeleton(ADDITIVE, np.zeros(16), None, CFG)
+        assert len(calls) == MESH.steps  # the counter sees every kernel call
 
 
 def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
     """The rate function with one skeleton solve per trial step size, from step_size.
 
     Returns (h, history, iterations, residual) and, to show what a case
-    covers, the number of line searches that ran out of step sizes and the
-    most step sizes one line search tried.
+    covers, the number of line searches that ran out of step sizes, the
+    most step sizes one line search tried, the number of gradients and the
+    number of step sizes tried in all.
     """
     d, t_final = cs.d, cfg.mesh.t_final
     block_dt = t_final / opt.blocks
@@ -108,13 +121,14 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
         return (j[0::2] - j[1::2]) / (2.0 * widths)
 
     h = np.zeros(opt.blocks * d)
-    history, iterations, exhausted, longest = [], 0, 0, 0
+    history, iterations, exhausted, longest, gradients, tried_all = [], 0, 0, 0, 0, 0
     for mu in ratefn.MU_SCHEDULE:
         j_cur, res_cur = objective(h, mu)
         history.append((mu, j_cur, res_cur))
         alpha0 = step_size
         for _ in range(opt.max_iters):
             grad = gradient(h, mu)
+            gradients += 1
             gnorm_sq = float(np.dot(grad, grad))
             if gnorm_sq < 1e-18:
                 break
@@ -129,6 +143,7 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
                     break
                 alpha *= 0.5
             longest = max(longest, tried)
+            tried_all += tried
             if not accepted:
                 exhausted += 1
                 break
@@ -136,7 +151,7 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
             iterations += 1
             history.append((mu, j_cur, res_cur))
     _, residual = objective(h, 0.0)
-    return (h, history, iterations, residual), exhausted, longest
+    return (h, history, iterations, residual), exhausted, longest, gradients, tried_all
 
 
 def _ladder_case(name):
@@ -205,34 +220,31 @@ class TestBatchedLineSearch:
         assert res.iterations > len(ratefn.MU_SCHEDULE)
         assert len(calls) == 1
 
-    def test_each_path_measured_once(self, monkeypatch):
-        # the accepted residual is kept, so no stage start and not the final
-        # residual measure the accepted path again: with one step size per
-        # batch, the measured paths are the h = 0 start and each solved row.
-        # A ladder batch is measured lazily, so at any LADDER the measured
-        # paths are those of one step size at a time
-        u0 = sine_field(GRID)
-        target = solve_skeleton(ADDITIVE, u0, Control.constant(1.0, 1.0), CFG).u
-        rows = []
-
-        def counted_solve(*args, **kwargs):
-            u, dk = solve_batch(*args, **kwargs)
-            rows.append(len(u))
-            return u, dk
-
-        monkeypatch.setattr(ratefn, "solve_batch", counted_solve)
-        measured = {}
+    @pytest.mark.parametrize("case", ["several_batches", "exhausted", "bounded_2d"])
+    def test_each_path_measured_once(self, monkeypatch, case):
+        # path_distance measures only the h = 0 start; every other skeleton
+        # is a row of one march_distances batch.  With one step size per
+        # batch the rows are 2 * blocks * d per gradient and one per step
+        # size tried, so no stage start and not the final result measure
+        # the accepted path again
+        _, _, _, gradients, tried = _reference(case)
+        cs, u0, target, opt, step_size = _ladder_case(case)
+        monkeypatch.setattr(ratefn, "STEP_SIZE", step_size)
         for ladder in (1, ratefn.LADDER, 48):
-            seen = measured[ladder] = []
+            measured, rows = [], []
 
-            def counted(u, *args, seen=seen):
-                seen.append(u.tobytes())
-                return path_distance(u, *args)
+            def counted_distance(*args):
+                measured.append(1)
+                return path_distance(*args)
 
-            monkeypatch.setattr(ratefn, "path_distance", counted)
+            def counted_march(cs, u0, dw, h, cfg, reference):
+                rows.append(len(h))
+                return march_distances(cs, u0, dw, h, cfg, reference)
+
+            monkeypatch.setattr(ratefn, "path_distance", counted_distance)
+            monkeypatch.setattr(ratefn, "march_distances", counted_march)
             monkeypatch.setattr(ratefn, "LADDER", ladder)
-            res = rate_function(ADDITIVE, u0, target, CFG, OPT)
-            assert res.iterations > len(ratefn.MU_SCHEDULE)
+            rate_function(cs, u0, target, CFG, opt)
+            assert len(measured) == 1
             if ladder == 1:
-                assert len(seen) == 1 + sum(rows)
-        assert measured[1] == measured[ratefn.LADDER] == measured[48]
+                assert sum(rows) == 2 * opt.blocks * cs.d * gradients + tried
