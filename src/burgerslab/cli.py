@@ -57,6 +57,7 @@ from .ratefn import RateOptions, rate_function
 from .ldp import (
     EventSpec,
     condition_convergence_probe,
+    eps_list_ok,
     estimate_importance,
     estimate_naive,
     fw_lower_bound_probe,
@@ -81,7 +82,7 @@ _ANY = (None, "")
 _POSITIVE = (lambda v, c: v > 0, "must be > 0")
 _NONNEGATIVE = (lambda v, c: v >= 0, "must be >= 0")
 _AT_LEAST_1 = (lambda v, c: v >= 1, "must be >= 1")
-_POSITIVE_LIST = (lambda v, c: v and min(v) > 0, "must be a nonempty list of numbers > 0")
+_EPS_LIST = (lambda v, c: eps_list_ok(v), "must be a nonempty list of finite numbers > 0")
 
 
 def _whole_steps(t_final: float, dt: float) -> bool:
@@ -173,7 +174,7 @@ _PARAMS = {
     ),
     "rare-event": (
         ("eps", float, 0.1, *_POSITIVE),
-        ("eps_list", list[float], [0.5, 0.2, 0.1], *_POSITIVE_LIST),
+        ("eps_list", list[float], [0.5, 0.2, 0.1], *_EPS_LIST),
         ("delta", float, 0.25, *_POSITIVE),
         ("n_samples", int, 500, *_AT_LEAST_1),
         ("theta", float, 0.5, *_POSITIVE),
@@ -181,7 +182,7 @@ _PARAMS = {
         ("blocks", int, 4, *_AT_LEAST_1),
     ),
     "condition-probe": (
-        ("eps_list", list[float], [0.2, 0.05, 0.01], *_POSITIVE_LIST),
+        ("eps_list", list[float], [0.2, 0.05, 0.01], *_EPS_LIST),
         ("delta", float, 0.25, *_POSITIVE),
         ("n_paths", int, 200, *_AT_LEAST_1),
         ("energy_bound", float, 2.0, *_POSITIVE),

@@ -180,24 +180,33 @@ def path_distance(
     q = _check_path(q, grid, mesh)
     hsq = np.empty(len(p))
     vsq = np.empty(len(p))
-    _distance_rows(p, q, grid, hsq, vsq)
+    _distance_rows(p, q, hsq, vsq)
+    hsq *= grid.dx
+    vsq /= grid.dx
     return _distance_of_rows(hsq, vsq, mesh)
 
 
-def _distance_rows(p: np.ndarray, q: np.ndarray, grid: SpatialGrid,
-                   hsq: np.ndarray, vsq: np.ndarray) -> None:
-    """|p_k - q_k|_H^2 and ||p_k - q_k||_V^2 of each row k of p and q into hsq, vsq.
+def _distance_scratch(rows: int, paths: tuple[int, ...], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row pass's ghost-padded and jump buffers, about DISTANCE_BLOCK floats of whole rows."""
+    block = max(1, min(rows, DISTANCE_BLOCK // (math.prod(paths) * (m + 2))))
+    return np.zeros((block, *paths, m + 2)), np.empty((block, *paths, m + 1))
+
+
+def _distance_rows(p: np.ndarray, q: np.ndarray, hsq: np.ndarray, vsq: np.ndarray,
+                   scratch: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """sum((p_k - q_k)^2) and the sum of its squared jumps, for each row k, into hsq, vsq.
 
     The row pass of path_distance: p is (rows, m), or (rows, P, m) for P
     paths, q broadcasts against it, and hsq, vsq are p's shape without m.
-    Every (row, path) has the bits of the whole-path call, so a caller
-    holding paths a window of rows at a time fills each path's pair window
-    by window.
+    The sums are unscaled: hsq * dx and vsq / dx are |p_k - q_k|_H^2 and
+    ||p_k - q_k||_V^2.  Every (row, path) has the bits of the whole-path
+    call, so a caller holding paths a window of rows at a time fills each
+    path's pair window by window, through one scratch pair
+    (_distance_scratch) and one scaling at the end.
     """
     rows, paths, m = p.shape[0], p.shape[1:-1], p.shape[-1]
-    block = max(1, min(rows, DISTANCE_BLOCK // (math.prod(paths) * (m + 2))))
-    padded = np.zeros((block, *paths, m + 2))
-    jumps = np.empty((block, *paths, m + 1))
+    padded, jumps = _distance_scratch(rows, paths, m) if scratch is None else scratch
+    block = len(padded)
     for lo in range(0, rows, block):
         n = min(block, rows - lo)
         diff, jump = padded[:n, ..., 1:-1], jumps[:n]
@@ -205,8 +214,6 @@ def _distance_rows(p: np.ndarray, q: np.ndarray, grid: SpatialGrid,
         np.einsum("...m,...m->...", diff, diff, out=hsq[lo:lo + n])
         np.subtract(padded[:n, ..., 1:], padded[:n, ..., :-1], out=jump)
         np.einsum("...m,...m->...", jump, jump, out=vsq[lo:lo + n])
-    hsq *= grid.dx
-    vsq /= grid.dx
 
 
 def _distance_of_rows(hsq: np.ndarray, vsq: np.ndarray, mesh: TimeMesh) -> PathDistance:

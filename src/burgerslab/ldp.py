@@ -44,6 +44,7 @@ __all__ = [
     "estimate_importance",
     "fw_lower_bound_probe",
     "condition_convergence_probe",
+    "eps_list_ok",
 ]
 
 LOG_WEIGHT_CLIP = 700.0  # exp overflow threshold for float64
@@ -88,6 +89,11 @@ class RareEventEstimate:
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_hat <= 1.0 and self.std_err >= 0.0):  # NaN fails too
             raise ValueError("estimate out of range")
+
+
+def eps_list_ok(eps_list: list[float]) -> bool:
+    """True for a nonempty list of finite noise scales > 0 (NaN fails), the one eps_list rule."""
+    return bool(eps_list) and all(0.0 < eps < math.inf for eps in eps_list)
 
 
 def _distances(cs: CoefficientSet, u0: np.ndarray, h: np.ndarray | None, cfg: SchemeConfig,
@@ -300,6 +306,9 @@ def condition_convergence_probe(
         raise ValueError(f"threshold delta must be positive, got {delta}")
     if n_samples < 1 or len(u0_set) == 0 or len(controls) == 0:
         raise ValueError("need at least one sample, one start and one control")
+    if not eps_list_ok(eps_list):
+        raise ValueError(f"eps_list must be a nonempty list of finite numbers > 0, "
+                         f"got {eps_list}")
     if energy_bound is not None:
         for ctrl in controls:
             if not ctrl.in_energy_class(energy_bound):

@@ -47,6 +47,7 @@ from .core import (
     _check_path,
     _distance_of_rows,
     _distance_rows,
+    _distance_scratch,
 )
 from .coefficients import CoefficientSet
 
@@ -227,7 +228,9 @@ class ReflectedPath:
     @cached_property
     def _norms_sq(self) -> tuple[np.ndarray, np.ndarray]:
         h_sq, v_sq = np.empty(len(self.u)), np.empty(len(self.u))
-        _distance_rows(self.u, np.broadcast_to(0.0, self.u.shape), self.grid, h_sq, v_sq)
+        _distance_rows(self.u, np.broadcast_to(0.0, self.u.shape), h_sq, v_sq)
+        h_sq *= self.grid.dx
+        v_sq /= self.grid.dx
         h_sq.setflags(write=False)
         v_sq.setflags(write=False)
         return h_sq, v_sq
@@ -296,7 +299,10 @@ MAX_M = 256
 
 # A march looks for a blow-up once per this many steps, over every state
 # stored since its last look: one max and one min instead of a check per step.
-CHECK_EVERY = 64
+# It is also the width of a forcing block and of a march_distances window: at
+# 16 steps a shipped 81-row chunk at m 32 keeps its window of states and its
+# kicks in ~0.7 MiB, inside a 2 MiB L2 cache (README "Performance").
+CHECK_EVERY = 16
 # A state with some |u| above this counts as blown up, like a non-finite one.
 BLOWUP_CEILING = 1e6
 
@@ -319,13 +325,13 @@ class _Stepper:
     sigma and the kick noise_scale * dw sigma of a block of CHECK_EVERY
     steps are one product each.  A constant sigma with a shared control
     gives every row the same drift, so the drift buffer then holds one row,
-    (1, width, 1, m), and each step adds it to all P right-hand sides; the
-    kick differs per row and stays (P, width, 1, m).  Any other term is
-    computed per step.  A non-constant g sees the state in a ghost-padded
-    (P, m + 2) buffer whose Dirichlet ghosts stay zero.  sigma is copied
-    into one C-ordered (d, P, m) buffer: no zero strides, so every row
-    takes the BLAS path.  The implicit solve writes into one (P, 1, m)
-    buffer.
+    (width, 1, m), and each step adds it to all P right-hand sides; the kick
+    differs per row and stays (width, P, m).  Both are step-major, so a step
+    adds one contiguous block.  Any other term is computed per step.  A
+    non-constant g sees the state in a ghost-padded (P, m + 2) buffer whose
+    Dirichlet ghosts stay zero.  sigma is copied into one C-ordered (d, P,
+    m) buffer: no zero strides, so every row takes the BLAS path.  The
+    implicit solve writes into one (P, 1, m) buffer.
     """
 
     def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, u0: np.ndarray,
@@ -352,10 +358,11 @@ class _Stepper:
         self._block_forcing = forced and "sigma" in cs.constant
         self._forced_per_step = forced and not self._block_forcing
         width = min(CHECK_EVERY, steps) if self._block_forcing else 1
-        # a shared control under a constant sigma drives every row alike: one drift row
+        # a shared control under a constant sigma drives every row alike: one
+        # drift row; step-major, so a step adds one contiguous (rows, m) block
         drift_rows = 1 if self._block_forcing and h is not None and h.ndim == 2 else rows
-        self._drift = None if h is None else np.empty((drift_rows, width, 1, m))
-        self._kick = None if self.dw is None else np.empty((rows, width, 1, m))
+        self._drift = None if h is None else np.empty((width, drift_rows, m))
+        self._kick = None if self.dw is None else np.empty((width, rows, m))
 
         t_fast = t0 / cfg.time_scale
         self._f = cs.f(t_fast, x, u0) if "f" in cs.constant else None
@@ -401,12 +408,12 @@ class _Stepper:
         is the same on every row.
         """
         if self._drift is not None:
-            out = np.matmul(self.h[..., lo:hi, None, :], self._sig_t[:len(self._drift), None],
-                            out=self._drift[:, :hi - lo])
+            out = np.matmul(self.h[..., lo:hi, None, :], self._sig_t[:self._drift.shape[1], None],
+                            out=self._drift[:hi - lo, :, None].swapaxes(0, 1))
             out *= self.dt
         if self._kick is not None:
             out = np.matmul(self.dw[:, lo:hi, None, :], self._sig_t[:, None],
-                            out=self._kick[:, :hi - lo])
+                            out=self._kick[:hi - lo, :, None].swapaxes(0, 1))
             out *= self.cfg.noise_scale
 
     def march(self, u: np.ndarray, dk: np.ndarray | None) -> None:
@@ -426,17 +433,20 @@ class _Stepper:
         with its own first bad step, is raised once row 0 has blown up or
         the march has reached its last step.
         """
-        cs, cfg, x, rhs = self.cs, self.cfg, self.x, self._rhs
+        cs, cfg, x, rhs, inv, free = self.cs, self.cfg, self.x, self._rhs, self._inv, self._free
         first, steps = self.done, u.shape[1] - 1
         f, base, drift, kick = self._f, self._base, self._drift, self._kick
+        clocked, per_step, penalty = self._clocked, self._forced_per_step, self.penalty
+        projection = cfg.reflection == "projection"
+        states = u.swapaxes(0, 1)  # states[k] is u[:, k]
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, steps, CHECK_EVERY):
                 stop = min(start + CHECK_EVERY, steps)
                 if self._block_forcing:
                     self._forcing(first + start, first + stop)
                 for k in range(start, stop):
-                    uk, j = u[:, k], k - start
-                    if self._clocked:
+                    uk, j = states[k], k - start
+                    if clocked:
                         t = self._time(first + k)
                         t_fast = t / cfg.time_scale
                     # rhs = u + dt * (convection + f), each product and sum as the formula rounds it
@@ -447,20 +457,20 @@ class _Stepper:
                         rhs += cs.f(t_fast, x, uk) if f is None else f
                         rhs *= self.dt
                         rhs += uk
-                    if self._forced_per_step:
+                    if per_step:
                         np.copyto(self._sigma, cs.sigma(t_fast, x, uk))
                         self._forcing(first + k, first + k + 1)
                         j = 0
                     if drift is not None:
-                        rhs += drift[:, j, 0]
+                        rhs += drift[j]
                     if kick is not None:
-                        rhs += kick[:, j, 0]
+                        rhs += kick[j]
 
                     # one implicit solve for every row: P right-hand sides as an (m, P) array
-                    u_free = cho_solve_banded(self._inv, rhs.T, self._free).T
+                    u_free = cho_solve_banded(inv, rhs.T, free).T
 
-                    u_next = u[:, k + 1]
-                    if cfg.reflection == "projection":
+                    u_next = states[k + 1]
+                    if projection:
                         np.maximum(u_free, 0.0, out=u_next)
                         if dk is not None:
                             np.subtract(u_next, u_free, out=dk[:, k])
@@ -469,7 +479,7 @@ class _Stepper:
                         dk_k = u_next if dk is None else dk[:, k]
                         np.negative(u_free, out=dk_k)
                         np.maximum(dk_k, 0.0, out=dk_k)
-                        dk_k *= self.penalty
+                        dk_k *= penalty
                         np.add(u_free, dk_k, out=u_next)
                 self._note_blowups(u[:, start + 1:stop + 1], first + start)
                 if 0 in self.first_bad:
@@ -482,7 +492,9 @@ class _Stepper:
 
     def _note_blowups(self, block: np.ndarray, start: int) -> None:
         """Record (step, t, peak) of each row's first bad state in block = u[:, start + 1:]."""
-        if block.max() <= BLOWUP_CEILING and -block.min() <= BLOWUP_CEILING:  # NaN fails both
+        # NaN fails both tests; a projected state is >= 0 or NaN, so its min is not read
+        if block.max() <= BLOWUP_CEILING and (
+                self.cfg.reflection == "projection" or -block.min() <= BLOWUP_CEILING):
             return
         peak = np.max(np.abs(block), axis=2)
         bad = ~np.isfinite(peak) | (peak > BLOWUP_CEILING)
@@ -620,8 +632,9 @@ def march_distances(
     checked before any step; row p's distance has the bits of
     path_distance(u[p], reference).squared on solve_batch's u.  The rows
     march through one reused, time-major buffer of CHECK_EVERY steps, and
-    one row pass per window (core._distance_rows) fills each row's
-    (steps+1)-long H and V pair, reduced as path_distance reduces it.  A
+    one row pass per window (core._distance_rows, through one scratch pair)
+    fills each row's (steps+1)-long H and V sums, scaled once at the end
+    and reduced as path_distance reduces them.  A
     window is one forcing block and one blow-up check of the march, which
     is one: constant callbacks are evaluated once.  A blow-up raises
     solve_batch's BlowUpError, with the global step and the lowest bad row;
@@ -635,6 +648,7 @@ def march_distances(
     vsq = np.empty_like(hsq)
     buf = np.empty((min(window, steps) + 1, paths, m))
     buf[0] = u0
+    scratch = _distance_scratch(len(buf), (paths,), m)
     for first in range(0, steps, window):
         n = min(window, steps - first)
         if first:
@@ -644,8 +658,10 @@ def march_distances(
             continue
         skip = 1 if first else 0  # the state the window shares with the one before
         rows = slice(first + skip, first + n + 1)
-        _distance_rows(buf[skip:n + 1], reference[rows, None], cfg.grid, hsq[:, rows].T,
-                       vsq[:, rows].T)
+        _distance_rows(buf[skip:n + 1], reference[rows, None], hsq[:, rows].T, vsq[:, rows].T,
+                       scratch)
+    hsq *= cfg.grid.dx
+    vsq /= cfg.grid.dx
     return np.array([_distance_of_rows(a, b, cfg.mesh).squared for a, b in zip(hsq, vsq)])
 
 

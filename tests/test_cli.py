@@ -419,6 +419,9 @@ BAD_CONFIGS = [
     bad("condition-probe-negative-eps", "params.eps_list",
         {"experiment": "condition-probe", **SMALL,
          "params": {"eps_list": [-0.1], "n_paths": 1}}),
+    bad("condition-probe-nan-eps", "params.eps_list",
+        {"experiment": "condition-probe", **SMALL,
+         "params": {"eps_list": [0.1, float("nan")], "n_paths": 1}}),
     bad("heat-regression-grid-too-small", "params.m_values",
         {"experiment": "heat-regression", "params": {"m_values": [1]}}),
     bad("heat-regression-grid-too-large", "params.m_values",

@@ -241,20 +241,29 @@ class TestConditionProbe:
             )
 
 
-    @pytest.mark.parametrize("u0_set, controls, n_samples", [
-        ([U0], [Control.zero(1.0, 1)], 0),
-        ([], [Control.zero(1.0, 1)], 5),
-        ([U0], [], 5),
-    ], ids=["no-samples", "no-starts", "no-controls"])
+    @pytest.mark.parametrize("u0_set, controls, n_samples, eps_list, match", [
+        ([U0], [Control.zero(1.0, 1)], 0, [0.1], "at least one"),
+        ([], [Control.zero(1.0, 1)], 5, [0.1], "at least one"),
+        ([U0], [], 5, [0.1], "at least one"),
+        ([U0], [Control.zero(1.0, 1)], 5, [-0.1], "eps_list"),
+        ([U0], [Control.zero(1.0, 1)], 5, [float("nan")], "eps_list"),
+        ([U0], [Control.zero(1.0, 1)], 5, [0.0], "eps_list"),
+        ([U0], [Control.zero(1.0, 1)], 5, [], "eps_list"),
+    ], ids=["no-samples", "no-starts", "no-controls", "negative-eps", "nan-eps", "zero-eps",
+            "no-eps"])
     def test_empty_inputs_rejected_before_any_solve(self, monkeypatch, u0_set, controls,
-                                                    n_samples):
+                                                    n_samples, eps_list, match):
         # n_samples 0 once solved every skeleton and then divided by zero; an
-        # empty start or control set once reported worst_fraction 0.0
+        # empty start or control set once reported worst_fraction 0.0; a
+        # negative or NaN eps once failed only after every skeleton solve, eps
+        # 0 was reported as a row and an empty eps_list returned no rows
         calls = []
         for name in ("solve_skeleton", "march_distances"):
             monkeypatch.setattr(ldp, name, lambda *args, name=name: calls.append(name))
-        with pytest.raises(ValueError, match="at least one"):
-            condition_convergence_probe(ADDITIVE, u0_set, controls, [0.1], 0.25, n_samples,
+        monkeypatch.setattr(solver, "cho_solve_banded",
+                            lambda *args: calls.append("cho_solve_banded"))
+        with pytest.raises(ValueError, match=match):
+            condition_convergence_probe(ADDITIVE, u0_set, controls, eps_list, 0.25, n_samples,
                                         25, CFG)
         assert calls == []
 
@@ -304,10 +313,11 @@ class TestBatchedLoops:
                 assert est.n_clipped == 0
 
     def test_shared_tilt_drift_is_one_row(self):
-        # tracemalloc peaks of one chunk of 40 rows over 50 steps (one forcing
-        # block): the tilt's drift dt * h sigma is one row for the whole chunk,
-        # so the tilted loop holds less than one path's bytes more than the
-        # naive one, not the 40 x 50 x m drift block of a per-row copy
+        # tracemalloc peaks of one chunk of 40 rows over 50 steps, in forcing
+        # blocks of CHECK_EVERY steps: the tilt's drift dt * h sigma is one row
+        # of a block for the whole chunk, so the tilted loop holds less than
+        # one path's bytes more than the naive one, not the 40 x block x m
+        # drift block of a per-row copy, which is several paths' bytes
         import tracemalloc
 
         grid, mesh = SpatialGrid(64), TimeMesh(1.0, 50)
@@ -315,7 +325,8 @@ class TestBatchedLoops:
         u0 = sine_field(grid)
         ev = EventSpec(target=solve_skeleton(ADDITIVE, u0, None, cfg).u, delta=0.1)
         tilt = Control.constant(1.0, 1.0)
-        assert solver._paths_per_chunk(cfg) >= 40 and mesh.steps <= solver.CHECK_EVERY
+        block = min(mesh.steps, solver.CHECK_EVERY)
+        assert solver._paths_per_chunk(cfg) >= 40 and 40 * block >= 4 * (mesh.steps + 1)
         path_bytes = 8 * (mesh.steps + 1) * grid.m
 
         def peak(run):

@@ -165,6 +165,23 @@ class TestStep:
         assert (err.value.step_index, err.value.path_index, err.value.t) == (0, 0, 0.3 + 0.1)
         assert err.value.peak > 1.0
 
+    @pytest.mark.parametrize("reflection, kick", [("penalized", -3000.0),
+                                                   ("projection", 1e308)])
+    def test_blow_up_below_zero_or_not_finite(self, monkeypatch, reflection, kick):
+        # a projected state is >= 0 or NaN, so its march reads only the max
+        # of each window; a penalized state can blow up below zero, which
+        # only the min sees
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 50.0)
+        grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5, reflection=reflection,
+                           penalty_n=10.0)
+        dw = np.zeros((3, mesh.steps, 1))
+        dw[1, 20:] = kick
+        with pytest.raises(BlowUpError) as err:
+            solve_batch(ADDITIVE, np.zeros(grid.m), dw, None, cfg)
+        assert (err.value.path_index, err.value.step_index) == (1, 20)
+        assert not err.value.peak <= 50.0  # NaN or above the ceiling
+
     @pytest.mark.parametrize("scale, blows_up", [(0.5, False), (2.0, True)])
     def test_default_ceiling(self, scale, blows_up):
         # a state of twice BLOWUP_CEILING is a blow-up, half of it is not;
@@ -924,8 +941,9 @@ class TestMarchDistances:
 
     def test_default_window_is_one_block(self, monkeypatch):
         block = solver.CHECK_EVERY
+        tail = block // 2  # a last window shorter than the block
         cs, u0, cfg, dw = _batch_case("central", "constant", 1, "penalized", n_paths=3,
-                                      steps=block * 2 + 30)
+                                      steps=block * 2 + tail)
         marched = []
         real = solver._Stepper.march
 
@@ -936,10 +954,35 @@ class TestMarchDistances:
         monkeypatch.setattr(solver._Stepper, "march", recorded)
         ref = _reference(cfg)
         got = solver.march_distances(cs, u0, dw, None, cfg, ref)
-        assert marched == [block, block, 30]
+        assert marched == [block, block, tail]
         u = solve_batch(cs, u0, dw, None, cfg)[0]
         assert got.tolist() == [path_distance(row, ref, cfg.grid, cfg.mesh).squared
                                 for row in u]
+
+    @pytest.mark.parametrize("tilted", [False, True], ids=["untilted", "shared-tilt"])
+    def test_chunk_window_fits_in_cache(self, tilted):
+        # tracemalloc peak of one shipped rare_event chunk, 81 rows at m 32
+        # over 200 steps under a constant sigma: the window's states, the
+        # block's kicks and the row pass all span CHECK_EVERY steps, so the
+        # march holds ~1.2 MiB besides its inputs; 64-step windows fail (3.1 MiB)
+        import tracemalloc
+
+        grid, mesh = SpatialGrid(32), TimeMesh(1.0, 200)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=math.sqrt(0.1))
+        cs, u0 = make_burgers_set(), sine_field(grid)
+        assert solver._paths_per_chunk(cfg) == 81
+        dw = np.stack([sample_noise(4, mesh, 1, path_index=i).increments for i in range(81)])
+        h = Control.constant(1.0, 1.0).on_mesh(mesh) if tilted else None
+        ref = solve_skeleton(cs, u0, Control.constant(1.0, 1.0), cfg).u
+        solver.march_distances(cs, u0, dw, h, cfg, ref)  # builds the cached inverse
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver.march_distances(cs, u0, dw, h, cfg, ref)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_constant_callbacks_are_called_once_per_march(self, monkeypatch):
         monkeypatch.setattr(solver, "CHECK_EVERY", 10)
