@@ -18,11 +18,7 @@ from .core import (
     v_norm,
 )
 from .coefficients import (
-    AuditReport,
     CoefficientSet,
-    SampleBox,
-    audit_assumptions,
-    average_coefficients,
     burgers_multiscale_family,
     estimate_kappa,
     make_burgers_set,
@@ -34,7 +30,6 @@ from .solver import (
     ReflectedPath,
     SchemeConfig,
     complementarity_residual,
-    energy_functional,
     solve,
     solve_batch,
     solve_skeleton,
@@ -56,7 +51,6 @@ from .ldp import (
 )
 from .averaging import (
     AveragingReport,
-    khasminskii_block_error,
     penalization_convergence_probe,
     run_averaging_experiment,
 )

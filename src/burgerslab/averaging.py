@@ -6,9 +6,8 @@ increments, then reports the mean squared path distance per eps.  Coupling
 turns the in-probability convergence statement into a monotone statistic
 that is readable at a hundred samples.
 
-Diagnostics mirror the proof devices: a Khasminskii block functional that
-freezes the state at block starts, and the penalization-versus-projection
-comparison on common noise.
+The one diagnostic is the penalization-versus-projection comparison on
+common noise.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .core import NoisePath, path_distance, sample_noise
 from .coefficients import CoefficientSet
-from .solver import (BlowUpError, ReflectedPath, SchemeConfig, _paths_per_chunk,
+from .solver import (BlowUpError, SchemeConfig, _paths_per_chunk,
                      complementarity_residual, march_distances, solve, solve_batch,
                      total_variation_k)
 
@@ -28,7 +27,6 @@ __all__ = [
     "AveragingRow",
     "AveragingReport",
     "run_averaging_experiment",
-    "khasminskii_block_error",
     "penalization_convergence_probe",
 ]
 
@@ -117,45 +115,6 @@ def run_averaging_experiment(
             n_samples=n_samples,
         ))
     return AveragingReport(rows=rows, coupling_seed=seed, delta=delta)
-
-
-def khasminskii_block_error(
-    ms: CoefficientSet,
-    avg: CoefficientSet,
-    p: ReflectedPath,
-    theta: float,
-    eps: float,
-) -> float:
-    """Block functional with the state frozen at block starts.
-
-    Blocks of length theta (snapped to the mesh) tile [0, T] up to the last
-    full block; on each one the reaction deviation
-    |f(s/eps, ., u(k theta)) - f_bar(., u(k theta))|_H is integrated in s
-    against the weight |u(k theta)|_H, and the block totals are summed
-    (f is ms's; f_bar is the averaged set's f, read at t = 0).  Decaying coefficient deviations make this small as soon as theta/eps is
-    large; a single block spanning the horizon reduces to |u(0)|_H times
-    the whole-horizon integrated deviation.
-    """
-    dt, t_final = p.mesh.dt, p.mesh.t_final
-    if not 0.0 < theta <= t_final:
-        raise ValueError(f"block length must lie in (0, {t_final}], got {theta}")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    w = max(1, int(round(theta / dt)))
-    n_blocks = p.mesh.steps // w
-    x = p.grid.nodes
-    dx = p.grid.dx
-    times = p.mesh.times
-
-    total = 0.0
-    for k in range(n_blocks):
-        u_blk = p.u[k * w]
-        weight = math.sqrt(p.h_sq[k * w])
-        s = times[k * w : (k + 1) * w]
-        diff = ms.f(s[:, None] / eps, x[None, :], u_blk[None, :]) - avg.f(0.0, x, u_blk)
-        dev = np.sqrt(dx * np.einsum("km,km->k", diff, diff))
-        total += weight * float(np.sum(dev)) * dt
-    return total
 
 
 def penalization_convergence_probe(

@@ -17,7 +17,7 @@ and is therefore the only non-reproducible output).  A rejected config
 directory that cannot be made exits 2 with a one-line error and no record.
 
 Usage:
-  burgerslab --config cfg.json [--out DIR] [--seed N] [--experiment NAME]
+  burgerslab --config cfg.json [--out DIR] [--seed N]
 """
 
 from __future__ import annotations
@@ -654,17 +654,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     parser.add_argument("--out", default=None, help="output directory (default: config's out_dir or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--experiment", default=None, help="override the experiment name")
     args = parser.parse_args(argv)
 
-    overrides = {key: val for key, val in (("experiment", args.experiment), ("seed", args.seed))
-                 if val is not None}
     if args.out is not None and not _make_out(args.out, "--out"):
         return 2
     try:
         cfg = load_config(args.config)
-        if overrides:
-            cfg = _validate({**cfg.raw, **overrides})
+        if args.seed is not None:
+            cfg = _validate({**cfg.raw, "seed": args.seed})
     except ConfigError as exc:
         _write_failure(Path(args.out or "."), None, exc)
         return 2

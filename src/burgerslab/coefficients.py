@@ -1,4 +1,4 @@
-"""Coefficient sets for the Burgers-type dynamics, averaging and audits.
+"""Coefficient sets for the Burgers-type dynamics and their time averages.
 
 A coefficient set bundles the convection antiderivative g(t, z), its
 z-derivative, the reaction f(t, x, z) and the d noise amplitudes
@@ -15,8 +15,8 @@ Builtin families:
 An averaged set is an ordinary CoefficientSet whose f and sigma do not
 depend on t (f_bar(x, z) is its f(t, x, z) at any t).  Nothing in the
 signature enforces that: it is a condition on the set, which the builtin
-family and average_coefficients meet by construction.  Readers of f_bar
-and sigma_bar call f(0.0, x, z) and sigma(0.0, x, z).
+family meets by construction.  Readers of f_bar and sigma_bar call
+f(0.0, x, z) and sigma(0.0, x, z).
 
 A builtin coefficient that depends on neither t nor the state is a
 constant callback, built once: it fills the broadcast shape with its value
@@ -28,13 +28,10 @@ records which of its g, f and sigma are constant in its `constant` field
 when it is built, so a solver march evaluates those once instead of every
 step (a wrapper set on the built set later does not change the record).
 
-Averaging is a Cesaro mean (1/T) ∫_0^T · ds computed by composite Simpson
-on geometrically graded panels (the builtin perturbations decay like a
-power of 1+s, which a uniform rule resolves poorly at large horizons).
-
-Audits sample user-declared boxes and report the smallest admissible
-constants for the growth/monotonicity/Lipschitz assumptions the
-well-posedness theory needs; they are evidence, not proof.
+The decay modulus kappa(t_hat) is estimated from a Cesaro mean (1/T)
+∫_0^T · ds computed by composite Simpson on geometrically graded panels
+(the builtin perturbations decay like a power of 1+s, which a uniform rule
+resolves poorly at large horizons).
 """
 
 from __future__ import annotations
@@ -47,14 +44,10 @@ import numpy as np
 
 __all__ = [
     "CoefficientSet",
-    "AuditReport",
-    "SampleBox",
     "make_burgers_set",
     "make_multiscale_set",
     "burgers_multiscale_family",
-    "average_coefficients",
     "estimate_kappa",
-    "audit_assumptions",
     "time_average",
 ]
 
@@ -63,13 +56,10 @@ NOISE_PROFILES = ("additive", "bounded", "zero")
 # Simpson intervals per graded panel of the Cesaro mean (an even count)
 PER_PANEL = 16
 
-# An audit ratio above this (or a non-finite one) is flagged as a violation
-RATIO_CAP = 1e6
 
-
-def _expand(out: np.ndarray, *args, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """Give out the shape lead + the broadcast shape of args (read-only view if needed)."""
-    shape = lead + np.broadcast(*args).shape
+def _expand(out: np.ndarray, *args) -> np.ndarray:
+    """Give out the broadcast shape of args (read-only view if needed)."""
+    shape = np.broadcast(*args).shape
     out = np.asarray(out, dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
@@ -266,27 +256,6 @@ def time_average(func_of_s: Callable[[float], np.ndarray], t_hat: float) -> np.n
     return acc / t_hat
 
 
-def average_coefficients(cs: CoefficientSet, t_hat: float) -> CoefficientSet:
-    """Cesaro-average the reaction and noise over [0, t_hat].
-
-    Returns the averaged set: g and dg_dz are cs's, and f and sigma
-    evaluate the quadrature lazily per call (never constant callbacks),
-    ignore t and return the full broadcast shape, t included.  Exact on
-    time-constant inputs (Simpson integrates constants exactly).
-    """
-    if not t_hat > 0.0:  # NaN fails too
-        raise ValueError(f"averaging horizon must be positive, got {t_hat}")
-
-    def f(t, x, z):
-        return _expand(time_average(lambda s: cs.f(s, x, z), t_hat), t, x, z)
-
-    def sigma(t, x, z):
-        return _expand(time_average(lambda s: cs.sigma(s, x, z), t_hat), t, x, z,
-                       lead=(cs.d,))
-
-    return CoefficientSet(g=cs.g, dg_dz=cs.dg_dz, f=f, sigma=sigma, d=cs.d)
-
-
 def estimate_kappa(
     cs: CoefficientSet,
     avg: CoefficientSet,
@@ -323,106 +292,3 @@ def estimate_kappa(
         kappa_hat = float(np.max(mean_dev / (1.0 + z * z)))
         out.append((t_hat, kappa_hat))
     return out
-
-
-@dataclass(frozen=True)
-class SampleBox:
-    """Axis-aligned sampling box for coefficient audits."""
-
-    t: tuple[float, float] = (0.0, 1.0)
-    x: tuple[float, float] = (0.0, 1.0)
-    z: tuple[float, float] = (-5.0, 5.0)
-
-    def __post_init__(self) -> None:
-        for axis in ("t", "x", "z"):
-            lo, hi = getattr(self, axis)
-            if not lo < hi:
-                raise ValueError(f"box axis {axis} is empty: ({lo}, {hi})")
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Sampled assumption constants and any flagged witnesses.
-
-    l_f_monotone_hat is clamped at 0: the one-sided Lipschitz bound holds
-    with any nonnegative constant once the sampled ratio is nonpositive.
-    A violation records (assumption, witness point) whenever a ratio is
-    non-finite or exceeds RATIO_CAP, a symptom of super-linear growth.
-    """
-
-    l_g_hat: float
-    l_f_monotone_hat: float
-    l_f_growth_hat: float
-    l_sigma_hat: float
-    violations: list[tuple[str, tuple]] = field(default_factory=list)
-    n_samples: int = 0
-
-
-def _flag(
-    name: str,
-    ratios: np.ndarray,
-    witness: tuple[np.ndarray, ...],
-    violations: list[tuple[str, tuple]],
-) -> None:
-    bad = ~np.isfinite(ratios) | (ratios > RATIO_CAP)
-    if np.any(bad):
-        finite = np.where(np.isfinite(ratios), ratios, np.inf)
-        idx = int(np.argmax(finite))
-        violations.append((name, tuple(float(w[idx]) for w in witness)))
-
-
-def audit_assumptions(
-    cs: CoefficientSet,
-    box: SampleBox,
-    n_samples: int = 4000,
-    seed: int = 0,
-) -> AuditReport:
-    """Monte Carlo audit of the growth/monotonicity assumptions on a box.
-
-    Reports the sampled maxima of
-      |dg/dz| / (1+|z|),
-      (z-z')(f(z)-f(z')) / |z-z'|^2   (clamped at 0),
-      |f|^2 / (1+|z|^2),
-      and the larger of the two sigma ratios (Lipschitz and growth).
-    Report-only: a bad coefficient yields violations, never an exception.
-    """
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(*box.t, size=n_samples)
-    x = rng.uniform(*box.x, size=n_samples)
-    z = rng.uniform(*box.z, size=n_samples)
-    z2 = rng.uniform(*box.z, size=n_samples)
-    # keep the pair separated so the difference quotients are well scaled
-    tiny = 1e-9 * (box.z[1] - box.z[0])
-    z2 = np.where(np.abs(z - z2) < tiny, z2 + 2 * tiny, z2)
-
-    violations: list[tuple[str, tuple]] = []
-
-    with np.errstate(all="ignore"):
-        r_g = np.abs(cs.dg_dz(t, z)) / (1.0 + np.abs(z))
-        _flag("H_g growth", r_g, (t, z), violations)
-
-        fz, fz2 = cs.f(t, x, z), cs.f(t, x, z2)
-        r_mono = (z - z2) * (fz - fz2) / (z - z2) ** 2
-        _flag("H_f one-sided Lipschitz", r_mono, (t, x, z, z2), violations)
-
-        r_growth = fz * fz / (1.0 + z * z)
-        _flag("H_f growth", r_growth, (t, x, z), violations)
-
-        sz, sz2 = cs.sigma(t, x, z), cs.sigma(t, x, z2)
-        r_slip = np.sum((sz - sz2) ** 2, axis=0) / (z - z2) ** 2
-        r_sgrow = np.sum(sz * sz, axis=0) / (1.0 + z * z)
-        _flag("H_sigma Lipschitz", r_slip, (t, x, z, z2), violations)
-        _flag("H_sigma growth", r_sgrow, (t, x, z), violations)
-
-    def finite_max(r: np.ndarray) -> float:
-        r = r[np.isfinite(r)]
-        return float(np.max(r)) if r.size else math.inf
-
-    return AuditReport(
-        l_g_hat=finite_max(r_g),
-        l_f_monotone_hat=max(0.0, finite_max(r_mono)),
-        l_f_growth_hat=finite_max(r_growth),
-        l_sigma_hat=max(finite_max(r_slip), finite_max(r_sgrow)),
-        violations=violations,
-        n_samples=n_samples,
-    )

@@ -96,6 +96,12 @@ def eps_list_ok(eps_list: list[float]) -> bool:
     return bool(eps_list) and all(0.0 < eps < math.inf for eps in eps_list)
 
 
+def _check_eps_list(eps_list: list[float]) -> None:
+    if not eps_list_ok(eps_list):
+        raise ValueError(f"eps_list must be a nonempty list of finite numbers > 0, "
+                         f"got {eps_list}")
+
+
 def _distances(cs: CoefficientSet, u0: np.ndarray, h: np.ndarray | None, cfg: SchemeConfig,
                reference: np.ndarray, n_samples: int, seed: int,
                ) -> Iterator[tuple[np.ndarray, float]]:
@@ -231,7 +237,8 @@ def fw_lower_bound_probe(
     importance sampling with the minimizing control whenever the naive
     count is zero.  naive maps eps to a naive estimate the caller already
     made of this tube event with these samples, seed and scheme; an eps
-    found there is not estimated again.
+    found there is not estimated again.  Every input is checked before
+    any estimate.
     """
     if not rate_result.converged:
         raise ValueError(
@@ -240,6 +247,7 @@ def fw_lower_bound_probe(
         )
     if not theta > 0.0:  # NaN fails too
         raise ValueError(f"slack theta must be positive, got {theta}")
+    _check_eps_list(eps_list)
     ev = EventSpec(target=target, delta=delta)
     bound = -(rate_result.lambda_hat + theta)
 
@@ -306,9 +314,7 @@ def condition_convergence_probe(
         raise ValueError(f"threshold delta must be positive, got {delta}")
     if n_samples < 1 or len(u0_set) == 0 or len(controls) == 0:
         raise ValueError("need at least one sample, one start and one control")
-    if not eps_list_ok(eps_list):
-        raise ValueError(f"eps_list must be a nonempty list of finite numbers > 0, "
-                         f"got {eps_list}")
+    _check_eps_list(eps_list)
     if energy_bound is not None:
         for ctrl in controls:
             if not ctrl.in_energy_class(energy_bound):

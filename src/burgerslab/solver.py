@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +63,6 @@ __all__ = [
     "solve_skeleton",
     "complementarity_residual",
     "total_variation_k",
-    "energy_functional",
     "path_binary_bytes",
     "read_path_binary",
 ]
@@ -204,9 +203,9 @@ class ReflectedPath:
     """Solution path plus reflection bookkeeping.
 
     u has shape (steps+1, m); dk has shape (steps, m) and pairs with the
-    post-reflection state u[k+1].  grid and mesh are the config's; h_sq and
-    v_sq, the squared H and V norms per time node, are computed together on
-    first read, as the row pass of path_distance against the zero path.
+    post-reflection state u[k+1].  grid and mesh are the config's.  Its
+    norms are read through core.path_distance (against 0 * u for the zero
+    path), so a path keeps no arrays besides u and dk.
     """
 
     u: np.ndarray
@@ -224,24 +223,6 @@ class ReflectedPath:
     @property
     def mesh(self) -> TimeMesh:
         return self.config.mesh
-
-    @cached_property
-    def _norms_sq(self) -> tuple[np.ndarray, np.ndarray]:
-        h_sq, v_sq = np.empty(len(self.u)), np.empty(len(self.u))
-        _distance_rows(self.u, np.broadcast_to(0.0, self.u.shape), h_sq, v_sq)
-        h_sq *= self.grid.dx
-        v_sq /= self.grid.dx
-        h_sq.setflags(write=False)
-        v_sq.setflags(write=False)
-        return h_sq, v_sq
-
-    @property
-    def h_sq(self) -> np.ndarray:
-        return self._norms_sq[0]
-
-    @property
-    def v_sq(self) -> np.ndarray:
-        return self._norms_sq[1]
 
     @property
     def min_u(self) -> float:
@@ -713,13 +694,6 @@ def complementarity_residual(p: ReflectedPath) -> float:
 def total_variation_k(p: ReflectedPath) -> float:
     """Total mass dx * sum dK of the reflection measure (all increments >= 0)."""
     return p.grid.dx * float(np.sum(p.dk))
-
-
-def energy_functional(p: ReflectedPath) -> tuple[float, float]:
-    """(sup_t |u|_H^2, ∫_0^T ||u||_V^2 dt) with left-endpoint quadrature."""
-    sup_h_sq = float(np.max(p.h_sq))
-    int_v_sq = float(np.sum(p.v_sq[:-1])) * p.mesh.dt
-    return sup_h_sq, int_v_sq
 
 
 def path_binary_bytes(p: ReflectedPath) -> bytes:

@@ -37,3 +37,15 @@ def test_hashes_equal_the_manifest(tmp_path):
     assert [name for _, name in files] == ["penalization.csv", "reflection_diagnostics.csv",
                                            "runmeta.jsonl"]
     assert sorted(files) == listed
+
+
+def test_the_listing_keeps_its_format_and_the_kernel_goes_to_stderr(tmp_path, monkeypatch,
+                                                                     capsys):
+    tool = _tool()
+    config = {"experiment": "heat-regression",
+              "params": {"m_values": [8], "dt_values": [0.01], "t_final": 0.1}}
+    monkeypatch.setattr(tool, "runs", lambda: [("configs/tiny", config)])
+    assert tool.main() == 0
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"([0-9a-f]{64}  configs/tiny/\S+\n)+", out)
+    assert err == f"openblas core: {tool.openblas_corename()}\n"

@@ -16,7 +16,6 @@ from burgerslab.core import (
 )
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.averaging import (
-    khasminskii_block_error,
     penalization_convergence_probe,
     run_averaging_experiment,
 )
@@ -197,54 +196,12 @@ class TestAveragingExperiment:
             sups4 = []
             for i in range(100):
                 nz = sample_noise(31, MESH, 1, path_index=i)
-                p = solve(cs, u0c, nz, None, cfg)
-                sups4.append(float(np.max(p.h_sq)) ** 2)
+                u = solve(cs, u0c, nz, None, cfg).u
+                sups4.append(path_distance(u, 0 * u, GRID, MESH).sup_h ** 4)
             ratios.append(np.mean(sups4) / (1.0 + h_norm(u0c, GRID) ** 4))
         # bounded against 1 + |u0|^4, and not growing with the scaling
         assert max(ratios) < 2.0
         assert ratios[2] / ratios[1] < 1.5
-
-
-class TestKhasminskiiBlocks:
-    def test_zero_amplitude_zero_error(self):
-        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=0.0)
-        cfg = SchemeConfig(grid=GRID, mesh=MESH, time_scale=0.1)
-        p = solve(ms, U0, sample_noise(5, MESH, 1), None, cfg)
-        assert khasminskii_block_error(ms, avg, p, 0.1, 0.1) == 0.0
-
-    def test_decreasing_in_eps(self):
-        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
-        vals = []
-        for eps in (0.1, 0.01):
-            cfg = SchemeConfig(grid=GRID, mesh=MESH, time_scale=eps)
-            p = solve(ms, U0, sample_noise(6, MESH, 1), None, cfg)
-            vals.append(khasminskii_block_error(ms, avg, p, 0.1, eps))
-        assert vals[1] < vals[0]
-
-    def test_single_block_is_whole_horizon_average(self):
-        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
-        eps = 0.05
-        cfg = SchemeConfig(grid=GRID, mesh=MESH, time_scale=eps)
-        p = solve(ms, U0, sample_noise(7, MESH, 1), None, cfg)
-        got = khasminskii_block_error(ms, avg, p, MESH.t_final, eps)
-        # independent recomputation: |u0|_H * sum_s |f(s/eps,.,u0)-f_bar(.,u0)|_H dt
-        x = GRID.nodes
-        acc = 0.0
-        for k in range(MESH.steps):
-            s = MESH.times[k]
-            diff = np.asarray(ms.f(s / eps, x, p.u[0]) - avg.f(0.0, x, p.u[0]))
-            acc += math.sqrt(GRID.dx * float(np.dot(diff, diff))) * MESH.dt
-        expected = h_norm(p.u[0], GRID) * acc
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_bad_block_length(self):
-        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
-        cfg = SchemeConfig(grid=GRID, mesh=MESH, time_scale=0.1)
-        p = solve(ms, U0, sample_noise(8, MESH, 1), None, cfg)
-        with pytest.raises(ValueError):
-            khasminskii_block_error(ms, avg, p, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            khasminskii_block_error(ms, avg, p, 2.0, 0.1)
 
 
 def _diagnostics_hex(p):

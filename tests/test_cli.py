@@ -319,11 +319,12 @@ class TestMain:
         assert "error" in capsys.readouterr().err
         assert (tmp_path / "failure.json").exists()
 
-    def test_cli_experiment_override_validated(self, tmp_path, capsys, monkeypatch):
+    def test_cli_seed_override_validated(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, HEAT_CFG)
-        code = main(["--config", str(path), "--experiment", "nope"])
+        code = main(["--config", str(path), "--seed=-1"])
         assert code == 2
+        assert json.loads((tmp_path / "failure.json").read_text())["error"] == "ConfigError"
 
     def test_library_value_error_writes_failure_record(self, tmp_path, monkeypatch):
         def broken(cfg):
@@ -446,8 +447,7 @@ BAD_CONFIGS = [
         {"experiment": "reflection", "mesh": {"t_final": 1.0, "dt": 5e-324}}),
     bad("heat-regression-subnormal-dt-overflows", "params.dt_values",
         {**TINY_HEAT, "params": {**TINY_HEAT["params"], "dt_values": [5e-324]}}),
-    bad("experiment-override-revalidates-params", "params.m_values",
-        TINY_HEAT, "--experiment", "reflection"),
+    bad("seed-override-revalidated", "seed", TINY_HEAT, "--seed=-1"),
     bad("dump-first-pair-not-bool", "params.dump_first_pair",
         {"experiment": "averaging", **MULTISCALE,
          "params": {"eps_list": [0.1], "n_paths": 1, "dump_first_pair": "yes"}}),

@@ -6,9 +6,6 @@ import pytest
 
 from burgerslab.coefficients import (
     CoefficientSet,
-    SampleBox,
-    audit_assumptions,
-    average_coefficients,
     burgers_multiscale_family,
     estimate_kappa,
     make_burgers_set,
@@ -26,13 +23,6 @@ class TestBurgersSet:
         cs = make_burgers_set(0.0)
         z = np.linspace(-4, 4, 9)
         assert np.all(cs.g(1.0, z) == 0.0)
-
-    def test_audit_recovers_convection_slope(self):
-        # max of |a_g z| / (1+|z|) over z in [-10, 10] is a_g * 10/11
-        cs = make_burgers_set(2.0)
-        report = audit_assumptions(cs, SampleBox(z=(-10, 10)), n_samples=4000, seed=1)
-        assert report.l_g_hat == pytest.approx(2.0 * 10.0 / 11.0, rel=0.01)
-        assert report.violations == []
 
     def test_inconsistent_derivative_rejected(self):
         with pytest.raises(ValueError):
@@ -76,48 +66,6 @@ class TestMultiscaleSet:
     def test_bad_beta(self):
         with pytest.raises(ValueError):
             make_multiscale_set(make_burgers_set(), beta=0.0, amplitude=1.0)
-
-
-class TestAverageCoefficients:
-    def test_exact_on_time_constant(self):
-        cs = make_burgers_set(0.5, noise_profile="bounded", c1=2.0, c2=-0.5)
-        avg = average_coefficients(cs, t_hat=50.0)
-        x = np.linspace(0.05, 0.95, 7)
-        z = np.linspace(-3, 3, 7)
-        assert avg.f(0.0, x, z) == pytest.approx(cs.f(0.0, x, z), rel=1e-13)
-        assert avg.sigma(0.0, x, z) == pytest.approx(cs.sigma(0.0, x, z), rel=1e-13)
-        assert (avg.g, avg.dg_dz, avg.d) == (cs.g, cs.dg_dz, cs.d)
-
-    def test_decaying_perturbation_mean(self):
-        # (1/T) ∫ (1+s)^(-1/2) ds = (2 sqrt(1+T) - 2)/T ~ 2/sqrt(T)
-        base = make_burgers_set(0.0, c1=1.0)
-        ms = make_multiscale_set(base, beta=0.5, amplitude=1.0)
-        t_hat = 1e4
-        avg = average_coefficients(ms, t_hat=t_hat)
-        x, z = np.array([0.5]), np.array([1.3])
-        drift = abs(float((avg.f(0.0, x, z) - base.f(0.0, x, z))[0]))
-        expected = (2.0 * math.sqrt(1.0 + t_hat) - 2.0) / t_hat
-        assert drift == pytest.approx(expected, rel=1e-4)
-        assert drift <= 2e-2
-
-    def test_linearity_in_the_set(self):
-        a = burgers_multiscale_family(beta=0.5, amplitude=0.7, c1=1.0)[0]
-        b = burgers_multiscale_family(beta=1.5, amplitude=0.4, c2=0.3)[0]
-        combo = CoefficientSet(
-            g=a.g, dg_dz=a.dg_dz,
-            f=lambda t, x, z: a.f(t, x, z) + b.f(t, x, z),
-            sigma=lambda t, x, z: a.sigma(t, x, z) + b.sigma(t, x, z),
-            d=1,
-        )
-        x, z = np.array([0.3, 0.8]), np.array([-1.0, 2.0])
-        fa = average_coefficients(a, 25.0).f(0.0, x, z)
-        fb = average_coefficients(b, 25.0).f(0.0, x, z)
-        fc = average_coefficients(combo, 25.0).f(0.0, x, z)
-        assert fc == pytest.approx(fa + fb, rel=1e-13)
-
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            average_coefficients(make_burgers_set(0.0), t_hat=0.0)
 
 
 class TestEstimateKappa:
@@ -168,79 +116,17 @@ class TestEstimateKappa:
             estimate_kappa(ms, avg, [10.0], [], [0.5])
 
 
-class TestAudits:
-    def test_quadratic_g_on_box(self):
-        # |z|/(1+|z|) approaches 5/6 at the box corner |z| = 5
-        cs = make_burgers_set(1.0)
-        report = audit_assumptions(cs, SampleBox(z=(-5, 5)), n_samples=4000, seed=3)
-        assert report.l_g_hat == pytest.approx(5.0 / 6.0, rel=0.02)
-
-    def test_decreasing_drift_monotone_constant(self):
-        cs = CoefficientSet(
-            g=lambda t, z: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(z))),
-            dg_dz=lambda t, z: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(z))),
-            f=lambda t, x, z: -np.asarray(z, float)
-            + np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(z))),
-            sigma=lambda t, x, z: np.ones(
-                (1,) + np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(z))
-            ),
-            d=1,
-        )
-        report = audit_assumptions(cs, SampleBox(), n_samples=1000, seed=4)
-        assert report.l_f_monotone_hat <= 0.0 + 1e-12
-
-    def test_superlinear_sigma_flagged(self):
-        cs = CoefficientSet(
-            g=lambda t, z: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(z))),
-            dg_dz=lambda t, z: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(z))),
-            f=lambda t, x, z: np.zeros(
-                np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(z))
-            ),
-            sigma=lambda t, x, z: np.asarray(z, float)[None, ...] ** 2
-            + np.zeros((1,) + np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(z))),
-            d=1,
-        )
-        report = audit_assumptions(
-            cs, SampleBox(z=(-1e4, 1e4)), n_samples=2000, seed=5
-        )
-        flagged = [name for name, _ in report.violations]
-        assert "H_sigma growth" in flagged
-        witness = dict(report.violations)["H_sigma growth"]
-        assert len(witness) == 3  # (t, x, z) point
-
-    def test_empty_box_rejected(self):
-        with pytest.raises(ValueError):
-            SampleBox(z=(1.0, 1.0))
-
-
-class TestAveragedConstants:
-    def test_averaged_set_inherits_bounds(self):
-        # the averaged reaction keeps the one-sided slope, its growth is at
-        # most doubled, and the averaged noise keeps Lipschitz within 3x
-        ms, avg = burgers_multiscale_family(
-            beta=0.5, amplitude=0.5, c1=1.5, c2=0.2, noise_profile="bounded"
-        )
-        box = SampleBox(t=(0.0, 20.0), z=(-4, 4))
-        fast = audit_assumptions(ms, box, n_samples=3000, seed=6)
-        slow = audit_assumptions(avg, box, n_samples=3000, seed=7)
-        l_f = max(fast.l_f_monotone_hat, fast.l_f_growth_hat)
-        tol = 1.05
-        assert slow.l_f_monotone_hat <= tol * l_f
-        assert slow.l_f_growth_hat <= 2.0 * tol * l_f
-        assert slow.l_sigma_hat <= 3.0 * tol * fast.l_sigma_hat
-
-
 # every argument shape the package passes a callback: (name, t, x, z)
 _Z = np.array([-1e200, -3.5, -1.0, -1e-300, -0.0, 0.0, 5e-324, 0.25, 2.0, 1e200])
 CALL_SHAPES = [
     # the solver: a float t, the nodes and the (P, m) states (g sees them ghost-padded)
     ("solver", 0.37, np.linspace(0.1, 0.9, 5), np.resize(_Z, (2, 5))),
     ("solver_one_row", 0.0, np.linspace(0.1, 0.9, 10), _Z[None].copy()),
-    # the audits: t, x and z sampled alike
+    # the module's broadcast contract: t, x and z all arrays of one shape
     ("audit", np.linspace(0.0, 1.0, 10), np.linspace(0.05, 0.95, 10), _Z.copy()),
     # estimate_kappa: a float s over flattened (x, z) samples
     ("kappa", 12.5, np.linspace(0.05, 0.95, 10), _Z.copy()),
-    # the averaging block functional: times down, nodes across
+    # the same contract in two dimensions: times down, nodes across
     ("averaging_block", np.linspace(0.0, 3.0, 4)[:, None], np.linspace(0.1, 0.9, 10)[None],
      _Z[None].copy()),
     # the derivative spot check
@@ -256,9 +142,6 @@ BUILTIN_SETS = {
     "multiscale_d2": lambda: burgers_multiscale_family(beta=0.5, amplitude=0.7, a_g=0.8,
                                                        noise_profile="bounded", c1=1.0, d=2)[0],
     "family_average": lambda: burgers_multiscale_family(beta=0.5, amplitude=1.0)[1],
-    "cesaro_average": lambda: average_coefficients(
-        burgers_multiscale_family(beta=0.5, amplitude=0.7, noise_profile="bounded", c1=1.0,
-                                  d=2)[0], 4.0),
 }
 
 
@@ -278,23 +161,6 @@ class TestCallbackShapes:
             if np.ndim(z) == 2:
                 padded = np.pad(z, ((0, 0), (1, 1)))
                 assert np.shape(cs.g(t, padded)) == np.broadcast(t, padded).shape
-
-    @pytest.mark.parametrize("call", CALL_SHAPES, ids=[c[0] for c in CALL_SHAPES])
-    def test_average_ignores_t_in_the_broadcast_shape(self, call):
-        # f and sigma of the averaged set have the bits of one quadrature at
-        # every t, spread over the full broadcast shape of (t, x, z)
-        ms = burgers_multiscale_family(beta=0.5, amplitude=0.7, noise_profile="bounded",
-                                       c1=1.0, d=2)[0]
-        avg = average_coefficients(ms, 4.0)
-        _, t, x, z = call
-        shape = np.broadcast(t, x, z).shape
-        with np.errstate(over="ignore", invalid="ignore"):
-            for name, lead in (("f", ()), ("sigma", (2,))):
-                a = getattr(avg, name)(t, x, z)
-                b = getattr(avg, name)(np.asarray(t) + 7.25, x, z)
-                assert a.shape == b.shape == lead + shape
-                assert _same_bits(a, b)
-
 
 def _formula_set(a_g, profile, c1, c2, sigma_amp, d):
     """make_burgers_set's formulas in full, evaluated on every call."""
@@ -409,5 +275,3 @@ class TestConstantCallbacks:
         for t in (0.0, 0.3):
             ms.g(t, z), ms.dg_dz(t, z), ms.f(t, x, z), ms.sigma(t, x, z)
         assert calls == []
-        # a Cesaro average is evaluated per call; only g passes through
-        assert average_coefficients(ms, 10.0).constant == constant & {"g"}

@@ -182,6 +182,20 @@ class TestLowerBoundProbe:
                 ADDITIVE, U0, FLOW, 0.1, [0.2], 10, 21, CFG, bad, theta=0.5
             )
 
+    @pytest.mark.parametrize("eps_list", [[], [0.1, math.inf], [0.1, math.nan]],
+                             ids=["no-eps", "inf-eps", "nan-eps"])
+    def test_eps_list_checked_before_any_estimate(self, monkeypatch, eps_list):
+        # an empty eps_list once returned no rows, and an infinite or NaN eps
+        # failed only after the earlier eps had marched, naming no eps_list
+        rate = self._zero_rate()
+        calls = []
+        monkeypatch.setattr(solver, "cho_solve_banded",
+                            lambda *args: calls.append("cho_solve_banded"))
+        with pytest.raises(ValueError, match="eps_list"):
+            fw_lower_bound_probe(ADDITIVE, U0, FLOW, 0.15, eps_list, 10, 19, CFG, rate,
+                                 theta=0.5)
+        assert calls == []
+
     def test_given_naive_estimate_is_not_run_again(self, monkeypatch):
         args = (ADDITIVE, U0, FLOW, 0.15, [0.5, 0.2], 60, 19, CFG, self._zero_rate())
         plain = fw_lower_bound_probe(*args, theta=0.5)

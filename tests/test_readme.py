@@ -2,8 +2,10 @@
 
 A backticked `module.name` whose module is a burgerslab module must be an
 attribute of that module, and a `section.key` of the config schema must be
-a row of that section, so deleting or renaming a name cannot leave the
-README pointing at nothing.
+a row of that section.  A backticked bare call `name(` and a backticked
+ALL_CAPS name must be an attribute of some burgerslab module, except the
+environment variables listed here.  So deleting or renaming a name cannot
+leave the README pointing at nothing.
 """
 
 import importlib
@@ -30,6 +32,10 @@ SECTIONS = {
 
 # a dotted name right after a backtick, ending at the closing backtick or a call's "("
 QUOTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)[`(]")
+# a bare name right after a backtick: any name called, or an ALL_CAPS name alone
+BARE = re.compile(r"`(?:([A-Za-z_]\w*)\(|([A-Z][A-Z0-9_]*)`)")
+# ALL_CAPS names the README quotes that are not burgerslab's
+ENVIRONMENT = {"PYTHONDONTWRITEBYTECODE"}
 
 
 def _resolves(dotted: str) -> bool:
@@ -53,3 +59,19 @@ def test_a_missing_name_does_not_resolve():
     assert not _resolves("solver.no_such_name")
     assert not _resolves("scheme.no_such_key")
     assert _resolves("grid.m") and _resolves("params.n_samples")
+
+
+def _bare_resolves(name: str) -> bool:
+    return any(hasattr(module, name) for module in MODULES.values())
+
+
+def test_bare_names_resolve():
+    bare = {call or caps for call, caps in BARE.findall(README.read_text())} - ENVIRONMENT
+    assert {"sample_noise", "solve_batch", "MAX_M", "PER_PANEL"} <= bare
+    assert sorted(name for name in bare if not _bare_resolves(name)) == []
+
+
+def test_a_missing_bare_name_does_not_resolve():
+    assert not _bare_resolves("no_such_function")
+    assert not _bare_resolves("NO_SUCH_CONSTANT")
+    assert _bare_resolves("sample_noise") and _bare_resolves("MAX_M")

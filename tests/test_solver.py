@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from burgerslab import core, solver
 from burgerslab.core import (
-    SpatialGrid, TimeMesh, h_norm, path_distance, sample_noise, sine_field, v_norm,
+    SpatialGrid, TimeMesh, h_norm, path_distance, sample_noise, sine_field,
 )
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.solver import (
@@ -18,7 +18,6 @@ from burgerslab.solver import (
     Control,
     SchemeConfig,
     complementarity_residual,
-    energy_functional,
     path_binary_bytes,
     read_path_binary,
     solve,
@@ -1096,13 +1095,6 @@ class TestPenalized:
         assert 0.0 < abs(r1000) < abs(r100)
 
 
-def _formula_norms_sq(u, grid):
-    """The squared H and V norms of each row as whole-path formulas: the bit reference."""
-    jumps = np.diff(u, axis=1, prepend=0.0, append=0.0)
-    return (grid.dx * np.einsum("km,km->k", u, u),
-            np.einsum("km,km->k", jumps, jumps) / grid.dx)
-
-
 class TestReflectedPath:
     def _path(self):
         grid, mesh = SpatialGrid(16), TimeMesh(0.5, 40)
@@ -1113,75 +1105,7 @@ class TestReflectedPath:
         p, cfg = self._path()
         assert p.config is cfg
         assert p.grid is cfg.grid and p.mesh is cfg.mesh
-
-    def test_norms_are_lazy_read_only_and_exact(self):
-        p, cfg = self._path()
-        assert not {"h_sq", "v_sq", "_norms_sq"} & set(vars(p))
-        for name, norms in zip(("h_sq", "v_sq"), _formula_norms_sq(p.u, cfg.grid)):
-            value = getattr(p, name)
-            assert getattr(p, name) is value
-            assert value.tobytes() == norms.tobytes()
-            assert not value.flags.writeable
-            with pytest.raises(ValueError):
-                value[0] = 1.0
-            with pytest.raises(FrozenInstanceError):
-                setattr(p, name, np.zeros_like(value))
         assert not p.u.flags.writeable and not p.dk.flags.writeable
-
-    @pytest.mark.parametrize("steps, m, scale", [
-        (0, 2, 1.0), (1, 3, 1.0), (40, 16, 1e-300), (300, 33, 1e150), (5000, 128, 1.0),
-    ])
-    def test_norms_have_the_bits_of_the_formulas(self, steps, m, scale):
-        # rows longer than a DISTANCE_BLOCK, signed zeros, subnormals and near-overflow
-        grid, mesh = SpatialGrid(m), TimeMesh(1.0, max(steps, 1))
-        rng = np.random.default_rng(steps + m)
-        u = scale * rng.standard_normal((steps + 1, m))
-        u.flat[::7] = -0.0
-        u.flat[3::11] = 0.0
-        p = solver.ReflectedPath(u=u, dk=np.zeros((steps, m)),
-                                 config=SchemeConfig(grid=grid, mesh=mesh))
-        with np.errstate(over="ignore", under="ignore"):
-            h_ref, v_ref = _formula_norms_sq(u, grid)
-            assert (p.h_sq.tobytes(), p.v_sq.tobytes()) == (h_ref.tobytes(), v_ref.tobytes())
-
-
-class TestEnergyFunctional:
-    def test_zero_path(self):
-        grid, mesh = SpatialGrid(8), TimeMesh(1.0, 20)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
-        p = solve_skeleton(ZERO, np.zeros(8), None, cfg)
-        assert energy_functional(p) == (0.0, 0.0)
-
-    def test_matches_the_reference_norms(self):
-        # node by node, the cached norms behind the functional are h_norm and
-        # v_norm squared
-        grid, mesh = SpatialGrid(16), TimeMesh(0.5, 40)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
-        p = solve(ADDITIVE, sine_field(grid), sample_noise(4, mesh, 1), None, cfg)
-        h_sq = [h_norm(row, grid) ** 2 for row in p.u]
-        v_sq = [v_norm(row, grid) ** 2 for row in p.u]
-        sup_h_sq, int_v_sq = energy_functional(p)
-        assert sup_h_sq == pytest.approx(max(h_sq), rel=1e-12)
-        assert int_v_sq == pytest.approx(sum(v_sq[:-1]) * mesh.dt, rel=1e-12)
-
-    def test_heat_flow_analytic_integral(self):
-        grid, mesh = SpatialGrid(128), TimeMesh(0.1, 4000)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
-        p = solve_skeleton(ZERO, sine_field(grid), None, cfg)
-        sup_h_sq, int_v_sq = energy_functional(p)
-        assert sup_h_sq == pytest.approx(0.5, rel=1e-3)
-        analytic = (1.0 - math.exp(-2 * math.pi**2 * 0.1)) / 4.0
-        assert int_v_sq == pytest.approx(analytic, rel=0.01)
-
-    def test_quadratic_scaling(self):
-        grid, mesh = SpatialGrid(32), TimeMesh(0.1, 200)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
-        p1 = solve_skeleton(ZERO, sine_field(grid), None, cfg)
-        p2 = solve_skeleton(ZERO, 2 * sine_field(grid), None, cfg)
-        s1, i1 = energy_functional(p1)
-        s2, i2 = energy_functional(p2)
-        assert s2 == pytest.approx(4 * s1, rel=1e-12)
-        assert i2 == pytest.approx(4 * i1, rel=1e-12)
 
 
 class TestExport:

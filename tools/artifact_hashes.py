@@ -5,7 +5,9 @@ on the three benchmark workloads at seeds 1-3 (their configs come from
 `perfbench/workloads.py`), one process at a time with BLAS capped at one
 thread, as the benchmark runs it.  Prints one line per CSV, `.bin` and
 `runmeta.jsonl` file, `<sha256>  <run>/<artifact>`, sorted, and exits 1 if
-any run fails.  The manifest is left out: it records wall time.
+any run fails.  The manifest is left out: it records wall time.  The
+kernel numpy's bundled OpenBLAS picked on this host goes to stderr as
+`openblas core: <name>`, since the same bytes hold only on one kernel.
 
 Compare two checkouts with
 
@@ -16,6 +18,7 @@ Compare two checkouts with
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -32,6 +35,21 @@ from workloads import WORKLOADS, config_for  # noqa: E402
 SEEDS = (1, 2, 3)
 THREAD_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def openblas_corename() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked on this host, or None if it cannot tell."""
+    import numpy
+
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def runs() -> list[tuple[str, dict]]:
@@ -63,6 +81,7 @@ def run(config: dict, work: Path) -> tuple[int, list[tuple[str, str]]]:
 
 
 def main() -> int:
+    print(f"openblas core: {openblas_corename()}", file=sys.stderr)
     status = 0
     lines = []
     with tempfile.TemporaryDirectory() as tmp:

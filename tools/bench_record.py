@@ -25,7 +25,6 @@ different boxes or sessions do not.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import os
@@ -38,7 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from artifact_hashes import ROOT, THREAD_CAPS, WORKLOADS, runs  # noqa: E402
+from artifact_hashes import ROOT, THREAD_CAPS, WORKLOADS, openblas_corename, runs  # noqa: E402
 
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 # the harness's own cost, recorded and not corrected
@@ -84,21 +83,6 @@ def cli_run(config: dict, work: Path) -> dict:
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {"exit_code": proc.returncode, "wall_s": time.monotonic() - start,
             "cpu_s": usage.ru_utime + usage.ru_stime, "peak_rss_mb": usage.ru_maxrss / 1024.0}
-
-
-def openblas_corename() -> str | None:
-    """The kernel numpy's bundled OpenBLAS picked on this host, or None if it cannot tell."""
-    import numpy
-
-    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return None
 
 
 def machine() -> dict:
