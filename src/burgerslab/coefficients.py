@@ -247,8 +247,8 @@ def _graded_simpson(t_hat: float) -> tuple[np.ndarray, np.ndarray]:
 
 def time_average(func_of_s: Callable[[float], np.ndarray], t_hat: float) -> np.ndarray:
     """(1/t_hat) ∫_0^t_hat func(s) ds by graded composite Simpson."""
-    if not t_hat > 0.0:  # NaN fails too
-        raise ValueError(f"averaging horizon must be positive, got {t_hat}")
+    if not 0.0 < t_hat < math.inf:  # NaN fails too
+        raise ValueError(f"averaging horizon t_hat must be finite and > 0, got {t_hat}")
     nodes, weights = _graded_simpson(t_hat)
     acc = weights[0] * np.asarray(func_of_s(float(nodes[0])), dtype=float)
     for s, w in zip(nodes[1:], weights[1:]):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +50,15 @@ def test_the_listing_keeps_its_format_and_the_kernel_goes_to_stderr(tmp_path, mo
     out, err = capsys.readouterr()
     assert re.fullmatch(r"([0-9a-f]{64}  configs/tiny/\S+\n)+", out)
     assert err == f"openblas core: {tool.openblas_corename()}\n"
+
+
+def test_bench_record_names_the_kernel_through_the_listing_tool():
+    # one openblas_corename for the byte listing and the benchmark record
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "tools" / "bench_record.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.openblas_corename is sys.modules["artifact_hashes"].openblas_corename
+    defined = [path.name for path in sorted((ROOT / "tools").glob("*.py"))
+               if "def openblas_corename" in path.read_text()]
+    assert defined == ["artifact_hashes.py"]

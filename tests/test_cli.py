@@ -326,6 +326,16 @@ class TestMain:
         assert code == 2
         assert json.loads((tmp_path / "failure.json").read_text())["error"] == "ConfigError"
 
+    def test_experiment_flag_is_gone(self, tmp_path, capsys, monkeypatch):
+        # the config's experiment key is its one declaration
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, HEAT_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), "--experiment", "reflection"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --experiment" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_library_value_error_writes_failure_record(self, tmp_path, monkeypatch):
         def broken(cfg):
             raise ValueError("boom")

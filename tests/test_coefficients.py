@@ -68,6 +68,43 @@ class TestMultiscaleSet:
             make_multiscale_set(make_burgers_set(), beta=0.0, amplitude=1.0)
 
 
+class TestTimeAverage:
+    def test_exact_on_time_constant(self):
+        value = np.array([-3.5, 0.0, 2.0, 1e-300])
+        for t_hat in (0.5, 50.0):
+            assert time_average(lambda s: value, t_hat) == pytest.approx(value, rel=1e-13)
+
+    def test_decaying_perturbation_mean(self):
+        # (1/T) ∫ (1+s)^(-1/2) ds = (2 sqrt(1+T) - 2)/T ~ 2/sqrt(T)
+        t_hat = 1e4
+        got = float(time_average(lambda s: (1.0 + s) ** -0.5, t_hat))
+        assert got == pytest.approx((2.0 * math.sqrt(1.0 + t_hat) - 2.0) / t_hat, rel=1e-4)
+        assert got <= 2e-2
+
+    @pytest.mark.parametrize("t_hat", [0.3, 1.0, 5.0, 1e4])
+    def test_simpson_is_exact_on_cubics(self, t_hat):
+        # graded panels of any horizon, a part panel below 1 and a last part panel too
+        def cubic(s):
+            return 2.0 - s + 0.5 * s**2 - 0.25 * s**3
+
+        mean = 2.0 - t_hat / 2 + t_hat**2 / 6 - t_hat**3 / 16
+        assert float(time_average(cubic, t_hat)) == pytest.approx(mean, rel=1e-12, abs=1e-12)
+
+    def test_linearity_in_the_integrand(self):
+        ms = burgers_multiscale_family(beta=0.5, amplitude=0.7, c1=1.0)[0]
+        x, z = np.array([0.3, 0.8]), np.array([-1.0, 2.0])
+        fa = time_average(lambda s: ms.f(s, x, z), 25.0)
+        fb = time_average(lambda s: np.cos(s) * x, 25.0)
+        fc = time_average(lambda s: ms.f(s, x, z) + np.cos(s) * x, 25.0)
+        assert fc == pytest.approx(fa + fb, rel=1e-13)
+
+    @pytest.mark.parametrize("t_hat", [0.0, -1.0, math.inf])
+    def test_bad_horizon(self, t_hat):
+        # an infinite horizon once returned NaN through an overflowing last panel
+        with pytest.raises(ValueError, match="t_hat must be"):
+            time_average(lambda s: 1.0, t_hat)
+
+
 class TestEstimateKappa:
     def test_zero_amplitude_zero_kappa(self):
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=0.0)
@@ -161,6 +198,22 @@ class TestCallbackShapes:
             if np.ndim(z) == 2:
                 padded = np.pad(z, ((0, 0), (1, 1)))
                 assert np.shape(cs.g(t, padded)) == np.broadcast(t, padded).shape
+
+    @pytest.mark.parametrize("call", CALL_SHAPES, ids=[c[0] for c in CALL_SHAPES])
+    def test_average_ignores_t_in_the_broadcast_shape(self, call):
+        # f and sigma of the family's averaged set have the same bits at every
+        # t, spread over the full broadcast shape of (t, x, z)
+        avg = burgers_multiscale_family(beta=0.5, amplitude=0.7, noise_profile="bounded",
+                                        c1=1.0, d=2)[1]
+        _, t, x, z = call
+        shape = np.broadcast(t, x, z).shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, lead in (("f", ()), ("sigma", (2,))):
+                a = getattr(avg, name)(t, x, z)
+                b = getattr(avg, name)(np.asarray(t) + 7.25, x, z)
+                assert a.shape == b.shape == lead + shape
+                assert _same_bits(a, b)
+
 
 def _formula_set(a_g, profile, c1, c2, sigma_amp, d):
     """make_burgers_set's formulas in full, evaluated on every call."""

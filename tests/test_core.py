@@ -294,12 +294,20 @@ def _nan_cases():
         "RareEventEstimate.std_err": lambda: RareEventEstimate(
             p_hat=0.5, std_err=nan, n_samples=1, epsilon=0.1, method="naive", seed=0,
             raw_mean=0.5),
+        "EventSpec.delta": lambda: EventSpec(target=flow.u, delta=nan),
+        "RareEventEstimate.p_hat": lambda: RareEventEstimate(
+            p_hat=nan, std_err=0.1, n_samples=1, epsilon=0.1, method="naive", seed=0,
+            raw_mean=0.5),
         "estimate_naive.eps": lambda: estimate_naive(cs, u0, nan, ev, 2, 0, cfg),
         "estimate_importance.eps": lambda: estimate_importance(cs, u0, nan, ev, zero, 2, 0, cfg),
         "fw_lower_bound_probe.theta": lambda: fw_lower_bound_probe(
             cs, u0, flow.u, 0.1, [0.1], 2, 0, cfg, rate, nan),
+        "fw_lower_bound_probe.eps_list": lambda: fw_lower_bound_probe(
+            cs, u0, flow.u, 0.1, [0.1, nan], 2, 0, cfg, rate, 0.5),
         "condition_convergence_probe.delta": lambda: condition_convergence_probe(
             cs, [u0], [zero], [0.1], nan, 2, 0, cfg),
+        "condition_convergence_probe.eps_list": lambda: condition_convergence_probe(
+            cs, [u0], [zero], [0.1, nan], 0.1, 2, 0, cfg),
         "run_averaging_experiment.delta": lambda: run_averaging_experiment(
             cs, cs, u0, [0.1], 2, 0, cfg, delta=nan),
         "make_multiscale_set.beta": lambda: make_multiscale_set(cs, nan, 1.0),
@@ -319,6 +327,8 @@ def test_nan_fails_every_range_check(name):
 
 
 def _inf_cases():
+    from burgerslab.coefficients import make_burgers_set, time_average
+    from burgerslab.ldp import condition_convergence_probe
     from burgerslab.solver import Control, SchemeConfig
 
     inf = math.inf
@@ -328,6 +338,10 @@ def _inf_cases():
         "control horizon t_final": lambda: Control(inf, [[1.0]]),
         "noise_scale": lambda: SchemeConfig(grid=grid, mesh=mesh, noise_scale=inf),
         "time_scale": lambda: SchemeConfig(grid=grid, mesh=mesh, time_scale=inf),
+        "t_hat": lambda: time_average(lambda s: 1.0, inf),
+        "eps_list": lambda: condition_convergence_probe(
+            make_burgers_set(), [np.zeros(4)], [Control.zero(0.1, 1)], [0.1, inf], 0.1, 2, 0,
+            SchemeConfig(grid=grid, mesh=mesh)),
     }
 
 

@@ -182,8 +182,9 @@ class TestLowerBoundProbe:
                 ADDITIVE, U0, FLOW, 0.1, [0.2], 10, 21, CFG, bad, theta=0.5
             )
 
-    @pytest.mark.parametrize("eps_list", [[], [0.1, math.inf], [0.1, math.nan]],
-                             ids=["no-eps", "inf-eps", "nan-eps"])
+    @pytest.mark.parametrize("eps_list", [[], [0.1, math.inf], [0.1, math.nan], [0.1, 0.0],
+                                          [0.1, -0.1]],
+                             ids=["no-eps", "inf-eps", "nan-eps", "zero-eps", "negative-eps"])
     def test_eps_list_checked_before_any_estimate(self, monkeypatch, eps_list):
         # an empty eps_list once returned no rows, and an infinite or NaN eps
         # failed only after the earlier eps had marched, naming no eps_list
@@ -263,8 +264,9 @@ class TestConditionProbe:
         ([U0], [Control.zero(1.0, 1)], 5, [float("nan")], "eps_list"),
         ([U0], [Control.zero(1.0, 1)], 5, [0.0], "eps_list"),
         ([U0], [Control.zero(1.0, 1)], 5, [], "eps_list"),
+        ([U0], [Control.zero(1.0, 1)], 5, [0.1, math.inf], "eps_list"),
     ], ids=["no-samples", "no-starts", "no-controls", "negative-eps", "nan-eps", "zero-eps",
-            "no-eps"])
+            "no-eps", "inf-eps"])
     def test_empty_inputs_rejected_before_any_solve(self, monkeypatch, u0_set, controls,
                                                     n_samples, eps_list, match):
         # n_samples 0 once solved every skeleton and then divided by zero; an

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from burgerslab import core, solver
 from burgerslab.core import (
-    SpatialGrid, TimeMesh, h_norm, path_distance, sample_noise, sine_field,
+    SpatialGrid, TimeMesh, h_norm, path_distance, sample_noise, sine_field, v_norm,
 )
 from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.solver import (
@@ -1106,6 +1106,61 @@ class TestReflectedPath:
         assert p.config is cfg
         assert p.grid is cfg.grid and p.mesh is cfg.mesh
         assert not p.u.flags.writeable and not p.dk.flags.writeable
+
+    def test_arrays_are_read_only_and_the_path_frozen(self):
+        p, _ = self._path()
+        for name in ("u", "dk"):
+            value = getattr(p, name)
+            with pytest.raises(ValueError):
+                value[0] = 1.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(p, name, np.zeros_like(value))
+
+
+def _energy(p):
+    """sup_t |u|_H^2 and ∫ ||u||_V^2 dt of path p: its squared distance to the zero path."""
+    d = path_distance(p.u, 0 * p.u, p.grid, p.mesh)
+    return d.sup_h ** 2, d.l2_v ** 2
+
+
+class TestEnergyFunctional:
+    # the energy of the a priori bound (acceptance criterion 4), read as
+    # path_distance to 0 * u
+    def test_zero_path(self):
+        grid, mesh = SpatialGrid(8), TimeMesh(1.0, 20)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
+        p = solve_skeleton(ZERO, np.zeros(8), None, cfg)
+        assert _energy(p) == (0.0, 0.0)
+
+    def test_matches_the_reference_norms(self):
+        # node by node, the energy is built of h_norm and v_norm squared
+        grid, mesh = SpatialGrid(16), TimeMesh(0.5, 40)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=1.0)
+        p = solve(ADDITIVE, sine_field(grid), sample_noise(4, mesh, 1), None, cfg)
+        h_sq = [h_norm(row, grid) ** 2 for row in p.u]
+        v_sq = [v_norm(row, grid) ** 2 for row in p.u]
+        sup_h_sq, int_v_sq = _energy(p)
+        assert sup_h_sq == pytest.approx(max(h_sq), rel=1e-12)
+        assert int_v_sq == pytest.approx(sum(v_sq[:-1]) * mesh.dt, rel=1e-12)
+
+    def test_heat_flow_analytic_integral(self):
+        grid, mesh = SpatialGrid(128), TimeMesh(0.1, 4000)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
+        p = solve_skeleton(ZERO, sine_field(grid), None, cfg)
+        sup_h_sq, int_v_sq = _energy(p)
+        assert sup_h_sq == pytest.approx(0.5, rel=1e-3)
+        analytic = (1.0 - math.exp(-2 * math.pi**2 * 0.1)) / 4.0
+        assert int_v_sq == pytest.approx(analytic, rel=0.01)
+
+    def test_quadratic_scaling(self):
+        grid, mesh = SpatialGrid(32), TimeMesh(0.1, 200)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
+        p1 = solve_skeleton(ZERO, sine_field(grid), None, cfg)
+        p2 = solve_skeleton(ZERO, 2 * sine_field(grid), None, cfg)
+        s1, i1 = _energy(p1)
+        s2, i2 = _energy(p2)
+        assert s2 == pytest.approx(4 * s1, rel=1e-12)
+        assert i2 == pytest.approx(4 * i1, rel=1e-12)
 
 
 class TestExport:
