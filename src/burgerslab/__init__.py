@@ -33,7 +33,6 @@ from .solver import (
     solve,
     solve_batch,
     solve_skeleton,
-    step,
     total_variation_k,
 )
 from .ratefn import (

@@ -48,14 +48,6 @@ class AveragingReport:
     coupling_seed: int
     delta: float
 
-    def __post_init__(self) -> None:
-        _check_distinct([r.epsilon for r in self.rows])
-
-
-def _check_distinct(eps: list[float]) -> None:
-    if len(set(eps)) != len(eps):
-        raise ValueError("rows must be keyed by distinct epsilon values")
-
 
 def run_averaging_experiment(
     ms: CoefficientSet,
@@ -81,7 +73,8 @@ def run_averaging_experiment(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    _check_distinct(eps_list)
+    if len(set(eps_list)) != len(eps_list):
+        raise ValueError("rows must be keyed by distinct epsilon values")
     if not delta > 0.0:  # NaN fails too
         raise ValueError(f"exceedance threshold must be positive, got {delta}")
     if avg.d != ms.d:

@@ -13,11 +13,12 @@ Artifacts land in the output directory: one or more CSV tables (full
 a runmeta.jsonl with per-artifact metadata, and manifest.txt referencing
 every emitted file with its sha256 (the manifest also records wall time,
 and is therefore the only non-reproducible output).  A rejected config
-(exit 2) or a failed run (exit 1) writes failure.json instead; an output
-directory that cannot be made exits 2 with a one-line error and no record.
+(exit 2) or a failed run (exit 1) writes failure.json instead, to the same
+output directory; one that cannot be made exits 2 with a one-line error and
+no record.
 
 Usage:
-  burgerslab --config cfg.json [--out DIR] [--seed N]
+  burgerslab --config cfg.json [--out DIR]
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ _UNREAD = {
 }
 
 # experiments whose every artifact is one deterministic computation: the seed,
-# which the config and --seed still accept, changes none of their bytes
+# which the config still accepts, changes none of their bytes
 _SEEDLESS = ("heat-regression", "rate-function")
 
 # what the burgers family never reads: the multiscale perturbation's keys
@@ -225,7 +226,6 @@ _MULTISCALE_ONLY = ("beta", "amplitude")
 _TOP = (
     ("experiment", tuple(_PARAMS), _REQUIRED, *_ANY),
     ("seed", int, 0, *_NONNEGATIVE),
-    ("out_dir", str, None, *_ANY),
     ("grid", dict, {}, *_ANY),
     ("mesh", dict, {}, *_ANY),
     ("coefficients", dict, {}, *_ANY),
@@ -295,7 +295,6 @@ class ExperimentConfig:
 
     experiment: str
     seed: int
-    out_dir: str | None
     scheme: SchemeConfig
     coefficients: dict
     u0_spec: dict
@@ -350,7 +349,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     t_final, dt = sec["mesh"]["t_final"], sec["mesh"]["dt"]
     mesh = TimeMesh(t_final, round(t_final / dt))
     return ExperimentConfig(
-        experiment=top["experiment"], seed=top["seed"], out_dir=top["out_dir"],
+        experiment=top["experiment"], seed=top["seed"],
         scheme=SchemeConfig(grid=grid, mesh=mesh, **sec["scheme"]),
         coefficients=sec["coefficients"], u0_spec=sec["u0"], params=sec["params"], raw=raw,
     )
@@ -458,8 +457,8 @@ def _drive_rare_event(cfg: ExperimentConfig):
     ]
     res = rate_function(cs, u0, target, cfg.scheme, RateOptions(blocks=p["blocks"]))
     rows = fw_lower_bound_probe(
-        cs, u0, target, p["delta"], p["eps_list"], n_samples, cfg.seed, cfg.scheme,
-        res, p["theta"], naive={eps: naive},
+        cs, u0, ev, p["eps_list"], n_samples, cfg.seed, cfg.scheme, res, p["theta"],
+        naive={eps: naive},
     )
     fw_rows = [
         [r.epsilon, r.p_hat, r.eps_log_p, r.bound,
@@ -508,11 +507,7 @@ def _drive_averaging(cfg: ExperimentConfig):
          report.coupling_seed]
         for r in report.rows
     ]
-    kappa = estimate_kappa(
-        ms, avg, p["kappa_t_hats"], z_samples=np.linspace(-3, 3, 7),
-        x_samples=np.linspace(0.1, 0.9, 5),
-    )
-    kappa_rows = [[t, k] for t, k in kappa]
+    kappa_rows = [[t, k] for t, k in estimate_kappa(ms, avg, p["kappa_t_hats"])]
     tables = {
         "averaging.csv": (
             ["eps", "mean_sq_dist", "std_err", "exceed_frac", "n_samples", "seed"],
@@ -566,7 +561,7 @@ def _write_failure(out: Path, cfg: ExperimentConfig | None, exc: Exception) -> P
 
 
 def run_experiment(
-    cfg: ExperimentConfig, out_dir: str | Path, config_path: str | Path | None = None
+    cfg: ExperimentConfig, out: str | Path, config_path: str | Path | None = None
 ) -> tuple[int, list[Path]]:
     """Dispatch to the named driver; write CSVs, runmeta.jsonl and manifest.txt.
 
@@ -576,7 +571,7 @@ def run_experiment(
     reports optimizer non-convergence in its tables, while the rare-event
     lower-bound probe cannot run without a converged rate and fails.
     """
-    out = Path(out_dir)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
@@ -631,8 +626,8 @@ def run_experiment(
     return 0, artifacts + [manifest]
 
 
-def _make_out(path: str, flag: str) -> bool:
-    """Make the output directory; False, after a one-line error naming flag, if it cannot be one.
+def _make_out(path: str) -> bool:
+    """Make the output directory; False, after a one-line error naming --out, if it cannot be one.
 
     No failure record is written: it would have to go where the directory
     cannot be.
@@ -640,7 +635,7 @@ def _make_out(path: str, flag: str) -> bool:
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: {flag} {path} cannot be an output directory: {exc.strerror or exc}",
+        print(f"error: --out {path} cannot be an output directory: {exc.strerror or exc}",
               file=sys.stderr)
         return False
     return True
@@ -652,24 +647,18 @@ def main(argv: list[str] | None = None) -> int:
         description="Run one reflected-Burgers experiment from a JSON config.",
     )
     parser.add_argument("--config", required=True, help="path to the JSON config file")
-    parser.add_argument("--out", default=None, help="output directory (default: config's out_dir or '.')")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default=".", help="output directory (default: '.')")
     args = parser.parse_args(argv)
 
-    if args.out is not None and not _make_out(args.out, "--out"):
+    if not _make_out(args.out):
         return 2
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = _validate({**cfg.raw, "seed": args.seed})
     except ConfigError as exc:
-        _write_failure(Path(args.out or "."), None, exc)
+        _write_failure(Path(args.out), None, exc)
         return 2
 
-    out_dir = args.out or cfg.out_dir or "."
-    if not args.out and not _make_out(out_dir, "out_dir"):
-        return 2
-    print(f"experiment={cfg.experiment} seed={cfg.seed} out={out_dir}")
+    print(f"experiment={cfg.experiment} seed={cfg.seed} out={args.out}")
     unread = _UNREAD.get(cfg.experiment, ())
     sections = [text for name, text in (
         ("grid", f"grid m={cfg.grid.m}"),
@@ -682,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.experiment in _SEEDLESS:
         print(f"note: {cfg.experiment} draws no noise; seed {cfg.seed} changes no artifact",
               file=sys.stderr)
-    code, artifacts = run_experiment(cfg, out_dir, config_path=args.config)
+    code, artifacts = run_experiment(cfg, args.out, config_path=args.config)
     for path in artifacts:
         print(f"wrote {path}")
     return code

@@ -260,12 +260,11 @@ def estimate_kappa(
     cs: CoefficientSet,
     avg: CoefficientSet,
     t_hat_list: Sequence[float],
-    z_samples: Sequence[float],
-    x_samples: Sequence[float],
 ) -> list[tuple[float, float]]:
     """Decay modulus of the averaged approximation.
 
-    kappa_hat(t_hat) = max over sampled (x, z) of
+    kappa_hat(t_hat) = max over the fixed 7 x 5 (z, x) grid, z in
+    linspace(-3, 3, 7) and x in linspace(0.1, 0.9, 5), of
     [(1/t_hat) ∫_0^t_hat |f - f_bar|^2 + sum_j |sigma_j - sigma_bar_j|^2 ds]
     / (1 + z^2), with f_bar and sigma_bar the averaged set's f and sigma,
     read once at t = 0.  Invariant under relabeling of noise channels (the
@@ -274,9 +273,7 @@ def estimate_kappa(
     t_hats = list(t_hat_list)
     if any(b <= a for a, b in zip(t_hats, t_hats[1:])):
         raise ValueError("t_hat_list must be strictly increasing")
-    if len(z_samples) == 0 or len(x_samples) == 0:
-        raise ValueError("sample sets must be nonempty")
-    xg, zg = np.meshgrid(np.asarray(x_samples, float), np.asarray(z_samples, float))
+    xg, zg = np.meshgrid(np.linspace(0.1, 0.9, 5), np.linspace(-3, 3, 7))
     x, z = xg.ravel(), zg.ravel()
     fb = avg.f(0.0, x, z)
     sb = avg.sigma(0.0, x, z)

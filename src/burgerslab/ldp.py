@@ -221,8 +221,7 @@ class FWBoundRow:
 def fw_lower_bound_probe(
     cs: CoefficientSet,
     u0: np.ndarray,
-    target: np.ndarray,
-    delta: float,
+    ev: EventSpec,
     eps_list: list[float],
     n_samples: int,
     seed: int,
@@ -233,10 +232,11 @@ def fw_lower_bound_probe(
 ) -> list[FWBoundRow]:
     """Tube lower bound check: is eps log p_hat >= -(lambda_hat + theta)?
 
-    Needs a converged rate estimate for the target; falls back to
+    ev is the tube event, as estimate_naive and estimate_importance take
+    it.  Needs a converged rate estimate for its target; falls back to
     importance sampling with the minimizing control whenever the naive
     count is zero.  naive maps eps to a naive estimate the caller already
-    made of this tube event with these samples, seed and scheme; an eps
+    made of ev with these samples, seed and scheme; an eps
     found there is not estimated again.  Every input is checked before
     any estimate.
     """
@@ -248,7 +248,6 @@ def fw_lower_bound_probe(
     if not theta > 0.0:  # NaN fails too
         raise ValueError(f"slack theta must be positive, got {theta}")
     _check_eps_list(eps_list)
-    ev = EventSpec(target=target, delta=delta)
     bound = -(rate_result.lambda_hat + theta)
 
     known = dict(naive or {})

@@ -56,7 +56,6 @@ __all__ = [
     "Control",
     "ReflectedPath",
     "BlowUpError",
-    "step",
     "solve",
     "solve_batch",
     "march_distances",
@@ -153,10 +152,6 @@ class Control:
                              f"got {self.t_final}")
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
-
-    @classmethod
-    def zero(cls, t_final: float, d: int, blocks: int = 1) -> "Control":
-        return cls(t_final, np.zeros((blocks, d)))
 
     @classmethod
     def constant(cls, t_final: float, h: np.ndarray | float, d: int = 1) -> "Control":
@@ -291,11 +286,11 @@ BLOWUP_CEILING = 1e6
 class _Stepper:
     """One march: its inputs, the implicit inverse and the buffers a step writes in place.
 
-    The march takes steps steps from the (P, m) states u0 at time t0, step
-    k from t0 + k * dt, computed only where a callback or a blow-up reads
-    it; dw is (P, steps, d) or None, h is (steps, d) shared or (P,
-    steps, d) per row, or None, and penalties holds one penalty n per row,
-    so the weight dt * n is a (P, 1) column.  The implicit inverse is the
+    The march takes steps steps from the (P, m) states u0 at time 0, step
+    k from k * dt, computed only where a callback or a blow-up reads it; dw
+    is (P, steps, d) or None, h is (steps, d) shared or (P, steps, d) per
+    row, or None, and penalties holds one penalty n per row, so the weight
+    dt * n is a (P, 1) column.  The implicit inverse is the
     shared one of the grid and mesh (_implicit_inverse).  A term whose
     callback the set records as constant (CoefficientSet.constant) is
     evaluated here, once per march, on the start states (which may be a
@@ -317,11 +312,11 @@ class _Stepper:
 
     def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, u0: np.ndarray,
                  dw: np.ndarray | None, h: np.ndarray | None, penalties: Sequence[float],
-                 steps: int, t0: float = 0.0):
+                 steps: int):
         rows, m = u0.shape
         x = cfg.grid.nodes
         self.cs, self.cfg, self.x, self.h = cs, cfg, x, h
-        self.steps, self.t0 = steps, t0
+        self.steps = steps
         self.dx = cfg.grid.dx
         self.dt = cfg.mesh.dt
         self.penalty = self.dt * np.array(penalties, dtype=float)[:, None]
@@ -345,21 +340,16 @@ class _Stepper:
         self._drift = None if h is None else np.empty((width, drift_rows, m))
         self._kick = None if self.dw is None else np.empty((width, rows, m))
 
-        t_fast = t0 / cfg.time_scale
-        self._f = cs.f(t_fast, x, u0) if "f" in cs.constant else None
+        self._f = cs.f(0.0, x, u0) if "f" in cs.constant else None
         self._base = None
         if self._f is not None and "g" in cs.constant:
             self._base = np.zeros((rows, m))  # the convection of a constant g
             self._base += self._f
             self._base *= self.dt
         if self._block_forcing:
-            np.copyto(self._sigma, cs.sigma(t_fast, x, u0))
+            np.copyto(self._sigma, cs.sigma(0.0, x, u0))
         # a step reads its time only for a callback it calls
         self._clocked = self._base is None or self._forced_per_step
-
-    def _time(self, k: int) -> float:
-        """The march's time after k steps, t0 + k * dt."""
-        return self.t0 + k * self.dt
 
     def _convection(self, t: float, u: np.ndarray, out: np.ndarray) -> None:
         """d/dx g(t, u) into out, from g on the ghost-padded state (+0.0 for a constant g)."""
@@ -428,7 +418,7 @@ class _Stepper:
                 for k in range(start, stop):
                     uk, j = states[k], k - start
                     if clocked:
-                        t = self._time(first + k)
+                        t = (first + k) * self.dt
                         t_fast = t / cfg.time_scale
                     # rhs = u + dt * (convection + f), each product and sum as the formula rounds it
                     if base is not None:
@@ -482,33 +472,7 @@ class _Stepper:
         for row in np.flatnonzero(bad.any(axis=1)).tolist():
             j = int(np.argmax(bad[row]))
             self.first_bad.setdefault(
-                row, (start + j, self._time(start + j) + self.dt, float(peak[row, j])))
-
-
-def step(
-    u: np.ndarray,
-    t: float,
-    dw: np.ndarray | None,
-    h: np.ndarray | None,
-    cs: CoefficientSet,
-    cfg: SchemeConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one state by one step; returns (new state, reflection increment).
-
-    dw holds the d Brownian increments over [t, t+dt] (None for none),
-    h the control values at time t (None for the uncontrolled equation).
-    A march of one step for a batch of one.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (cfg.grid.m,):
-        raise ValueError(f"state shape {u.shape} does not match grid ({cfg.grid.m},)")
-    path = np.empty((1, 2, cfg.grid.m))
-    path[0, 0] = u
-    dk = np.empty((1, 1, cfg.grid.m))
-    dw = None if dw is None else np.asarray(dw, float)[None, None]
-    h = None if h is None else np.asarray(h, float)[None]
-    _Stepper(cs, cfg, path[:, 0], dw, h, [cfg.penalty_n], 1, t).march(path, dk)
-    return path[0, 1], dk[0, 0]
+                row, (start + j, (start + j) * self.dt + self.dt, float(peak[row, j])))
 
 
 def _batch_inputs(

@@ -146,7 +146,7 @@ def test_criterion_06_small_noise_convergence_probe():
     cfg = SchemeConfig(grid=grid, mesh=mesh)
     u0 = sine_field(grid)
     controls = [
-        Control.zero(1.0, 1),
+        Control(1.0, np.zeros((1, 1))),
         Control.constant(1.0, 1.0),
         Control.constant(1.0, -1.2),
     ]
@@ -201,7 +201,8 @@ def test_criterion_08_fw_lower_bound_trend():
     flow = solve_skeleton(cs, u0, None, cfg).u
     rate0 = rate_function(cs, u0, flow, cfg, RateOptions(blocks=2, max_iters=5))
     rows = fw_lower_bound_probe(
-        cs, u0, flow, 0.15, [0.5, 0.2, 0.1], 500, 3, cfg, rate0, theta=0.5
+        cs, u0, EventSpec(target=flow, delta=0.15), [0.5, 0.2, 0.1], 500, 3, cfg, rate0,
+        theta=0.5
     )
     vals = [r.eps_log_p for r in rows]
     ok = vals[0] < vals[1] < vals[2] <= 0.0
@@ -229,16 +230,14 @@ def test_criterion_09_averaging_principle():
 def test_criterion_10_kappa_decay():
     ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
     t_hats = [1e2, 1e3, 1e4]
-    ks = estimate_kappa(
-        ms, avg, t_hats, np.linspace(-3, 3, 7), np.linspace(0.1, 0.9, 5)
-    )
+    ks = estimate_kappa(ms, avg, t_hats)
     # f and the sigma channel each contribute amp^2 log(1+T)/T at z = 0
     ok = all(
         abs(k - 2.0 * math.log(1.0 + t) / t) <= 0.10 * 2.0 * math.log(1.0 + t) / t
         for t, k in ks
     )
     flat, flat_avg = burgers_multiscale_family(beta=0.5, amplitude=0.0)
-    ks0 = estimate_kappa(flat, flat_avg, t_hats, [-1, 0, 1], [0.25, 0.75])
+    ks0 = estimate_kappa(flat, flat_avg, t_hats)
     zero_ok = all(k == 0.0 for _, k in ks0)
     report(10, ok and zero_ok,
            f"kappa ratios to log(1+T)/T: {[f'{k * t / math.log(1 + t):.3f}' for t, k in ks]}, "

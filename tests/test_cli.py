@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -258,9 +259,8 @@ class TestShippedConfigs:
 
 class TestMain:
     def test_cli_round_trip(self, tmp_path, capsys):
-        path = write_config(tmp_path, HEAT_CFG)
-        code = main(["--config", str(path), "--out", str(tmp_path / "out"),
-                     "--seed", "9"])
+        path = write_config(tmp_path, {**HEAT_CFG, "seed": 9})
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
         out = capsys.readouterr().out
         assert "seed=9" in out
@@ -275,11 +275,11 @@ class TestMain:
                       "params": {"blocks": 2, "max_iters": 3}}, id="rate-function"),
     ])
     def test_seedless_experiment_says_the_seed_changes_nothing(self, tmp_path, capsys, payload):
-        path = write_config(tmp_path, payload)
         tables = []
-        for seed in ("1", "2"):
-            out = tmp_path / seed
-            assert main(["--config", str(path), "--out", str(out), "--seed", seed]) == 0
+        for seed in (1, 2):
+            path = write_config(tmp_path, {**payload, "seed": seed}, name=f"cfg{seed}.json")
+            out = tmp_path / str(seed)
+            assert main(["--config", str(path), "--out", str(out)]) == 0
             err = capsys.readouterr().err
             assert err == (f"note: {payload['experiment']} draws no noise; seed {seed} "
                            "changes no artifact\n")
@@ -319,22 +319,45 @@ class TestMain:
         assert "error" in capsys.readouterr().err
         assert (tmp_path / "failure.json").exists()
 
-    def test_cli_seed_override_validated(self, tmp_path, capsys, monkeypatch):
+    def test_cli_negative_seed_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        path = write_config(tmp_path, HEAT_CFG)
-        code = main(["--config", str(path), "--seed=-1"])
+        path = write_config(tmp_path, {**HEAT_CFG, "seed": -1})
+        code = main(["--config", str(path)])
         assert code == 2
         assert json.loads((tmp_path / "failure.json").read_text())["error"] == "ConfigError"
 
-    def test_experiment_flag_is_gone(self, tmp_path, capsys, monkeypatch):
-        # the config's experiment key is its one declaration
+    @pytest.mark.parametrize("flag", ["--experiment", "--seed"])
+    def test_flag_restating_a_config_key_is_gone(self, tmp_path, capsys, monkeypatch, flag):
+        # the config's experiment and seed keys are their one declaration
         monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, HEAT_CFG)
         with pytest.raises(SystemExit) as exc:
-            main(["--config", str(path), "--experiment", "reflection"])
+            main(["--config", str(path), flag, "1"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --experiment" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_help_lists_only_config_and_out(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        flags = {word.strip("[],") for word in capsys.readouterr().out.split()
+                 if word.strip("[],").startswith("--")}
+        assert flags == {"--help", "--config", "--out"}
+
+    def test_manifest_describes_the_config_that_made_the_artifacts(self, tmp_path):
+        # the manifest's config line and blob hash are those of the file the
+        # run read, byte for byte
+        path = Path(__file__).resolve().parents[1] / "configs" / "reflection.json"
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        lines = dict(line.split(": ", 1) for line in
+                     (out / "manifest.txt").read_text().splitlines() if ": " in line)
+        data = path.read_bytes()
+        blob = hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+        assert lines["config-blob-sha1"] == blob
+        assert json.loads(lines["config"]) == json.loads(data)
+        assert lines["seed"] == str(json.loads(data)["seed"])
 
     def test_library_value_error_writes_failure_record(self, tmp_path, monkeypatch):
         def broken(cfg):
@@ -367,7 +390,7 @@ class TestMain:
             path.mkdir()
         else:
             path = tmp_path / "cfg.json"
-            path.write_bytes(b'{"experiment": "heat-regression", "out_dir": "caf\xe9"}')
+            path.write_bytes(b'{"experiment": "caf\xe9"}')
         out = tmp_path / "out"
         assert main(["--config", str(path), "--out", str(out)]) == 2
         assert "config" in capsys.readouterr().err
@@ -391,15 +414,6 @@ class TestMain:
         assert len(err.splitlines()) == 1 and "--out" in err
         assert taken.read_text() == "keep me"
 
-    def test_config_out_dir_naming_a_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "taken").write_text("keep me")
-        code = main(["--config", str(write_config(tmp_path, {**HEAT_CFG, "out_dir": "taken"}))])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "out_dir" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
-
 
 SMALL = {"grid": {"m": 8}, "mesh": {"t_final": 0.2, "dt": 0.01}}
 MULTISCALE = {**SMALL, "coefficients": {"family": "multiscale", "beta": 0.5}}
@@ -407,8 +421,8 @@ TINY_HEAT = {"experiment": "heat-regression",
              "params": {"m_values": [8], "dt_values": [0.01], "t_final": 0.1}}
 
 
-def bad(name, field, payload, *argv):
-    return pytest.param(payload, list(argv), field, id=name)
+def bad(name, field, payload):
+    return pytest.param(payload, field, id=name)
 
 
 # each of these once ended in a traceback, an empty table, a silently
@@ -457,17 +471,19 @@ BAD_CONFIGS = [
         {"experiment": "reflection", "mesh": {"t_final": 1.0, "dt": 5e-324}}),
     bad("heat-regression-subnormal-dt-overflows", "params.dt_values",
         {**TINY_HEAT, "params": {**TINY_HEAT["params"], "dt_values": [5e-324]}}),
-    bad("seed-override-revalidated", "seed", TINY_HEAT, "--seed=-1"),
+    bad("negative-seed", "seed", {**TINY_HEAT, "seed": -1}),
+    # --out is the one declaration of the output directory
+    bad("out-dir-key", "out_dir", {"experiment": "reflection", "out_dir": "x"}),
     bad("dump-first-pair-not-bool", "params.dump_first_pair",
         {"experiment": "averaging", **MULTISCALE,
          "params": {"eps_list": [0.1], "n_paths": 1, "dump_first_pair": "yes"}}),
 ]
 
 
-@pytest.mark.parametrize("payload, argv, field", BAD_CONFIGS)
-def test_bad_config_rejected_before_any_solve(tmp_path, capsys, payload, argv, field):
+@pytest.mark.parametrize("payload, field", BAD_CONFIGS)
+def test_bad_config_rejected_before_any_solve(tmp_path, capsys, payload, field):
     out = tmp_path / "out"
-    code = main(["--config", str(write_config(tmp_path, payload)), "--out", str(out), *argv])
+    code = main(["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
     assert code == 2
     assert field in capsys.readouterr().err
     record = json.loads((out / "failure.json").read_text())

@@ -280,7 +280,7 @@ def _nan_cases():
     u0 = sine_field(grid)
     flow = solve_skeleton(cs, u0, None, cfg)
     ev = EventSpec(target=flow.u, delta=0.1)
-    zero = Control.zero(mesh.t_final, 1)
+    zero = Control(mesh.t_final, np.zeros((1, 1)))
     rate = RateFunctionResult(lambda_hat=0.0, h_star=zero, residual=0.0, iterations=0,
                               converged=True, tol=1e-3)
     return {
@@ -301,9 +301,9 @@ def _nan_cases():
         "estimate_naive.eps": lambda: estimate_naive(cs, u0, nan, ev, 2, 0, cfg),
         "estimate_importance.eps": lambda: estimate_importance(cs, u0, nan, ev, zero, 2, 0, cfg),
         "fw_lower_bound_probe.theta": lambda: fw_lower_bound_probe(
-            cs, u0, flow.u, 0.1, [0.1], 2, 0, cfg, rate, nan),
+            cs, u0, ev, [0.1], 2, 0, cfg, rate, nan),
         "fw_lower_bound_probe.eps_list": lambda: fw_lower_bound_probe(
-            cs, u0, flow.u, 0.1, [0.1, nan], 2, 0, cfg, rate, 0.5),
+            cs, u0, ev, [0.1, nan], 2, 0, cfg, rate, 0.5),
         "condition_convergence_probe.delta": lambda: condition_convergence_probe(
             cs, [u0], [zero], [0.1], nan, 2, 0, cfg),
         "condition_convergence_probe.eps_list": lambda: condition_convergence_probe(
@@ -340,8 +340,8 @@ def _inf_cases():
         "time_scale": lambda: SchemeConfig(grid=grid, mesh=mesh, time_scale=inf),
         "t_hat": lambda: time_average(lambda s: 1.0, inf),
         "eps_list": lambda: condition_convergence_probe(
-            make_burgers_set(), [np.zeros(4)], [Control.zero(0.1, 1)], [0.1, inf], 0.1, 2, 0,
-            SchemeConfig(grid=grid, mesh=mesh)),
+            make_burgers_set(), [np.zeros(4)], [Control(0.1, np.zeros((1, 1)))], [0.1, inf], 0.1,
+            2, 0, SchemeConfig(grid=grid, mesh=mesh)),
     }
 
 

@@ -25,6 +25,7 @@ MESH = TimeMesh(1.0, 50)
 CFG = SchemeConfig(grid=GRID, mesh=MESH)
 U0 = sine_field(GRID)
 FLOW = solve_skeleton(ADDITIVE, U0, None, CFG).u
+NO_TILT = Control(1.0, np.zeros((1, 1)))
 
 
 class TestEventSpec:
@@ -104,7 +105,7 @@ class TestImportance:
         ev = EventSpec(target=FLOW, delta=0.2)
         naive = estimate_naive(ADDITIVE, U0, 0.2, ev, 60, seed=14, cfg=CFG)
         tilted = estimate_importance(
-            ADDITIVE, U0, 0.2, ev, Control.zero(1.0, 1), 60, seed=14, cfg=CFG
+            ADDITIVE, U0, 0.2, ev, NO_TILT, 60, seed=14, cfg=CFG
         )
         assert tilted.p_hat == naive.p_hat
         assert tilted.std_err == naive.std_err
@@ -150,7 +151,7 @@ class TestLowerBoundProbe:
 
     def test_deterministic_flow_tube_trend(self):
         rows = fw_lower_bound_probe(
-            ADDITIVE, U0, FLOW, 0.15, [0.5, 0.2, 0.1], 100, 18, CFG,
+            ADDITIVE, U0, EventSpec(target=FLOW, delta=0.15), [0.5, 0.2, 0.1], 100, 18, CFG,
             self._zero_rate(), theta=0.5,
         )
         vals = [r.eps_log_p for r in rows]
@@ -158,7 +159,7 @@ class TestLowerBoundProbe:
 
     def test_generous_slack_always_satisfied(self):
         rows = fw_lower_bound_probe(
-            ADDITIVE, U0, FLOW, 0.15, [0.5, 0.2], 60, 19, CFG,
+            ADDITIVE, U0, EventSpec(target=FLOW, delta=0.15), [0.5, 0.2], 60, 19, CFG,
             self._zero_rate(), theta=10.0,
         )
         assert all(r.satisfied for r in rows)
@@ -166,7 +167,7 @@ class TestLowerBoundProbe:
     def test_zero_hit_row_flagged(self):
         # unreachable tube: zero hits for naive and for the zero-control tilt
         rows = fw_lower_bound_probe(
-            ADDITIVE, U0, FLOW + 2.0, 1e-9, [0.2], 25, 20, CFG,
+            ADDITIVE, U0, EventSpec(target=FLOW + 2.0, delta=1e-9), [0.2], 25, 20, CFG,
             self._zero_rate(), theta=0.5,
         )
         row = rows[0]
@@ -179,7 +180,8 @@ class TestLowerBoundProbe:
         )
         with pytest.raises(ValueError):
             fw_lower_bound_probe(
-                ADDITIVE, U0, FLOW, 0.1, [0.2], 10, 21, CFG, bad, theta=0.5
+                ADDITIVE, U0, EventSpec(target=FLOW, delta=0.1), [0.2], 10, 21, CFG, bad,
+                theta=0.5
             )
 
     @pytest.mark.parametrize("eps_list", [[], [0.1, math.inf], [0.1, math.nan], [0.1, 0.0],
@@ -193,14 +195,14 @@ class TestLowerBoundProbe:
         monkeypatch.setattr(solver, "cho_solve_banded",
                             lambda *args: calls.append("cho_solve_banded"))
         with pytest.raises(ValueError, match="eps_list"):
-            fw_lower_bound_probe(ADDITIVE, U0, FLOW, 0.15, eps_list, 10, 19, CFG, rate,
-                                 theta=0.5)
+            fw_lower_bound_probe(ADDITIVE, U0, EventSpec(target=FLOW, delta=0.15), eps_list, 10,
+                                 19, CFG, rate, theta=0.5)
         assert calls == []
 
     def test_given_naive_estimate_is_not_run_again(self, monkeypatch):
-        args = (ADDITIVE, U0, FLOW, 0.15, [0.5, 0.2], 60, 19, CFG, self._zero_rate())
-        plain = fw_lower_bound_probe(*args, theta=0.5)
         ev = EventSpec(target=FLOW, delta=0.15)
+        args = (ADDITIVE, U0, ev, [0.5, 0.2], 60, 19, CFG, self._zero_rate())
+        plain = fw_lower_bound_probe(*args, theta=0.5)
         given = estimate_naive(ADDITIVE, U0, 0.2, ev, 60, 19, CFG)
         ran = []
 
@@ -215,8 +217,7 @@ class TestLowerBoundProbe:
         for bad in (estimate_naive(ADDITIVE, U0, 0.2, ev, 59, 19, CFG),
                     estimate_naive(ADDITIVE, U0, 0.2, ev, 60, 18, CFG),
                     estimate_naive(ADDITIVE, U0, 0.5, ev, 60, 19, CFG),
-                    estimate_importance(ADDITIVE, U0, 0.2, ev, Control.zero(1.0, 1), 60, 19,
-                                        CFG)):
+                    estimate_importance(ADDITIVE, U0, 0.2, ev, NO_TILT, 60, 19, CFG)):
             with pytest.raises(ValueError, match="not the probe's naive estimate"):
                 fw_lower_bound_probe(*args, theta=0.5, naive={0.2: bad})
 
@@ -226,7 +227,7 @@ class TestLowerBoundProbe:
         res = rate_function(ADDITIVE, U0, target, CFG, RateOptions(blocks=4, max_iters=25))
         assert res.converged
         rows = fw_lower_bound_probe(
-            ADDITIVE, U0, target, 0.06, [0.2, 0.1], 200, 11, CFG, res,
+            ADDITIVE, U0, EventSpec(target=target, delta=0.06), [0.2, 0.1], 200, 11, CFG, res,
             theta=0.5 * res.lambda_hat,
         )
         assert all(r.satisfied for r in rows)
@@ -235,12 +236,12 @@ class TestLowerBoundProbe:
 class TestConditionProbe:
     def test_huge_delta_all_zero(self):
         rows = condition_convergence_probe(
-            ADDITIVE, [U0], [Control.zero(1.0, 1)], [0.3, 0.1], 1e6, 10, 22, CFG
+            ADDITIVE, [U0], [NO_TILT], [0.3, 0.1], 1e6, 10, 22, CFG
         )
         assert all(r.worst_fraction == 0.0 for r in rows)
 
     def test_fraction_decays_with_eps(self):
-        controls = [Control.zero(1.0, 1), Control.constant(1.0, 1.0)]
+        controls = [NO_TILT, Control.constant(1.0, 1.0)]
         rows = condition_convergence_probe(
             ADDITIVE, [U0, 0.5 * U0], controls, [0.5, 0.1, 0.02], 0.25, 60, 23, CFG
         )
@@ -257,14 +258,14 @@ class TestConditionProbe:
 
 
     @pytest.mark.parametrize("u0_set, controls, n_samples, eps_list, match", [
-        ([U0], [Control.zero(1.0, 1)], 0, [0.1], "at least one"),
-        ([], [Control.zero(1.0, 1)], 5, [0.1], "at least one"),
+        ([U0], [NO_TILT], 0, [0.1], "at least one"),
+        ([], [NO_TILT], 5, [0.1], "at least one"),
         ([U0], [], 5, [0.1], "at least one"),
-        ([U0], [Control.zero(1.0, 1)], 5, [-0.1], "eps_list"),
-        ([U0], [Control.zero(1.0, 1)], 5, [float("nan")], "eps_list"),
-        ([U0], [Control.zero(1.0, 1)], 5, [0.0], "eps_list"),
-        ([U0], [Control.zero(1.0, 1)], 5, [], "eps_list"),
-        ([U0], [Control.zero(1.0, 1)], 5, [0.1, math.inf], "eps_list"),
+        ([U0], [NO_TILT], 5, [-0.1], "eps_list"),
+        ([U0], [NO_TILT], 5, [float("nan")], "eps_list"),
+        ([U0], [NO_TILT], 5, [0.0], "eps_list"),
+        ([U0], [NO_TILT], 5, [], "eps_list"),
+        ([U0], [NO_TILT], 5, [0.1, math.inf], "eps_list"),
     ], ids=["no-samples", "no-starts", "no-controls", "negative-eps", "nan-eps", "zero-eps",
             "no-eps", "inf-eps"])
     def test_empty_inputs_rejected_before_any_solve(self, monkeypatch, u0_set, controls,
@@ -323,7 +324,7 @@ class TestBatchedLoops:
         sure = EventSpec(target=FLOW, delta=float("inf"))
         for seed in range(3):
             for eps in (0.5, 0.05):
-                est = estimate_importance(cs, U0, eps, sure, Control.zero(1.0, d, blocks=2),
+                est = estimate_importance(cs, U0, eps, sure, Control(1.0, np.zeros((2, d))),
                                           10, seed, CFG)
                 assert est.raw_mean == 1.0 and est.std_err == 0.0
                 assert est.n_clipped == 0
@@ -362,7 +363,7 @@ class TestBatchedLoops:
         assert tilted_peak - naive_peak < path_bytes
 
     def test_condition_probe_chunking_changes_nothing(self, monkeypatch):
-        args = (ADDITIVE, [U0, 0.5 * U0], [Control.zero(1.0, 1), Control.constant(1.0, 1.0)],
+        args = (ADDITIVE, [U0, 0.5 * U0], [NO_TILT, Control.constant(1.0, 1.0)],
                 [0.5, 0.1], 0.05, 9, 41, CFG)
         whole = condition_convergence_probe(*args)
         _small_chunks(monkeypatch, 2)

@@ -23,7 +23,6 @@ from burgerslab.solver import (
     solve,
     solve_batch,
     solve_skeleton,
-    step,
     total_variation_k,
 )
 
@@ -94,23 +93,31 @@ class TestControl:
         with pytest.raises(ValueError):
             ctrl.on_mesh(TimeMesh(1.0, 10))
 
-    def test_zero(self):
-        ctrl = Control.zero(1.0, 3)
-        assert ctrl.energy == 0.0 and ctrl.d == 3
+
+def one_step(cs, u0, cfg, dw=None, h=None):
+    """(u_1, dK_0) of a march of one step: solve_batch on cfg with the mesh TimeMesh(dt, 1).
+
+    dw and h are one step's (d,) increments and control values, or None.
+    """
+    cfg = replace(cfg, mesh=TimeMesh(cfg.mesh.dt, 1))
+    dw = None if dw is None else np.reshape(dw, (1, 1, -1))
+    h = None if h is None else np.reshape(h, (1, -1))
+    u, dk = solve_batch(cs, u0, dw, h, cfg)
+    return u[0, 1], dk[0, 0]
 
 
 class TestStep:
     def test_zero_everything(self):
         grid, mesh = SpatialGrid(8), TimeMesh(1.0, 100)
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
-        u_new, dk = step(np.zeros(8), 0.0, None, None, ZERO, cfg)
+        u_new, dk = one_step(ZERO, np.zeros(8), cfg)
         assert np.all(u_new == 0.0) and np.all(dk == 0.0)
 
     def test_heat_step_matches_dense_solve(self):
         grid, mesh = SpatialGrid(32), TimeMesh(1.0, 1000)
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
         u = sine_field(grid) + 0.2 * sine_field(grid, k=3)
-        u_new, _ = step(u, 0.0, None, None, ZERO, cfg)
+        u_new, _ = one_step(ZERO, u, cfg)
         # independent oracle: dense solve of (I - dt L) v = u
         m, dx, dt = grid.m, grid.dx, mesh.dt
         lap = (np.diag(-2.0 * np.ones(m)) + np.diag(np.ones(m - 1), 1)
@@ -121,7 +128,7 @@ class TestStep:
     def test_downward_forcing_one_step(self):
         grid, mesh = SpatialGrid(64), TimeMesh(1.0, 10000)
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
-        u_new, dk = step(np.zeros(64), 0.0, None, None, FORCED_DOWN, cfg)
+        u_new, dk = one_step(FORCED_DOWN, np.zeros(64), cfg)
         assert np.all(u_new == 0.0)
         # away from the boundary layer the free step is exactly -dt
         assert dk[32] == pytest.approx(mesh.dt, rel=1e-9)
@@ -138,7 +145,7 @@ class TestStep:
             f=cs.f, sigma=cs.sigma, d=1,
         )
         u = sine_field(grid)
-        u_new, _ = step(u, 0.0, None, None, lin, cfg)
+        u_new, _ = one_step(lin, u, cfg)
         padded = np.concatenate([[0.0], u, [0.0]])
         forward = (padded[2:] - padded[1:-1]) / grid.dx
         m, dx, dt = grid.m, grid.dx, mesh.dt
@@ -149,9 +156,10 @@ class TestStep:
 
     @pytest.mark.parametrize("reflection", ["projection", "penalized"])
     def test_equals_first_step_of_solve(self, reflection):
+        # a one-step march is the first step of a longer one, bit for bit
         cs, u0, cfg, dw = _batch_case("upwind", "bounded", 2, reflection, n_paths=1)
         h = np.array([0.4, -1.1])
-        u_new, dk = step(u0, 0.0, dw[0, 0], h, cs, cfg)
+        u_new, dk = one_step(cs, u0, cfg, dw[0, 0], h)
         u, dks = solve_batch(cs, u0, dw, np.tile(h, (cfg.mesh.steps, 1)), cfg)
         assert (u_new.tobytes(), dk.tobytes()) == (u[0, 1].tobytes(), dks[0, 0].tobytes())
 
@@ -160,8 +168,9 @@ class TestStep:
         grid, mesh = SpatialGrid(8), TimeMesh(1.0, 10)
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
         with pytest.raises(BlowUpError) as err:
-            step(np.full(8, 50.0), 0.3, None, None, ZERO, cfg)
-        assert (err.value.step_index, err.value.path_index, err.value.t) == (0, 0, 0.3 + 0.1)
+            one_step(ZERO, np.full(8, 50.0), cfg)
+        # every march starts at t = 0, so its first state is at t = dt
+        assert (err.value.step_index, err.value.path_index, err.value.t) == (0, 0, mesh.dt)
         assert err.value.peak > 1.0
 
     @pytest.mark.parametrize("reflection, kick", [("penalized", -3000.0),
@@ -190,9 +199,9 @@ class TestStep:
         u0 = np.full(8, scale * solver.BLOWUP_CEILING)
         if blows_up:
             with pytest.raises(BlowUpError):
-                step(u0, 0.0, None, None, ZERO, cfg)
+                one_step(ZERO, u0, cfg)
         else:
-            u_new, _ = step(u0, 0.0, None, None, ZERO, cfg)
+            u_new, _ = one_step(ZERO, u0, cfg)
             assert np.max(u_new) > 0.49 * solver.BLOWUP_CEILING
 
     def test_upwind_consistent_with_central(self):
