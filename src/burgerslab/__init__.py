@@ -7,7 +7,6 @@ and coupled-path averaging studies for fast-oscillation coefficients.
 """
 
 from .core import (
-    NoisePath,
     PathDistance,
     SpatialGrid,
     TimeMesh,
@@ -37,7 +36,6 @@ from .solver import (
 )
 from .ratefn import (
     RateFunctionResult,
-    RateOptions,
     rate_function,
 )
 from .ldp import (

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NoisePath, path_distance, sample_noise
+from .core import path_distance, sample_noise
 from .coefficients import CoefficientSet
 from .solver import (BlowUpError, SchemeConfig, _paths_per_chunk,
                      complementarity_residual, march_distances, solve, solve_batch,
@@ -42,11 +42,9 @@ class AveragingRow:
 
 @dataclass(frozen=True)
 class AveragingReport:
-    """Per-eps coupled distances; coupling_seed echoes the shared noise."""
+    """Per-eps coupled distances, one row per eps in the order given."""
 
     rows: list[AveragingRow]
-    coupling_seed: int
-    delta: float
 
 
 def run_averaging_experiment(
@@ -84,7 +82,7 @@ def run_averaging_experiment(
     d2s = np.empty((len(eps_list), n_samples))
     size = _paths_per_chunk(cfg)
     for first in range(0, n_samples, size):
-        dw = np.stack([sample_noise(seed, cfg.mesh, ms.d, path_index=i).increments
+        dw = np.stack([sample_noise(seed, cfg.mesh, ms.d, path_index=i)
                        for i in range(first, min(first + size, n_samples))])
         try:
             slow = solve_batch(avg, u0, dw, None, base_cfg, store_dk=False)[0]
@@ -107,17 +105,21 @@ def run_averaging_experiment(
             exceed_frac=float(np.mean(d2 >= delta)),
             n_samples=n_samples,
         ))
-    return AveragingReport(rows=rows, coupling_seed=seed, delta=delta)
+    return AveragingReport(rows=rows)
 
 
 def penalization_convergence_probe(
     cs: CoefficientSet,
     u0: np.ndarray,
     n_list: list[float],
-    noise: NoisePath | None,
+    dw: np.ndarray | None,
     cfg: SchemeConfig,
 ) -> tuple[tuple[float, float, float], list[tuple[float, float]]]:
     """Squared distance of penalized(n) to the projection solution, common noise.
+
+    dw is the (steps, d) Brownian increments every scheme shares, as
+    sample_noise draws them on cfg's mesh, or None when cfg's noise scale
+    is zero.
 
     Returns the projection path's diagnostics (min u, complementarity
     residual, total variation of K), in the columns' order of the
@@ -133,13 +135,12 @@ def penalization_convergence_probe(
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     pen_cfgs = [replace(cfg, reflection="penalized", penalty_n=float(n)) for n in n_list]
-    proj = solve(cs, u0, noise, None, replace(cfg, reflection="projection", penalty_n=0.0))
+    proj = solve(cs, u0, dw, None, replace(cfg, reflection="projection", penalty_n=0.0))
     diagnostics = (proj.min_u, complementarity_residual(proj), total_variation_k(proj))
     reference = proj.u
     del proj  # its dK, as large as u, is read by nothing below
     if not pen_cfgs:
         return diagnostics, []
-    dw = None if noise is None or cfg.noise_scale == 0.0 else np.broadcast_to(
-        noise.increments, (len(pen_cfgs), *noise.increments.shape))
-    d2 = march_distances(cs, u0, dw, None, pen_cfgs, reference)
+    dws = None if dw is None else np.broadcast_to(dw, (len(pen_cfgs), *np.shape(dw)))
+    d2 = march_distances(cs, u0, dws, None, pen_cfgs, reference)
     return diagnostics, [(c.penalty_n, d) for c, d in zip(pen_cfgs, d2.tolist())]

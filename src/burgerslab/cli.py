@@ -4,9 +4,9 @@ One JSON config file describes one experiment: shared sections (grid, mesh,
 coefficients, scheme, u0, seed) plus one experiment-specific params table.
 Every key is declared once, in the schema tables below, with its kind,
 default and range check.  `load_config` walks every table, so an unknown
-key, a key the experiment or its coefficient family never reads, a wrong
-type or an out-of-range value is a ConfigError naming the field before any
-solve runs.
+key, a key the chosen experiment, family, noise profile, reflection or
+start never reads (the _UNREAD table), a wrong type or an out-of-range
+value is a ConfigError naming the field before any solve runs.
 
 Artifacts land in the output directory: one or more CSV tables (full
 17-significant-digit round-trip precision, so reruns are byte-identical),
@@ -54,7 +54,7 @@ from .solver import (
     solve_skeleton,
     stable_penalty,
 )
-from .ratefn import RateOptions, rate_function
+from .ratefn import rate_function
 from .ldp import (
     EventSpec,
     condition_convergence_probe,
@@ -115,9 +115,14 @@ _MESH = (
 )
 
 # the library defaults that schema defaults stand for, read from the signatures
-_BURGERS, _SCHEME_CFG, _RATE_OPTIONS, _AVERAGING = (
+_BURGERS, _SCHEME_CFG, _SINE, _RATE, _AVERAGING = (
     {k: p.default for k, p in inspect.signature(fn).parameters.items()}
-    for fn in (make_burgers_set, SchemeConfig, RateOptions, run_averaging_experiment))
+    for fn in (make_burgers_set, SchemeConfig, sine_field, rate_function,
+               run_averaging_experiment))
+
+# a control block shorter than one step would never be applied
+_BLOCKS = (lambda v, c: 1 <= v <= round(c["mesh.t_final"] / c["mesh.dt"]),
+           "must be >= 1 and at most the mesh's steps (mesh.t_final / mesh.dt)")
 
 _COEFFICIENTS = (
     ("family", ("burgers", "multiscale"), "burgers",
@@ -145,9 +150,9 @@ _SCHEME = (
 
 _U0 = (
     ("kind", ("sine", "zero"), "sine", *_ANY),
-    ("amplitude", float, 1.0, *_NONNEGATIVE),
-    ("mode", int, 1,
-     lambda v, c: v == 1 or c["u0.kind"] == "zero" or c["u0.amplitude"] == 0,
+    ("amplitude", float, _SINE["amplitude"], *_NONNEGATIVE),
+    ("mode", int, _SINE["k"],
+     lambda v, c: v == 1 or c["u0.amplitude"] == 0,
      "sin(k pi x) turns negative for k >= 2, and the start must be nonnegative"),
 )
 
@@ -169,9 +174,9 @@ _PARAMS = {
     ),
     "rate-function": (
         ("h_star", float, 1.0, *_ANY),
-        ("blocks", int, _RATE_OPTIONS["blocks"], *_AT_LEAST_1),
-        ("tol", float, _RATE_OPTIONS["tol"], *_POSITIVE),
-        ("max_iters", int, _RATE_OPTIONS["max_iters"], *_AT_LEAST_1),
+        ("blocks", int, _RATE["blocks"], *_BLOCKS),
+        ("tol", float, _RATE["tol"], *_POSITIVE),
+        ("max_iters", int, _RATE["max_iters"], *_AT_LEAST_1),
     ),
     "rare-event": (
         ("eps", float, 0.1, *_POSITIVE),
@@ -180,7 +185,7 @@ _PARAMS = {
         ("n_samples", int, 500, *_AT_LEAST_1),
         ("theta", float, 0.5, *_POSITIVE),
         ("h_star", float, 1.0, *_ANY),
-        ("blocks", int, 4, *_AT_LEAST_1),
+        ("blocks", int, 4, *_BLOCKS),
     ),
     "condition-probe": (
         ("eps_list", list[float], [0.2, 0.05, 0.01], *_EPS_LIST),
@@ -209,19 +214,21 @@ _PARAMS = {
     ),
 }
 
-# what an experiment never reads, a section name standing for all its keys:
-# a config that sets one is rejected, so no setting is silently ignored
+# what a choice never reads, keyed by (choice, value), a section name standing
+# for all its keys; the value is the one set, or else the schema default.  A
+# config that sets an unread key is rejected, so no setting is silently ignored
 _UNREAD = {
-    "heat-regression": ("grid", "mesh", "coefficients", "scheme", "u0"),
-    "reflection": ("coefficients", "u0", "scheme.reflection", "scheme.penalty_n"),
+    ("experiment", "heat-regression"): ("grid", "mesh", "coefficients", "scheme", "u0"),
+    ("experiment", "reflection"): ("coefficients", "u0", "scheme.reflection", "scheme.penalty_n"),
+    ("coefficients.family", "burgers"): ("coefficients.beta", "coefficients.amplitude"),
+    ("coefficients.noise_profile", "zero"): ("coefficients.sigma_amp",),
+    ("scheme.reflection", "projection"): ("scheme.penalty_n",),
+    ("u0.kind", "zero"): ("u0.amplitude", "u0.mode"),
 }
 
 # experiments whose every artifact is one deterministic computation: the seed,
 # which the config still accepts, changes none of their bytes
 _SEEDLESS = ("heat-regression", "rate-function")
-
-# what the burgers family never reads: the multiscale perturbation's keys
-_MULTISCALE_ONLY = ("beta", "amplitude")
 
 _TOP = (
     ("experiment", tuple(_PARAMS), _REQUIRED, *_ANY),
@@ -326,7 +333,7 @@ class ExperimentConfig:
 
 
 def _validate(raw: dict) -> ExperimentConfig:
-    """Unknown keys first, then keys the experiment or the family never reads, then values."""
+    """Unknown keys first, then keys a choice never reads, then values."""
     seen: dict = {}
     _reject_unknown(raw, _TOP, "")
     top = _walk(raw, _TOP, "", seen)
@@ -334,16 +341,15 @@ def _validate(raw: dict) -> ExperimentConfig:
                 ("scheme", _SCHEME), ("u0", _U0), ("params", _PARAMS[top["experiment"]]))
     for name, rows in sections:
         _reject_unknown(top[name], rows, name)
-    unread = _UNREAD.get(top["experiment"], ())
-    ignored = [f"'{name}.{key}'" for name, _ in sections for key in top[name]
-               if name in unread or f"{name}.{key}" in unread]
-    if ignored:
-        raise ConfigError(f"the {top['experiment']} experiment does not read {', '.join(ignored)}")
-    if top["coefficients"].get("family", "burgers") == "burgers":
-        ignored = [f"'coefficients.{key}'" for key in _MULTISCALE_ONLY
-                   if key in top["coefficients"]]
+    defaults = {f"{name}.{row[0]}": row[2] for name, rows in sections for row in rows}
+    for (choice, value), unread in _UNREAD.items():
+        section, _, key = choice.rpartition(".")
+        if (top[section].get(key, defaults[choice]) if section else top[key]) != value:
+            continue
+        ignored = [f"'{name}.{k}'" for name, _ in sections for k in top[name]
+                   if name in unread or f"{name}.{k}" in unread]
         if ignored:
-            raise ConfigError(f"the burgers family does not read {', '.join(ignored)}")
+            raise ConfigError(f"{choice} {value!r} does not read {', '.join(ignored)}")
     sec = {name: _walk(top[name], rows, name, seen) for name, rows in sections}
     grid = SpatialGrid(sec["grid"]["m"])
     t_final, dt = sec["mesh"]["t_final"], sec["mesh"]["dt"]
@@ -409,8 +415,8 @@ def _drive_reflection(cfg: ExperimentConfig):
     u0 = np.zeros(cfg.grid.m)
     run = replace(cfg.scheme, reflection="projection", penalty_n=0.0,
                   noise_scale=1.0 if sigma_amp > 0 else 0.0)
-    noise = sample_noise(cfg.seed, cfg.mesh, cs.d) if sigma_amp > 0 else None
-    diagnostics, pen = penalization_convergence_probe(cs, u0, cfg.params["n_list"], noise, run)
+    dw = sample_noise(cfg.seed, cfg.mesh, cs.d) if sigma_amp > 0 else None
+    diagnostics, pen = penalization_convergence_probe(cs, u0, cfg.params["n_list"], dw, run)
     pen_rows = [[n, d2] for n, d2 in pen]
     return {
         "reflection_diagnostics.csv": (["min_u", "complementarity", "tv_k"], [list(diagnostics)]),
@@ -424,8 +430,8 @@ def _drive_rate_function(cfg: ExperimentConfig):
     u0 = cfg.build_u0()
     gen = _constant_control(cfg.mesh.t_final, p["h_star"], cs.d)
     target = solve_skeleton(cs, u0, gen, cfg.scheme).u
-    opt = RateOptions(blocks=p["blocks"], tol=p["tol"], max_iters=p["max_iters"])
-    res = rate_function(cs, u0, target, cfg.scheme, opt)
+    res = rate_function(cs, u0, target, cfg.scheme, blocks=p["blocks"], tol=p["tol"],
+                        max_iters=p["max_iters"])
     iter_rows = [[mu, j, r] for mu, j, r in res.history]
     result_rows = [[res.lambda_hat, res.residual, res.converged, res.iterations,
                     gen.energy]]
@@ -455,7 +461,7 @@ def _drive_rare_event(cfg: ExperimentConfig):
         [e.method, e.epsilon, e.p_hat, e.std_err, e.n_samples, e.seed, e.n_clipped]
         for e in (naive, tilted)
     ]
-    res = rate_function(cs, u0, target, cfg.scheme, RateOptions(blocks=p["blocks"]))
+    res = rate_function(cs, u0, target, cfg.scheme, blocks=p["blocks"])
     rows = fw_lower_bound_probe(
         cs, u0, ev, p["eps_list"], n_samples, cfg.seed, cfg.scheme, res, p["theta"],
         naive={eps: naive},
@@ -503,8 +509,7 @@ def _drive_averaging(cfg: ExperimentConfig):
         ms, avg, u0, p["eps_list"], p["n_paths"], cfg.seed, cfg.scheme, delta=p["delta"]
     )
     avg_rows = [
-        [r.epsilon, r.mean_sq_dist, r.std_err, r.exceed_frac, r.n_samples,
-         report.coupling_seed]
+        [r.epsilon, r.mean_sq_dist, r.std_err, r.exceed_frac, r.n_samples, cfg.seed]
         for r in report.rows
     ]
     kappa_rows = [[t, k] for t, k in estimate_kappa(ms, avg, p["kappa_t_hats"])]
@@ -516,10 +521,10 @@ def _drive_averaging(cfg: ExperimentConfig):
         "kappa.csv": (["t_hat", "kappa_hat"], kappa_rows),
     }
     if p["dump_first_pair"]:
-        noise = sample_noise(cfg.seed, cfg.mesh, ms.d, path_index=0)
-        fast = solve(ms, u0, noise, None,
+        dw = sample_noise(cfg.seed, cfg.mesh, ms.d, path_index=0)
+        fast = solve(ms, u0, dw, None,
                      replace(cfg.scheme, noise_scale=1.0, time_scale=p["eps_list"][0]))
-        slow = solve(avg, u0, noise, None,
+        slow = solve(avg, u0, dw, None,
                      replace(cfg.scheme, noise_scale=1.0, time_scale=1.0))
         tables["fast_path_0.bin"] = path_binary_bytes(fast)
         tables["averaged_path_0.bin"] = path_binary_bytes(slow)
@@ -659,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     print(f"experiment={cfg.experiment} seed={cfg.seed} out={args.out}")
-    unread = _UNREAD.get(cfg.experiment, ())
+    unread = _UNREAD.get(("experiment", cfg.experiment), ())
     sections = [text for name, text in (
         ("grid", f"grid m={cfg.grid.m}"),
         ("mesh", f"mesh T={cfg.mesh.t_final} steps={cfg.mesh.steps}"),

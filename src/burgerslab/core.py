@@ -9,6 +9,9 @@ against the implicit zeros.
 Paths are (steps+1, M) arrays, one row per time node.  Their distance is
 measured in C([0,T], H) ∩ L^2([0,T], V): the canonical squared form is
 sup_t |p-q|_H^2 + ∫ ||p-q||_V^2 dt with left-endpoint quadrature in time.
+
+Noise is a plain (steps, d) array of Brownian increments, one row per
+step, as sample_noise draws it; the solver takes it as it is.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 __all__ = [
     "SpatialGrid",
     "TimeMesh",
-    "NoisePath",
     "PathDistance",
     "sine_field",
     "h_norm",
@@ -70,30 +72,6 @@ class TimeMesh:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.steps + 1)
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """d channels of Brownian increments ΔW_{k,j} on a time mesh.
-
-    increments has shape (steps, d); entry (k, j) is W_j(t_{k+1}) - W_j(t_k).
-    Reproducible from (seed, path_index) via a counter-based generator, so
-    paths drawn in parallel with distinct indices never overlap.
-    """
-
-    mesh: TimeMesh
-    d: int
-    increments: np.ndarray
-    seed: int
-    path_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.increments.shape != (self.mesh.steps, self.d):
-            raise ValueError(
-                f"increments shape {self.increments.shape} does not match "
-                f"(steps, d) = ({self.mesh.steps}, {self.d})"
-            )
-        self.increments.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -223,16 +201,19 @@ def _distance_of_rows(hsq: np.ndarray, vsq: np.ndarray, mesh: TimeMesh) -> PathD
     return PathDistance(sup_h=sup_h, l2_v=l2_v)
 
 
-def sample_noise(seed: int, mesh: TimeMesh, d: int, path_index: int = 0) -> NoisePath:
-    """Draw one Brownian increment array, deterministic in (seed, path_index).
+def sample_noise(seed: int, mesh: TimeMesh, d: int, path_index: int = 0) -> np.ndarray:
+    """d channels of Brownian increments on mesh, deterministic in (seed, path_index).
 
-    Uses the Philox counter-based generator keyed through a spawned
-    SeedSequence, so (master seed, path index) fully determines every
-    (step, channel) increment regardless of how paths are scheduled.
+    Returns a read-only (steps, d) array whose entry (k, j) is
+    W_j(t_{k+1}) - W_j(t_k).  Uses the Philox counter-based generator keyed
+    through a spawned SeedSequence, so (master seed, path index) fully
+    determines every (step, channel) increment regardless of how paths are
+    scheduled, and paths drawn with distinct indices never overlap.
     """
     if d < 1:
         raise ValueError(f"need at least one noise channel, got d={d}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
     rng = np.random.Generator(np.random.Philox(ss))
     increments = rng.standard_normal((mesh.steps, d)) * math.sqrt(mesh.dt)
-    return NoisePath(mesh=mesh, d=d, increments=increments, seed=seed, path_index=path_index)
+    increments.setflags(write=False)
+    return increments

@@ -114,7 +114,7 @@ def _distances(cs: CoefficientSet, u0: np.ndarray, h: np.ndarray | None, cfg: Sc
     """
     size = _paths_per_chunk(cfg)
     for first in range(0, n_samples, size):
-        dw = np.stack([sample_noise(seed, cfg.mesh, cs.d, path_index=i).increments
+        dw = np.stack([sample_noise(seed, cfg.mesh, cs.d, path_index=i)
                        for i in range(first, min(first + size, n_samples))])
         try:
             d2 = march_distances(cs, u0, dw, h, cfg, reference)

@@ -27,7 +27,7 @@ from .core import _check_path, path_distance
 from .coefficients import CoefficientSet
 from .solver import Control, SchemeConfig, march_distances, solve_skeleton
 
-__all__ = ["RateOptions", "RateFunctionResult", "rate_function"]
+__all__ = ["RateFunctionResult", "rate_function"]
 
 # The continuation's penalty weights mu, one stage each; the first step size of
 # a stage's line search, which also caps the warm starts; the relative width of
@@ -39,21 +39,6 @@ FD_STEP = 1e-4
 # takes three to four per iteration; of 1, 4, 8, 16 and 48, eight timed fastest
 # on the rare-event benchmark workload.  Any size gives the same iterates.
 LADDER = 8
-
-
-@dataclass(frozen=True)
-class RateOptions:
-    """Optimizer knobs: block count and stopping rules."""
-
-    blocks: int = 8
-    max_iters: int = 40
-    tol: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.blocks < 1:
-            raise ValueError("need at least one control block")
-        if not self.tol > 0:  # NaN fails too
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,9 +65,17 @@ def rate_function(
     u0: np.ndarray,
     target: np.ndarray,
     cfg: SchemeConfig,
-    opt: RateOptions = RateOptions(),
+    *,
+    blocks: int = 8,
+    max_iters: int = 40,
+    tol: float = 1e-3,
 ) -> RateFunctionResult:
     """Least control energy steering the skeleton to a target path.
+
+    The control is constant on each of blocks equal blocks, each stage of
+    the continuation takes at most max_iters steps, and the result is
+    converged when its squared residual is at most tol.  blocks >= 1 and
+    tol > 0 are checked before any solve.
 
     Beyond the h = 0 start, every skeleton is a row of one
     solver.march_distances batch, which returns each row's squared residual
@@ -96,14 +89,17 @@ def rate_function(
     measuring the path again.  A blow-up in any row of a ladder batch
     raises, also past the accepted one.
     """
+    if blocks < 1:
+        raise ValueError("need at least one control block")
+    if not tol > 0:  # NaN fails too
+        raise ValueError("tol must be positive")
     target = _check_path(target, cfg.grid, cfg.mesh, "target")
-    t_final = cfg.mesh.t_final
-    d = cs.d
-    block_dt = t_final / opt.blocks
+    t_final, d = cfg.mesh.t_final, cs.d
+    block_dt = t_final / blocks
     skeleton_cfg = replace(cfg, noise_scale=0.0)
 
     def control(h_flat: np.ndarray) -> Control:
-        return Control(t_final, h_flat.reshape(opt.blocks, d))
+        return Control(t_final, h_flat.reshape(blocks, d))
 
     def residuals(h_rows: list[np.ndarray]) -> list[float]:
         # one march of the skeletons of every row, each measured against the target
@@ -142,7 +138,7 @@ def rate_function(
                     return a, trial, j_new, res
         return None
 
-    h = np.zeros(opt.blocks * d)
+    h = np.zeros(blocks * d)
     res_cur = path_distance(solve_skeleton(cs, u0, control(h), cfg).u, target, cfg.grid,
                             cfg.mesh).squared
     history: list[tuple[float, float, float]] = []
@@ -152,7 +148,7 @@ def rate_function(
         j_cur = objective_on(h, res_cur, mu)
         history.append((mu, j_cur, res_cur))
         alpha0 = STEP_SIZE
-        for _ in range(opt.max_iters):
+        for _ in range(max_iters):
             grad = gradient(h, mu)
             gnorm_sq = float(np.dot(grad, grad))
             if gnorm_sq < 1e-18:
@@ -172,7 +168,7 @@ def rate_function(
         h_star=h_star,
         residual=res_cur,
         iterations=iterations,
-        converged=res_cur <= opt.tol,
-        tol=opt.tol,
+        converged=res_cur <= tol,
+        tol=tol,
         history=history,
     )

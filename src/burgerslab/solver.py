@@ -41,7 +41,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    NoisePath,
     SpatialGrid,
     TimeMesh,
     _check_path,
@@ -613,23 +612,18 @@ def march_distances(
 def solve(
     cs: CoefficientSet,
     u0: np.ndarray,
-    noise: NoisePath | None,
+    dw: np.ndarray | None,
     control: Control | None,
     cfg: SchemeConfig,
 ) -> ReflectedPath:
     """March the scheme over the whole mesh from a nonnegative start.
 
-    Deterministic given (noise, control, cfg).  noise may be omitted only
-    when the configured noise scale is zero.  A batch of one.
+    Deterministic given (dw, control, cfg).  dw is the path's (steps, d)
+    Brownian increments, as sample_noise draws them on cfg's mesh; it may
+    be None only when the configured noise scale is zero.  A batch of one:
+    solve_batch checks the shape.
     """
-    if cfg.noise_scale > 0.0:
-        if noise is None:
-            raise ValueError("noise_scale > 0 requires a NoisePath")
-        if noise.mesh != cfg.mesh:
-            raise ValueError("noise mesh does not match scheme mesh")
-        if noise.d != cs.d:
-            raise ValueError(f"noise has {noise.d} channels, coefficients have {cs.d}")
-    dw = noise.increments[None] if (noise is not None and cfg.noise_scale > 0.0) else None
+    dw = None if dw is None else np.asarray(dw)[None]
     h = control.on_mesh(cfg.mesh) if control is not None else None
     u, dk = solve_batch(cs, u0, dw, h, cfg)
     return ReflectedPath(u[0], dk[0], cfg)

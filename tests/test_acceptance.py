@@ -34,7 +34,7 @@ from burgerslab.solver import (
     solve_skeleton,
     total_variation_k,
 )
-from burgerslab.ratefn import RateOptions, rate_function
+from burgerslab.ratefn import rate_function
 from burgerslab.ldp import (
     EventSpec,
     condition_convergence_probe,
@@ -127,9 +127,9 @@ def test_criterion_05_rate_function_recovery():
     cfg = SchemeConfig(grid=grid, mesh=mesh)
     u0 = sine_field(grid)
     target = solve_skeleton(cs, u0, Control.constant(1.0, 1.0), cfg).u
-    res = rate_function(cs, u0, target, cfg, RateOptions())
+    res = rate_function(cs, u0, target, cfg)
     flow = solve_skeleton(cs, u0, None, cfg).u
-    res0 = rate_function(cs, u0, flow, cfg, RateOptions())
+    res0 = rate_function(cs, u0, flow, cfg)
     ok = (res.residual <= 1e-3 and res.lambda_hat <= 0.55
           and res0.lambda_hat <= 1e-3)
     report(5, ok, f"lambda {res.lambda_hat:.4f} <= 0.55 (residual {res.residual:.1e}), "
@@ -199,7 +199,7 @@ def test_criterion_08_fw_lower_bound_trend():
     cfg = SchemeConfig(grid=grid, mesh=mesh)
     u0 = sine_field(grid)
     flow = solve_skeleton(cs, u0, None, cfg).u
-    rate0 = rate_function(cs, u0, flow, cfg, RateOptions(blocks=2, max_iters=5))
+    rate0 = rate_function(cs, u0, flow, cfg, blocks=2, max_iters=5)
     rows = fw_lower_bound_probe(
         cs, u0, EventSpec(target=flow, delta=0.15), [0.5, 0.2, 0.1], 500, 3, cfg, rate0,
         theta=0.5

@@ -38,7 +38,6 @@ class TestAveragingExperiment:
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=0.0)
         rep = run_averaging_experiment(ms, avg, U0, [0.1, 0.01], 3, seed=1, cfg=CFG)
         assert all(r.mean_sq_dist == 0.0 for r in rep.rows)
-        assert rep.coupling_seed == 1
 
     def test_distance_decreases_with_eps(self):
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
@@ -150,7 +149,7 @@ class TestAveragingExperiment:
                 return fn(*args)
             object.__setattr__(avg, name, counted)
         cfg = replace(CFG, noise_scale=1.0)
-        dw = np.stack([sample_noise(5, MESH, ms.d, path_index=i).increments
+        dw = np.stack([sample_noise(5, MESH, ms.d, path_index=i)
                        for i in range(3)])
         u, dk = solver.solve_batch(avg, U0, dw, None, cfg)
         steps = MESH.steps
@@ -284,7 +283,7 @@ class TestPenalizationProbe:
         diagnostics, rows = penalization_convergence_probe(cs, np.zeros(GRID.m), n_list, nz, cfg)
         ref = solve(cs, np.zeros(GRID.m), nz, None, cfg)
         pen_cfgs = [replace(cfg, reflection="penalized", penalty_n=n) for n in n_list]
-        whole = solver.solve_batch(cs, np.zeros(GRID.m), np.repeat(nz.increments[None], 3, axis=0),
+        whole = solver.solve_batch(cs, np.zeros(GRID.m), np.repeat(nz[None], 3, axis=0),
                                    None, pen_cfgs)[0]
         expected = [(n, path_distance(u, ref.u, GRID, mesh).squared)
                     for n, u in zip(n_list, whole)]
@@ -339,7 +338,7 @@ class TestPenalizationProbe:
         assert seen[0].strides[0] == 0  # one view, no copy per row
         ref = solve(cs, np.zeros(m), nz, None, cfg)
         pen_cfgs = [replace(cfg, reflection="penalized", penalty_n=n) for n in n_list]
-        copies = np.repeat(nz.increments[None], len(n_list), axis=0)
+        copies = np.repeat(nz[None], len(n_list), axis=0)
         expected = solver.march_distances(cs, np.zeros(m), copies, None, pen_cfgs, ref.u)
         assert [d2.hex() for _, d2 in rows] == [d2.hex() for d2 in expected.tolist()]
         assert all(d2 > 0.0 for _, d2 in rows)

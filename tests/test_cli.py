@@ -12,8 +12,8 @@ from burgerslab import cli
 from burgerslab.averaging import run_averaging_experiment
 from burgerslab.cli import ConfigError, load_config, main, run_experiment
 from burgerslab.coefficients import make_burgers_set
-from burgerslab.core import SpatialGrid, TimeMesh
-from burgerslab.ratefn import RateOptions
+from burgerslab.core import SpatialGrid, TimeMesh, sine_field
+from burgerslab.ratefn import rate_function
 from burgerslab.solver import SchemeConfig
 
 
@@ -85,13 +85,16 @@ class TestLoadConfig:
             return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
 
         pairs = [(cli._SCHEME, SchemeConfig, ("reflection", "penalty_n", "convection")),
-                 (cli._PARAMS["rate-function"], RateOptions, ("blocks", "tol", "max_iters")),
+                 (cli._PARAMS["rate-function"], rate_function, ("blocks", "tol", "max_iters")),
                  (cli._PARAMS["averaging"], run_averaging_experiment, ("delta",)),
                  (cli._COEFFICIENTS, make_burgers_set,
                   ("a_g", "noise_profile", "c1", "c2", "sigma_amp", "d"))]
         for rows, fn, keys in pairs:
             schema, library = defaults(rows), signature(fn)
             assert {k: schema[k] for k in keys} == {k: library[k] for k in keys}
+        # the start's mode is sine_field's k
+        schema, library = defaults(cli._U0), signature(sine_field)
+        assert (schema["amplitude"], schema["mode"]) == (library["amplitude"], library["k"])
 
     def test_unknown_top_key_named(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "reflection", "mehs": {}})
@@ -243,6 +246,10 @@ class TestAveragingDriver:
 
         meta, u, _ = read_path_binary(str(tmp_path / "out" / "fast_path_0.bin"))
         assert meta["m"] == 8 and u.shape == (51, 8)
+        # the seed column is the config's seed, the one noise every pair shares
+        rows = (tmp_path / "out" / "averaging.csv").read_text().splitlines()
+        assert rows[0].split(",")[-1] == "seed"
+        assert [row.split(",")[-1] for row in rows[1:]] == ["6"]
 
 
 class TestShippedConfigs:
@@ -474,6 +481,14 @@ BAD_CONFIGS = [
     bad("negative-seed", "seed", {**TINY_HEAT, "seed": -1}),
     # --out is the one declaration of the output directory
     bad("out-dir-key", "out_dir", {"experiment": "reflection", "out_dir": "x"}),
+    # a control block shorter than a step is never applied: 8 blocks on 2
+    # steps once ran and listed six blocks of zeros in rate_control.csv
+    bad("rate-function-more-blocks-than-steps", "params.blocks",
+        {"experiment": "rate-function", "mesh": {"dt": 0.5}, "params": {"blocks": 8}}),
+    bad("rate-function-default-blocks-over-steps", "params.blocks",
+        {"experiment": "rate-function", "grid": {"m": 8}, "mesh": {"t_final": 0.1, "dt": 0.02}}),
+    bad("rare-event-more-blocks-than-steps", "params.blocks",
+        {"experiment": "rare-event", **SMALL, "params": {"n_samples": 2, "blocks": 21}}),
     bad("dump-first-pair-not-bool", "params.dump_first_pair",
         {"experiment": "averaging", **MULTISCALE,
          "params": {"eps_list": [0.1], "n_paths": 1, "dump_first_pair": "yes"}}),
@@ -493,34 +508,78 @@ def test_bad_config_rejected_before_any_solve(tmp_path, capsys, payload, field):
 
 # heat-regression reads only params and seed; reflection builds its own
 # coefficients, starts from zero and sets the reflection itself; the burgers
-# family has no multiscale perturbation
+# family has no multiscale perturbation; the zero noise profile has no
+# amplitude, projection no penalty and the zero start no sine.  Each of the
+# last three once ran and ignored the key
 UNREAD = [
     pytest.param({**TINY_HEAT, "scheme": {"reflection": "penalized"},
                   "coefficients": {"c2": -5}, "u0": {"amplitude": 3}},
+                 "experiment 'heat-regression'",
                  ["coefficients.c2", "scheme.reflection", "u0.amplitude"], id="heat-regression"),
     pytest.param({"experiment": "reflection", **SMALL, "params": {"n_list": [10]},
                   "coefficients": {"a_g": 2, "c2": 5}, "u0": {"amplitude": 3},
                   "scheme": {"convection": "upwind", "penalty_n": 5.0}},
+                 "experiment 'reflection'",
                  ["coefficients.a_g", "coefficients.c2", "scheme.penalty_n", "u0.amplitude"],
                  id="reflection"),
     pytest.param({"experiment": "condition-probe", **SMALL, "params": {"n_paths": 2},
                   "coefficients": {"family": "burgers", "beta": 0.5, "amplitude": 3}},
+                 "coefficients.family 'burgers'",
                  ["coefficients.amplitude", "coefficients.beta"], id="burgers-family"),
+    pytest.param({"experiment": "rate-function", **SMALL, "params": {"blocks": 2},
+                  "coefficients": {"beta": 0.5}},
+                 "coefficients.family 'burgers'", ["coefficients.beta"],
+                 id="burgers-family-default"),
+    pytest.param({"experiment": "condition-probe", **SMALL, "params": {"n_paths": 2},
+                  "u0": {"kind": "zero", "amplitude": 2.0, "mode": 3}},
+                 "u0.kind 'zero'", ["u0.amplitude", "u0.mode"], id="zero-start"),
+    pytest.param({"experiment": "condition-probe", **SMALL, "params": {"n_paths": 2},
+                  "scheme": {"penalty_n": 5.0}},
+                 "scheme.reflection 'projection'", ["scheme.penalty_n"],
+                 id="projection-default"),
+    pytest.param({"experiment": "rate-function", **SMALL, "params": {"blocks": 2},
+                  "scheme": {"reflection": "projection", "penalty_n": 5.0}},
+                 "scheme.reflection 'projection'", ["scheme.penalty_n"], id="projection-set"),
+    pytest.param({"experiment": "condition-probe", **SMALL, "params": {"n_paths": 2},
+                  "coefficients": {"noise_profile": "zero", "sigma_amp": 0.5}},
+                 "coefficients.noise_profile 'zero'", ["coefficients.sigma_amp"],
+                 id="zero-noise-profile"),
+    pytest.param({"experiment": "averaging", **SMALL, "params": {"n_paths": 2},
+                  "coefficients": {"family": "multiscale", "beta": 0.5,
+                                   "noise_profile": "zero", "sigma_amp": 0.5}},
+                 "coefficients.noise_profile 'zero'", ["coefficients.sigma_amp"],
+                 id="zero-noise-profile-multiscale"),
 ]
 
 
-@pytest.mark.parametrize("payload, ignored", UNREAD)
-def test_key_the_experiment_never_reads_is_rejected(tmp_path, capsys, payload, ignored):
+# the message names the choice, whose value is the one set or else the schema default
+@pytest.mark.parametrize("payload, choice, ignored", UNREAD)
+def test_key_the_experiment_never_reads_is_rejected(tmp_path, capsys, payload, choice, ignored):
     out = tmp_path / "out"
     code = main(["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{choice} does not read ")
     for field in ignored:
         assert f"'{field}'" in err and f"'{field}'" in record["message"]
     assert "convection" not in record["message"]
     assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+
+
+# the key a choice reads is accepted, and params.blocks may equal the steps
+@pytest.mark.parametrize("payload", [
+    {"experiment": "rate-function", **SMALL, "params": {"blocks": 2},
+     "u0": {"kind": "sine", "amplitude": 2.0, "mode": 1}},
+    {"experiment": "rate-function", **SMALL, "params": {"blocks": 2},
+     "scheme": {"reflection": "penalized", "penalty_n": 5.0}},
+    {"experiment": "rate-function", **SMALL, "params": {"blocks": 2},
+     "coefficients": {"noise_profile": "bounded", "sigma_amp": 2.0}},
+    {"experiment": "rate-function", **SMALL, "params": {"blocks": 20}},
+])
+def test_keys_a_choice_reads_are_accepted(tmp_path, payload):
+    load_config(write_config(tmp_path, payload))
 
 
 # 10^14 or 10^15 steps: each experiment's first array is petabytes, past any

@@ -6,7 +6,6 @@ import pytest
 
 from burgerslab import core
 from burgerslab.core import (
-    NoisePath,
     SpatialGrid,
     TimeMesh,
     h_norm,
@@ -227,31 +226,38 @@ class TestNoise:
         mesh = TimeMesh(1.0, 100)
         a = sample_noise(123, mesh, 3)
         b = sample_noise(123, mesh, 3)
-        assert np.array_equal(a.increments, b.increments)
+        assert np.array_equal(a, b)
 
     def test_distinct_seeds(self):
         mesh = TimeMesh(1.0, 100)
         a = sample_noise(5, mesh, 2)
         b = sample_noise(6, mesh, 2)
-        assert not np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a, b)
 
     def test_distinct_path_indices(self):
         mesh = TimeMesh(1.0, 100)
         a = sample_noise(5, mesh, 2, path_index=0)
         b = sample_noise(5, mesh, 2, path_index=1)
-        assert not np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a, b)
 
     def test_increment_variance(self):
         mesh = TimeMesh(10.0, 100_000)
         nz = sample_noise(7, mesh, 1)
-        assert nz.increments.var() == pytest.approx(mesh.dt, rel=0.05)
+        assert nz.var() == pytest.approx(mesh.dt, rel=0.05)
 
     def test_channel_count_validated(self):
         mesh = TimeMesh(1.0, 10)
         with pytest.raises(ValueError):
             sample_noise(0, mesh, 0)
+
+    def test_increments_are_read_only_steps_by_channels(self):
+        # one row per step, one column per channel, and no caller can change a draw
+        mesh = TimeMesh(1.0, 10)
+        dw = sample_noise(0, mesh, 2)
+        assert dw.shape == (10, 2) and dw.dtype == np.float64
+        assert not dw.flags.writeable
         with pytest.raises(ValueError):
-            NoisePath(mesh=mesh, d=2, increments=np.zeros((10, 1)), seed=0)
+            dw[0, 0] = 1.0
 
 
 def _nan_cases():
@@ -270,7 +276,7 @@ def _nan_cases():
         estimate_naive,
         fw_lower_bound_probe,
     )
-    from burgerslab.ratefn import RateFunctionResult, RateOptions
+    from burgerslab.ratefn import RateFunctionResult, rate_function
     from burgerslab.solver import Control, SchemeConfig, solve_batch, solve_skeleton
 
     nan = math.nan
@@ -290,7 +296,7 @@ def _nan_cases():
         "SchemeConfig.penalty_n": lambda: SchemeConfig(grid=grid, mesh=mesh,
                                                        reflection="penalized", penalty_n=nan),
         "Control.t_final": lambda: Control(nan, np.zeros((1, 1))),
-        "RateOptions.tol": lambda: RateOptions(tol=nan),
+        "rate_function.tol": lambda: rate_function(cs, u0, flow.u, cfg, tol=nan),
         "RareEventEstimate.std_err": lambda: RareEventEstimate(
             p_hat=0.5, std_err=nan, n_samples=1, epsilon=0.1, method="naive", seed=0,
             raw_mean=0.5),

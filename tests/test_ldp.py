@@ -14,7 +14,7 @@ from burgerslab.ldp import (
     estimate_naive,
     fw_lower_bound_probe,
 )
-from burgerslab.ratefn import RateOptions, rate_function
+from burgerslab.ratefn import rate_function
 from burgerslab.solver import BlowUpError, Control, SchemeConfig, solve, solve_skeleton
 
 ADDITIVE = make_burgers_set(0.0, noise_profile="additive")
@@ -146,7 +146,7 @@ class TestImportance:
 class TestLowerBoundProbe:
     def _zero_rate(self):
         return rate_function(
-            ADDITIVE, U0, FLOW, CFG, RateOptions(blocks=2, max_iters=5)
+            ADDITIVE, U0, FLOW, CFG, blocks=2, max_iters=5
         )
 
     def test_deterministic_flow_tube_trend(self):
@@ -176,7 +176,7 @@ class TestLowerBoundProbe:
 
     def test_requires_converged_rate(self):
         bad = rate_function(
-            NOISELESS, U0, FLOW + 0.1, CFG, RateOptions(blocks=2, max_iters=3)
+            NOISELESS, U0, FLOW + 0.1, CFG, blocks=2, max_iters=3
         )
         with pytest.raises(ValueError):
             fw_lower_bound_probe(
@@ -224,7 +224,7 @@ class TestLowerBoundProbe:
     def test_reachable_target_satisfied_at_half_rate_slack(self):
         gen = Control.constant(1.0, 1.0)
         target = solve_skeleton(ADDITIVE, U0, gen, CFG).u
-        res = rate_function(ADDITIVE, U0, target, CFG, RateOptions(blocks=4, max_iters=25))
+        res = rate_function(ADDITIVE, U0, target, CFG, blocks=4, max_iters=25)
         assert res.converged
         rows = fw_lower_bound_probe(
             ADDITIVE, U0, EventSpec(target=target, delta=0.06), [0.2, 0.1], 200, 11, CFG, res,
@@ -309,7 +309,7 @@ class TestBatchedLoops:
             noise = sample_noise(seed, MESH, cs.d, path_index=i)
             u = solve(cs, U0, noise, tilt, run_cfg).u
             hit = path_distance(u, FLOW, GRID, MESH).squared < ev.delta
-            log_w = (-float(np.sum(h_path * noise.increments)) / math.sqrt(eps)
+            log_w = (-float(np.sum(h_path * noise)) / math.sqrt(eps)
                      - float(np.sum(h_path**2)) * MESH.dt / (2.0 * eps))
             stats.append(math.exp(log_w) if hit else 0.0)
         assert est.raw_mean == float(np.mean(stats))

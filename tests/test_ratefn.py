@@ -6,7 +6,7 @@ import pytest
 from burgerslab import ratefn, solver
 from burgerslab.core import SpatialGrid, TimeMesh, path_distance, sine_field
 from burgerslab.coefficients import make_burgers_set
-from burgerslab.ratefn import RateOptions, rate_function
+from burgerslab.ratefn import rate_function
 from burgerslab.solver import (Control, SchemeConfig, march_distances, solve_batch,
                                solve_skeleton)
 
@@ -17,24 +17,25 @@ BOUNDED_2D = make_burgers_set(0.3, noise_profile="bounded", d=2)
 GRID = SpatialGrid(16)
 MESH = TimeMesh(1.0, 50)
 CFG = SchemeConfig(grid=GRID, mesh=MESH)
-OPT = RateOptions(blocks=4, max_iters=25)
+OPT = dict(blocks=4, max_iters=25)
+TOL = 1e-3  # rate_function's default tol
 
 
 class TestRateFunction:
     def test_zero_control_target(self):
         u0 = sine_field(GRID)
         target = solve_skeleton(ADDITIVE, u0, None, CFG).u
-        res = rate_function(ADDITIVE, u0, target, CFG, OPT)
+        res = rate_function(ADDITIVE, u0, target, CFG, **OPT)
         assert res.converged
         assert res.lambda_hat <= 1e-3
-        assert res.residual <= OPT.tol
+        assert res.residual <= TOL
 
     def test_generating_control_upper_bound(self):
         u0 = sine_field(GRID)
         gen = Control.constant(1.0, 1.0)
         target = solve_skeleton(ADDITIVE, u0, gen, CFG).u
-        res = rate_function(ADDITIVE, u0, target, CFG, OPT)
-        assert res.converged and res.residual <= OPT.tol
+        res = rate_function(ADDITIVE, u0, target, CFG, **OPT)
+        assert res.converged and res.residual <= TOL
         assert 0.3 <= res.lambda_hat <= 0.55
         # never above the energy of a known generating control (plus slack)
         assert res.lambda_hat <= gen.energy + 0.05
@@ -43,9 +44,9 @@ class TestRateFunction:
     def test_unreachable_target_reports_floor(self):
         u0 = sine_field(GRID)
         flow = solve_skeleton(NOISELESS, u0, None, CFG).u
-        res = rate_function(NOISELESS, u0, flow + 0.1, CFG, OPT)
+        res = rate_function(NOISELESS, u0, flow + 0.1, CFG, **OPT)
         assert not res.converged
-        assert res.residual > 10 * OPT.tol
+        assert res.residual > 10 * TOL
 
     def test_quadratic_scaling_of_rate(self):
         # doubling an additive-noise deviation target quadruples the energy
@@ -53,7 +54,7 @@ class TestRateFunction:
         lambdas = []
         for c in (1.0, 2.0):
             target = solve_skeleton(ADDITIVE, u0, Control.constant(1.0, c), CFG).u
-            res = rate_function(ADDITIVE, u0, target, CFG, OPT)
+            res = rate_function(ADDITIVE, u0, target, CFG, **OPT)
             assert res.converged
             lambdas.append(res.lambda_hat)
         assert 3.0 <= lambdas[1] / lambdas[0] <= 5.0
@@ -61,7 +62,7 @@ class TestRateFunction:
     def test_objective_decreases_within_stage(self):
         u0 = sine_field(GRID)
         target = solve_skeleton(ADDITIVE, u0, Control.constant(1.0, 1.0), CFG).u
-        res = rate_function(ADDITIVE, u0, target, CFG, OPT)
+        res = rate_function(ADDITIVE, u0, target, CFG, **OPT)
         assert res.converged
         by_stage: dict[float, list[float]] = {}
         for mu, j, _ in res.history:
@@ -79,10 +80,33 @@ class TestRateFunction:
 
         monkeypatch.setattr(solver, "cho_solve_banded", counted)
         with pytest.raises(ValueError, match="target shape"):
-            rate_function(ADDITIVE, np.zeros(16), np.zeros((10, 16)), CFG, OPT)
+            rate_function(ADDITIVE, np.zeros(16), np.zeros((10, 16)), CFG, **OPT)
         assert calls == []
         solve_skeleton(ADDITIVE, np.zeros(16), None, CFG)
         assert len(calls) == MESH.steps  # the counter sees every kernel call
+
+    @pytest.mark.parametrize("options, message", [
+        (dict(blocks=0), "control block"),
+        (dict(blocks=-3), "control block"),
+        (dict(tol=0.0), "tol"),
+        (dict(tol=-1e-3), "tol"),
+    ])
+    def test_bad_options_rejected_before_any_solve(self, monkeypatch, options, message):
+        calls = []
+        monkeypatch.setattr(ratefn, "solve_skeleton", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(ratefn, "march_distances", lambda *a, **k: calls.append(1))
+        u0 = sine_field(GRID)
+        target = solve_skeleton(ADDITIVE, u0, None, CFG).u
+        with pytest.raises(ValueError, match=message):
+            rate_function(ADDITIVE, u0, target, CFG, **options)
+        assert calls == []
+
+    def test_options_are_keywords(self):
+        # the three settings follow cfg by keyword only
+        u0 = sine_field(GRID)
+        target = solve_skeleton(ADDITIVE, u0, None, CFG).u
+        with pytest.raises(TypeError):
+            rate_function(ADDITIVE, u0, target, CFG, 4)
 
 
 def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
@@ -94,11 +118,11 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
     number of step sizes tried in all.
     """
     d, t_final = cs.d, cfg.mesh.t_final
-    block_dt = t_final / opt.blocks
+    block_dt = t_final / opt["blocks"]
     skeleton_cfg = replace(cfg, noise_scale=0.0)
 
     def control(h_flat):
-        return Control(t_final, h_flat.reshape(opt.blocks, d))
+        return Control(t_final, h_flat.reshape(opt["blocks"], d))
 
     def objective_on(h_flat, u, mu):
         res = path_distance(u, target, cfg.grid, cfg.mesh).squared
@@ -120,13 +144,13 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
         j = np.array([objective_on(hf, u, mu)[0] for hf, u in zip(trials, paths)])
         return (j[0::2] - j[1::2]) / (2.0 * widths)
 
-    h = np.zeros(opt.blocks * d)
+    h = np.zeros(opt["blocks"] * d)
     history, iterations, exhausted, longest, gradients, tried_all = [], 0, 0, 0, 0, 0
     for mu in ratefn.MU_SCHEDULE:
         j_cur, res_cur = objective(h, mu)
         history.append((mu, j_cur, res_cur))
         alpha0 = step_size
-        for _ in range(opt.max_iters):
+        for _ in range(opt["max_iters"]):
             grad = gradient(h, mu)
             gradients += 1
             gnorm_sq = float(np.dot(grad, grad))
@@ -155,18 +179,18 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
 
 
 def _ladder_case(name):
-    """(cs, u0, target, opt, first step size) of one ladder case."""
+    """(cs, u0, target, rate_function keywords, first step size) of one ladder case."""
     u0 = sine_field(GRID)
     if name == "several_batches":
         # a huge first step: the first line search of a stage tries 16 sizes
         target = solve_skeleton(ADDITIVE, u0, Control.constant(1.0, 1.0), CFG).u
-        return ADDITIVE, u0, target, RateOptions(blocks=4, max_iters=10), 1024.0
+        return ADDITIVE, u0, target, dict(blocks=4, max_iters=10), 1024.0
     if name == "exhausted":
         # a negative target is out of reach of u >= 0: a line search runs out
         return ADDITIVE, u0, np.full((MESH.steps + 1, GRID.m), -0.05), OPT, ratefn.STEP_SIZE
     gen = Control.constant(1.0, [1.0, -0.5], d=2)
     target = solve_skeleton(BOUNDED_2D, u0, gen, CFG).u
-    return BOUNDED_2D, u0, target, RateOptions(blocks=3, max_iters=15), ratefn.STEP_SIZE
+    return BOUNDED_2D, u0, target, dict(blocks=3, max_iters=15), ratefn.STEP_SIZE
 
 
 _REFERENCE = {}
@@ -190,12 +214,12 @@ class TestBatchedLineSearch:
         h, history, iterations, residual = _reference(case)[0]
         cs, u0, target, opt, step_size = _ladder_case(case)
         monkeypatch.setattr(ratefn, "STEP_SIZE", step_size)
-        res = rate_function(cs, u0, target, CFG, opt)
-        assert np.array_equal(res.h_star.values, h.reshape(opt.blocks, cs.d))
+        res = rate_function(cs, u0, target, CFG, **opt)
+        assert np.array_equal(res.h_star.values, h.reshape(opt["blocks"], cs.d))
         assert res.history == history
         assert res.iterations == iterations
         assert res.residual == residual
-        assert res.lambda_hat == Control(MESH.t_final, h.reshape(opt.blocks, cs.d)).energy
+        assert res.lambda_hat == Control(MESH.t_final, h.reshape(opt["blocks"], cs.d)).energy
 
     def test_cases_cover_what_they_name(self):
         # a line search longer than the default ladder, one that runs out,
@@ -216,7 +240,7 @@ class TestBatchedLineSearch:
         monkeypatch.setattr(ratefn, "solve_skeleton", counted)
         u0 = sine_field(GRID)
         target = solve_skeleton(ADDITIVE, u0, Control.constant(1.0, 1.0), CFG).u
-        res = rate_function(ADDITIVE, u0, target, CFG, OPT)
+        res = rate_function(ADDITIVE, u0, target, CFG, **OPT)
         assert res.iterations > len(ratefn.MU_SCHEDULE)
         assert len(calls) == 1
 
@@ -244,7 +268,7 @@ class TestBatchedLineSearch:
             monkeypatch.setattr(ratefn, "path_distance", counted_distance)
             monkeypatch.setattr(ratefn, "march_distances", counted_march)
             monkeypatch.setattr(ratefn, "LADDER", ladder)
-            rate_function(cs, u0, target, CFG, opt)
+            rate_function(cs, u0, target, CFG, **opt)
             assert len(measured) == 1
             if ladder == 1:
-                assert sum(rows) == 2 * opt.blocks * cs.d * gradients + tried
+                assert sum(rows) == 2 * opt["blocks"] * cs.d * gradients + tried

@@ -478,7 +478,7 @@ def _batch_case(convection, profile, d, reflection, n_paths=5, steps=30):
         penalty_n=40.0 if reflection == "penalized" else 0.0, noise_scale=0.9,
         time_scale=0.05 if profile.startswith("multiscale") else 1.0,
     )
-    dw = np.stack([sample_noise(4, mesh, d, path_index=i).increments for i in range(n_paths)])
+    dw = np.stack([sample_noise(4, mesh, d, path_index=i) for i in range(n_paths)])
     return cs, sine_field(grid), cfg, dw
 
 
@@ -979,7 +979,7 @@ class TestMarchDistances:
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=math.sqrt(0.1))
         cs, u0 = make_burgers_set(), sine_field(grid)
         assert solver._paths_per_chunk(cfg) == 81
-        dw = np.stack([sample_noise(4, mesh, 1, path_index=i).increments for i in range(81)])
+        dw = np.stack([sample_noise(4, mesh, 1, path_index=i) for i in range(81)])
         h = Control.constant(1.0, 1.0).on_mesh(mesh) if tilted else None
         ref = solve_skeleton(cs, u0, Control.constant(1.0, 1.0), cfg).u
         solver.march_distances(cs, u0, dw, h, cfg, ref)  # builds the cached inverse
