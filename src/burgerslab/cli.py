@@ -4,8 +4,8 @@ One JSON config file describes one experiment: shared sections (grid, mesh,
 coefficients, scheme, u0, seed) plus one experiment-specific params table.
 Every key is declared once, in the schema tables below, with its kind,
 default and range check.  `load_config` walks every table, so an unknown
-key, a key the chosen experiment, family, noise profile, reflection or
-start never reads (the _UNREAD table), a wrong type or an out-of-range
+key, a key the chosen experiment, family, convection coefficient a_g or
+reflection never reads (the _UNREAD table), a wrong type or an out-of-range
 value is a ConfigError naming the field before any solve runs.
 
 Artifacts land in the output directory: one or more CSV tables (full
@@ -149,11 +149,7 @@ _SCHEME = (
 )
 
 _U0 = (
-    ("kind", ("sine", "zero"), "sine", *_ANY),
     ("amplitude", float, _SINE["amplitude"], *_NONNEGATIVE),
-    ("mode", int, _SINE["k"],
-     lambda v, c: v == 1 or c["u0.amplitude"] == 0,
-     "sin(k pi x) turns negative for k >= 2, and the start must be nonnegative"),
 )
 
 _PARAMS = {
@@ -219,15 +215,16 @@ _PARAMS = {
 # config that sets an unread key is rejected, so no setting is silently ignored
 _UNREAD = {
     ("experiment", "heat-regression"): ("grid", "mesh", "coefficients", "scheme", "u0"),
-    ("experiment", "reflection"): ("coefficients", "u0", "scheme.reflection", "scheme.penalty_n"),
+    ("experiment", "reflection"): ("coefficients", "u0", "scheme"),
     ("coefficients.family", "burgers"): ("coefficients.beta", "coefficients.amplitude"),
-    ("coefficients.noise_profile", "zero"): ("coefficients.sigma_amp",),
+    # a constant g: the solver never computes the convection
+    ("coefficients.a_g", 0.0): ("scheme.convection",),
     ("scheme.reflection", "projection"): ("scheme.penalty_n",),
-    ("u0.kind", "zero"): ("u0.amplitude", "u0.mode"),
 }
 
-# experiments whose every artifact is one deterministic computation: the seed,
-# which the config still accepts, changes none of their bytes
+# experiments whose every table is one deterministic computation: the seed,
+# which the config still accepts, changes none of their bytes (runmeta.jsonl
+# records it)
 _SEEDLESS = ("heat-regression", "rate-function")
 
 _TOP = (
@@ -317,11 +314,7 @@ class ExperimentConfig:
         return self.scheme.mesh
 
     def build_u0(self) -> np.ndarray:
-        if self.u0_spec["kind"] == "zero":
-            return np.zeros(self.grid.m)
-        return sine_field(
-            self.grid, k=self.u0_spec["mode"], amplitude=self.u0_spec["amplitude"]
-        )
+        return sine_field(self.grid, amplitude=self.u0_spec["amplitude"])
 
     def build_coefficients(self):
         """Returns (coefficient set, averaged set or None)."""
@@ -344,7 +337,8 @@ def _validate(raw: dict) -> ExperimentConfig:
     defaults = {f"{name}.{row[0]}": row[2] for name, rows in sections for row in rows}
     for (choice, value), unread in _UNREAD.items():
         section, _, key = choice.rpartition(".")
-        if (top[section].get(key, defaults[choice]) if section else top[key]) != value:
+        set_value = top[section].get(key, defaults[choice]) if section else top[key]
+        if _typed(set_value, type(value)) != value:  # typed, so JSON false is no a_g 0.0
             continue
         ignored = [f"'{name}.{k}'" for name, _ in sections for k in top[name]
                    if name in unread or f"{name}.{k}" in unread]
@@ -391,7 +385,7 @@ def _fmt(v) -> str:
 
 def _drive_heat_regression(cfg: ExperimentConfig):
     p = cfg.params
-    cs = make_burgers_set(0.0, noise_profile="zero")
+    cs = make_burgers_set(0.0, sigma_amp=0.0)
     rows = []
     for m in p["m_values"]:
         grid = SpatialGrid(m)
@@ -410,11 +404,9 @@ def _drive_heat_regression(cfg: ExperimentConfig):
 
 def _drive_reflection(cfg: ExperimentConfig):
     sigma_amp = cfg.params["sigma_amp"]
-    profile = "additive" if sigma_amp > 0 else "zero"
-    cs = make_burgers_set(0.0, noise_profile=profile, c2=-1.0, sigma_amp=sigma_amp)
+    cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=sigma_amp)
     u0 = np.zeros(cfg.grid.m)
-    run = replace(cfg.scheme, reflection="projection", penalty_n=0.0,
-                  noise_scale=1.0 if sigma_amp > 0 else 0.0)
+    run = replace(cfg.scheme, noise_scale=1.0 if sigma_amp > 0 else 0.0)
     dw = sample_noise(cfg.seed, cfg.mesh, cs.d) if sigma_amp > 0 else None
     diagnostics, pen = penalization_convergence_probe(cs, u0, cfg.params["n_list"], dw, run)
     pen_rows = [[n, d2] for n, d2 in pen]
@@ -669,12 +661,12 @@ def main(argv: list[str] | None = None) -> int:
         ("grid", f"grid m={cfg.grid.m}"),
         ("mesh", f"mesh T={cfg.mesh.t_final} steps={cfg.mesh.steps}"),
         ("coefficients", f"coefficients {cfg.coefficients['family']}"),
-        ("u0", f"u0 {cfg.u0_spec['kind']}"),
+        ("u0", f"u0 amplitude={cfg.u0_spec['amplitude']}"),
     ) if name not in unread]
     if sections:
         print(", ".join(sections))
     if cfg.experiment in _SEEDLESS:
-        print(f"note: {cfg.experiment} draws no noise; seed {cfg.seed} changes no artifact",
+        print(f"note: {cfg.experiment} draws no noise; seed {cfg.seed} changes no table",
               file=sys.stderr)
     code, artifacts = run_experiment(cfg, args.out, config_path=args.config)
     for path in artifacts:

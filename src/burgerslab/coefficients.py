@@ -51,7 +51,7 @@ __all__ = [
     "time_average",
 ]
 
-NOISE_PROFILES = ("additive", "bounded", "zero")
+NOISE_PROFILES = ("additive", "bounded")
 
 # Simpson intervals per graded panel of the Cesaro mean (an even count)
 PER_PANEL = 16
@@ -135,12 +135,12 @@ def make_burgers_set(
     bounded by |c1|.  Noise profiles (identical across channels):
       additive - sigma_j = sigma_amp
       bounded  - sigma_j = sigma_amp * (0.5 + z / (1 + z^2)), Lipschitz in z
-      zero     - sigma_j = 0 (deterministic dynamics)
+    No noise is sigma_amp = 0 (deterministic dynamics).
 
     g is the zero callback at a_g = 0 (0.5 * 0 * z * z is +0 on finite z),
     f fills c2 at c1 = 0 unless c2 is -0.0 (then 0 * z + c2 takes the
-    sign of z), and the additive and zero profiles' sigma fills the
-    (d,) + broadcast shape: all constant callbacks.
+    sign of z), and the additive profile's sigma fills the (d,) +
+    broadcast shape: all constant callbacks.
     """
     if noise_profile not in NOISE_PROFILES:
         raise ValueError(f"unknown noise profile {noise_profile!r}; use one of {NOISE_PROFILES}")
@@ -173,7 +173,7 @@ def make_burgers_set(
             return np.broadcast_to(row, (d,) + row.shape)
 
     else:
-        sigma = _constant(sigma_amp if noise_profile == "additive" else 0.0, (d,))
+        sigma = _constant(sigma_amp, (d,))
 
     return CoefficientSet(g=g, dg_dz=dg_dz, f=f, sigma=sigma, d=d)
 

@@ -94,9 +94,9 @@ class PathDistance:
         return self.sup_h + self.l2_v
 
 
-def sine_field(grid: SpatialGrid, k: int = 1, amplitude: float = 1.0) -> np.ndarray:
-    """amplitude * sin(k pi x) sampled at the interior nodes."""
-    return amplitude * np.sin(k * math.pi * grid.nodes)
+def sine_field(grid: SpatialGrid, amplitude: float = 1.0) -> np.ndarray:
+    """amplitude * sin(pi x) sampled at the interior nodes (+0.0 at amplitude 0)."""
+    return amplitude * np.sin(math.pi * grid.nodes)
 
 
 def _check_field(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:

@@ -74,8 +74,9 @@ def rate_function(
 
     The control is constant on each of blocks equal blocks, each stage of
     the continuation takes at most max_iters steps, and the result is
-    converged when its squared residual is at most tol.  blocks >= 1 and
-    tol > 0 are checked before any solve.
+    converged when its squared residual is at most tol.  1 <= blocks <=
+    the mesh's steps (a block shorter than a step would never be applied)
+    and tol > 0 are checked before any solve.
 
     Beyond the h = 0 start, every skeleton is a row of one
     solver.march_distances batch, which returns each row's squared residual
@@ -89,8 +90,9 @@ def rate_function(
     measuring the path again.  A blow-up in any row of a ladder batch
     raises, also past the accepted one.
     """
-    if blocks < 1:
-        raise ValueError("need at least one control block")
+    if not 1 <= blocks <= cfg.mesh.steps:
+        raise ValueError(f"blocks must be >= 1 and at most the mesh's {cfg.mesh.steps} "
+                         f"steps, got {blocks}")
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     target = _check_path(target, cfg.grid, cfg.mesh, "target")

@@ -51,7 +51,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_heat_regression():
-    cs = make_burgers_set(0.0, noise_profile="zero")
+    cs = make_burgers_set(0.0, sigma_amp=0.0)
     grid = SpatialGrid(64)
     errors = {}
     for dt in (1e-4, 5e-5):
@@ -69,7 +69,7 @@ def test_criterion_01_heat_regression():
 
 
 def test_criterion_02_discrete_skorokhod():
-    cs = make_burgers_set(0.0, noise_profile="zero", c2=-1.0)
+    cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.0)
     grid = SpatialGrid(128)
     mesh = TimeMesh(1.0, 50_000)
     cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)

@@ -211,7 +211,7 @@ def _diagnostics_hex(p):
 class TestPenalizationProbe:
     def test_inactive_obstacle_gives_zero(self):
         # strong upward forcing keeps the state positive: schemes coincide
-        cs = make_burgers_set(0.0, noise_profile="zero", c2=2.0)
+        cs = make_burgers_set(0.0, c2=2.0, sigma_amp=0.0)
         cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=0.0)
         _, rows = penalization_convergence_probe(
             cs, 2 * U0, [10.0, 100.0], None, cfg
@@ -257,7 +257,7 @@ class TestPenalizationProbe:
 
         for name in ("solve", "march_distances"):
             monkeypatch.setattr(averaging, name, counted(getattr(averaging, name)))
-        cs = make_burgers_set(0.0, noise_profile="zero", c2=-1.0)
+        cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.0)
         cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=0.0)  # dt = 0.005
         with pytest.raises(ValueError, match="unstable"):
             penalization_convergence_probe(cs, np.zeros(GRID.m), [10, 100, 1000], None, cfg)
@@ -352,7 +352,7 @@ class TestPenalizationProbe:
         assert a == b
 
     def test_increasing_n_required(self):
-        cs = make_burgers_set(0.0, noise_profile="zero", c2=-1.0)
+        cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.0)
         cfg = SchemeConfig(grid=GRID, mesh=MESH, noise_scale=0.0)
         with pytest.raises(ValueError):
             penalization_convergence_probe(cs, np.zeros(GRID.m), [100, 10], None, cfg)

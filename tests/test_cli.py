@@ -31,7 +31,7 @@ class TestLoadConfig:
         assert cfg.grid.m == 64
         assert cfg.mesh.t_final == 1.0
         assert cfg.coefficients["family"] == "burgers"
-        assert cfg.u0_spec["kind"] == "sine"
+        assert cfg.u0_spec == {"amplitude": 1.0}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -88,13 +88,11 @@ class TestLoadConfig:
                  (cli._PARAMS["rate-function"], rate_function, ("blocks", "tol", "max_iters")),
                  (cli._PARAMS["averaging"], run_averaging_experiment, ("delta",)),
                  (cli._COEFFICIENTS, make_burgers_set,
-                  ("a_g", "noise_profile", "c1", "c2", "sigma_amp", "d"))]
+                  ("a_g", "noise_profile", "c1", "c2", "sigma_amp", "d")),
+                 (cli._U0, sine_field, ("amplitude",))]
         for rows, fn, keys in pairs:
             schema, library = defaults(rows), signature(fn)
             assert {k: schema[k] for k in keys} == {k: library[k] for k in keys}
-        # the start's mode is sine_field's k
-        schema, library = defaults(cli._U0), signature(sine_field)
-        assert (schema["amplitude"], schema["mode"]) == (library["amplitude"], library["k"])
 
     def test_unknown_top_key_named(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "reflection", "mehs": {}})
@@ -164,8 +162,8 @@ class TestRunExperiment:
         cfg = load_config(write_config(tmp_path, {
             "experiment": "rate-function",
             "mesh": {"t_final": 1.0, "dt": 0.02},
-            "coefficients": {"family": "burgers", "a_g": 8.0, "noise_profile": "zero"},
-            "u0": {"kind": "sine", "amplitude": 60.0},
+            "coefficients": {"family": "burgers", "a_g": 8.0, "sigma_amp": 0.0},
+            "u0": {"amplitude": 60.0},
             "params": {"h_star": 0.0, "max_iters": 1},
         }))
         code, artifacts = run_experiment(cfg, tmp_path / "out")
@@ -282,16 +280,22 @@ class TestMain:
                       "params": {"blocks": 2, "max_iters": 3}}, id="rate-function"),
     ])
     def test_seedless_experiment_says_the_seed_changes_nothing(self, tmp_path, capsys, payload):
-        tables = []
+        tables, meta = [], []
         for seed in (1, 2):
             path = write_config(tmp_path, {**payload, "seed": seed}, name=f"cfg{seed}.json")
             out = tmp_path / str(seed)
             assert main(["--config", str(path), "--out", str(out)]) == 0
             err = capsys.readouterr().err
             assert err == (f"note: {payload['experiment']} draws no noise; seed {seed} "
-                           "changes no artifact\n")
+                           "changes no table\n")
             tables.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+            lines = (out / "runmeta.jsonl").read_text().splitlines()
+            meta.append([json.loads(line) for line in lines])
         assert tables[0] and tables[0] == tables[1]
+        # runmeta.jsonl records the seed, and nothing else in it differs
+        assert [line.pop("seed") for line in meta[0]] == [1] * len(meta[0])
+        assert [line.pop("seed") for line in meta[1]] == [2] * len(meta[1])
+        assert meta[0] == meta[1]
 
     def test_seeded_experiment_prints_no_note(self, tmp_path, capsys):
         payload = {"experiment": "reflection", "grid": {"m": 8},
@@ -492,6 +496,13 @@ BAD_CONFIGS = [
     bad("dump-first-pair-not-bool", "params.dump_first_pair",
         {"experiment": "averaging", **MULTISCALE,
          "params": {"eps_list": [0.1], "n_paths": 1, "dump_first_pair": "yes"}}),
+    # a zero start is u0.amplitude 0, and no noise is coefficients.sigma_amp 0
+    bad("u0-kind-key", "u0.kind",
+        {"experiment": "condition-probe", **SMALL, "u0": {"kind": "zero"}}),
+    bad("u0-mode-key", "u0.mode",
+        {"experiment": "condition-probe", **SMALL, "u0": {"amplitude": 0, "mode": 3}}),
+    bad("zero-noise-profile", "coefficients.noise_profile",
+        {"experiment": "condition-probe", **SMALL, "coefficients": {"noise_profile": "zero"}}),
 ]
 
 
@@ -507,10 +518,10 @@ def test_bad_config_rejected_before_any_solve(tmp_path, capsys, payload, field):
 
 
 # heat-regression reads only params and seed; reflection builds its own
-# coefficients, starts from zero and sets the reflection itself; the burgers
-# family has no multiscale perturbation; the zero noise profile has no
-# amplitude, projection no penalty and the zero start no sine.  Each of the
-# last three once ran and ignored the key
+# coefficients, starts from zero and sets the scheme itself; the burgers
+# family has no multiscale perturbation; a constant g (a_g 0) has no
+# convection to discretize and projection no penalty.  Each of the last two
+# once ran and ignored the key
 UNREAD = [
     pytest.param({**TINY_HEAT, "scheme": {"reflection": "penalized"},
                   "coefficients": {"c2": -5}, "u0": {"amplitude": 3}},
@@ -520,8 +531,16 @@ UNREAD = [
                   "coefficients": {"a_g": 2, "c2": 5}, "u0": {"amplitude": 3},
                   "scheme": {"convection": "upwind", "penalty_n": 5.0}},
                  "experiment 'reflection'",
-                 ["coefficients.a_g", "coefficients.c2", "scheme.penalty_n", "u0.amplitude"],
+                 ["coefficients.a_g", "coefficients.c2", "scheme.convection",
+                  "scheme.penalty_n", "u0.amplitude"],
                  id="reflection"),
+    pytest.param({"experiment": "rare-event", **SMALL,
+                  "params": {"n_samples": 2, "blocks": 1}, "scheme": {"convection": "upwind"}},
+                 "coefficients.a_g 0.0", ["scheme.convection"], id="convection-default-a_g"),
+    pytest.param({"experiment": "averaging", **MULTISCALE, "params": {"n_paths": 2},
+                  "coefficients": {"family": "multiscale", "beta": 0.5, "a_g": 0},
+                  "scheme": {"convection": "central"}},
+                 "coefficients.a_g 0.0", ["scheme.convection"], id="convection-a_g-set-0"),
     pytest.param({"experiment": "condition-probe", **SMALL, "params": {"n_paths": 2},
                   "coefficients": {"family": "burgers", "beta": 0.5, "amplitude": 3}},
                  "coefficients.family 'burgers'",
@@ -531,24 +550,12 @@ UNREAD = [
                  "coefficients.family 'burgers'", ["coefficients.beta"],
                  id="burgers-family-default"),
     pytest.param({"experiment": "condition-probe", **SMALL, "params": {"n_paths": 2},
-                  "u0": {"kind": "zero", "amplitude": 2.0, "mode": 3}},
-                 "u0.kind 'zero'", ["u0.amplitude", "u0.mode"], id="zero-start"),
-    pytest.param({"experiment": "condition-probe", **SMALL, "params": {"n_paths": 2},
                   "scheme": {"penalty_n": 5.0}},
                  "scheme.reflection 'projection'", ["scheme.penalty_n"],
                  id="projection-default"),
     pytest.param({"experiment": "rate-function", **SMALL, "params": {"blocks": 2},
                   "scheme": {"reflection": "projection", "penalty_n": 5.0}},
                  "scheme.reflection 'projection'", ["scheme.penalty_n"], id="projection-set"),
-    pytest.param({"experiment": "condition-probe", **SMALL, "params": {"n_paths": 2},
-                  "coefficients": {"noise_profile": "zero", "sigma_amp": 0.5}},
-                 "coefficients.noise_profile 'zero'", ["coefficients.sigma_amp"],
-                 id="zero-noise-profile"),
-    pytest.param({"experiment": "averaging", **SMALL, "params": {"n_paths": 2},
-                  "coefficients": {"family": "multiscale", "beta": 0.5,
-                                   "noise_profile": "zero", "sigma_amp": 0.5}},
-                 "coefficients.noise_profile 'zero'", ["coefficients.sigma_amp"],
-                 id="zero-noise-profile-multiscale"),
 ]
 
 
@@ -561,17 +568,19 @@ def test_key_the_experiment_never_reads_is_rejected(tmp_path, capsys, payload, c
     err = capsys.readouterr().err
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "ConfigError"
-    assert record["message"].startswith(f"{choice} does not read ")
-    for field in ignored:
-        assert f"'{field}'" in err and f"'{field}'" in record["message"]
-    assert "convection" not in record["message"]
+    head, _, named = record["message"].partition(" does not read ")
+    assert head == choice
+    assert sorted(named.split(", ")) == [f"'{field}'" for field in ignored]  # and no other key
+    assert record["message"] in err
     assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
 
 
 # the key a choice reads is accepted, and params.blocks may equal the steps
 @pytest.mark.parametrize("payload", [
     {"experiment": "rate-function", **SMALL, "params": {"blocks": 2},
-     "u0": {"kind": "sine", "amplitude": 2.0, "mode": 1}},
+     "u0": {"amplitude": 2.0}},
+    {"experiment": "rate-function", **SMALL, "params": {"blocks": 2},
+     "coefficients": {"a_g": 1.0}, "scheme": {"convection": "upwind"}},
     {"experiment": "rate-function", **SMALL, "params": {"blocks": 2},
      "scheme": {"reflection": "penalized", "penalty_n": 5.0}},
     {"experiment": "rate-function", **SMALL, "params": {"blocks": 2},

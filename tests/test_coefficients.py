@@ -34,9 +34,17 @@ class TestBurgersSet:
                 d=1,
             )
 
-    def test_unknown_profile(self):
-        with pytest.raises(ValueError):
-            make_burgers_set(1.0, noise_profile="levy")
+    @pytest.mark.parametrize("profile", ["levy", "zero"])
+    def test_unknown_profile(self, profile):
+        with pytest.raises(ValueError, match=r"one of \('additive', 'bounded'\)$"):
+            make_burgers_set(1.0, noise_profile=profile)
+
+    def test_no_noise_is_zero_amplitude(self):
+        # the set the deleted zero profile built: every callback constant, sigma +0.0
+        cs = make_burgers_set(0.0, sigma_amp=0.0, d=2)
+        assert cs.constant == {"g", "f", "sigma"}
+        sigma = cs.sigma(0.5, np.linspace(0.1, 0.9, 3), np.array([-1.0, -0.0, 2.0]))
+        assert sigma.tobytes() == np.zeros((2, 3)).tobytes()
 
 
 class TestMultiscaleSet:
@@ -169,7 +177,7 @@ CALL_SHAPES = [
 
 BUILTIN_SETS = {
     "constant_burgers": lambda: make_burgers_set(0.0, c2=-1.0, sigma_amp=0.25),
-    "zero_noise": lambda: make_burgers_set(0.0, noise_profile="zero"),
+    "zero_noise": lambda: make_burgers_set(0.0, sigma_amp=0.0),
     "full_burgers_d2": lambda: make_burgers_set(1.0, noise_profile="bounded", c1=0.5, c2=-2.0,
                                                 d=2),
     "multiscale": lambda: burgers_multiscale_family(beta=0.5, amplitude=1.0)[0],
@@ -222,9 +230,7 @@ def _formula_set(a_g, profile, c1, c2, sigma_amp, d):
     def channel(t, x, z):
         if profile == "additive":
             return spread(float(sigma_amp), t, x, z)
-        if profile == "bounded":
-            return spread(sigma_amp * (0.5 + z / (1.0 + z * z)), t, x, z)
-        return spread(0.0, t, x, z)
+        return spread(sigma_amp * (0.5 + z / (1.0 + z * z)), t, x, z)
 
     return {
         "g": lambda t, z: spread(0.5 * a_g * z * z, t, z),
@@ -252,7 +258,7 @@ class TestConstantCallbacks:
         dict(a_g=-0.0),
         dict(a_g=0.0, c1=0.0, c2=-1.0, sigma_amp=0.25),
         dict(a_g=0.0, c1=0.0, c2=-0.0),
-        dict(a_g=0.0, c1=-0.0, c2=0.0, noise_profile="zero"),
+        dict(a_g=0.0, c1=-0.0, c2=0.0, sigma_amp=0.0),
         dict(a_g=0.0, c1=0.0, c2=-1.0, noise_profile="bounded", d=2),
         dict(a_g=1.0, c1=0.5, c2=-0.0, noise_profile="additive", d=3),
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
@@ -283,7 +289,7 @@ class TestConstantCallbacks:
 
     @pytest.mark.parametrize("make, constant", [
         (lambda: make_burgers_set(0.0, c2=-1.0, d=2), {"g", "f", "sigma"}),
-        (lambda: make_burgers_set(0.0, noise_profile="zero"), {"g", "f", "sigma"}),
+        (lambda: make_burgers_set(0.0, sigma_amp=0.0), {"g", "f", "sigma"}),
         (lambda: make_burgers_set(0.0, noise_profile="bounded"), {"g", "f"}),
         (lambda: make_burgers_set(1.0, c1=0.5), {"sigma"}),
         (lambda: make_burgers_set(-0.0, c2=-0.0), {"sigma"}),

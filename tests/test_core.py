@@ -14,6 +14,7 @@ from burgerslab.core import (
     sine_field,
     v_norm,
 )
+from burgerslab.solver import MAX_M
 
 
 class TestGridMesh:
@@ -53,6 +54,11 @@ class TestNorms:
     def test_h_norm_sine_mode(self):
         g = SpatialGrid(256)
         assert h_norm(sine_field(g), g) == pytest.approx(math.sqrt(0.5), abs=1e-3)
+
+    def test_zero_amplitude_start_is_zeros(self):
+        # a zero start is amplitude 0: +0.0 at every node, the bits of np.zeros
+        for m in range(2, MAX_M + 1):
+            assert sine_field(SpatialGrid(m), amplitude=0.0).tobytes() == np.zeros(m).tobytes()
 
     def test_v_norm_zero(self):
         g = SpatialGrid(5)

@@ -18,7 +18,7 @@ from burgerslab.ratefn import rate_function
 from burgerslab.solver import BlowUpError, Control, SchemeConfig, solve, solve_skeleton
 
 ADDITIVE = make_burgers_set(0.0, noise_profile="additive")
-NOISELESS = make_burgers_set(0.0, noise_profile="zero")
+NOISELESS = make_burgers_set(0.0, sigma_amp=0.0)
 
 GRID = SpatialGrid(16)
 MESH = TimeMesh(1.0, 50)

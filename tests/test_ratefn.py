@@ -11,7 +11,7 @@ from burgerslab.solver import (Control, SchemeConfig, march_distances, solve_bat
                                solve_skeleton)
 
 ADDITIVE = make_burgers_set(0.0, noise_profile="additive")
-NOISELESS = make_burgers_set(0.0, noise_profile="zero")
+NOISELESS = make_burgers_set(0.0, sigma_amp=0.0)
 BOUNDED_2D = make_burgers_set(0.3, noise_profile="bounded", d=2)
 
 GRID = SpatialGrid(16)
@@ -86,8 +86,9 @@ class TestRateFunction:
         assert len(calls) == MESH.steps  # the counter sees every kernel call
 
     @pytest.mark.parametrize("options, message", [
-        (dict(blocks=0), "control block"),
-        (dict(blocks=-3), "control block"),
+        (dict(blocks=0), "blocks"),
+        (dict(blocks=-3), "blocks"),
+        (dict(blocks=MESH.steps + 1), "at most the mesh's 50 steps, got 51"),
         (dict(tol=0.0), "tol"),
         (dict(tol=-1e-3), "tol"),
     ])
@@ -100,6 +101,15 @@ class TestRateFunction:
         with pytest.raises(ValueError, match=message):
             rate_function(ADDITIVE, u0, target, CFG, **options)
         assert calls == []
+
+    def test_blocks_may_equal_the_steps(self):
+        # one block per step is accepted (8 blocks on 2 steps once returned
+        # converged=True for a control whose last six blocks were never applied)
+        cfg = SchemeConfig(grid=GRID, mesh=TimeMesh(1.0, 2))
+        u0 = sine_field(GRID)
+        target = solve_skeleton(ADDITIVE, u0, None, cfg).u
+        res = rate_function(ADDITIVE, u0, target, cfg, blocks=2, max_iters=1)
+        assert res.h_star.values.shape == (2, 1)
 
     def test_options_are_keywords(self):
         # the three settings follow cfg by keyword only

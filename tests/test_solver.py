@@ -26,9 +26,9 @@ from burgerslab.solver import (
     total_variation_k,
 )
 
-ZERO = make_burgers_set(0.0, noise_profile="zero")
+ZERO = make_burgers_set(0.0, sigma_amp=0.0)
 ADDITIVE = make_burgers_set(0.0, noise_profile="additive")
-FORCED_DOWN = make_burgers_set(0.0, noise_profile="zero", c2=-1.0)
+FORCED_DOWN = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.0)
 
 
 def heat_exact(grid, mesh, amplitude=1.0):
@@ -116,7 +116,7 @@ class TestStep:
     def test_heat_step_matches_dense_solve(self):
         grid, mesh = SpatialGrid(32), TimeMesh(1.0, 1000)
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
-        u = sine_field(grid) + 0.2 * sine_field(grid, k=3)
+        u = sine_field(grid) + 0.2 * np.sin(3 * math.pi * grid.nodes)
         u_new, _ = one_step(ZERO, u, cfg)
         # independent oracle: dense solve of (I - dt L) v = u
         m, dx, dt = grid.m, grid.dx, mesh.dt
@@ -138,7 +138,7 @@ class TestStep:
         # g = z: positive wave speed, upwind takes the forward difference
         grid, mesh = SpatialGrid(32), TimeMesh(1.0, 1000)
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0, convection="upwind")
-        cs = make_burgers_set(0.0, noise_profile="zero")
+        cs = make_burgers_set(0.0, sigma_amp=0.0)
         lin = type(cs)(
             g=lambda t, z: np.asarray(z, float) + np.zeros(np.broadcast_shapes(np.shape(t), np.shape(z))),
             dg_dz=lambda t, z: np.ones(np.broadcast_shapes(np.shape(t), np.shape(z))),
@@ -206,7 +206,7 @@ class TestStep:
 
     def test_upwind_consistent_with_central(self):
         # both discretizations converge to the same Burgers flow
-        cs = make_burgers_set(1.0, noise_profile="zero")
+        cs = make_burgers_set(1.0, sigma_amp=0.0)
         grid, mesh = SpatialGrid(128), TimeMesh(0.2, 2000)
         flows = {}
         for conv in ("central", "upwind"):
@@ -425,7 +425,7 @@ class TestSolve:
         monkeypatch.setattr(solver, "BLOWUP_CEILING", 1e4)
         grid, mesh = SpatialGrid(64), TimeMesh(1.0, 50)  # coarse dt
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
-        cs = make_burgers_set(8.0, noise_profile="zero")
+        cs = make_burgers_set(8.0, sigma_amp=0.0)
         with pytest.raises(BlowUpError) as err:
             solve_skeleton(cs, 50 * sine_field(grid), None, cfg)
         assert 0 <= err.value.step_index < mesh.steps
@@ -468,7 +468,7 @@ def _batch_case(convection, profile, d, reflection, n_paths=5, steps=30):
     elif profile == "constant":  # every callback a constant, as in the reflection experiment
         cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.25, d=d)
     elif profile == "constant_zero":  # the same without noise
-        cs = make_burgers_set(0.0, noise_profile="zero", c2=-1.0, d=d)
+        cs = make_burgers_set(0.0, c2=-1.0, sigma_amp=0.0, d=d)
     elif profile == "burgers_ag1":
         cs = make_burgers_set(1.0, noise_profile="bounded", c1=0.5, c2=-1.0, d=d)
     else:
