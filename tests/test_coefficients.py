@@ -39,13 +39,6 @@ class TestBurgersSet:
         with pytest.raises(ValueError, match=r"one of \('additive', 'bounded'\)$"):
             make_burgers_set(1.0, noise_profile=profile)
 
-    def test_no_noise_is_zero_amplitude(self):
-        # the set the deleted zero profile built: every callback constant, sigma +0.0
-        cs = make_burgers_set(0.0, sigma_amp=0.0, d=2)
-        assert cs.constant == {"g", "f", "sigma"}
-        sigma = cs.sigma(0.5, np.linspace(0.1, 0.9, 3), np.array([-1.0, -0.0, 2.0]))
-        assert sigma.tobytes() == np.zeros((2, 3)).tobytes()
-
 
 class TestMultiscaleSet:
     def test_zero_amplitude_is_average(self):
