@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import path_distance, sample_noise
 from .coefficients import CoefficientSet
+from .ldp import _check_eps_list
 from .solver import (BlowUpError, SchemeConfig, _paths_per_chunk,
                      complementarity_residual, march_distances, solve, solve_batch,
                      total_variation_k)
@@ -66,13 +67,12 @@ def run_averaging_experiment(
     fast paths of each eps, each fast chunk dropped before the next, so no
     path outlives its chunk; a blow-up's path_index counts from path 0.
     Reported per eps: mean of the squared distances, its standard error,
-    and the fraction exceeding delta (the in-probability view).  The eps
-    values must be distinct, which is checked before any march.
+    and the fraction exceeding delta (the in-probability view).  eps_list
+    must pass ldp.eps_list_ok, which is checked before any march.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if len(set(eps_list)) != len(eps_list):
-        raise ValueError("rows must be keyed by distinct epsilon values")
+    _check_eps_list(eps_list)
     if not delta > 0.0:  # NaN fails too
         raise ValueError(f"exceedance threshold must be positive, got {delta}")
     if avg.d != ms.d:

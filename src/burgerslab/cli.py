@@ -83,7 +83,8 @@ _ANY = (None, "")
 _POSITIVE = (lambda v, c: v > 0, "must be > 0")
 _NONNEGATIVE = (lambda v, c: v >= 0, "must be >= 0")
 _AT_LEAST_1 = (lambda v, c: v >= 1, "must be >= 1")
-_EPS_LIST = (lambda v, c: eps_list_ok(v), "must be a nonempty list of finite numbers > 0")
+_EPS_LIST = (lambda v, c: eps_list_ok(v),
+             "must be a nonempty list of distinct, finite numbers > 0")
 
 
 def _whole_steps(t_final: float, dt: float) -> bool:
@@ -103,10 +104,9 @@ def _constant_control(t_final: float, amp: float, d: int) -> Control:
     return Control.constant(t_final, [amp] * d, d=d)
 
 
-_GRID = (
-    ("m", int, 64, lambda v, c: 2 <= v <= MAX_M,
-     f"must be >= 2 and <= {MAX_M} (the implicit solve applies a dense m x m inverse)"),
-)
+_GRID_SIZE = (lambda v, c: 2 <= v <= MAX_M,
+              f"must be >= 2 and <= {MAX_M} (the implicit solve applies a dense m x m inverse)")
+_GRID = (("m", int, 64, *_GRID_SIZE),)
 
 _MESH = (
     ("t_final", float, 1.0, *_POSITIVE),
@@ -123,6 +123,12 @@ _BURGERS, _SCHEME_CFG, _SINE, _RATE, _AVERAGING = (
 # a control block shorter than one step would never be applied
 _BLOCKS = (lambda v, c: 1 <= v <= round(c["mesh.t_final"] / c["mesh.dt"]),
            "must be >= 1 and at most the mesh's steps (mesh.t_final / mesh.dt)")
+
+# the rate stage's target control and blocks, read by rate-function and rare-event
+_RATE_STAGE = (
+    ("h_star", float, 1.0, *_ANY),
+    ("blocks", int, _RATE["blocks"], *_BLOCKS),
+)
 
 _COEFFICIENTS = (
     ("family", ("burgers", "multiscale"), "burgers",
@@ -156,11 +162,15 @@ _PARAMS = {
     "heat-regression": (
         ("t_final", float, 0.1, *_POSITIVE),
         ("tolerance", float, 5e-3, *_POSITIVE),
-        ("m_values", list[int], [32, 64], lambda v, c: v and 2 <= min(v) and max(v) <= MAX_M,
-         f"must be a nonempty list of grid sizes >= 2 and <= {MAX_M}"),
+        ("m_values", list[int], [32, 64],
+         lambda v, c: v and len(set(v)) == len(v) and all(_GRID_SIZE[0](m, c) for m in v),
+         f"must be a nonempty list of distinct grid sizes >= 2 and <= {MAX_M}"),
+        # distinct step counts, so no two entries make one mesh
         ("dt_values", list[float], [2e-4, 1e-4],
-         lambda v, c: v and all(_whole_steps(c["params.t_final"], dt) for dt in v),
-         "must be a nonempty list of steps dt > 0 that divide params.t_final"),
+         lambda v, c: v and all(_whole_steps(c["params.t_final"], dt) for dt in v)
+         and len({round(c["params.t_final"] / dt) for dt in v}) == len(v),
+         "must be a nonempty list of steps dt > 0 that divide params.t_final "
+         "into distinct step counts"),
     ),
     "reflection": (
         ("n_list", list[float], [10.0, 100.0, 1000.0],
@@ -169,8 +179,7 @@ _PARAMS = {
         ("sigma_amp", float, 0.0, *_NONNEGATIVE),
     ),
     "rate-function": (
-        ("h_star", float, 1.0, *_ANY),
-        ("blocks", int, _RATE["blocks"], *_BLOCKS),
+        *_RATE_STAGE,
         ("tol", float, _RATE["tol"], *_POSITIVE),
         ("max_iters", int, _RATE["max_iters"], *_AT_LEAST_1),
     ),
@@ -180,8 +189,7 @@ _PARAMS = {
         ("delta", float, 0.25, *_POSITIVE),
         ("n_samples", int, 500, *_AT_LEAST_1),
         ("theta", float, 0.5, *_POSITIVE),
-        ("h_star", float, 1.0, *_ANY),
-        ("blocks", int, 4, *_BLOCKS),
+        *_RATE_STAGE,
     ),
     "condition-probe": (
         ("eps_list", list[float], [0.2, 0.05, 0.01], *_EPS_LIST),
@@ -198,9 +206,7 @@ _PARAMS = {
          "must be a nonempty list of numbers >= 0"),
     ),
     "averaging": (
-        ("eps_list", list[float], [0.1, 0.01, 0.001],
-         lambda v, c: v and min(v) > 0 and len(set(v)) == len(v),
-         "must be a nonempty list of distinct numbers > 0"),
+        ("eps_list", list[float], [0.1, 0.01, 0.001], *_EPS_LIST),
         ("n_paths", int, 100, *_AT_LEAST_1),
         ("delta", float, _AVERAGING["delta"], *_POSITIVE),
         ("kappa_t_hats", list[float], [1e2, 1e3, 1e4],
@@ -541,8 +547,10 @@ def _write_failure(out: Path, cfg: ExperimentConfig | None, exc: Exception) -> P
     """failure.json: experiment, seed (both None for a rejected config), error and message.
 
     A blow-up also records the step, the path index and the noise and time
-    scales of the solve it happened in: with the seed, enough for one solve
-    to replay it.
+    scales of the solve it happened in.  With the seed, that replays a
+    blow-up of the naive tube loop or the averaging pairs; elsewhere the
+    path index means another row and a replay needs more (README "Exit
+    codes", ROADMAP item 13).
     """
     out.mkdir(parents=True, exist_ok=True)
     record = {"experiment": None, "seed": None, "error": type(exc).__name__, "message": str(exc)}

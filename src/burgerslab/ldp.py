@@ -92,13 +92,14 @@ class RareEventEstimate:
 
 
 def eps_list_ok(eps_list: list[float]) -> bool:
-    """True for a nonempty list of finite noise scales > 0 (NaN fails), the one eps_list rule."""
-    return bool(eps_list) and all(0.0 < eps < math.inf for eps in eps_list)
+    """True for a nonempty list of distinct, finite scales > 0 (NaN fails): the one eps rule."""
+    return (bool(eps_list) and all(0.0 < eps < math.inf for eps in eps_list)
+            and len(set(eps_list)) == len(eps_list))
 
 
 def _check_eps_list(eps_list: list[float]) -> None:
     if not eps_list_ok(eps_list):
-        raise ValueError(f"eps_list must be a nonempty list of finite numbers > 0, "
+        raise ValueError(f"eps_list must be a nonempty list of distinct, finite numbers > 0, "
                          f"got {eps_list}")
 
 

@@ -74,9 +74,10 @@ BINARY_MAGIC = b"RBPATH01"
 class BlowUpError(RuntimeError):
     """State became non-finite or exceeded BLOWUP_CEILING at some step.
 
-    path_index is the row of the batch that blew up (0 for a single solve);
-    noise_scale and time_scale are the solve's, so that with the noise seed
-    one solve replays the blow-up.
+    path_index is the row of the batch that blew up (0 for a single solve),
+    which a Monte Carlo loop shifts to its sample index; noise_scale and
+    time_scale are the solve's.  What else a replay needs depends on the
+    stage (README "Exit codes").
     """
 
     def __init__(self, step_index: int, t: float, peak: float, path_index: int = 0,
@@ -283,47 +284,82 @@ BLOWUP_CEILING = 1e6
 
 
 class _Stepper:
-    """One march: its inputs, the implicit inverse and the buffers a step writes in place.
+    """One march: its checked inputs, the implicit inverse and the buffers a step writes in place.
 
-    The march takes steps steps from the (P, m) states u0 at time 0, step
-    k from k * dt, computed only where a callback or a blow-up reads it; dw
-    is (P, steps, d) or None, h is (steps, d) shared or (P, steps, d) per
-    row, or None, and penalties holds one penalty n per row, so the weight
-    dt * n is a (P, 1) column.  The implicit inverse is the
-    shared one of the grid and mesh (_implicit_inverse).  A term whose
-    callback the set records as constant (CoefficientSet.constant) is
-    evaluated here, once per march, on the start states (which may be a
-    broadcast view of one state), and reused by every step, however many
-    calls to march the march takes: with a constant g the convection is
-    exactly +0.0 and neither g nor dg_dz is called; with a constant f as
-    well, dt * (0 + f) is one array; with a constant sigma the drift dt * h
-    sigma and the kick noise_scale * dw sigma of a block of CHECK_EVERY
-    steps are one product each.  A constant sigma with a shared control
-    gives every row the same drift, so the drift buffer then holds one row,
-    (width, 1, m), and each step adds it to all P right-hand sides; the kick
-    differs per row and stays (width, P, m).  Both are step-major, so a step
-    adds one contiguous block.  Any other term is computed per step.  A
-    non-constant g sees the state in a ghost-padded (P, m + 2) buffer whose
-    Dirichlet ghosts stay zero.  sigma is copied into one C-ordered (d, P,
-    m) buffer: no zero strides, so every row takes the BLAS path.  The
-    implicit solve writes into one (P, 1, m) buffer.
+    Built from solve_batch's inputs, all checked before any step: the start
+    u0 (m,), broadcast to the P rows; dw (P, steps, d) or None; h (steps,
+    d) shared or (P, steps, d) per row, or None; one scheme config, or P
+    that differ only in penalty_n, so the weight dt * n is a (P, 1) column.
+    The march takes the mesh's steps from time 0, step k from k * dt,
+    computed only where a callback or a blow-up reads it.  The implicit
+    inverse is the shared one of the grid and mesh (_implicit_inverse).  A
+    term whose callback the set records as constant
+    (CoefficientSet.constant) is evaluated here, once per march, on the
+    broadcast start, and reused by every window: with a constant g the
+    convection is exactly +0.0 and neither g nor dg_dz is called; with a
+    constant f as well, dt * (0 + f) is one array; with a constant sigma
+    the drift dt * h sigma and the kick noise_scale * dw sigma of a window
+    are one product each.  A constant sigma with a shared control gives
+    every row the same drift, so the drift buffer then holds one row,
+    (width, 1, m), and each step adds it to all P right-hand sides; the
+    kick differs per row and stays (width, P, m).  Both are step-major, so
+    a step adds one contiguous block.  Any other term is computed per step.
+    A non-constant g sees the state in a ghost-padded (P, m + 2) buffer
+    whose Dirichlet ghosts stay zero.  sigma is copied into one C-ordered
+    (d, P, m) buffer: no zero strides, so every row takes the BLAS path.
+    The implicit solve writes into one (P, 1, m) buffer.
     """
 
-    def __init__(self, cs: CoefficientSet, cfg: SchemeConfig, u0: np.ndarray,
-                 dw: np.ndarray | None, h: np.ndarray | None, penalties: Sequence[float],
-                 steps: int):
-        rows, m = u0.shape
+    def __init__(self, cs: CoefficientSet, u0: np.ndarray, dw: np.ndarray | None,
+                 h: np.ndarray | None, cfg: SchemeConfig | Sequence[SchemeConfig]):
+        sizes = set()
+        penalties = None
+        if not isinstance(cfg, SchemeConfig):
+            cfgs = list(cfg)
+            if not cfgs:
+                raise ValueError("need at least one scheme config")
+            cfg = cfgs[0]
+            if any(replace(c, penalty_n=cfg.penalty_n) != cfg for c in cfgs):
+                raise ValueError("the scheme configs of one batch may differ only in penalty_n")
+            penalties = [c.penalty_n for c in cfgs]
+            sizes.add(len(cfgs))
+        m, steps, d = cfg.grid.m, cfg.mesh.steps, cs.d
+        u0 = np.asarray(u0, dtype=float)
+        if u0.shape != (m,):
+            raise ValueError(f"u0 shape {u0.shape} does not match grid ({m},)")
+        if not np.min(u0) >= 0.0:  # NaN fails too
+            raise ValueError(f"u0 must be nonnegative, min entry is {np.min(u0):.3g}")
+        if dw is not None:
+            dw = np.asarray(dw, dtype=float)
+            if dw.ndim != 3 or dw.shape[1:] != (steps, d):
+                raise ValueError(f"increments shape {dw.shape} does not match (P, {steps}, {d})")
+            sizes.add(dw.shape[0])
+        elif cfg.noise_scale > 0.0:
+            raise ValueError("noise_scale > 0 requires Brownian increments")
+        if h is not None:
+            h = np.asarray(h, dtype=float)
+            if h.shape[-2:] != (steps, d) or h.ndim not in (2, 3):
+                raise ValueError(f"control shape {h.shape} does not match ([P,] {steps}, {d})")
+            if h.ndim == 3:
+                sizes.add(h.shape[0])
+        if len(sizes) > 1:
+            raise ValueError(
+                f"increments, controls and configs disagree on the path count: {sorted(sizes)}")
+        rows = sizes.pop() if sizes else 1
+
         x = cfg.grid.nodes
         self.cs, self.cfg, self.x, self.h = cs, cfg, x, h
         self.steps = steps
+        self.u0 = u0 = np.broadcast_to(u0, (rows, m))
         self.dx = cfg.grid.dx
         self.dt = cfg.mesh.dt
+        penalties = penalties or [cfg.penalty_n] * rows
         self.penalty = self.dt * np.array(penalties, dtype=float)[:, None]
         self._inv = _implicit_inverse(m, self.dt)
         self._padded = None if "g" in cs.constant else np.zeros((rows, m + 2))
         self._rhs = np.empty((rows, m))
         self._free = np.empty((rows, 1, m))
-        self._sigma = np.empty((cs.d, rows, m))
+        self._sigma = np.empty((d, rows, m))
         self._sig_t = self._sigma.transpose(1, 0, 2)
         self.dw = dw if cfg.noise_scale > 0.0 else None
         # steps marched so far, and (step, t, peak) of each row's first bad state
@@ -387,21 +423,20 @@ class _Stepper:
             out *= self.cfg.noise_scale
 
     def march(self, u: np.ndarray, dk: np.ndarray | None) -> None:
-        """Fill u[:, 1:] and dk from u[:, 0] by the march's next n steps.
+        """Fill u[:, 1:] and dk from u[:, 0] by the march's next window of n steps.
 
-        u is (P, n+1, m) and dk (P, n, m) or None; a whole march is one
-        call, and a march in windows is one call per window, each starting
-        from the last state of the one before.  A zero control gives the
-        bits of no control.
+        u is (P, n+1, m) and dk (P, n, m) or None, with n at most
+        CHECK_EVERY: a march is one call per window, each starting from the
+        last state of the one before.  A window is one forcing block and one
+        blow-up check.  A zero control gives the bits of no control.
         dk None stores no reflection increments: projection then skips
         them, and penalization books each step's in the next state's row
         before adding u_free to it, so u keeps its bits.
-        Every CHECK_EVERY steps the states stored since the last look are
-        checked at once, into first_bad.  Rows are independent, so a row
-        that blew up keeps stepping (non-finite, warnings off) until no
-        lower row can still blow up: the BlowUpError of the lowest bad row,
-        with its own first bad step, is raised once row 0 has blown up or
-        the march has reached its last step.
+        The window's states are checked at once, into first_bad.  Rows are
+        independent, so a row that blew up keeps stepping (non-finite,
+        warnings off) until no lower row can still blow up: the BlowUpError
+        of the lowest bad row, with its own first bad step, is raised once
+        row 0 has blown up or the march has reached its last step.
         """
         cs, cfg, x, rhs, inv, free = self.cs, self.cfg, self.x, self._rhs, self._inv, self._free
         first, steps = self.done, u.shape[1] - 1
@@ -410,50 +445,46 @@ class _Stepper:
         projection = cfg.reflection == "projection"
         states = u.swapaxes(0, 1)  # states[k] is u[:, k]
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, steps, CHECK_EVERY):
-                stop = min(start + CHECK_EVERY, steps)
-                if self._block_forcing:
-                    self._forcing(first + start, first + stop)
-                for k in range(start, stop):
-                    uk, j = states[k], k - start
-                    if clocked:
-                        t = (first + k) * self.dt
-                        t_fast = t / cfg.time_scale
-                    # rhs = u + dt * (convection + f), each product and sum as the formula rounds it
-                    if base is not None:
-                        np.add(base, uk, out=rhs)
-                    else:
-                        self._convection(t, uk, rhs)
-                        rhs += cs.f(t_fast, x, uk) if f is None else f
-                        rhs *= self.dt
-                        rhs += uk
-                    if per_step:
-                        np.copyto(self._sigma, cs.sigma(t_fast, x, uk))
-                        self._forcing(first + k, first + k + 1)
-                        j = 0
-                    if drift is not None:
-                        rhs += drift[j]
-                    if kick is not None:
-                        rhs += kick[j]
+            if self._block_forcing:
+                self._forcing(first, first + steps)
+            for k in range(steps):
+                uk, j = states[k], k
+                if clocked:
+                    t = (first + k) * self.dt
+                    t_fast = t / cfg.time_scale
+                # rhs = u + dt * (convection + f), each product and sum as the formula rounds it
+                if base is not None:
+                    np.add(base, uk, out=rhs)
+                else:
+                    self._convection(t, uk, rhs)
+                    rhs += cs.f(t_fast, x, uk) if f is None else f
+                    rhs *= self.dt
+                    rhs += uk
+                if per_step:
+                    np.copyto(self._sigma, cs.sigma(t_fast, x, uk))
+                    self._forcing(first + k, first + k + 1)
+                    j = 0
+                if drift is not None:
+                    rhs += drift[j]
+                if kick is not None:
+                    rhs += kick[j]
 
-                    # one implicit solve for every row: P right-hand sides as an (m, P) array
-                    u_free = cho_solve_banded(inv, rhs.T, free).T
+                # one implicit solve for every row: P right-hand sides as an (m, P) array
+                u_free = cho_solve_banded(inv, rhs.T, free).T
 
-                    u_next = states[k + 1]
-                    if projection:
-                        np.maximum(u_free, 0.0, out=u_next)
-                        if dk is not None:
-                            np.subtract(u_next, u_free, out=dk[:, k])
-                    else:
-                        # without stored dK the increment is booked in u_next itself
-                        dk_k = u_next if dk is None else dk[:, k]
-                        np.negative(u_free, out=dk_k)
-                        np.maximum(dk_k, 0.0, out=dk_k)
-                        dk_k *= penalty
-                        np.add(u_free, dk_k, out=u_next)
-                self._note_blowups(u[:, start + 1:stop + 1], first + start)
-                if 0 in self.first_bad:
-                    break
+                u_next = states[k + 1]
+                if projection:
+                    np.maximum(u_free, 0.0, out=u_next)
+                    if dk is not None:
+                        np.subtract(u_next, u_free, out=dk[:, k])
+                else:
+                    # without stored dK the increment is booked in u_next itself
+                    dk_k = u_next if dk is None else dk[:, k]
+                    np.negative(u_free, out=dk_k)
+                    np.maximum(dk_k, 0.0, out=dk_k)
+                    dk_k *= penalty
+                    np.add(u_free, dk_k, out=u_next)
+            self._note_blowups(u[:, 1:], first)
         self.done += steps
         if self.first_bad and (0 in self.first_bad or self.done == self.steps):
             row = min(self.first_bad)
@@ -472,51 +503,6 @@ class _Stepper:
             j = int(np.argmax(bad[row]))
             self.first_bad.setdefault(
                 row, (start + j, (start + j) * self.dt + self.dt, float(peak[row, j])))
-
-
-def _batch_inputs(
-    cs: CoefficientSet,
-    u0: np.ndarray,
-    dw: np.ndarray | None,
-    h: np.ndarray | None,
-    cfg: SchemeConfig | Sequence[SchemeConfig],
-) -> tuple[SchemeConfig, np.ndarray, np.ndarray | None, np.ndarray | None, list[float]]:
-    """solve_batch's checks; returns (cfg, u0, dw, h, one penalty per path)."""
-    sizes = set()
-    penalties = None
-    if not isinstance(cfg, SchemeConfig):
-        cfgs = list(cfg)
-        if not cfgs:
-            raise ValueError("need at least one scheme config")
-        cfg = cfgs[0]
-        if any(replace(c, penalty_n=cfg.penalty_n) != cfg for c in cfgs):
-            raise ValueError("the scheme configs of one batch may differ only in penalty_n")
-        penalties = [c.penalty_n for c in cfgs]
-        sizes.add(len(cfgs))
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (cfg.grid.m,):
-        raise ValueError(f"u0 shape {u0.shape} does not match grid ({cfg.grid.m},)")
-    if not np.min(u0) >= 0.0:  # NaN fails too
-        raise ValueError(f"u0 must be nonnegative, min entry is {np.min(u0):.3g}")
-    steps, d = cfg.mesh.steps, cs.d
-    if dw is not None:
-        dw = np.asarray(dw, dtype=float)
-        if dw.ndim != 3 or dw.shape[1:] != (steps, d):
-            raise ValueError(f"increments shape {dw.shape} does not match (P, {steps}, {d})")
-        sizes.add(dw.shape[0])
-    elif cfg.noise_scale > 0.0:
-        raise ValueError("noise_scale > 0 requires Brownian increments")
-    if h is not None:
-        h = np.asarray(h, dtype=float)
-        if h.shape[-2:] != (steps, d) or h.ndim not in (2, 3):
-            raise ValueError(f"control shape {h.shape} does not match ([P,] {steps}, {d})")
-        if h.ndim == 3:
-            sizes.add(h.shape[0])
-    if len(sizes) > 1:
-        raise ValueError(
-            f"increments, controls and configs disagree on the path count: {sorted(sizes)}")
-    n_paths = sizes.pop() if sizes else 1
-    return cfg, u0, dw, h, penalties or [cfg.penalty_n] * n_paths
 
 
 def solve_batch(
@@ -545,20 +531,22 @@ def solve_batch(
     callback the set records as constant is evaluated once per march on
     the (P, m) start states, any other once per step on the (P, m) state;
     each step solves all P right-hand sides in one implicit-solve call.
-    Every row marches at once, so the caller sizes the batch (a Monte
-    Carlo loop marches _paths_per_chunk rows at a time).  Row p equals,
+    Every row marches at once, one window of CHECK_EVERY steps per
+    _Stepper.march call, so the caller sizes the batch (a Monte Carlo loop
+    marches _paths_per_chunk rows at a time).  Row p equals,
     bit for bit, the batch of one on row p's inputs and config.  A blow-up
     raises BlowUpError for the lowest row that blows up, with path_index
     that row.
     """
-    cfg, u0, dw, h, penalties = _batch_inputs(cs, u0, dw, h, cfg)
-    steps, m, paths = cfg.mesh.steps, cfg.grid.m, len(penalties)
     # built first, so the inverse's and the constant terms' scratch is freed below the path
-    stepper = _Stepper(cs, cfg, np.broadcast_to(u0, (paths, m)), dw, h, penalties, steps)
+    stepper = _Stepper(cs, u0, dw, h, cfg)
+    (paths, m), steps = stepper.u0.shape, stepper.steps
     u = np.empty((paths, steps + 1, m))
     dk = np.empty((paths, steps, m)) if store_dk else None
-    u[:, 0] = u0
-    stepper.march(u, dk)
+    u[:, 0] = stepper.u0
+    for first in range(0, steps, CHECK_EVERY):
+        stop = min(first + CHECK_EVERY, steps)
+        stepper.march(u[:, first:stop + 1], None if dk is None else dk[:, first:stop])
     return u, dk
 
 
@@ -578,20 +566,19 @@ def march_distances(
     march through one reused, time-major buffer of CHECK_EVERY steps, and
     one row pass per window (core._distance_rows, through one scratch pair)
     fills each row's (steps+1)-long H and V sums, scaled once at the end
-    and reduced as path_distance reduces them.  A
-    window is one forcing block and one blow-up check of the march, which
-    is one: constant callbacks are evaluated once.  A blow-up raises
+    and reduced as path_distance reduces them.  The windows are
+    solve_batch's, each one _Stepper.march call, of one march: constant
+    callbacks are evaluated once.  A blow-up raises
     solve_batch's BlowUpError, with the global step and the lowest bad row;
     no window holding a bad state is measured.
     """
-    cfg, u0, dw, h, penalties = _batch_inputs(cs, u0, dw, h, cfg)
+    stepper = _Stepper(cs, u0, dw, h, cfg)
+    cfg, (paths, m), steps, window = stepper.cfg, stepper.u0.shape, stepper.steps, CHECK_EVERY
     reference = _check_path(reference, cfg.grid, cfg.mesh, "reference")
-    steps, window, paths, m = cfg.mesh.steps, CHECK_EVERY, len(penalties), cfg.grid.m
-    stepper = _Stepper(cs, cfg, np.broadcast_to(u0, (paths, m)), dw, h, penalties, steps)
     hsq = np.empty((paths, steps + 1))
     vsq = np.empty_like(hsq)
     buf = np.empty((min(window, steps) + 1, paths, m))
-    buf[0] = u0
+    buf[0] = stepper.u0
     scratch = _distance_scratch(len(buf), (paths,), m)
     for first in range(0, steps, window):
         n = min(window, steps - first)

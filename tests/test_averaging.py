@@ -180,7 +180,7 @@ class TestAveragingExperiment:
         monkeypatch.setattr(solver, "cho_solve_banded", counted)
         ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
         cfg = replace(CFG, mesh=TimeMesh(1.0, 50))
-        with pytest.raises(ValueError, match="distinct epsilon"):
+        with pytest.raises(ValueError, match="eps_list must be a nonempty list of distinct"):
             run_averaging_experiment(ms, avg, U0, [0.1, 0.1], 4, seed=4, cfg=cfg)
         assert calls == []
         run_averaging_experiment(ms, avg, U0, [0.1, 0.2], 4, seed=4, cfg=cfg)

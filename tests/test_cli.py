@@ -86,6 +86,7 @@ class TestLoadConfig:
 
         pairs = [(cli._SCHEME, SchemeConfig, ("reflection", "penalty_n", "convection")),
                  (cli._PARAMS["rate-function"], rate_function, ("blocks", "tol", "max_iters")),
+                 (cli._PARAMS["rare-event"], rate_function, ("blocks",)),
                  (cli._PARAMS["averaging"], run_averaging_experiment, ("delta",)),
                  (cli._COEFFICIENTS, make_burgers_set,
                   ("a_g", "noise_profile", "c1", "c2", "sigma_amp", "d")),
@@ -458,6 +459,20 @@ BAD_CONFIGS = [
     bad("condition-probe-nan-eps", "params.eps_list",
         {"experiment": "condition-probe", **SMALL,
          "params": {"eps_list": [0.1, float("nan")], "n_paths": 1}}),
+    # an entry keys a row, so a repeat once wrote the row twice
+    bad("condition-probe-repeated-eps", "params.eps_list",
+        {"experiment": "condition-probe", **SMALL,
+         "params": {"eps_list": [0.2, 0.2], "n_paths": 1}}),
+    bad("rare-event-repeated-eps", "params.eps_list",
+        {"experiment": "rare-event", **SMALL,
+         "params": {"eps_list": [0.05, 0.05], "n_samples": 2, "blocks": 1}}),
+    bad("heat-regression-repeated-m-and-dt", "params.m_values",
+        {**TINY_HEAT, "params": {**TINY_HEAT["params"], "m_values": [8, 8],
+                                 "dt_values": [0.01, 0.01]}}),
+    bad("heat-regression-repeated-dt", "params.dt_values",
+        {**TINY_HEAT, "params": {**TINY_HEAT["params"], "dt_values": [0.01, 0.01]}}),
+    bad("heat-regression-dt-values-of-one-step-count", "params.dt_values",
+        {**TINY_HEAT, "params": {**TINY_HEAT["params"], "dt_values": [0.01, 0.0100000000001]}}),
     bad("heat-regression-grid-too-small", "params.m_values",
         {"experiment": "heat-regression", "params": {"m_values": [1]}}),
     bad("heat-regression-grid-too-large", "params.m_values",

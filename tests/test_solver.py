@@ -173,15 +173,17 @@ class TestStep:
         assert (err.value.step_index, err.value.path_index, err.value.t) == (0, 0, mesh.dt)
         assert err.value.peak > 1.0
 
-    @pytest.mark.parametrize("reflection, kick", [("penalized", -3000.0),
-                                                   ("projection", 1e308)])
-    def test_blow_up_below_zero_or_not_finite(self, monkeypatch, reflection, kick):
+    @pytest.mark.parametrize("reflection, kick, noise_scale", [("penalized", -3000.0, 0.5),
+                                                               ("projection", 1e308, 0.5),
+                                                               ("projection", 1e308, 4.0)])
+    def test_blow_up_below_zero_or_not_finite(self, monkeypatch, reflection, kick, noise_scale):
         # a projected state is >= 0 or NaN, so its march reads only the max
         # of each window; a penalized state can blow up below zero, which
-        # only the min sees
+        # only the min sees; at noise_scale 4 the window's kick block itself
+        # overflows, which is a blow-up too and not a warning
         monkeypatch.setattr(solver, "BLOWUP_CEILING", 50.0)
         grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
-        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5, reflection=reflection,
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=noise_scale, reflection=reflection,
                            penalty_n=10.0)
         dw = np.zeros((3, mesh.steps, 1))
         dw[1, 20:] = kick
@@ -262,11 +264,10 @@ class TestImplicitSolve:
 
     def test_one_read_only_inverse_per_grid_and_mesh(self):
         grid, mesh = SpatialGrid(24), TimeMesh(0.3, 90)
-        u0 = np.zeros((2, grid.m))
+        u0 = np.zeros(grid.m)
 
         def inverse(cfg):
-            return solver._Stepper(FORCED_DOWN, cfg, u0, None, None, [cfg.penalty_n] * 2,
-                                   mesh.steps)._inv
+            return solver._Stepper(FORCED_DOWN, u0, None, None, [cfg] * 2)._inv
 
         a = inverse(SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0))
         b = inverse(SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0, reflection="penalized",
@@ -495,6 +496,37 @@ def _batch_control(kind, cfg, d, n_paths):
     ])
 
 
+# one bad input of a _batch_case("upwind", "additive", 1, "penalized") batch
+# (5 paths, 30 steps, m 12): (u0, dw, cfg) -> (u0, dw, h, cfg), and its message
+BAD_BATCH_INPUTS = {
+    "no-increments": (lambda u0, dw, cfg: (u0, None, None, cfg),
+                      "noise_scale > 0 requires Brownian increments"),
+    "short-increments": (lambda u0, dw, cfg: (u0, dw[:, :-1], None, cfg),
+                         "increments shape (5, 29, 1) does not match (P, 30, 1)"),
+    "flat-increments": (lambda u0, dw, cfg: (u0, dw[0], None, cfg),
+                        "increments shape (30, 1) does not match (P, 30, 1)"),
+    "control-steps": (lambda u0, dw, cfg: (u0, dw, np.zeros((29, 1)), cfg),
+                      "control shape (29, 1) does not match ([P,] 30, 1)"),
+    "control-paths": (lambda u0, dw, cfg: (u0, dw, np.zeros((6, 30, 1)), cfg),
+                      "increments, controls and configs disagree on the path count: [5, 6]"),
+    "config-count": (lambda u0, dw, cfg: (u0, dw, None, [cfg] * 4),
+                     "increments, controls and configs disagree on the path count: [4, 5]"),
+    "no-configs": (lambda u0, dw, cfg: (u0, dw, None, []), "need at least one scheme config"),
+    **{f"configs-differ-in-{key}": (
+        lambda u0, dw, cfg, change=change: (u0, dw, None, [cfg] * 4 + [replace(cfg, **change)]),
+        "the scheme configs of one batch may differ only in penalty_n")
+       for key, change in (("convection", {"convection": "central"}),
+                           ("noise_scale", {"noise_scale": 0.5}),
+                           ("reflection", {"reflection": "projection"}))},
+    "negative-start": (lambda u0, dw, cfg: (-np.ones(12), dw, None, cfg),
+                       "u0 must be nonnegative, min entry is -1"),
+    "nan-start": (lambda u0, dw, cfg: (np.full(12, np.nan), dw, None, cfg),
+                  "u0 must be nonnegative, min entry is nan"),
+    "start-shape": (lambda u0, dw, cfg: (u0[:-1], dw, None, cfg),
+                    "u0 shape (11,) does not match grid (12,)"),
+}
+
+
 class TestSolveBatch:
     """Batching never changes a path: every row equals the batch of one, bit for bit."""
 
@@ -553,15 +585,6 @@ class TestSolveBatch:
         cs, u0, cfg, dw = _batch_case("upwind", "additive", 1, "penalized")
         cfgs = [replace(cfg, penalty_n=n) for n in (10.0, 20.0, 30.0, 40.0, 50.0)]
         assert solve_batch(cs, u0, dw, None, cfgs)[0].shape[0] == 5
-        for bad in (
-            cfgs[:4] + [replace(cfgs[4], convection="central")],
-            cfgs[:4] + [replace(cfgs[4], noise_scale=0.5)],
-            cfgs[:4] + [replace(cfgs[4], reflection="projection")],
-            cfgs[:4],  # four configs for five paths of increments
-            [],
-        ):
-            with pytest.raises(ValueError):
-                solve_batch(cs, u0, dw, None, bad)
         # without noise the path count comes from the configs
         quiet = [replace(c, noise_scale=0.0) for c in cfgs[:3]]
         u, dk = solve_batch(cs, u0, None, None, quiet)
@@ -592,14 +615,36 @@ class TestSolveBatch:
             alone[3].step_index, alone[3].t, alone[3].peak)
         assert "path 3" in str(got)
 
-    def test_shape_checks(self):
-        cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
-        with pytest.raises(ValueError):
-            solve_batch(cs, u0, None, None, cfg)  # noise scale > 0 needs increments
-        with pytest.raises(ValueError):
-            solve_batch(cs, u0, dw[:, :-1], None, cfg)
-        with pytest.raises(ValueError):
-            solve_batch(cs, u0, dw, np.zeros((dw.shape[0] + 1, cfg.mesh.steps, 1)), cfg)
+    @pytest.mark.parametrize("entry", ["solve_batch", "march_distances"])
+    @pytest.mark.parametrize("case", list(BAD_BATCH_INPUTS))
+    def test_bad_inputs_raise_before_any_step(self, monkeypatch, entry, case):
+        # the stepper checks the batch's own inputs, so both entries raise one message
+        cs, u0, cfg, dw = _batch_case("upwind", "additive", 1, "penalized")
+        bad, message = BAD_BATCH_INPUTS[case]
+        args = bad(u0, dw, cfg)
+        kernel = _count_kernel_calls(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            if entry == "solve_batch":
+                solve_batch(cs, *args)
+            else:
+                solver.march_distances(cs, *args, _reference(cfg))
+        assert str(err.value) == message
+        assert kernel == []
+
+    def test_blow_up_in_row_0_stops_in_its_window(self, monkeypatch):
+        # row 0 blows up at step 11, in the window of steps 8-15: the march
+        # ends with that window, and row 2's later blow-up is never reached
+        monkeypatch.setattr(solver, "CHECK_EVERY", 8)
+        monkeypatch.setattr(solver, "BLOWUP_CEILING", 50.0)
+        grid, mesh = SpatialGrid(16), TimeMesh(1.0, 40)
+        cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.5)
+        dw = np.zeros((4, mesh.steps, 1))
+        dw[0, 11:], dw[2, 30:] = 3000.0, 3000.0
+        kernel = _count_kernel_calls(monkeypatch)
+        with pytest.raises(BlowUpError) as err:
+            solve_batch(ADDITIVE, np.zeros(grid.m), dw, None, cfg)
+        assert (err.value.path_index, err.value.step_index) == (0, 11)
+        assert len(kernel) == 16
 
 
 def _reference_march(cs, u0, dw, h, cfg, penalties=None):
@@ -963,7 +1008,9 @@ class TestMarchDistances:
         ref = _reference(cfg)
         got = solver.march_distances(cs, u0, dw, None, cfg, ref)
         assert marched == [block, block, tail]
+        marched.clear()
         u = solve_batch(cs, u0, dw, None, cfg)[0]
+        assert marched == [block, block, tail]
         assert got.tolist() == [path_distance(row, ref, cfg.grid, cfg.mesh).squared
                                 for row in u]
 
@@ -1001,15 +1048,11 @@ class TestMarchDistances:
         assert len(kernel) == cfg.mesh.steps  # three windows of 10 steps
         assert calls == {"f": 1, "sigma": 1}
 
-    def test_inputs_checked_at_the_call(self, monkeypatch):
-        # every input, the reference too, is checked before any step
+    def test_reference_checked_at_the_call(self, monkeypatch):
+        # the reference, like every other input, is checked before any step
         cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
         ref = _reference(cfg)
         kernel = _count_kernel_calls(monkeypatch)
-        with pytest.raises(ValueError, match="nonnegative"):
-            solver.march_distances(cs, -u0 - 1.0, dw, None, cfg, ref)
-        with pytest.raises(ValueError, match="increments shape"):
-            solver.march_distances(cs, u0, dw[:, :-1], None, cfg, ref)
         for bad in (ref[:-1], ref[:, :-1], ref[0]):
             with pytest.raises(ValueError, match="reference shape"):
                 solver.march_distances(cs, u0, dw, None, cfg, bad)
