@@ -17,12 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# sample_noise is not called here: it stays a module name so that tools
+# which wrap the noise layer by module name find it
 from .core import path_distance, sample_noise
 from .coefficients import CoefficientSet
-from .ldp import _check_eps_list
-from .solver import (BlowUpError, SchemeConfig, _paths_per_chunk,
-                     complementarity_residual, march_distances, solve, solve_batch,
-                     total_variation_k)
+from .ldp import _check_eps_list, _over_chunks
+from .solver import (SchemeConfig, complementarity_residual, march_distances, solve,
+                     solve_batch, total_variation_k)
 
 __all__ = [
     "AveragingRow",
@@ -62,10 +63,10 @@ def run_averaging_experiment(
 
     avg is the averaged set (its f and sigma do not depend on t), marched
     as it is.  Per sample index the same increments feed both equations;
-    the averaged paths do not depend on eps.  Per chunk of
-    _paths_per_chunk samples the averaged paths are solved once, then the
-    fast paths of each eps, each fast chunk dropped before the next, so no
-    path outlives its chunk; a blow-up's path_index counts from path 0.
+    the averaged paths do not depend on eps.  Per chunk of ldp._over_chunks
+    the averaged paths are solved once, then the fast paths of each eps,
+    each fast chunk dropped before the next, so no path outlives its chunk;
+    a blow-up's path_index counts from path 0.
     Reported per eps: mean of the squared distances, its standard error,
     and the fraction exceeding delta (the in-probability view).  eps_list
     must pass ldp.eps_list_ok, which is checked before any march.
@@ -79,23 +80,15 @@ def run_averaging_experiment(
         raise ValueError(f"channel mismatch: averaged d={avg.d}, fast d={ms.d}")
     base_cfg = replace(cfg, noise_scale=1.0, time_scale=1.0)
     fast_cfgs = [replace(base_cfg, time_scale=eps) for eps in eps_list]
-    d2s = np.empty((len(eps_list), n_samples))
-    size = _paths_per_chunk(cfg)
-    for first in range(0, n_samples, size):
-        dw = np.stack([sample_noise(seed, cfg.mesh, ms.d, path_index=i)
-                       for i in range(first, min(first + size, n_samples))])
-        try:
-            slow = solve_batch(avg, u0, dw, None, base_cfg, store_dk=False)[0]
-            for d2, fast_cfg in zip(d2s, fast_cfgs):
-                fast = solve_batch(ms, u0, dw, None, fast_cfg, store_dk=False)[0]
-                d2[first:first + len(dw)] = [
-                    path_distance(f, s, cfg.grid, cfg.mesh).squared for f, s in zip(fast, slow)]
-                del fast
-        except BlowUpError as err:
-            err.path_index += first
-            raise
-        del dw, slow
 
+    def march(dw: np.ndarray) -> np.ndarray:
+        slow = solve_batch(avg, u0, dw, None, base_cfg, store_dk=False)[0]
+        # each fast chunk is dropped before the next eps's is marched
+        return np.array([[path_distance(f, s, cfg.grid, cfg.mesh).squared for f, s in
+                          zip(solve_batch(ms, u0, dw, None, fast_cfg, store_dk=False)[0], slow)]
+                         for fast_cfg in fast_cfgs])
+
+    d2s = _over_chunks(seed, cfg, ms.d, n_samples, march)
     rows = []
     for eps, d2 in zip(eps_list, d2s):
         rows.append(AveragingRow(

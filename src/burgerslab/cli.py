@@ -197,13 +197,15 @@ _PARAMS = {
         ("n_paths", int, 200, *_AT_LEAST_1),
         ("energy_bound", float, 2.0, *_POSITIVE),
         ("control_amps", list[float], [0.0, 1.0, -1.2],
-         lambda v, c: v and all(
+         lambda v, c: v and len(set(v)) == len(v) and all(
              _constant_control(c["mesh.t_final"], a, c["coefficients.d"])
              .in_energy_class(c["params.energy_bound"]) for a in v),
-         "must be a nonempty list of amplitudes whose energy class is "
+         "must be a nonempty list of distinct amplitudes whose energy class is "
          "within params.energy_bound"),
-        ("u0_scales", list[float], [1.0, 0.5], lambda v, c: v and min(v) >= 0,
-         "must be a nonempty list of numbers >= 0"),
+        ("u0_scales", list[float], [1.0, 0.5],  # distinct starts: a zero start scales to one
+         lambda v, c: v and len(set(v)) == len(v) and min(v) >= 0
+         and (len(v) == 1 or c["u0.amplitude"] > 0),
+         "must be a nonempty list of distinct numbers >= 0, one number at u0.amplitude 0"),
     ),
     "averaging": (
         ("eps_list", list[float], [0.1, 0.01, 0.001], *_EPS_LIST),
@@ -453,17 +455,17 @@ def _drive_rare_event(cfg: ExperimentConfig):
     gen = _constant_control(cfg.mesh.t_final, p["h_star"], cs.d)
     target = solve_skeleton(cs, u0, gen, cfg.scheme).u
     ev = EventSpec(target=target, delta=p["delta"])
-    naive = estimate_naive(cs, u0, eps, ev, n_samples, cfg.seed, cfg.scheme)
+    # one naive estimate per distinct eps, which the lower-bound probe bounds too
+    naive = {e: estimate_naive(cs, u0, e, ev, n_samples, cfg.seed, cfg.scheme)
+             for e in dict.fromkeys([eps, *p["eps_list"]])}
     tilted = estimate_importance(cs, u0, eps, ev, gen, n_samples, cfg.seed, cfg.scheme)
     est_rows = [
         [e.method, e.epsilon, e.p_hat, e.std_err, e.n_samples, e.seed, e.n_clipped]
-        for e in (naive, tilted)
+        for e in (naive[eps], tilted)
     ]
     res = rate_function(cs, u0, target, cfg.scheme, blocks=p["blocks"])
-    rows = fw_lower_bound_probe(
-        cs, u0, ev, p["eps_list"], n_samples, cfg.seed, cfg.scheme, res, p["theta"],
-        naive={eps: naive},
-    )
+    rows = fw_lower_bound_probe(cs, u0, ev, [naive[e] for e in p["eps_list"]], cfg.scheme, res,
+                                p["theta"])
     fw_rows = [
         [r.epsilon, r.p_hat, r.eps_log_p, r.bound,
          "" if r.satisfied is None else r.satisfied, r.zero_hit, r.method]

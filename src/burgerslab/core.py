@@ -78,8 +78,8 @@ class TimeMesh:
 class PathDistance:
     """Distance record between two discrete paths.
 
-    squared = sup_h**2 + l2_v**2 is the canonical functional; the metric
-    form sup_h + l2_v is derived from it.
+    squared = sup_h**2 + l2_v**2 is the canonical functional; its square
+    root is a metric.
     """
 
     sup_h: float
@@ -88,10 +88,6 @@ class PathDistance:
     @property
     def squared(self) -> float:
         return self.sup_h**2 + self.l2_v**2
-
-    @property
-    def metric(self) -> float:
-        return self.sup_h + self.l2_v
 
 
 def sine_field(grid: SpatialGrid, amplitude: float = 1.0) -> np.ndarray:

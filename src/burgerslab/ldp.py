@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,26 +103,28 @@ def _check_eps_list(eps_list: list[float]) -> None:
                          f"got {eps_list}")
 
 
-def _distances(cs: CoefficientSet, u0: np.ndarray, h: np.ndarray | None, cfg: SchemeConfig,
-               reference: np.ndarray, n_samples: int, seed: int,
-               ) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield (dw, squared distance to reference) of paths 0..n_samples-1 under cfg.
+def _over_chunks(seed: int, cfg: SchemeConfig, d: int, n_samples: int,
+                 march: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """march(dw) on each chunk of paths 0..n_samples-1, its results joined on their last axis.
 
-    Path i is driven by the Philox stream (seed, i) and the shared control
-    h (or None).  Each chunk of _paths_per_chunk paths is drawn and marched
-    by one solver.march_distances, so no path is held whole; a blow-up's
-    path_index counts from path 0.
+    Path i is driven by the Philox stream (seed, i) on cfg's mesh.  Each
+    chunk of _paths_per_chunk paths is drawn once, as the (P, steps, d)
+    increments dw, and march returns its P per-path results on its last
+    axis; a blow-up's path_index counts from path 0.  The one Monte Carlo
+    chunk loop: the tube estimators, the condition probe and the averaging
+    pairs all go through it.
     """
     size = _paths_per_chunk(cfg)
+    out = []
     for first in range(0, n_samples, size):
-        dw = np.stack([sample_noise(seed, cfg.mesh, cs.d, path_index=i)
+        dw = np.stack([sample_noise(seed, cfg.mesh, d, path_index=i)
                        for i in range(first, min(first + size, n_samples))])
         try:
-            d2 = march_distances(cs, u0, dw, h, cfg, reference)
+            out.append(march(dw))
         except BlowUpError as err:
             err.path_index += first
             raise
-        yield from zip(dw, d2.tolist())
+    return np.concatenate(out, axis=-1)
 
 
 def _tube_estimate(
@@ -149,16 +151,15 @@ def _tube_estimate(
     h_l2_sq = float(np.sum(h_path**2)) * cfg.mesh.dt
     sqrt_eps = math.sqrt(eps)
 
-    stats = np.empty(n_samples)
-    n_clipped = 0
-    paths = _distances(cs, u0, h_drive, run_cfg, ev.target, n_samples, seed)
-    for i, (dw, d2) in enumerate(paths):
-        hit = d2 < ev.delta
-        log_w = -float(np.sum(h_path * dw)) / sqrt_eps - h_l2_sq / (2.0 * eps)
-        if log_w > LOG_WEIGHT_CLIP:
-            log_w = LOG_WEIGHT_CLIP
-            n_clipped += 1
-        stats[i] = math.exp(log_w) if hit else 0.0
+    def march(dw: np.ndarray) -> np.ndarray:
+        log_w = [-float(np.sum(h_path * w)) / sqrt_eps - h_l2_sq / (2.0 * eps) for w in dw]
+        return np.array([march_distances(cs, u0, dw, h_drive, run_cfg, ev.target), log_w])
+
+    d2, log_w = (row.tolist() for row in _over_chunks(seed, run_cfg, cs.d, n_samples, march))
+    # per path in Python floats: math.exp, not np.exp, gives each weight's bits
+    n_clipped = sum(w > LOG_WEIGHT_CLIP for w in log_w)
+    stats = np.array([math.exp(min(w, LOG_WEIGHT_CLIP)) if d < ev.delta else 0.0
+                      for d, w in zip(d2, log_w)])
     raw = float(np.mean(stats))
     se = float(np.std(stats)) / math.sqrt(n_samples)
     return RareEventEstimate(
@@ -223,23 +224,19 @@ def fw_lower_bound_probe(
     cs: CoefficientSet,
     u0: np.ndarray,
     ev: EventSpec,
-    eps_list: list[float],
-    n_samples: int,
-    seed: int,
+    naive: Sequence[RareEventEstimate],
     cfg: SchemeConfig,
     rate_result: RateFunctionResult,
     theta: float,
-    naive: Mapping[float, RareEventEstimate] | None = None,
 ) -> list[FWBoundRow]:
     """Tube lower bound check: is eps log p_hat >= -(lambda_hat + theta)?
 
-    ev is the tube event, as estimate_naive and estimate_importance take
-    it.  Needs a converged rate estimate for its target; falls back to
-    importance sampling with the minimizing control whenever the naive
-    count is zero.  naive maps eps to a naive estimate the caller already
-    made of ev with these samples, seed and scheme; an eps
-    found there is not estimated again.  Every input is checked before
-    any estimate.
+    naive holds the naive estimates of the tube event ev to bound, one per
+    eps, in row order, as estimate_naive makes them under cfg; their eps
+    must pass eps_list_ok.  Needs a converged rate estimate for ev's
+    target.  A zero-hit estimate falls back to importance sampling with
+    the minimizing control, on that estimate's own eps, samples and seed.
+    Every input is checked before any march.
     """
     if not rate_result.converged:
         raise ValueError(
@@ -248,38 +245,29 @@ def fw_lower_bound_probe(
         )
     if not theta > 0.0:  # NaN fails too
         raise ValueError(f"slack theta must be positive, got {theta}")
-    _check_eps_list(eps_list)
+    _check_eps_list([est.epsilon for est in naive])
+    if any(est.method != "naive" for est in naive):
+        raise ValueError("the lower-bound probe bounds naive estimates only")
     bound = -(rate_result.lambda_hat + theta)
 
-    known = dict(naive or {})
-    for eps, est in known.items():
-        if (est.method, est.epsilon, est.n_samples, est.seed) != ("naive", eps, n_samples, seed):
-            raise ValueError(
-                f"the estimate given for eps {eps} ({est.method}, eps {est.epsilon}, "
-                f"{est.n_samples} samples, seed {est.seed}) is not the probe's naive "
-                f"estimate ({n_samples} samples, seed {seed})")
-
     rows = []
-    for eps in eps_list:
-        est = known[eps] if eps in known else estimate_naive(
-            cs, u0, eps, ev, n_samples, seed, cfg)
-        method = "naive"
+    for est in naive:
+        eps, n_samples = est.epsilon, est.n_samples
         if est.p_hat == 0.0:
             est = estimate_importance(
-                cs, u0, eps, ev, rate_result.h_star, n_samples, seed, cfg
+                cs, u0, eps, ev, rate_result.h_star, n_samples, est.seed, cfg
             )
-            method = "importance"
         if est.p_hat > 0.0:
             eps_log_p = eps * math.log(est.p_hat)
             rows.append(FWBoundRow(
                 epsilon=eps, p_hat=est.p_hat, eps_log_p=eps_log_p, bound=bound,
-                satisfied=bool(eps_log_p >= bound), zero_hit=False, method=method,
+                satisfied=bool(eps_log_p >= bound), zero_hit=False, method=est.method,
             ))
         else:
             p_up = 1.0 - 0.05 ** (1.0 / n_samples)
             rows.append(FWBoundRow(
                 epsilon=eps, p_hat=p_up, eps_log_p=eps * math.log(p_up), bound=bound,
-                satisfied=None, zero_hit=True, method=method,
+                satisfied=None, zero_hit=True, method=est.method,
             ))
     return rows
 
@@ -307,8 +295,10 @@ def condition_convergence_probe(
     skeleton share the control; the probe reports, per eps, the worst
     empirical fraction of paths whose squared distance to the skeleton
     meets delta.  Path indices are shared across eps values (common random
-    numbers), so the reported trend is a coupled comparison.  Every input
-    is checked before any solve.
+    numbers), so the reported trend is a coupled comparison: each chunk is
+    drawn once and every (eps, start, control) row marches on it.  Starts,
+    and controls on cfg's mesh, must be distinct.  Every input is checked
+    before any solve.
     """
     if not delta > 0.0:  # NaN fails too
         raise ValueError(f"threshold delta must be positive, got {delta}")
@@ -321,19 +311,19 @@ def condition_convergence_probe(
                 raise ValueError(
                     f"control with ∫|h|^2 = {ctrl.l2_sq:.4g} exceeds bound {energy_bound}"
                 )
+    hs = [ctrl.on_mesh(cfg.mesh) for ctrl in controls]
+    for name, arrays in (("starts", u0_set), ("controls", hs)):
+        if any(np.array_equal(a, b) for i, a in enumerate(arrays) for b in arrays[:i]):
+            raise ValueError(f"two {name} are equal: each would march the same paths again")
 
-    skeletons = [
-        [solve_skeleton(cs, u0, ctrl, cfg).u for ctrl in controls] for u0 in u0_set
-    ]
-    rows = []
-    for eps in eps_list:
-        run_cfg = replace(cfg, noise_scale=math.sqrt(eps))
-        worst = 0.0
-        for iu, u0 in enumerate(u0_set):
-            for ic, ctrl in enumerate(controls):
-                paths = _distances(cs, u0, ctrl.on_mesh(cfg.mesh), run_cfg, skeletons[iu][ic],
-                                   n_samples, seed)
-                exceed = sum(d2 >= delta for _, d2 in paths)
-                worst = max(worst, exceed / n_samples)
-        rows.append(ConditionRow(epsilon=eps, worst_fraction=worst))
-    return rows
+    pairs = [(u0, h, solve_skeleton(cs, u0, ctrl, cfg).u)
+             for u0 in u0_set for ctrl, h in zip(controls, hs)]
+    run_cfgs = [replace(cfg, noise_scale=math.sqrt(eps)) for eps in eps_list]
+
+    def march(dw: np.ndarray) -> np.ndarray:
+        return np.array([[march_distances(cs, u0, dw, h, run_cfg, skeleton)
+                          for u0, h, skeleton in pairs] for run_cfg in run_cfgs])
+
+    exceed = np.sum(_over_chunks(seed, cfg, cs.d, n_samples, march) >= delta, axis=-1)
+    return [ConditionRow(epsilon=eps, worst_fraction=int(most) / n_samples)
+            for eps, most in zip(eps_list, exceed.max(axis=1))]

@@ -224,13 +224,13 @@ class ReflectedPath:
         return float(np.min(self.u))
 
 
-# One chunk of a Monte Carlo loop is sized to hold its paths' u in this many
+# One chunk of a Monte Carlo loop is sized as if its paths took this many
 # bytes, so the loop's memory grows with the chunk, not the path count.
 BATCH_BYTES = 4 * 2**20
 
 
 def _paths_per_chunk(cfg: SchemeConfig) -> int:
-    """How many paths' u, (steps+1, m) each, fit in BATCH_BYTES (at least one)."""
+    """Chunk size: how many (steps+1, m) paths fit in BATCH_BYTES (at least one)."""
     return max(1, BATCH_BYTES // (8 * cfg.grid.m * (cfg.mesh.steps + 1)))
 
 

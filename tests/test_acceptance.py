@@ -200,10 +200,9 @@ def test_criterion_08_fw_lower_bound_trend():
     u0 = sine_field(grid)
     flow = solve_skeleton(cs, u0, None, cfg).u
     rate0 = rate_function(cs, u0, flow, cfg, blocks=2, max_iters=5)
-    rows = fw_lower_bound_probe(
-        cs, u0, EventSpec(target=flow, delta=0.15), [0.5, 0.2, 0.1], 500, 3, cfg, rate0,
-        theta=0.5
-    )
+    ev = EventSpec(target=flow, delta=0.15)
+    naive = [estimate_naive(cs, u0, eps, ev, 500, 3, cfg) for eps in (0.5, 0.2, 0.1)]
+    rows = fw_lower_bound_probe(cs, u0, ev, naive, cfg, rate0, theta=0.5)
     vals = [r.eps_log_p for r in rows]
     ok = vals[0] < vals[1] < vals[2] <= 0.0
     report(8, ok, f"eps*log p = {[f'{v:.4f}' for v in vals]} increasing toward 0")

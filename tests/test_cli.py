@@ -200,17 +200,19 @@ class TestRunExperiment:
         assert not (tmp_path / "out" / "fw_bound.csv").exists()
 
     def test_rare_event_probe_reuses_the_naive_estimate(self, tmp_path, monkeypatch):
-        # the driver's naive estimate at eps is the probe's row at that eps
-        from burgerslab import ldp
+        # one naive estimate per distinct eps: the run's at eps is the
+        # probe's row at that eps, and the probe makes none of its own
+        from burgerslab import cli, ldp
 
         ran = []
-        real = ldp.estimate_naive
+        real = cli.estimate_naive
 
         def counted(cs, u0, eps, *rest):
             ran.append(eps)
             return real(cs, u0, eps, *rest)
 
-        monkeypatch.setattr(ldp, "estimate_naive", counted)
+        monkeypatch.setattr(cli, "estimate_naive", counted)
+        monkeypatch.setattr(ldp, "estimate_naive", lambda *args: pytest.fail("probe estimated"))
         cfg = load_config(write_config(tmp_path, {
             "experiment": "rare-event",
             "seed": 4,
@@ -221,7 +223,7 @@ class TestRunExperiment:
         }))
         code, _ = run_experiment(cfg, tmp_path / "out")
         assert code == 0
-        assert ran == [0.2]
+        assert ran == [0.1, 0.2]
         est = (tmp_path / "out" / "rare_event.csv").read_text().splitlines()[1].split(",")
         row = (tmp_path / "out" / "fw_bound.csv").read_text().splitlines()[2].split(",")
         assert (est[0], est[1:3]) == ("naive", row[:2])  # the same eps and p_hat
@@ -463,6 +465,16 @@ BAD_CONFIGS = [
     bad("condition-probe-repeated-eps", "params.eps_list",
         {"experiment": "condition-probe", **SMALL,
          "params": {"eps_list": [0.2, 0.2], "n_paths": 1}}),
+    # a repeated start or control once marched the same paths again for the same row
+    bad("condition-probe-repeated-control", "params.control_amps",
+        {"experiment": "condition-probe", **SMALL,
+         "params": {"control_amps": [1.0, 1.0], "n_paths": 1}}),
+    bad("condition-probe-repeated-u0-scale", "params.u0_scales",
+        {"experiment": "condition-probe", **SMALL,
+         "params": {"u0_scales": [0.5, 0.5], "n_paths": 1}}),
+    bad("condition-probe-scales-of-a-zero-start", "params.u0_scales",
+        {"experiment": "condition-probe", **SMALL, "u0": {"amplitude": 0},
+         "params": {"u0_scales": [1.0, 0.5], "n_paths": 1}}),
     bad("rare-event-repeated-eps", "params.eps_list",
         {"experiment": "rare-event", **SMALL,
          "params": {"eps_list": [0.05, 0.05], "n_samples": 2, "blocks": 1}}),

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from burgerslab import ldp, solver
+from burgerslab.averaging import run_averaging_experiment
 from burgerslab.core import SpatialGrid, TimeMesh, path_distance, sample_noise, sine_field
-from burgerslab.coefficients import make_burgers_set
+from burgerslab.coefficients import burgers_multiscale_family, make_burgers_set
 from burgerslab.ldp import (
     EventSpec,
     condition_convergence_probe,
@@ -143,6 +144,11 @@ class TestImportance:
         assert a == b
 
 
+def _naive(ev, eps_list, n_samples, seed, cs=ADDITIVE):
+    """The naive estimates the lower-bound probe bounds, one per eps."""
+    return [estimate_naive(cs, U0, eps, ev, n_samples, seed, CFG) for eps in eps_list]
+
+
 class TestLowerBoundProbe:
     def _zero_rate(self):
         return rate_function(
@@ -150,85 +156,107 @@ class TestLowerBoundProbe:
         )
 
     def test_deterministic_flow_tube_trend(self):
+        ev = EventSpec(target=FLOW, delta=0.15)
         rows = fw_lower_bound_probe(
-            ADDITIVE, U0, EventSpec(target=FLOW, delta=0.15), [0.5, 0.2, 0.1], 100, 18, CFG,
+            ADDITIVE, U0, ev, _naive(ev, [0.5, 0.2, 0.1], 100, 18), CFG,
             self._zero_rate(), theta=0.5,
         )
         vals = [r.eps_log_p for r in rows]
         assert vals[0] < vals[1] < vals[2] <= 0.0
 
     def test_generous_slack_always_satisfied(self):
+        ev = EventSpec(target=FLOW, delta=0.15)
         rows = fw_lower_bound_probe(
-            ADDITIVE, U0, EventSpec(target=FLOW, delta=0.15), [0.5, 0.2], 60, 19, CFG,
+            ADDITIVE, U0, ev, _naive(ev, [0.5, 0.2], 60, 19), CFG,
             self._zero_rate(), theta=10.0,
         )
         assert all(r.satisfied for r in rows)
 
     def test_zero_hit_row_flagged(self):
         # unreachable tube: zero hits for naive and for the zero-control tilt
+        ev = EventSpec(target=FLOW + 2.0, delta=1e-9)
         rows = fw_lower_bound_probe(
-            ADDITIVE, U0, EventSpec(target=FLOW + 2.0, delta=1e-9), [0.2], 25, 20, CFG,
-            self._zero_rate(), theta=0.5,
+            ADDITIVE, U0, ev, _naive(ev, [0.2], 25, 20), CFG, self._zero_rate(), theta=0.5,
         )
         row = rows[0]
         assert row.zero_hit and row.satisfied is None
         assert row.p_hat == pytest.approx(1.0 - 0.05 ** (1.0 / 25), rel=1e-12)
 
+    def test_zero_hit_falls_back_on_the_estimate_own_eps_samples_and_seed(self, monkeypatch):
+        # each zero-hit row tilts with the rate's control on its own naive
+        # estimate's eps, sample count and seed; a row with hits tilts nothing
+        far = EventSpec(target=FLOW + 2.0, delta=1e-9)
+        naive = [estimate_naive(ADDITIVE, U0, 0.2, far, 25, 20, CFG),
+                 estimate_naive(ADDITIVE, U0, 0.1, far, 12, 7, CFG)]
+        rate = self._zero_rate()
+        tilted = []
+
+        def counted(cs, u0, eps, ev, h, n_samples, seed, cfg):
+            tilted.append((eps, ev, h, n_samples, seed))
+            return estimate_importance(cs, u0, eps, ev, h, n_samples, seed, cfg)
+
+        monkeypatch.setattr(ldp, "estimate_importance", counted)
+        rows = fw_lower_bound_probe(ADDITIVE, U0, far, naive, CFG, rate, theta=0.5)
+        assert tilted == [(0.2, far, rate.h_star, 25, 20), (0.1, far, rate.h_star, 12, 7)]
+        assert [(r.epsilon, r.method) for r in rows] == [(0.2, "importance"), (0.1, "importance")]
+        assert rows[1].p_hat == pytest.approx(1.0 - 0.05 ** (1.0 / 12), rel=1e-12)
+        tilted.clear()
+        near = EventSpec(target=FLOW, delta=0.15)
+        rows = fw_lower_bound_probe(ADDITIVE, U0, near, _naive(near, [0.2], 60, 19), CFG, rate,
+                                    theta=0.5)
+        assert tilted == [] and rows[0].method == "naive"
+
     def test_requires_converged_rate(self):
         bad = rate_function(
             NOISELESS, U0, FLOW + 0.1, CFG, blocks=2, max_iters=3
         )
+        ev = EventSpec(target=FLOW, delta=0.1)
         with pytest.raises(ValueError):
-            fw_lower_bound_probe(
-                ADDITIVE, U0, EventSpec(target=FLOW, delta=0.1), [0.2], 10, 21, CFG, bad,
-                theta=0.5
-            )
+            fw_lower_bound_probe(ADDITIVE, U0, ev, _naive(ev, [0.2], 10, 21), CFG, bad,
+                                 theta=0.5)
 
-    @pytest.mark.parametrize("eps_list", [[], [0.1, math.inf], [0.1, math.nan], [0.1, 0.0],
-                                          [0.1, -0.1], [0.1, 0.2, 0.1]],
-                             ids=["no-eps", "inf-eps", "nan-eps", "zero-eps", "negative-eps",
-                                  "repeated-eps"])
-    def test_eps_list_checked_before_any_estimate(self, monkeypatch, eps_list):
-        # an empty eps_list once returned no rows, and an infinite or NaN eps
-        # failed only after the earlier eps had marched, naming no eps_list
+    @pytest.mark.parametrize("kind", ["none", "repeated-eps", "importance", "nan-eps"])
+    def test_estimates_checked_before_any_march(self, monkeypatch, kind):
+        # an empty sequence, a repeated eps, an importance estimate and an
+        # estimate of NaN eps are refused before any march of the probe
+        ev = EventSpec(target=FLOW, delta=0.15)
         rate = self._zero_rate()
+        est = estimate_naive(ADDITIVE, U0, 0.2, ev, 10, 19, CFG)
+        naive = {
+            "none": [],
+            "repeated-eps": [est, estimate_naive(ADDITIVE, U0, 0.5, ev, 10, 19, CFG), est],
+            "importance": [est, estimate_importance(ADDITIVE, U0, 0.5, ev, NO_TILT, 10, 19,
+                                                    CFG)],
+            "nan-eps": [est, replace(est, epsilon=math.nan)],
+        }[kind]
         calls = []
         monkeypatch.setattr(solver, "cho_solve_banded",
                             lambda *args: calls.append("cho_solve_banded"))
-        with pytest.raises(ValueError, match="eps_list"):
-            fw_lower_bound_probe(ADDITIVE, U0, EventSpec(target=FLOW, delta=0.15), eps_list, 10,
-                                 19, CFG, rate, theta=0.5)
+        with pytest.raises(ValueError, match="naive estimates" if kind == "importance"
+                           else "eps_list"):
+            fw_lower_bound_probe(ADDITIVE, U0, ev, naive, CFG, rate, theta=0.5)
         assert calls == []
 
-    def test_given_naive_estimate_is_not_run_again(self, monkeypatch):
+    def test_given_estimates_are_bounded_as_they_are(self, monkeypatch):
+        # the probe makes no naive estimate of its own: its rows are those of
+        # the estimates given, in their order, whatever their samples and seed
         ev = EventSpec(target=FLOW, delta=0.15)
-        args = (ADDITIVE, U0, ev, [0.5, 0.2], 60, 19, CFG, self._zero_rate())
-        plain = fw_lower_bound_probe(*args, theta=0.5)
-        given = estimate_naive(ADDITIVE, U0, 0.2, ev, 60, 19, CFG)
-        ran = []
-
-        def counted(cs, u0, eps, *rest):
-            ran.append(eps)
-            return estimate_naive(cs, u0, eps, *rest)
-
-        monkeypatch.setattr(ldp, "estimate_naive", counted)
-        assert fw_lower_bound_probe(*args, theta=0.5, naive={0.2: given}) == plain
-        assert ran == [0.5]
-        # an estimate of other samples, another seed or another eps is refused
-        for bad in (estimate_naive(ADDITIVE, U0, 0.2, ev, 59, 19, CFG),
-                    estimate_naive(ADDITIVE, U0, 0.2, ev, 60, 18, CFG),
-                    estimate_naive(ADDITIVE, U0, 0.5, ev, 60, 19, CFG),
-                    estimate_importance(ADDITIVE, U0, 0.2, ev, NO_TILT, 60, 19, CFG)):
-            with pytest.raises(ValueError, match="not the probe's naive estimate"):
-                fw_lower_bound_probe(*args, theta=0.5, naive={0.2: bad})
+        naive = [estimate_naive(ADDITIVE, U0, 0.5, ev, 60, 19, CFG),
+                 estimate_naive(ADDITIVE, U0, 0.2, ev, 40, 3, CFG)]
+        monkeypatch.setattr(ldp, "estimate_naive", lambda *args: pytest.fail("estimated again"))
+        rows = fw_lower_bound_probe(ADDITIVE, U0, ev, naive, CFG, self._zero_rate(), theta=0.5)
+        assert [(r.epsilon, r.p_hat, r.method) for r in rows] == [
+            (est.epsilon, est.p_hat, "naive") for est in naive]
+        assert all(est.p_hat > 0.0 for est in naive)
 
     def test_reachable_target_satisfied_at_half_rate_slack(self):
         gen = Control.constant(1.0, 1.0)
         target = solve_skeleton(ADDITIVE, U0, gen, CFG).u
         res = rate_function(ADDITIVE, U0, target, CFG, blocks=4, max_iters=25)
         assert res.converged
+        ev = EventSpec(target=target, delta=0.06)
         rows = fw_lower_bound_probe(
-            ADDITIVE, U0, EventSpec(target=target, delta=0.06), [0.2, 0.1], 200, 11, CFG, res,
+            ADDITIVE, U0, ev, _naive(ev, [0.2, 0.1], 200, 11), CFG, res,
             theta=0.5 * res.lambda_hat,
         )
         assert all(r.satisfied for r in rows)
@@ -268,8 +296,13 @@ class TestConditionProbe:
         ([U0], [NO_TILT], 5, [], "eps_list"),
         ([U0], [NO_TILT], 5, [0.1, math.inf], "eps_list"),
         ([U0], [NO_TILT], 5, [0.2, 0.2], "eps_list"),
+        ([U0, 0.5 * U0, U0], [NO_TILT], 5, [0.1], "two starts are equal"),
+        ([U0], [NO_TILT, Control.constant(1.0, 1.0), NO_TILT], 5, [0.1],
+         "two controls are equal"),
+        ([U0], [NO_TILT, Control(1.0, np.zeros((2, 1)))], 5, [0.1], "two controls are equal"),
     ], ids=["no-samples", "no-starts", "no-controls", "negative-eps", "nan-eps", "zero-eps",
-            "no-eps", "inf-eps", "repeated-eps"])
+            "no-eps", "inf-eps", "repeated-eps", "repeated-start", "repeated-control",
+            "controls-equal-on-the-mesh"])
     def test_empty_inputs_rejected_before_any_solve(self, monkeypatch, u0_set, controls,
                                                     n_samples, eps_list, match):
         # n_samples 0 once solved every skeleton and then divided by zero; an
@@ -296,26 +329,39 @@ def _small_chunks(monkeypatch, paths_per_chunk, cfg=CFG):
 class TestBatchedLoops:
     """The batched Monte Carlo loops give what a per-path solve loop gives, bit for bit."""
 
-    def test_importance_matches_per_path_loop(self, monkeypatch):
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_importance_matches_per_path_loop(self, monkeypatch, clipped):
+        # clipped: the clip sits at the median log-weight, so about half of
+        # the weights are truncated and counted, hits and misses alike
         _small_chunks(monkeypatch, 7)  # 30 samples in chunks of 7
         cs = make_burgers_set(0.5, noise_profile="bounded", c1=0.3)
         tilt = Control(1.0, np.array([[0.8], [0.0], [-0.5]]))
         ev = EventSpec(target=FLOW, delta=0.15)
         eps, n, seed = 0.2, 30, 31
-        est = estimate_importance(cs, U0, eps, ev, tilt, n, seed, CFG)
 
         run_cfg = replace(CFG, noise_scale=math.sqrt(eps))
         h_path = tilt.on_mesh(MESH)
-        stats = []
+        log_ws, hits = [], []
         for i in range(n):
             noise = sample_noise(seed, MESH, cs.d, path_index=i)
             u = solve(cs, U0, noise, tilt, run_cfg).u
-            hit = path_distance(u, FLOW, GRID, MESH).squared < ev.delta
-            log_w = (-float(np.sum(h_path * noise)) / math.sqrt(eps)
-                     - float(np.sum(h_path**2)) * MESH.dt / (2.0 * eps))
+            hits.append(path_distance(u, FLOW, GRID, MESH).squared < ev.delta)
+            log_ws.append(-float(np.sum(h_path * noise)) / math.sqrt(eps)
+                          - float(np.sum(h_path**2)) * MESH.dt / (2.0 * eps))
+        clip = sorted(log_ws)[n // 2] if clipped else ldp.LOG_WEIGHT_CLIP
+        monkeypatch.setattr(ldp, "LOG_WEIGHT_CLIP", clip)
+        stats, n_clipped = [], 0
+        for log_w, hit in zip(log_ws, hits):
+            if log_w > clip:
+                log_w = clip
+                n_clipped += 1
             stats.append(math.exp(log_w) if hit else 0.0)
+        assert 0 < sum(hits) < n and (n_clipped > 0) == clipped
+
+        est = estimate_importance(cs, U0, eps, ev, tilt, n, seed, CFG)
         assert est.raw_mean == float(np.mean(stats))
         assert est.std_err == float(np.std(stats)) / math.sqrt(n)
+        assert est.n_clipped == n_clipped
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_zero_tilt_weights_exactly_one(self, monkeypatch, d):
@@ -370,6 +416,52 @@ class TestBatchedLoops:
         whole = condition_convergence_probe(*args)
         _small_chunks(monkeypatch, 2)
         assert condition_convergence_probe(*args) == whole
+
+    def test_condition_probe_draws_each_sample_once(self, monkeypatch):
+        # 9 samples in chunks of 2: every (eps, start, control) row of a
+        # chunk marches on that chunk's one draw, so 9 draws for 2 x 2 x 2
+        # rows, and each row's worst fraction is that of a solve per path
+        controls = [NO_TILT, Control.constant(1.0, 1.0)]
+        starts, eps_list, delta, n, seed = [U0, 0.5 * U0], [0.5, 0.1], 0.05, 9, 41
+        worst = []
+        for eps in eps_list:
+            run = replace(CFG, noise_scale=math.sqrt(eps))
+            exceed = [sum(path_distance(solve(ADDITIVE, u0, sample_noise(seed, MESH, 1, i), ctrl,
+                                              run).u, solve_skeleton(ADDITIVE, u0, ctrl, CFG).u,
+                                        GRID, MESH).squared >= delta for i in range(n))
+                      for u0 in starts for ctrl in controls]
+            worst.append(max(exceed) / n)
+        assert 0.0 < worst[0]
+        drawn = []
+        monkeypatch.setattr(ldp, "sample_noise",
+                            lambda seed, mesh, d, path_index: drawn.append(path_index)
+                            or sample_noise(seed, mesh, d, path_index=path_index))
+        _small_chunks(monkeypatch, 2)
+        rows = condition_convergence_probe(ADDITIVE, starts, controls, eps_list, delta, n, seed,
+                                           CFG)
+        assert drawn == list(range(n))
+        assert [(r.epsilon, r.worst_fraction) for r in rows] == list(zip(eps_list, worst))
+
+    @pytest.mark.parametrize("loop", ["tube", "condition", "averaging"])
+    def test_blow_up_in_a_later_chunk_names_the_global_path(self, monkeypatch, loop):
+        # 6 samples in chunks of 2; only path 3 (row 1 of the second chunk)
+        # is driven past the ceiling, so each loop through the one chunk
+        # walk reports path 3
+        monkeypatch.setattr(ldp, "sample_noise", lambda seed, mesh, d, path_index: (
+            np.full((mesh.steps, d), 1e9) if path_index == 3
+            else sample_noise(seed, mesh, d, path_index=path_index)))
+        _small_chunks(monkeypatch, 2)
+        ms, avg = burgers_multiscale_family(beta=0.5, amplitude=1.0)
+        run = {
+            "tube": lambda: estimate_naive(ADDITIVE, U0, 0.2, EventSpec(FLOW, 0.1), 6, 1, CFG),
+            "condition": lambda: condition_convergence_probe(
+                ADDITIVE, [U0], [NO_TILT], [0.5, 0.1], 0.05, 6, 1, CFG),
+            "averaging": lambda: run_averaging_experiment(ms, avg, U0, [0.1, 0.01], 6, 1, CFG),
+        }[loop]
+        with pytest.raises(BlowUpError) as err:
+            run()
+        assert err.value.path_index == 3
+        assert err.value.step_index < solver.CHECK_EVERY
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         # 7 samples in one chunk, then in chunks of 2, 2, 2 and 1
