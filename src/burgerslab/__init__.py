@@ -7,7 +7,6 @@ and coupled-path averaging studies for fast-oscillation coefficients.
 """
 
 from .core import (
-    PathDistance,
     SpatialGrid,
     TimeMesh,
     h_norm,

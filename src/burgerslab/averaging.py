@@ -84,7 +84,7 @@ def run_averaging_experiment(
     def march(dw: np.ndarray) -> np.ndarray:
         slow = solve_batch(avg, u0, dw, None, base_cfg, store_dk=False)[0]
         # each fast chunk is dropped before the next eps's is marched
-        return np.array([[path_distance(f, s, cfg.grid, cfg.mesh).squared for f, s in
+        return np.array([[path_distance(f, s, cfg.grid, cfg.mesh) for f, s in
                           zip(solve_batch(ms, u0, dw, None, fast_cfg, store_dk=False)[0], slow)]
                          for fast_cfg in fast_cfgs])
 

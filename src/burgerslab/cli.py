@@ -139,7 +139,9 @@ _COEFFICIENTS = (
     ("c1", float, _BURGERS["c1"], *_ANY),
     ("c2", float, _BURGERS["c2"], *_ANY),
     ("sigma_amp", float, _BURGERS["sigma_amp"], *_ANY),
-    ("d", int, _BURGERS["d"], *_AT_LEAST_1),
+    ("d", int, _BURGERS["d"], lambda v, c: v == 1,
+     "must be 1: every builtin noise is the same on each channel, so d channels are "
+     "one channel of amplitude sigma_amp * sqrt(d)"),
     ("beta", float, None,
      lambda v, c: v > 0 if v is not None else c["coefficients.family"] == "burgers",
      "must be > 0, and the multiscale family requires it"),

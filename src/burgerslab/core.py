@@ -7,8 +7,9 @@ H^1_0 seminorm built from all M+1 jumps including the two boundary jumps
 against the implicit zeros.
 
 Paths are (steps+1, M) arrays, one row per time node.  Their distance is
-measured in C([0,T], H) ∩ L^2([0,T], V): the canonical squared form is
-sup_t |p-q|_H^2 + ∫ ||p-q||_V^2 dt with left-endpoint quadrature in time.
+measured in C([0,T], H) ∩ L^2([0,T], V), and path_distance returns its
+square, sup_t |p-q|_H^2 + ∫ ||p-q||_V^2 dt with left-endpoint quadrature in
+time.  _Distances, its one home, takes P paths' rows a window at a time.
 
 Noise is a plain (steps, d) array of Brownian increments, one row per
 step, as sample_noise draws it; the solver takes it as it is.
@@ -24,7 +25,6 @@ import numpy as np
 __all__ = [
     "SpatialGrid",
     "TimeMesh",
-    "PathDistance",
     "sine_field",
     "h_norm",
     "v_norm",
@@ -74,22 +74,6 @@ class TimeMesh:
         return np.linspace(0.0, self.t_final, self.steps + 1)
 
 
-@dataclass(frozen=True)
-class PathDistance:
-    """Distance record between two discrete paths.
-
-    squared = sup_h**2 + l2_v**2 is the canonical functional; its square
-    root is a metric.
-    """
-
-    sup_h: float
-    l2_v: float
-
-    @property
-    def squared(self) -> float:
-        return self.sup_h**2 + self.l2_v**2
-
-
 def sine_field(grid: SpatialGrid, amplitude: float = 1.0) -> np.ndarray:
     """amplitude * sin(pi x) sampled at the interior nodes (+0.0 at amplitude 0)."""
     return amplitude * np.sin(math.pi * grid.nodes)
@@ -126,61 +110,78 @@ def _check_path(p: np.ndarray, grid: SpatialGrid, mesh: TimeMesh,
     return p
 
 
-# path_distance streams the paths through buffers of about this many floats,
+# The row pass streams the paths through buffers of about this many floats,
 # a block of whole time rows, so a distance's scratch stays in cache whatever
 # the path length, and a row pass over a window of P paths at once holds no
 # more scratch than one path's.
 DISTANCE_BLOCK = 8 * 1024
 
 
-def path_distance(
-    p: np.ndarray, q: np.ndarray, grid: SpatialGrid, mesh: TimeMesh
-) -> PathDistance:
-    """C([0,T],H) ∩ L^2([0,T],V) distance between two paths on a common mesh.
+def path_distance(p: np.ndarray, q: np.ndarray, grid: SpatialGrid, mesh: TimeMesh) -> float:
+    """Squared C([0,T],H) ∩ L^2([0,T],V) distance between two paths on a common mesh.
 
-    sup_h = max_k |p_k - q_k|_H; l2_v^2 = sum_{k<steps} ||p_k - q_k||_V^2 dt
-    (left-endpoint rule, consistent with the time stepping order).
-
-    The difference goes block by block of time rows into a ghost-padded
-    buffer whose zero columns give the boundary jumps (x - 0 and 0 - x are
-    exact), so each row's norms have the bits of dx * sum(diff^2) and
-    sum(jumps^2) / dx over the whole difference, with the jumps of np.diff
-    and zero ghosts, and the scratch is two buffers of about DISTANCE_BLOCK
-    floats, not three path-sized arrays.  The row pass (_distance_rows)
-    and the reduction (_distance_of_rows) are two parts, so a path held a
-    window of rows at a time gets the same bits.
+    sup_k |p_k - q_k|_H^2 + sum_{k<steps} ||p_k - q_k||_V^2 dt (left-endpoint
+    rule, consistent with the time stepping order): the one-path _Distances
+    fed the whole path at once.
     """
-    p = _check_path(p, grid, mesh)
-    q = _check_path(q, grid, mesh)
-    hsq = np.empty(len(p))
-    vsq = np.empty(len(p))
-    _distance_rows(p, q, hsq, vsq)
-    hsq *= grid.dx
-    vsq /= grid.dx
-    return _distance_of_rows(hsq, vsq, mesh)
+    distances = _Distances(q, 1, grid, mesh)
+    distances.add(0, _check_path(p, grid, mesh)[:, None])
+    return distances.squared()[0]
 
 
-def _distance_scratch(rows: int, paths: tuple[int, ...], m: int) -> tuple[np.ndarray, np.ndarray]:
+class _Distances:
+    """The squared distances of P paths to one reference, fed time rows a window at a time.
+
+    add(first, rows) takes the (n, P, m) states at time rows first ..
+    first + n - 1, in one row pass (_distance_rows, through one scratch
+    pair built at the first call) into each path's H and V sums; squared(),
+    called once after the last add, gives the P squared distances, with the
+    same bits however the rows were split into windows.
+    """
+
+    def __init__(self, reference: np.ndarray, paths: int, grid: SpatialGrid, mesh: TimeMesh):
+        self.reference = _check_path(reference, grid, mesh, "reference")
+        self.grid, self.mesh = grid, mesh
+        # path-major, so each path's sums reduce as one contiguous row
+        self.hsq = np.empty((paths, mesh.steps + 1))
+        self.vsq = np.empty_like(self.hsq)
+        self.scratch: tuple[np.ndarray, np.ndarray] | None = None
+
+    def add(self, first: int, rows: np.ndarray) -> None:
+        if self.scratch is None:
+            self.scratch = _distance_scratch(*rows.shape)
+        span = slice(first, first + len(rows))
+        _distance_rows(rows, self.reference[span, None], self.hsq[:, span].T,
+                       self.vsq[:, span].T, self.scratch)
+
+    def squared(self) -> list[float]:
+        """sup of each path's H sums plus the left-endpoint sum of its V sums, scaled once."""
+        self.hsq *= self.grid.dx
+        self.vsq /= self.grid.dx
+        return [math.sqrt(float(np.max(h)))**2 + math.sqrt(float(np.sum(v[:-1])) * self.mesh.dt)**2
+                for h, v in zip(self.hsq, self.vsq)]
+
+
+def _distance_scratch(rows: int, paths: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The row pass's ghost-padded and jump buffers, about DISTANCE_BLOCK floats of whole rows."""
-    block = max(1, min(rows, DISTANCE_BLOCK // (math.prod(paths) * (m + 2))))
-    return np.zeros((block, *paths, m + 2)), np.empty((block, *paths, m + 1))
+    block = max(1, min(rows, DISTANCE_BLOCK // (paths * (m + 2))))
+    return np.zeros((block, paths, m + 2)), np.empty((block, paths, m + 1))
 
 
 def _distance_rows(p: np.ndarray, q: np.ndarray, hsq: np.ndarray, vsq: np.ndarray,
-                   scratch: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+                   scratch: tuple[np.ndarray, np.ndarray]) -> None:
     """sum((p_k - q_k)^2) and the sum of its squared jumps, for each row k, into hsq, vsq.
 
-    The row pass of path_distance: p is (rows, m), or (rows, P, m) for P
-    paths, q broadcasts against it, and hsq, vsq are p's shape without m.
-    The sums are unscaled: hsq * dx and vsq / dx are |p_k - q_k|_H^2 and
-    ||p_k - q_k||_V^2.  Every (row, path) has the bits of the whole-path
-    call, so a caller holding paths a window of rows at a time fills each
-    path's pair window by window, through one scratch pair
-    (_distance_scratch) and one scaling at the end.
+    The one row pass of the distance: p is (rows, P, m), q broadcasts
+    against it, and hsq, vsq are (rows, P).  The difference goes block by
+    block of time rows into the ghost-padded scratch buffer, whose zero
+    columns give the boundary jumps (x - 0 and 0 - x are exact), so each
+    row's sums have the bits of sum(diff^2) and sum(jumps^2) over the whole
+    difference, with the jumps of np.diff and zero ghosts.  The sums are
+    unscaled: hsq * dx and vsq / dx are |p_k - q_k|_H^2 and ||p_k - q_k||_V^2.
     """
-    rows, paths, m = p.shape[0], p.shape[1:-1], p.shape[-1]
-    padded, jumps = _distance_scratch(rows, paths, m) if scratch is None else scratch
-    block = len(padded)
+    padded, jumps = scratch
+    block, rows = len(padded), len(p)
     for lo in range(0, rows, block):
         n = min(block, rows - lo)
         diff, jump = padded[:n, ..., 1:-1], jumps[:n]
@@ -188,13 +189,6 @@ def _distance_rows(p: np.ndarray, q: np.ndarray, hsq: np.ndarray, vsq: np.ndarra
         np.einsum("...m,...m->...", diff, diff, out=hsq[lo:lo + n])
         np.subtract(padded[:n, ..., 1:], padded[:n, ..., :-1], out=jump)
         np.einsum("...m,...m->...", jump, jump, out=vsq[lo:lo + n])
-
-
-def _distance_of_rows(hsq: np.ndarray, vsq: np.ndarray, mesh: TimeMesh) -> PathDistance:
-    """The reduction of path_distance: sup over the hsq rows, left-endpoint sum of vsq."""
-    sup_h = math.sqrt(float(np.max(hsq)))
-    l2_v = math.sqrt(float(np.sum(vsq[:-1])) * mesh.dt)
-    return PathDistance(sup_h=sup_h, l2_v=l2_v)
 
 
 def sample_noise(seed: int, mesh: TimeMesh, d: int, path_index: int = 0) -> np.ndarray:

@@ -141,8 +141,7 @@ def rate_function(
         return None
 
     h = np.zeros(blocks * d)
-    res_cur = path_distance(solve_skeleton(cs, u0, control(h), cfg).u, target, cfg.grid,
-                            cfg.mesh).squared
+    res_cur = path_distance(solve_skeleton(cs, u0, control(h), cfg).u, target, cfg.grid, cfg.mesh)
     history: list[tuple[float, float, float]] = []
     iterations = 0
 

@@ -40,14 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    SpatialGrid,
-    TimeMesh,
-    _check_path,
-    _distance_of_rows,
-    _distance_rows,
-    _distance_scratch,
-)
+from .core import SpatialGrid, TimeMesh, _Distances
 from .coefficients import CoefficientSet
 
 __all__ = [
@@ -562,24 +555,19 @@ def march_distances(
 
     Takes solve_batch's arguments and one (steps+1, m) reference, all
     checked before any step; row p's distance has the bits of
-    path_distance(u[p], reference).squared on solve_batch's u.  The rows
-    march through one reused, time-major buffer of CHECK_EVERY steps, and
-    one row pass per window (core._distance_rows, through one scratch pair)
-    fills each row's (steps+1)-long H and V sums, scaled once at the end
-    and reduced as path_distance reduces them.  The windows are
-    solve_batch's, each one _Stepper.march call, of one march: constant
-    callbacks are evaluated once.  A blow-up raises
-    solve_batch's BlowUpError, with the global step and the lowest bad row;
-    no window holding a bad state is measured.
+    path_distance(u[p], reference) on solve_batch's u.  The rows march
+    through one reused, time-major buffer of CHECK_EVERY steps, and each
+    window's new rows go to one core._Distances, which measures them.  The
+    windows are solve_batch's, each one _Stepper.march call, of one march:
+    constant callbacks are evaluated once.  A blow-up raises solve_batch's
+    BlowUpError, with the global step and the lowest bad row; no window
+    holding a bad state is measured.
     """
     stepper = _Stepper(cs, u0, dw, h, cfg)
     cfg, (paths, m), steps, window = stepper.cfg, stepper.u0.shape, stepper.steps, CHECK_EVERY
-    reference = _check_path(reference, cfg.grid, cfg.mesh, "reference")
-    hsq = np.empty((paths, steps + 1))
-    vsq = np.empty_like(hsq)
+    distances = _Distances(reference, paths, cfg.grid, cfg.mesh)
     buf = np.empty((min(window, steps) + 1, paths, m))
     buf[0] = stepper.u0
-    scratch = _distance_scratch(len(buf), (paths,), m)
     for first in range(0, steps, window):
         n = min(window, steps - first)
         if first:
@@ -588,12 +576,8 @@ def march_distances(
         if stepper.first_bad:
             continue
         skip = 1 if first else 0  # the state the window shares with the one before
-        rows = slice(first + skip, first + n + 1)
-        _distance_rows(buf[skip:n + 1], reference[rows, None], hsq[:, rows].T, vsq[:, rows].T,
-                       scratch)
-    hsq *= cfg.grid.dx
-    vsq /= cfg.grid.dx
-    return np.array([_distance_of_rows(a, b, cfg.mesh).squared for a, b in zip(hsq, vsq)])
+        distances.add(first + skip, buf[skip:n + 1])
+    return np.array(distances.squared())
 
 
 def solve(

@@ -111,7 +111,7 @@ def test_criterion_04_apriori_bound_shape():
             noise = sample_noise(99, mesh, 1, path_index=i)
             u = solve(cs, u0, noise, None, cfg).u
             # sup_t |u|_H^2 + ∫ ||u||_V^2 dt: the squared distance to the zero path
-            energies.append(path_distance(u, 0 * u, grid, mesh).squared)
+            energies.append(path_distance(u, 0 * u, grid, mesh))
         ratios.append(np.mean(energies) / (1.0 + h_norm(u0, grid) ** 2))
     spread = max(ratios) / min(ratios)
     ok = spread < 3.0

@@ -66,7 +66,7 @@ class TestAveragingExperiment:
                 slow = solve(avg, U0, nz, None, replace(CFG, noise_scale=1.0))
                 fast = solve(ms, U0, nz, None,
                              replace(CFG, noise_scale=1.0, time_scale=row.epsilon))
-                d2.append(path_distance(fast.u, slow.u, GRID, MESH).squared)
+                d2.append(path_distance(fast.u, slow.u, GRID, MESH))
             assert row.mean_sq_dist == float(np.mean(d2))
             assert row.std_err == float(np.std(d2)) / math.sqrt(7)
 
@@ -196,7 +196,7 @@ class TestAveragingExperiment:
             for i in range(100):
                 nz = sample_noise(31, MESH, 1, path_index=i)
                 u = solve(cs, u0c, nz, None, cfg).u
-                sups4.append(path_distance(u, 0 * u, GRID, MESH).sup_h ** 4)
+                sups4.append(max(h_norm(row, GRID) for row in u) ** 4)
             ratios.append(np.mean(sups4) / (1.0 + h_norm(u0c, GRID) ** 4))
         # bounded against 1 + |u0|^4, and not growing with the scaling
         assert max(ratios) < 2.0
@@ -240,7 +240,7 @@ class TestPenalizationProbe:
             (n, path_distance(
                 solve(cs, np.zeros(GRID.m), nz, None,
                       replace(cfg, reflection="penalized", penalty_n=n)).u,
-                ref.u, GRID, MESH).squared)
+                ref.u, GRID, MESH))
             for n in n_list
         ]
         assert [(n, d2.hex()) for n, d2 in rows] == [(n, d2.hex()) for n, d2 in expected]
@@ -285,7 +285,7 @@ class TestPenalizationProbe:
         pen_cfgs = [replace(cfg, reflection="penalized", penalty_n=n) for n in n_list]
         whole = solver.solve_batch(cs, np.zeros(GRID.m), np.repeat(nz[None], 3, axis=0),
                                    None, pen_cfgs)[0]
-        expected = [(n, path_distance(u, ref.u, GRID, mesh).squared)
+        expected = [(n, path_distance(u, ref.u, GRID, mesh))
                     for n, u in zip(n_list, whole)]
         assert [(n, d2.hex()) for n, d2 in rows] == [(n, d2.hex()) for n, d2 in expected]
         assert all(d2 > 0.0 for _, d2 in rows)

@@ -530,6 +530,9 @@ BAD_CONFIGS = [
         {"experiment": "condition-probe", **SMALL, "u0": {"amplitude": 0, "mode": 3}}),
     bad("zero-noise-profile", "coefficients.noise_profile",
         {"experiment": "condition-probe", **SMALL, "coefficients": {"noise_profile": "zero"}}),
+    # every builtin noise is the same on each channel: d channels are one of sigma_amp * sqrt(d)
+    bad("two-noise-channels", "coefficients.d",
+        {"experiment": "condition-probe", **SMALL, "coefficients": {"d": 2}}),
 ]
 
 
@@ -647,6 +650,8 @@ def test_every_experiment_too_large_for_memory_writes_failure_record(tmp_path, c
     pytest.param({"experiment": "reflection", "mesh": {"t_final": 1e308, "dt": 1e-10}}, 2,
                  id="overflowing-mesh"),
     pytest.param({"experiment": "reflection", "mesh": {"dt": 1e-15}}, 1, id="petabyte-mesh"),
+    pytest.param({"experiment": "condition-probe", "coefficients": {"d": 2}}, 2,
+                 id="two-noise-channels"),
 ])
 def test_command_line_never_prints_a_traceback(tmp_path, payload, code):
     # the module run as a program, under -X dev -W error: the exit code and a

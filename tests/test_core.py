@@ -109,8 +109,7 @@ class TestPathDistance:
 
     def test_identical_paths(self):
         p = self._const_path(sine_field(self.g))
-        d = path_distance(p, p, self.g, self.mesh)
-        assert d.sup_h == 0.0 and d.l2_v == 0.0 and d.squared == 0.0
+        assert path_distance(p, p, self.g, self.mesh) == 0.0
 
     def test_constant_path_arithmetic(self):
         u = sine_field(self.g)
@@ -118,9 +117,11 @@ class TestPathDistance:
         q = self._const_path(np.zeros(self.g.m))
         a, b = h_norm(u, self.g), v_norm(u, self.g)
         d = path_distance(p, q, self.g, self.mesh)
-        assert d.sup_h == pytest.approx(a, rel=1e-12)
-        assert d.l2_v == pytest.approx(b, rel=1e-12)  # T = 1
-        assert d.squared == pytest.approx(a**2 + b**2, rel=1e-12)
+        assert d == pytest.approx(a**2 + b**2, rel=1e-12)  # T = 1
+        # left-endpoint rule: the last row counts only in the sup over H
+        last = np.zeros_like(p)
+        last[-1] = u
+        assert path_distance(last, q, self.g, self.mesh) == pytest.approx(a**2, rel=1e-12)
 
     def test_heat_flow_sup_at_start(self):
         # difference of the flows from sin and 2 sin is a decaying first mode
@@ -128,14 +129,17 @@ class TestPathDistance:
         t = self.mesh.times
         base = np.exp(-lam * t)[:, None] * sine_field(self.g)[None, :]
         d = path_distance(2 * base, base, self.g, self.mesh)
-        assert d.sup_h == pytest.approx(h_norm(sine_field(self.g), self.g), rel=1e-12)
+        h_sq = [h_norm(row, self.g) ** 2 for row in base]
+        assert max(h_sq) == h_sq[0]
+        int_v_sq = sum(v_norm(row, self.g) ** 2 for row in base[:-1]) * self.mesh.dt
+        assert d == pytest.approx(h_norm(sine_field(self.g), self.g) ** 2 + int_v_sq, rel=1e-12)
 
     def test_metric_axioms_random_triples(self):
         rng = np.random.default_rng(3)
         shape = (self.mesh.steps + 1, self.g.m)
         # sqrt(squared) is a metric: Minkowski's inequality over the sup-H
         # and L2-V parts gives the triangle inequality
-        dist = lambda a, b: math.sqrt(path_distance(a, b, self.g, self.mesh).squared)
+        dist = lambda a, b: math.sqrt(path_distance(a, b, self.g, self.mesh))
         for _ in range(25):
             p, q, r = (rng.standard_normal(shape) for _ in range(3))
             assert dist(p, q) == pytest.approx(dist(q, p), rel=1e-12)
@@ -150,13 +154,13 @@ class TestPathDistance:
 
 
 def _whole_path_distance(p, q, grid, mesh):
-    """path_distance as one pass over whole-path arrays, the formula the blocked one keeps."""
+    """path_distance as one pass over whole-path arrays, the bits the blocked one keeps."""
     diff = p - q
     sup_h = math.sqrt(float(np.max(grid.dx * np.einsum("km,km->k", diff, diff))))
     jumps = np.diff(diff, axis=1, prepend=0.0, append=0.0)
     vsq = np.einsum("km,km->k", jumps, jumps) / grid.dx
     l2_v = math.sqrt(float(np.sum(vsq[:-1])) * mesh.dt)
-    return sup_h, l2_v
+    return sup_h**2 + l2_v**2
 
 
 class TestBlockedPathDistance:
@@ -171,7 +175,7 @@ class TestBlockedPathDistance:
             for scale in (1.0, 1e-9, 1e7):
                 p, q = scale * rng.standard_normal((2, n_rows, m))
                 got = path_distance(p, q, grid, mesh)
-                assert (got.sup_h, got.l2_v) == _whole_path_distance(p, q, grid, mesh)
+                assert got == _whole_path_distance(p, q, grid, mesh)
 
     @pytest.mark.parametrize("block", [1, 5, 6, 7, 40])
     def test_block_length_never_shows(self, monkeypatch, block):
@@ -182,7 +186,7 @@ class TestBlockedPathDistance:
         want = _whole_path_distance(p, q, grid, mesh)
         monkeypatch.setattr(core, "DISTANCE_BLOCK", block * 6)
         got = path_distance(p, q, grid, mesh)
-        assert (got.sup_h, got.l2_v) == want
+        assert got == want
 
     @pytest.mark.parametrize("steps, m, scale", [
         (1, 3, 1.0), (40, 16, 1e-300), (300, 33, 1e150), (5000, 128, 1.0),
@@ -196,20 +200,51 @@ class TestBlockedPathDistance:
         u.flat[3::11] = 0.0
         with np.errstate(over="ignore"):
             got = path_distance(u, 0 * u, grid, mesh)
-            assert (got.sup_h, got.l2_v) == _whole_path_distance(u, 0 * u, grid, mesh)
+            assert got == _whole_path_distance(u, 0 * u, grid, mesh)
 
     def test_one_step_and_batch_rows(self):
         grid, mesh = SpatialGrid(2), TimeMesh(1.0, 1)
         p, q = np.array([[0.5, -1.0], [2.0, 0.0]]), np.array([[0.0, 1.0], [-0.0, 3.0]])
         got = path_distance(p, q, grid, mesh)
-        assert (got.sup_h, got.l2_v) == _whole_path_distance(p, q, grid, mesh)
+        assert got == _whole_path_distance(p, q, grid, mesh)
         # rows of a (P, steps+1, m) batch, as the Monte Carlo loops pass them
         grid, mesh = SpatialGrid(12), TimeMesh(0.6, 30)
         batch = np.random.default_rng(5).standard_normal((4, 31, 12))
         for p in batch:
             for q in (batch[0], batch[3], batch[1, :, :][::-1]):
                 got = path_distance(p, q, grid, mesh)
-                assert (got.sup_h, got.l2_v) == _whole_path_distance(p, q, grid, mesh)
+                assert got == _whole_path_distance(p, q, grid, mesh)
+
+    @pytest.mark.parametrize("paths", [1, 3])
+    def test_window_splits_never_show(self, paths):
+        # the accumulator fed in windows of any widths, from one row each to
+        # the whole path, keeps the bits of the whole-path feed; rows of
+        # signed zeros and of subnormal differences and sums included
+        grid, mesh = SpatialGrid(9), TimeMesh(1.0, 40)
+        rng = np.random.default_rng(paths)
+        u = rng.standard_normal((mesh.steps + 1, paths, grid.m))
+        ref = rng.standard_normal((mesh.steps + 1, grid.m))
+        scale = np.array([1.0, 1e-160, 1e-310])[np.arange(mesh.steps + 1) % 3]
+        u *= scale[:, None, None]
+        ref *= scale[:, None]
+        u.flat[::7] = -0.0
+        ref.flat[3::11] = 0.0
+
+        def fed(widths):
+            distances = core._Distances(ref, paths, grid, mesh)
+            first = 0
+            for width in widths:
+                distances.add(first, u[first:first + width])
+                first += width
+            assert first == len(u)
+            return [d.hex() for d in distances.squared()]
+
+        whole = fed([len(u)])
+        assert whole == [path_distance(u[:, p], ref, grid, mesh).hex() for p in range(paths)]
+        assert fed([1] * len(u)) == whole
+        for _ in range(10):
+            cuts = np.sort(rng.choice(np.arange(1, len(u)), rng.integers(1, 12), replace=False))
+            assert fed(np.diff([0, *cuts, len(u)]).tolist()) == whole
 
     def test_scratch_stays_under_one_mib(self):
         # the reflection_fine workload's size: three path-sized temporaries

@@ -47,7 +47,7 @@ class TestEventSpec:
         eps, seed = 0.2, 3
         u = solve(ADDITIVE, U0, sample_noise(seed, MESH, 1), None,
                   replace(CFG, noise_scale=math.sqrt(eps))).u
-        d2 = path_distance(u, FLOW, GRID, MESH).squared
+        d2 = path_distance(u, FLOW, GRID, MESH)
         delta = {"below": np.nextafter(d2, 0.0), "at": d2, "above": np.nextafter(d2, np.inf)}
         ev = EventSpec(target=FLOW, delta=float(delta[side]))
         assert estimate_naive(ADDITIVE, U0, eps, ev, 1, seed, CFG).p_hat == float(hit)
@@ -345,7 +345,7 @@ class TestBatchedLoops:
         for i in range(n):
             noise = sample_noise(seed, MESH, cs.d, path_index=i)
             u = solve(cs, U0, noise, tilt, run_cfg).u
-            hits.append(path_distance(u, FLOW, GRID, MESH).squared < ev.delta)
+            hits.append(path_distance(u, FLOW, GRID, MESH) < ev.delta)
             log_ws.append(-float(np.sum(h_path * noise)) / math.sqrt(eps)
                           - float(np.sum(h_path**2)) * MESH.dt / (2.0 * eps))
         clip = sorted(log_ws)[n // 2] if clipped else ldp.LOG_WEIGHT_CLIP
@@ -428,7 +428,7 @@ class TestBatchedLoops:
             run = replace(CFG, noise_scale=math.sqrt(eps))
             exceed = [sum(path_distance(solve(ADDITIVE, u0, sample_noise(seed, MESH, 1, i), ctrl,
                                               run).u, solve_skeleton(ADDITIVE, u0, ctrl, CFG).u,
-                                        GRID, MESH).squared >= delta for i in range(n))
+                                        GRID, MESH) >= delta for i in range(n))
                       for u0 in starts for ctrl in controls]
             worst.append(max(exceed) / n)
         assert 0.0 < worst[0]

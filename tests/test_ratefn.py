@@ -135,7 +135,7 @@ def _one_step_at_a_time(cs, u0, target, cfg, opt, step_size):
         return Control(t_final, h_flat.reshape(opt["blocks"], d))
 
     def objective_on(h_flat, u, mu):
-        res = path_distance(u, target, cfg.grid, cfg.mesh).squared
+        res = path_distance(u, target, cfg.grid, cfg.mesh)
         return 0.5 * float(np.dot(h_flat, h_flat)) * block_dt + mu * res, res
 
     def objective(h_flat, mu):

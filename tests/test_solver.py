@@ -971,7 +971,7 @@ class TestMarchDistances:
             noise = dw if (run if isinstance(run, SchemeConfig) else run[0]).noise_scale else None
             got = solver.march_distances(cs, u0, noise, h, run, ref)
             u = solve_batch(cs, u0, noise, h, run, store_dk=False)[0]
-            expected = [path_distance(row, ref, cfg.grid, cfg.mesh).squared for row in u]
+            expected = [path_distance(row, ref, cfg.grid, cfg.mesh) for row in u]
             assert [d.hex() for d in got.tolist()] == [d.hex() for d in expected]
             for p in range(len(u)):
                 one = solver.march_distances(
@@ -987,7 +987,7 @@ class TestMarchDistances:
         cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
         ref = _reference(cfg)
         u = solve_batch(cs, u0, dw, None, cfg, store_dk=False)[0]
-        expected = [path_distance(row, ref, cfg.grid, cfg.mesh).squared.hex() for row in u]
+        expected = [path_distance(row, ref, cfg.grid, cfg.mesh).hex() for row in u]
         monkeypatch.setattr(core, "DISTANCE_BLOCK", block_rows * len(u) * (cfg.grid.m + 2))
         got = solver.march_distances(cs, u0, dw, None, cfg, ref)
         assert [d.hex() for d in got.tolist()] == expected
@@ -1011,7 +1011,7 @@ class TestMarchDistances:
         marched.clear()
         u = solve_batch(cs, u0, dw, None, cfg)[0]
         assert marched == [block, block, tail]
-        assert got.tolist() == [path_distance(row, ref, cfg.grid, cfg.mesh).squared
+        assert got.tolist() == [path_distance(row, ref, cfg.grid, cfg.mesh)
                                 for row in u]
 
     @pytest.mark.parametrize("tilted", [False, True], ids=["untilted", "shared-tilt"])
@@ -1082,20 +1082,42 @@ class TestMarchDistances:
                               cfg).value
                 for row in np.flatnonzero(dw.any(axis=(1, 2)))))
         measured = []
-        real = solver._distance_rows
+        real = core._distance_rows
 
         def checked(p, q, *rest):
             assert np.max(np.abs(p)) <= 50.0
             measured.append(p.shape[:2])
             return real(p, q, *rest)
 
-        monkeypatch.setattr(solver, "_distance_rows", checked)
+        monkeypatch.setattr(core, "_distance_rows", checked)
         with pytest.raises(BlowUpError) as got:
             solver.march_distances(ADDITIVE, u0, dw, None, cfg, np.zeros((mesh.steps + 1, grid.m)))
         assert got.value.args == whole.value.args
         assert got.value.step_index >= 8  # not in the first window
         # the windows before the earliest bad state's, every row of each
         assert measured == [(9, 8)] + [(8, 8)] * (earliest // 8 - 1)
+
+    def test_one_row_pass_serves_both(self, monkeypatch):
+        # core._distance_rows is the one row pass: a patch there sees every
+        # time row of path_distance and of march_distances, each once
+        cs, u0, cfg, dw = _batch_case("central", "additive", 1, "projection")
+        assert cfg.mesh.steps > solver.CHECK_EVERY  # more than one window
+        ref = _reference(cfg)
+        u = solve_batch(cs, u0, dw, None, cfg, store_dk=False)[0]
+        seen = []
+        real = core._distance_rows
+
+        def recorded(p, q, *rest):
+            seen.append(np.array(p))  # a copy: the march reuses its window buffer
+            return real(p, q, *rest)
+
+        monkeypatch.setattr(core, "_distance_rows", recorded)
+        alone = path_distance(u[0], ref, cfg.grid, cfg.mesh)
+        assert len(seen) == 1 and np.array_equal(seen[0], u[0][:, None])
+        seen.clear()
+        got = solver.march_distances(cs, u0, dw, None, cfg, ref)
+        assert len(seen) > 1 and np.array_equal(np.concatenate(seen), u.transpose(1, 0, 2))
+        assert got.tolist()[0] == alone
 
 
 class TestPenalized:
@@ -1170,9 +1192,15 @@ class TestReflectedPath:
 
 
 def _energy(p):
-    """sup_t |u|_H^2 and ∫ ||u||_V^2 dt of path p: its squared distance to the zero path."""
-    d = path_distance(p.u, 0 * p.u, p.grid, p.mesh)
-    return d.sup_h ** 2, d.l2_v ** 2
+    """sup_t |u|_H^2 and ∫ ||u||_V^2 dt of path p, from the reference norms.
+
+    Their sum is the path's energy, its squared distance to the zero path.
+    """
+    sup_h_sq = max(h_norm(row, p.grid) ** 2 for row in p.u)
+    int_v_sq = sum(v_norm(row, p.grid) ** 2 for row in p.u[:-1]) * p.mesh.dt
+    energy = path_distance(p.u, 0 * p.u, p.grid, p.mesh)
+    assert energy == pytest.approx(sup_h_sq + int_v_sq, rel=1e-12)
+    return sup_h_sq, int_v_sq
 
 
 class TestEnergyFunctional:
@@ -1183,6 +1211,7 @@ class TestEnergyFunctional:
         cfg = SchemeConfig(grid=grid, mesh=mesh, noise_scale=0.0)
         p = solve_skeleton(ZERO, np.zeros(8), None, cfg)
         assert _energy(p) == (0.0, 0.0)
+        assert path_distance(p.u, 0 * p.u, grid, mesh) == 0.0
 
     def test_matches_the_reference_norms(self):
         # node by node, the energy is built of h_norm and v_norm squared
@@ -1191,9 +1220,8 @@ class TestEnergyFunctional:
         p = solve(ADDITIVE, sine_field(grid), sample_noise(4, mesh, 1), None, cfg)
         h_sq = [h_norm(row, grid) ** 2 for row in p.u]
         v_sq = [v_norm(row, grid) ** 2 for row in p.u]
-        sup_h_sq, int_v_sq = _energy(p)
-        assert sup_h_sq == pytest.approx(max(h_sq), rel=1e-12)
-        assert int_v_sq == pytest.approx(sum(v_sq[:-1]) * mesh.dt, rel=1e-12)
+        energy = path_distance(p.u, 0 * p.u, grid, mesh)
+        assert energy == pytest.approx(max(h_sq) + sum(v_sq[:-1]) * mesh.dt, rel=1e-12)
 
     def test_heat_flow_analytic_integral(self):
         grid, mesh = SpatialGrid(128), TimeMesh(0.1, 4000)
